@@ -635,8 +635,8 @@ let analyze_cmd =
    constant-rate or bursty) feeds a bounded queue drained by worker
    mutators, with drop-newest shedding and an optional admission
    throttle.  Prints an SLO report (end-to-end latency decomposed into
-   queueing / service / GC inflation) and optionally writes it as
-   cgcsim-server-v1 JSON.
+   queueing / service / GC inflation) and optionally writes it as JSON
+   under the Server_report.schema tag.
 
      cgcsim serve --rate 6000 --collector stw --heap-mb 24 --ms 2000 \
        --slo-ms 50 --json report.json
@@ -733,7 +733,10 @@ let serve_cmd =
       value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
   in
   let json_out =
-    let doc = "Write the $(b,cgcsim-server-v1) SLO report to $(docv)." in
+    let doc =
+      Printf.sprintf "Write the $(b,%s) SLO report to $(docv)."
+        Server_report.schema
+    in
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
   let exec rate arrival burst queue workers timeout_ms slo_ms slo_target

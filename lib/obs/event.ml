@@ -110,6 +110,49 @@ let cat = function
   | Cluster_fault -> "fault"
   | Minor_start | Minor_done | Promote | Nursery_fill -> "gen"
 
+let index = function
+  | Cycle_start -> 0
+  | Cycle_end -> 1
+  | Conc_mark -> 2
+  | Stw_pause -> 3
+  | Stw_mark -> 4
+  | Stw_sweep -> 5
+  | Stw_compact -> 6
+  | Mut_increment -> 7
+  | Bg_chunk -> 8
+  | Root_scan -> 9
+  | Card_pass -> 10
+  | Card_clean_conc -> 11
+  | Card_clean_stw -> 12
+  | Packet_get -> 13
+  | Packet_put -> 14
+  | Packet_defer -> 15
+  | Packet_recycle -> 16
+  | Packet_steal -> 17
+  | Sweep_chunk -> 18
+  | Fence_flush -> 19
+  | Alloc_failure -> 20
+  | Fault_inject -> 21
+  | Degrade_force_finish -> 22
+  | Degrade_full_stw -> 23
+  | Degrade_compact -> 24
+  | Oom -> 25
+  | Verify_pass -> 26
+  | Incr_factor -> 27
+  | Req_arrive -> 28
+  | Req_start -> 29
+  | Req_done -> 30
+  | Req_shed -> 31
+  | Req_timeout -> 32
+  | Req_retry -> 33
+  | Req_redirect -> 34
+  | Req_hedge -> 35
+  | Cluster_fault -> 36
+  | Minor_start -> 37
+  | Minor_done -> 38
+  | Promote -> 39
+  | Nursery_fill -> 40
+
 let all_codes =
   [
     Cycle_start;
@@ -154,8 +197,3 @@ let all_codes =
     Promote;
     Nursery_fill;
   ]
-
-let of_name =
-  let tbl = Hashtbl.create 32 in
-  List.iter (fun c -> Hashtbl.replace tbl (name c) c) all_codes;
-  fun n -> Hashtbl.find_opt tbl n

@@ -136,9 +136,10 @@ val cat : code -> string
     ["sweep"], ["root"], ["fence"], ["cycle"], ["server"], ["gen"]) —
     the [cat] field used by trace-viewer filtering. *)
 
+val index : code -> int
+(** A code's position in {!all_codes}, from 0 — lets per-code tables be
+    flat arrays indexed without a hash. *)
+
 val all_codes : code list
 (** Every code, in declaration order — lets docs and tests enumerate the
     catalogue without chasing the variant. *)
-
-val of_name : string -> code option
-(** Inverse of {!name} — used by the trace re-parser. *)

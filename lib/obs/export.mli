@@ -44,11 +44,25 @@ val chrome_json_events :
     produces — identical output bytes, without building a list of the
     whole trace first. *)
 
+val chrome_obs : cycles_per_us:float -> Obs.t -> string
+(** {!chrome_json} of every event the sink holds, with its emitted and
+    dropped counts — the same bytes {!chrome_json_events} writes for
+    {!Obs.events_array}, but written straight from the sink's sorted
+    columns ({!Obs.merged}) without building a record per event. *)
+
+val format_us : cycles_per_us:float -> int -> string
+(** One timestamp field as the writer prints it: exactly
+    [Printf.sprintf "%.3f" (float c /. cycles_per_us)], produced by
+    integer arithmetic whenever that is provably the same string. *)
+
 val parse_chrome_json : string -> (trace_meta * Event.t list, string) result
 (** Strict inverse of {!chrome_json}: recovers the integer cycle
-    timestamps (exact for [cycles_per_us < 2000]) and typed codes.
-    [Error] carries a human-readable reason — unsupported schema,
-    unknown event name, or malformed structure. *)
+    timestamps (exact for [cycles_per_us < 1000], the range it accepts)
+    and typed codes, and re-exporting the result reproduces the input
+    byte for byte.  Total: malformed input of any kind is an [Error]
+    carrying a human-readable reason and the byte offset — unsupported
+    schema, unknown event name, a number without exactly three
+    decimals, a missing field, trailing bytes — never an exception. *)
 
 val csv : ?schema:string -> header:string list -> string list list -> string
 (** RFC-4180-enough CSV: comma-separated, ["\n"] line ends, fields

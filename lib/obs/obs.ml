@@ -90,87 +90,128 @@ let dropped_by_thread = function
         a.rings []
       |> List.sort compare
 
-(* The surviving events of every ring, merged and sorted by timestamp.
-   Stable: equal timestamps keep the (tid, emission order) order the
-   concatenation establishes, so the listing is reproducible — and
-   byte-for-byte the order the previous list implementation produced.
-   Built as an array because the analysis and export passes are
-   length-heavy: one flat array of a few hundred thousand records sorts
-   and scans several times faster than the cons-cell chain
-   [List.stable_sort] used to walk. *)
+type merged = {
+  ts : int array;
+  dur : int array;
+  tid : int array;
+  code : Event.code array;
+  arg : int array;
+  order : int array;
+}
+
+let radix_bits = 11
+
+(* Stable LSD radix sort of non-negative [keys] on bits [lo, hi): three
+   passes of 11 bits for a simulated run's timestamps, against the
+   n log n closure comparisons of a merge sort. *)
+let radix_sort keys ~lo ~hi =
+  let n = Array.length keys in
+  let buckets = 1 lsl radix_bits in
+  let mask = buckets - 1 in
+  let count = Array.make buckets 0 in
+  let src = ref keys and dst = ref (Array.make n 0) in
+  let shift = ref lo in
+  while !shift < hi do
+    let s = !src and d = !dst and sh = !shift in
+    Array.fill count 0 buckets 0;
+    for i = 0 to n - 1 do
+      let b = (s.(i) lsr sh) land mask in
+      count.(b) <- count.(b) + 1
+    done;
+    let sum = ref 0 in
+    for b = 0 to buckets - 1 do
+      let c = count.(b) in
+      count.(b) <- !sum;
+      sum := !sum + c
+    done;
+    for i = 0 to n - 1 do
+      let k = s.(i) in
+      let b = (k lsr sh) land mask in
+      d.(count.(b)) <- k;
+      count.(b) <- count.(b) + 1
+    done;
+    src := d;
+    dst := s;
+    shift := sh + radix_bits
+  done;
+  !src
+
+(* The one sort behind every merged view: the surviving events of every
+   ring, ordered by timestamp.  Stable: equal timestamps keep the (tid,
+   emission order) order the concatenation establishes, so the listing
+   is reproducible.  Each ring's scalars are gathered with segment
+   blits, then [ts * 2^b + index] keys — already in index order — are
+   radix-sorted on their timestamp bits only, which keeps them stable.
+   No per-event record is built: the exporter writes straight from the
+   columns. *)
+let merged t =
+  let rings =
+    match t with
+    | Null -> []
+    | On a ->
+        Hashtbl.fold (fun k _ acc -> k :: acc) a.rings []
+        |> List.sort compare
+        |> List.map (Hashtbl.find a.rings)
+  in
+  let n = List.fold_left (fun acc r -> acc + Ring.length r) 0 rings in
+  let ts = Array.make n 0
+  and dur = Array.make n 0
+  and tid = Array.make n 0
+  and arg = Array.make n 0
+  and code = Array.make n Event.Cycle_start in
+  ignore
+    (List.fold_left
+       (fun pos r -> Ring.blit_fields r ~ts ~dur ~tid ~arg ~code ~pos)
+       0 rings);
+  let bits =
+    let b = ref 1 in
+    while 1 lsl !b < n do incr b done;
+    !b
+  in
+  let max_ts = Array.fold_left max 0 ts in
+  let order =
+    if max_ts < 1 lsl (61 - bits) && Array.fold_left min 0 ts >= 0 then begin
+      let ts_bits =
+        let b = ref 0 in
+        while max_ts lsr !b > 0 do incr b done;
+        !b
+      in
+      let key =
+        radix_sort
+          (Array.init n (fun i -> (ts.(i) lsl bits) lor i))
+          ~lo:bits ~hi:(bits + ts_bits)
+      in
+      let mask = (1 lsl bits) - 1 in
+      for j = 0 to n - 1 do
+        key.(j) <- key.(j) land mask
+      done;
+      key
+    end
+    else begin
+      (* Timestamps too large to pack (cannot happen for simulated
+         clocks, which start at zero): sort the indices directly. *)
+      let idx = Array.init n Fun.id in
+      Array.stable_sort (fun i j -> compare (ts.(i) : int) ts.(j)) idx;
+      idx
+    end
+  in
+  { ts; dur; tid; code; arg; order }
+
+(* Built as an array because the analysis passes are length-heavy: one
+   flat array of a few hundred thousand records scans several times
+   faster than a cons-cell chain. *)
 let events_array t =
-  match t with
-  | Null -> [||]
-  | On a ->
-      let tids =
-        List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) a.rings [])
-      in
-      let n =
-        List.fold_left
-          (fun acc tid -> acc + Ring.length (Hashtbl.find a.rings tid))
-          0 tids
-      in
-      if n = 0 then [||]
-      else begin
-        (* Gather every ring's scalars with segment blits — no per-event
-           boxing — then sort [ts * 2^b + index] keys: the index makes
-           every key unique, so an (unstable) int sort reproduces the
-           stable-by-timestamp order exactly, and records are
-           materialised once, already in final order. *)
-        let ts = Array.make n 0
-        and dur = Array.make n 0
-        and tid = Array.make n 0
-        and arg = Array.make n 0
-        and code = Array.make n Event.Cycle_start in
-        let pos = ref 0 in
-        List.iter
-          (fun t0 ->
-            pos :=
-              Ring.blit_fields (Hashtbl.find a.rings t0) ~ts ~dur ~tid ~arg
-                ~code ~pos:!pos)
-          tids;
-        let bits =
-          let b = ref 1 in
-          while 1 lsl !b < n do incr b done;
-          !b
-        in
-        let max_ts = Array.fold_left max 0 ts in
-        if max_ts < 1 lsl (61 - bits) && Array.fold_left min 0 ts >= 0 then begin
-          let mask = (1 lsl bits) - 1 in
-          let key = Array.init n (fun i -> (ts.(i) lsl bits) lor i) in
-          (* stable_sort is merge sort: measurably faster than [sort]'s
-             heapsort on these mostly-ascending keys (stability itself is
-             irrelevant — keys are unique). *)
-          Array.stable_sort (fun (a : int) (b : int) -> compare a b) key;
-          Array.init n (fun j ->
-              let i = key.(j) land mask in
-              {
-                Event.ts = ts.(i);
-                dur = dur.(i);
-                tid = tid.(i);
-                code = code.(i);
-                arg = arg.(i);
-              })
-        end
-        else begin
-          (* Timestamps too large to pack (cannot happen for simulated
-             clocks, which start at zero): sort the records directly. *)
-          let arr =
-            Array.init n (fun i ->
-                {
-                  Event.ts = ts.(i);
-                  dur = dur.(i);
-                  tid = tid.(i);
-                  code = code.(i);
-                  arg = arg.(i);
-                })
-          in
-          Array.stable_sort
-            (fun (x : Event.t) (y : Event.t) -> compare x.ts y.ts)
-            arr;
-          arr
-        end
-      end
+  let m = merged t in
+  Array.map
+    (fun i ->
+      {
+        Event.ts = m.ts.(i);
+        dur = m.dur.(i);
+        tid = m.tid.(i);
+        code = m.code.(i);
+        arg = m.arg.(i);
+      })
+    m.order
 
 let events t = Array.to_list (events_array t)
 

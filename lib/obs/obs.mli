@@ -56,6 +56,25 @@ val dropped_by_thread : t -> (int * int) list
     thread id — lets reports name the lossy rings instead of only the
     total. *)
 
+type merged = private {
+  ts : int array;
+  dur : int array;
+  tid : int array;
+  code : Event.code array;
+  arg : int array;
+  order : int array;
+      (** [order.(j)] is the column index of the [j]-th event in
+          {!events} order *)
+}
+(** Every surviving event as parallel field columns (ring by ring, in
+    thread-id order) plus the permutation that sorts them.  The arrays
+    are fresh; callers must not mutate them. *)
+
+val merged : t -> merged
+(** The one sort behind every merged view: {!events_array} builds its
+    records from it, and the trace exporter writes straight from its
+    columns without building a record per event. *)
+
 val events : t -> Event.t list
 (** Every surviving event, sorted by timestamp; ties broken by thread id
     then emission order, so the result is deterministic. *)

@@ -219,11 +219,7 @@ let enable_profiler ?(interval_ms = 0.25) t =
       Sched.on_advance t.sc (fun now -> Sampler.tick p ~now);
       t.prof <- Some p
 
-let trace_json t =
-  let o = obs t in
-  Export.chrome_json_events ~emitted:(Obs.emitted o) ~dropped:(Obs.dropped o)
-    ~cycles_per_us:(cycles_per_us t) (Obs.events_array o)
-
+let trace_json t = Export.chrome_obs ~cycles_per_us:(cycles_per_us t) (obs t)
 let write_trace t path = Export.write_file path (trace_json t)
 
 let cycles_schema = "cgcsim-cycles-v1"

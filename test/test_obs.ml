@@ -239,14 +239,13 @@ let ring_blit_matches_iter_test =
           incr i);
       !i = n)
 
-let obs_events_array_order_test =
-  (* The merged view must be the stable ts-sort of the per-thread streams
-     concatenated in tid order, drops included — exactly what the
-     list-based implementation produced.  The packed-key sort inside
-     [events_array] is an implementation detail this pins down. *)
-  QCheck.Test.make ~name:"obs: events_array is the stable per-tid merge"
-    ~count:300
-    QCheck.(small_list (pair (int_bound 3) (int_bound 50)))
+(* The merged view must be the stable ts-sort of the per-thread streams
+   concatenated in tid order, drops included — exactly what the
+   list-based implementation produced.  The packed-key radix sort inside
+   [Obs.merged] is an implementation detail this pins down. *)
+let merge_order_test ~name ts_gen =
+  QCheck.Test.make ~name ~count:300
+    QCheck.(small_list (pair (int_bound 3) ts_gen))
     (fun evs ->
       let cap = 8 in
       let now = ref 0 and tid = ref 0 in
@@ -283,6 +282,46 @@ let obs_events_array_order_test =
       if got <> expected then QCheck.Test.fail_report "merge order mismatch";
       true)
 
+let obs_events_array_order_test =
+  merge_order_test ~name:"obs: events_array is the stable per-tid merge"
+    (QCheck.int_bound 50)
+
+(* Timestamps of one or two set bits anywhere in 40: every radix pass
+   sees values that differ in only its own digit, and ties stay
+   frequent. *)
+let obs_wide_ts_order_test =
+  merge_order_test ~name:"obs: merge stays stable across radix passes"
+    QCheck.(
+      map
+        (fun (a, b) -> (1 lsl a) lor (1 lsl b))
+        (pair (int_bound 40) (int_bound 40)))
+
+(* Writing straight from the sink's columns gives the bytes the record
+   path gives. *)
+let chrome_obs_matches_records_test =
+  QCheck.Test.make ~name:"export: chrome_obs = chrome_json_events" ~count:200
+    QCheck.(
+      small_list
+        (quad (int_bound 3) (int_bound 1_000_000) (int_range (-1) 5000)
+           (int_bound (List.length Event.all_codes - 1))))
+    (fun evs ->
+      let now = ref 0 and tid = ref 0 in
+      let o =
+        Obs.create ~ring_capacity:8 ~now:(fun () -> !now) ~tid:(fun () -> !tid) ()
+      in
+      List.iteri
+        (fun i (t, ts, dur, k) ->
+          tid := t;
+          now := ts + max 0 dur;
+          let code = List.nth Event.all_codes k in
+          if dur < 0 then Obs.instant o ~arg:(i - 3) code
+          else Obs.span o ~arg:i ~start:ts code)
+        evs;
+      String.equal
+        (Export.chrome_obs ~cycles_per_us:550.0 o)
+        (Export.chrome_json_events ~emitted:(Obs.emitted o)
+           ~dropped:(Obs.dropped o) ~cycles_per_us:550.0 (Obs.events_array o)))
+
 let () =
   Alcotest.run "obs"
     [
@@ -309,11 +348,13 @@ let () =
           Alcotest.test_case "armed sink merges and orders" `Quick
             test_armed_sink_orders_events;
           QCheck_alcotest.to_alcotest obs_events_array_order_test;
+          QCheck_alcotest.to_alcotest obs_wide_ts_order_test;
         ] );
       ( "export",
         [
           Alcotest.test_case "chrome json shape" `Quick test_chrome_json_shape;
           Alcotest.test_case "csv quoting" `Quick test_csv_quoting;
+          QCheck_alcotest.to_alcotest chrome_obs_matches_records_test;
         ] );
       ( "end-to-end",
         [

@@ -289,6 +289,154 @@ let test_chrome_schema_rejection () =
   | Ok _ -> Alcotest.fail "parsed garbage"
   | Error _ -> ()
 
+(* ---------------------- Exact trace codec ------------------------ *)
+
+(* Rates at which odd cycle counts sit exactly on a half thousandth of a
+   microsecond (2e6 / rate is an odd power of five), so the float
+   quotient Printf rounds is a near-tie and the writer must fall back. *)
+let tie_rates = [ 400_000; 80_000; 16_000; 3_200; 640; 128 ]
+
+let rate_gen =
+  QCheck.Gen.(oneof [ int_range 1 1_999_999; oneofl (550_000 :: tie_rates) ])
+
+let cycles_gen =
+  QCheck.Gen.(oneof [ int_range 0 (1 lsl 42); int_range 0 10_000 ])
+let us_of_rate cpms = float_of_int cpms /. 1000.0
+let printf_us ~cycles_per_us c =
+  Printf.sprintf "%.3f" (float_of_int c /. cycles_per_us)
+
+let format_us_matches_printf_test =
+  QCheck.Test.make ~name:"export: fixed-point ts/dur equal %.3f" ~count:20_000
+    QCheck.(make Gen.(pair rate_gen cycles_gen))
+    (fun (cpms, c) ->
+      let cycles_per_us = us_of_rate cpms in
+      let got = Export.format_us ~cycles_per_us c
+      and want = printf_us ~cycles_per_us c in
+      if got <> want then
+        QCheck.Test.fail_reportf "rate %d cycles %d: %s, want %s" cpms c got
+          want;
+      true)
+
+let test_format_us_near_ties () =
+  List.iter
+    (fun cpms ->
+      let cycles_per_us = us_of_rate cpms in
+      for c = 0 to 4000 do
+        check Alcotest.string
+          (Printf.sprintf "rate %d cycles %d" cpms c)
+          (printf_us ~cycles_per_us c)
+          (Export.format_us ~cycles_per_us c)
+      done)
+    (550_000 :: 1 :: 999 :: 1_999_999 :: tie_rates)
+
+let event_gen =
+  let open QCheck.Gen in
+  let* ts = cycles_gen in
+  let* dur = oneof [ return (-1); cycles_gen ] in
+  let* tid = oneof [ int_range (-1) 16; int ] in
+  let* code = oneofl Event.all_codes in
+  let+ arg = oneof [ small_signed_int; int ] in
+  { Event.ts; dur; tid; code; arg }
+
+(* Round-tripping is exact below 1000 cycles/us up to the float error,
+   which stays under 0.002 cycles for timestamps below 2^42: rates up to
+   990 cycles/us leave that margin. *)
+let chrome_roundtrip_test =
+  QCheck.Test.make ~name:"export: parse (export evs) = evs, byte-exact back"
+    ~count:300
+    QCheck.(
+      make
+        Gen.(
+          triple (int_range 1 990_000) (list_size (int_range 0 40) event_gen)
+            (pair nat nat)))
+    (fun (cpms, events, (emitted, dropped)) ->
+      let cycles_per_us = us_of_rate cpms in
+      let json = Export.chrome_json ~emitted ~dropped ~cycles_per_us events in
+      match Export.parse_chrome_json json with
+      | Error msg -> QCheck.Test.fail_reportf "rate %d: %s" cpms msg
+      | Ok (meta, parsed) ->
+          if parsed <> events then
+            QCheck.Test.fail_reportf "rate %d: events differ" cpms;
+          if meta.Export.emitted <> emitted || meta.Export.dropped <> dropped
+          then QCheck.Test.fail_report "counters differ";
+          String.equal json
+            (Export.chrome_json ~emitted ~dropped
+               ~cycles_per_us:meta.Export.cycles_per_us parsed))
+
+let parse_error json =
+  match Export.parse_chrome_json json with
+  | Ok _ -> Alcotest.fail "parsed malformed input"
+  | Error msg ->
+      if not (contains msg " at byte ") then
+        Alcotest.failf "error without a byte offset: %s" msg;
+      msg
+
+let test_chrome_malformed () =
+  let good = Export.chrome_json ~cycles_per_us:550.0 synthetic in
+  let without_tail tail =
+    String.sub good 0 (String.length good - String.length tail)
+  in
+  (* The last event ends {..."ts":18.182,...}: cut inside that number. *)
+  let last_ts = without_tail ",\"pid\":0,\"tid\":0,\"args\":{\"v\":1}}\n]}\n" in
+  ignore
+    (parse_error (String.sub last_ts 0 (String.length last_ts - 2)));
+  ignore (parse_error (without_tail "\n]}\n"));
+  let rejects what ~sub ~by ~says =
+    check cb what true
+      (contains (parse_error (replace_once ~sub ~by good)) says)
+  in
+  rejects "two decimals" ~sub:"\"ts\":1.818," ~by:"\"ts\":1.81,"
+    ~says:"three decimals";
+  rejects "four decimals" ~sub:"\"ts\":1.818," ~by:"\"ts\":1.8180,"
+    ~says:"three decimals";
+  rejects "missing tid" ~sub:",\"tid\":1" ~by:"" ~says:"tid";
+  rejects "foreign category" ~sub:"\"cat\":\"pause\"" ~by:"\"cat\":\"x\""
+    ~says:"pause";
+  rejects "unknown name" ~sub:"stw-pause" ~by:"stw-pauze" ~says:"stw-pauze";
+  rejects "integer overflow" ~sub:"\"emitted\":0"
+    ~by:"\"emitted\":99999999999999999999" ~says:"out of range";
+  check cb "trailing bytes" true
+    (contains (parse_error (good ^ " ")) "trailing bytes")
+
+(* Every truncation and single-byte corruption of a valid trace is an
+   [Error] or (if harmless) [Ok] — never an exception. *)
+let chrome_parse_total_test =
+  let good =
+    Export.chrome_json ~emitted:9 ~dropped:2 ~cycles_per_us:550.0 synthetic
+  in
+  let n = String.length good in
+  QCheck.Test.make ~name:"export: the trace parser is total" ~count:2000
+    QCheck.(
+      make
+        Gen.(
+          triple (int_range 0 n) (int_range 0 (n - 1))
+            (oneofl [ '0'; '9'; '.'; '-'; '"'; ','; '}'; 'x' ])))
+    (fun (cut, at, c) ->
+      let mutated = Bytes.of_string good in
+      Bytes.set mutated at c;
+      List.for_all
+        (fun s ->
+          match Export.parse_chrome_json s with
+          | Ok _ -> true
+          | Error msg -> contains msg " at byte ")
+        [ String.sub good 0 cut; Bytes.to_string mutated ])
+
+(* Digests of the exported trace bytes, recorded before the exporter was
+   rewritten for speed: any change to the writer's output shows here. *)
+let test_golden_trace_digests () =
+  let digest vm = Digest.to_hex (Digest.string (Vm.trace_json vm)) in
+  check Alcotest.string "SPECjbb trace" "a48f268dd752e38e0759f449eda9eae6"
+    (digest (traced_vm ()));
+  let vm =
+    Vm.create
+      (Vm.config ~heap_mb:16.0 ~ncpus:4 ~seed:1 ~gc:Config.gen ~trace:true ())
+  in
+  let module Server = Cgc_server.Server in
+  ignore (Server.create (Server.cfg ~rate_per_s:6000.0 ()) vm);
+  Vm.run vm ~ms:300.0;
+  check Alcotest.string "gen serve trace" "5b237d81c003ed1401ba2860edc589de"
+    (digest vm)
+
 let test_csv_roundtrip () =
   let header = [ "a"; "b" ] in
   let rows =
@@ -386,6 +534,15 @@ let () =
             test_chrome_roundtrip_real_trace;
           Alcotest.test_case "foreign schema rejected" `Quick
             test_chrome_schema_rejection;
+          QCheck_alcotest.to_alcotest format_us_matches_printf_test;
+          Alcotest.test_case "fixed-point near ties" `Quick
+            test_format_us_near_ties;
+          QCheck_alcotest.to_alcotest chrome_roundtrip_test;
+          Alcotest.test_case "malformed traces rejected" `Quick
+            test_chrome_malformed;
+          QCheck_alcotest.to_alcotest chrome_parse_total_test;
+          Alcotest.test_case "golden trace digests" `Slow
+            test_golden_trace_digests;
           Alcotest.test_case "csv" `Quick test_csv_roundtrip;
           Alcotest.test_case "csv without schema line" `Quick
             test_csv_untagged_has_no_schema;
