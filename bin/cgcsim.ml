@@ -8,9 +8,16 @@
 
    Or run one of the paper-reproduction experiments:
 
-     dune exec bin/cgcsim.exe -- experiment fig1 *)
+     dune exec bin/cgcsim.exe -- experiment fig1
+
+   Every flag group is declared once, as a cmdliner term, and each
+   sub-command composes the terms it takes; per-command differences
+   (defaults, whether a flag exists) are arguments to the shared term.
+   Malformed values are rejected by the converters, so every command-line
+   error exits 1 through the one mapping at the bottom of this file. *)
 
 open Cmdliner
+open Term.Syntax
 
 module Vm = Cgc_runtime.Vm
 module Config = Cgc_core.Config
@@ -19,51 +26,96 @@ module Verify = Cgc_core.Verify
 module Fault = Cgc_fault.Fault
 module Cluster_fault = Cgc_fault.Cluster_fault
 module Exit_codes = Cgc_cli.Exit_codes
+module Analysis = Cgc_prof.Analysis
+module Prof_report = Cgc_prof.Report
+module Json = Cgc_prof.Json
+module Tails = Cgc_prof.Tails
+module Export = Cgc_obs.Export
+module Obs = Cgc_obs.Obs
+module Server = Cgc_server.Server
+module Server_report = Cgc_server.Report
+module Arrival = Cgc_server.Arrival
+module Balancer = Cgc_cluster.Balancer
+module Cluster = Cgc_cluster.Cluster
+module Cluster_report = Cgc_cluster.Report
+module Shard = Cgc_cluster.Shard
+module Dpool = Cgc_cluster.Dpool
 
-(* Parse the --inject argument: a comma-separated list of scenario names,
-   or "all". *)
-let parse_scenarios s =
-  if s = "all" then Ok Fault.all
-  else
-    let names = String.split_on_char ',' (String.trim s) in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | n :: rest -> (
-          match Fault.of_name (String.trim n) with
-          | Some sc -> go (sc :: acc) rest
-          | None ->
+(* ------------------------------------------------------------------ *)
+(* Converters                                                          *)
+
+(* A converter over a name table kept by the library that owns the
+   names: exactly the spellings [of_name] accepts parse, and defaults
+   print through [to_name]. *)
+let names_of to_name all = String.concat ", " (List.map to_name all)
+
+let named what of_name to_name all =
+  let parse s =
+    Option.to_result (of_name s)
+      ~none:
+        (Printf.sprintf "unknown %s %S (known: %s)" what s
+           (names_of to_name all))
+  in
+  Arg.conv' (parse, fun ppf v -> Format.pp_print_string ppf (to_name v))
+
+(* The --inject argument: a comma-separated list of scenario names, or
+   "all". *)
+let scenarios =
+  let parse s =
+    if s = "all" then Ok Fault.all
+    else
+      List.fold_right
+        (fun n acc ->
+          match (Fault.of_name (String.trim n), acc) with
+          | Some sc, Ok scs -> Ok (sc :: scs)
+          | None, _ ->
               Error
                 (Printf.sprintf
                    "unknown fault scenario %S (known: %s, or \"all\")" n
-                   (String.concat ", " (List.map Fault.to_name Fault.all))))
-    in
-    go [] names
+                   (names_of Fault.to_name Fault.all))
+          | _, (Error _ as e) -> e)
+        (String.split_on_char ',' (String.trim s))
+        (Ok [])
+  in
+  let print ppf scs =
+    Format.pp_print_string ppf (names_of Fault.to_name scs)
+  in
+  Arg.conv' (parse, print)
+
+(* One comma-separated number; blanks around it are allowed. *)
+let number =
+  let parse s =
+    Option.to_result
+      (float_of_string_opt (String.trim s))
+      ~none:(Printf.sprintf "%S is not a number" s)
+  in
+  Arg.conv' (parse, Format.pp_print_float)
+
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (Printf.sprintf "expected a positive integer, got %S" s)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
+
+(* The two shapes every flag here takes. *)
+let opt_arg ?docv c default names doc =
+  Arg.(value & opt c default & info names ?docv ~doc)
+
+let flag_arg names doc = Arg.(value & flag & info names ~doc)
 
 (* The --help scenario listings are generated from the injector modules
    themselves, so a scenario added there shows up in the docs without a
    second edit here. *)
-let inject_doc =
-  Printf.sprintf
-    "Arm the deterministic fault injector with a comma-separated list of \
-     scenarios, or $(b,all).  Scenarios: %s."
-    (String.concat "; "
-       (List.map
-          (fun sc ->
-            Printf.sprintf "$(b,%s) (%s)" (Fault.to_name sc)
-              (Fault.describe sc))
-          Fault.all))
+let scenario_doc to_name describe all =
+  String.concat "; "
+    (List.map
+       (fun sc -> Printf.sprintf "$(b,%s) (%s)" (to_name sc) (describe sc))
+       all)
 
-let chaos_doc =
-  Printf.sprintf
-    "Arm one deterministic fleet chaos scenario (seeded by \
-     $(b,--chaos-seed)): %s."
-    (String.concat "; "
-       (List.map
-          (fun sc ->
-            Printf.sprintf "$(b,%s) (%s)"
-              (Cluster_fault.to_name sc)
-              (Cluster_fault.describe sc))
-          Cluster_fault.all))
+(* ------------------------------------------------------------------ *)
+(* Outputs and failures                                                *)
 
 (* Top-level catch for the typed failure modes: a diagnosed out-of-memory
    (the degradation ladder was exhausted), an invariant violation from
@@ -78,175 +130,183 @@ let catching_failures f =
   | Verify.Invariant_violation msg ->
       Printf.eprintf "cgcsim: heap invariant violated: %s\n" msg;
       exit Exit_codes.invariant
-  | Cgc_cluster.Cluster.Fleet_unavailable d ->
-      Printf.eprintf "cgcsim: %s\n"
-        (Cgc_cluster.Cluster.unavailable_to_string d);
+  | Cluster.Fleet_unavailable d ->
+      Printf.eprintf "cgcsim: %s\n" (Cluster.unavailable_to_string d);
       exit Exit_codes.fleet
 
-(* Turn an unwritable output path into a clean CLI error instead of an
-   uncaught Sys_error. *)
-let write_or_die what write file =
-  try write file
-  with Sys_error msg ->
-    Printf.eprintf "cgcsim: cannot write %s: %s\n" what msg;
-    exit Exit_codes.usage
+(* Write an optional output file and say so on stdout.  An unwritable
+   path is a clean usage error instead of an uncaught Sys_error. *)
+let output what write = function
+  | None -> ()
+  | Some file ->
+      (try write file
+       with Sys_error msg ->
+         Printf.eprintf "cgcsim: cannot write %s: %s\n" what msg;
+         exit Exit_codes.usage);
+      Printf.printf "%s written to %s\n" what file
 
-(* The --gc axis: one spelling, three collectors.  [Config.mode_of_name]
-   is the single source of truth for the names, so the CLI, the bench
-   matrix and the experiment tables can never drift apart. *)
-let gc_doc =
-  "Collector: cgc (mostly-concurrent), gen (nursery + minor collections \
-   over cgc) or stw (baseline)."
+let output_json what json =
+  output what (fun f ->
+      Export.write_file f (Json.to_string ~pretty:true (json ())))
 
-let gc_base name =
-  match Config.mode_of_name name with
-  | Some Config.Cgc -> Config.default
-  | Some Config.Stw -> Config.stw
-  | Some Config.Gen -> Config.gen
-  | None ->
-      Printf.eprintf "cgcsim: unknown collector %s (cgc|gen|stw)\n" name;
-      exit Exit_codes.usage
+let file_arg ?(docv = "FILE") name doc =
+  opt_arg ~docv Arg.(some string) None [ name ] doc
+
+let trace_out ?docv
+    ?(doc =
+      "Write a Chrome trace-event JSON file (load in Perfetto or \
+       chrome://tracing).  Arms the event-tracing sink for the run.") () =
+  file_arg ?docv "trace-out" doc
+
+let metrics_out ?(doc = "Write per-GC-cycle metrics to $(docv) as CSV.") () =
+  file_arg "metrics-out" doc
+
+let jobs doc = opt_arg ~docv:"N" positive_int 1 [ "jobs"; "j" ] doc
+
+(* Every command's man page lists the binary's own exit codes. *)
+let exits =
+  List.map
+    (fun (c : Exit_codes.code) -> Cmd.Exit.info c.value ~doc:c.meaning)
+    Exit_codes.all
+
+let cmd name ~doc term = Cmd.v (Cmd.info name ~exits ~doc) term
+
+(* ------------------------------------------------------------------ *)
+(* The simulated VM: heap, CPUs, run length, seed and the collector    *)
+
+type vm = {
+  gc : Config.t;
+  heap_mb : float;
+  ncpus : int;
+  ms : float;
+  seed : int;
+  trace_ring : int option;  (** [None]: the command has no --trace-ring *)
+}
+
+(* [run]'s per-knob collector flags, applied over the --gc base. *)
+let knobs =
+  let d = Config.default in
+  let+ n_background =
+    opt_arg Arg.int d.n_background [ "background" ] "Background GC threads."
+  and+ n_packets =
+    opt_arg Arg.int d.n_packets [ "packets" ] "Work packets in the pool."
+  and+ lazy_sweep =
+    flag_arg [ "lazy-sweep" ] "Sweep outside the pause (section 7)."
+  and+ compaction =
+    flag_arg [ "compaction" ] "Evacuate one heap area per cycle (section 2.3)."
+  and+ card_passes =
+    opt_arg Arg.int d.card_passes [ "card-passes" ]
+      "Concurrent card-cleaning passes."
+  in
+  fun gc ->
+    let open Config in
+    { gc with n_background; n_packets; lazy_sweep; compaction; card_passes }
+
+(* The VM flags.  [collector] adds --gc, the fault injector and the
+   verifier (without it the collector is the default CGC at the given
+   K0), [tuning] adds [run]'s collector knobs and [ring] adds
+   --trace-ring.  The resulting collector config goes through
+   [Config.validate], so an illegal combination is a usage error. *)
+let vm_term ?(collector = true) ?(tuning = false) ?(ring = true) ~heap_mb
+    ~ms () =
+  let only on default term = if on then term else Term.const default in
+  Term.term_result'
+  @@ let+ mode =
+       only collector Config.Cgc
+         (opt_arg
+            (named "collector" Config.mode_of_name Config.mode_name
+               [ Config.Cgc; Config.Gen; Config.Stw ])
+            Config.Cgc [ "gc"; "collector"; "c" ]
+            "Collector: cgc (mostly-concurrent), gen (nursery + minor \
+             collections over cgc) or stw (baseline).")
+     and+ inject =
+       only collector None
+         (opt_arg ~docv:"SCENARIOS" Arg.(some scenarios) None [ "inject" ]
+            ("Arm the deterministic fault injector with a comma-separated \
+              list of scenarios, or $(b,all).  Scenarios: "
+            ^ scenario_doc Fault.to_name Fault.describe Fault.all
+            ^ "."))
+     and+ fault_seed =
+       only collector None
+         (opt_arg Arg.(some int) None [ "fault-seed" ]
+            "Seed for the fault injector (default: the run seed).")
+     and+ verify =
+       only collector false
+         (flag_arg [ "verify" ]
+            "Run the heap invariant verifier at every GC cycle boundary; exit \
+             nonzero on the first violation.")
+     and+ tune = only tuning Fun.id knobs
+     and+ k0 = opt_arg Arg.float 8.0 [ "tracing-rate"; "k0" ] "Tracing rate K0."
+     and+ heap_mb =
+       opt_arg Arg.float heap_mb [ "heap-mb" ] "Simulated heap size (MB)."
+     and+ ncpus = opt_arg Arg.int 4 [ "ncpus" ] "Simulated CPUs."
+     and+ ms = opt_arg Arg.float ms [ "ms" ] "Simulated milliseconds to run."
+     and+ seed = opt_arg Arg.int 1 [ "seed" ] "PRNG seed."
+     and+ trace_ring =
+       only ring None
+         (opt_arg Arg.(some' int) (Some (1 lsl 17)) [ "trace-ring" ]
+            "Per-thread event-ring capacity.")
+     in
+     let base =
+       match mode with
+       | Config.Cgc -> Config.default
+       | Config.Stw -> Config.stw
+       | Config.Gen -> Config.gen
+     in
+     let faults =
+       match inject with
+       | None -> Fault.disabled
+       | Some scenarios ->
+           let seed = Option.value fault_seed ~default:seed in
+           Fault.create ~scenarios ~seed ()
+     in
+     let gc = tune { base with Config.k0; faults; verify } in
+     Result.map
+       (fun () -> { gc; heap_mb; ncpus; ms; seed; trace_ring })
+       (Config.validate gc)
+
+(* ------------------------------------------------------------------ *)
+(* Closed-loop workloads (run, analyze --workload)                     *)
+
+type workload = Specjbb | Pbob | Javac
+
+let workloads = [ ("specjbb", Specjbb); ("pbob", Pbob); ("javac", Javac) ]
+
+let workload_name w = fst (List.find (fun (_, w') -> w' = w) workloads)
+
+let workload_arg c default doc = opt_arg c default [ "workload"; "w" ] doc
+let warehouses = opt_arg Arg.int 8 [ "warehouses" ] "Warehouse count."
+
+let run_workload w ~warehouses ~trace
+    { gc; heap_mb; ncpus; ms; seed; trace_ring } =
+  catching_failures (fun () ->
+      match w with
+      | Specjbb ->
+          Cgc_workloads.Specjbb.run ~warehouses ~gc ~heap_mb ~ncpus ~seed
+            ~trace ?trace_ring ~ms ()
+      | Pbob ->
+          Cgc_workloads.Pbob.run ~warehouses ~gc ~heap_mb ~ncpus ~seed ~trace
+            ?trace_ring ~ms ()
+      | Javac ->
+          Cgc_workloads.Javac.run ~gc ~heap_mb ~ncpus ~seed ~trace ?trace_ring
+            ~ms ())
 
 let run_cmd =
-  let workload =
-    let doc = "Workload: specjbb, pbob or javac." in
-    Arg.(value & opt string "specjbb" & info [ "workload"; "w" ] ~doc)
-  in
-  let collector =
-    Arg.(value & opt string "cgc" & info [ "gc"; "collector"; "c" ] ~doc:gc_doc)
-  in
-  let warehouses =
-    Arg.(value & opt int 8 & info [ "warehouses" ] ~doc:"Warehouse count.")
-  in
-  let heap_mb =
-    Arg.(value & opt float 64.0 & info [ "heap-mb" ] ~doc:"Simulated heap size (MB).")
-  in
-  let ncpus = Arg.(value & opt int 4 & info [ "ncpus" ] ~doc:"Simulated CPUs.") in
-  let ms =
-    Arg.(value & opt float 4000.0 & info [ "ms" ] ~doc:"Simulated milliseconds to run.")
-  in
-  let tracing_rate =
-    Arg.(value & opt float 8.0 & info [ "tracing-rate"; "k0" ] ~doc:"Tracing rate K0.")
-  in
-  let n_background =
-    Arg.(value & opt int 4 & info [ "background" ] ~doc:"Background GC threads.")
-  in
-  let packets =
-    Arg.(value & opt int 1000 & info [ "packets" ] ~doc:"Work packets in the pool.")
-  in
-  let lazy_sweep =
-    Arg.(value & flag & info [ "lazy-sweep" ] ~doc:"Sweep outside the pause (section 7).")
-  in
-  let compaction =
-    Arg.(value & flag & info [ "compaction" ] ~doc:"Evacuate one heap area per cycle (section 2.3).")
-  in
-  let card_passes =
-    Arg.(value & opt int 1 & info [ "card-passes" ] ~doc:"Concurrent card-cleaning passes.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed.") in
-  let inject =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "inject" ] ~docv:"SCENARIOS" ~doc:inject_doc)
-  in
-  let fault_seed =
-    let doc = "Seed for the fault injector (default: the run seed)." in
-    Arg.(value & opt (some int) None & info [ "fault-seed" ] ~doc)
-  in
-  let verify =
-    let doc =
-      "Run the heap invariant verifier at every GC cycle boundary; exit \
-       nonzero on the first violation."
-    in
-    Arg.(value & flag & info [ "verify" ] ~doc)
-  in
-  let trace_out =
-    let doc =
-      "Write a Chrome trace-event JSON file (load in Perfetto or \
-       chrome://tracing).  Arms the event-tracing sink for the run."
-    in
-    Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
-  in
-  let metrics_out =
-    let doc = "Write per-GC-cycle metrics to $(docv) as CSV." in
-    Arg.(
-      value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
-  in
-  let exec workload collector warehouses heap_mb ncpus ms tracing_rate
-      n_background packets lazy_sweep compaction card_passes seed inject
-      fault_seed verify trace_out metrics_out =
-    let faults =
-      match inject with
-      | None -> Fault.disabled
-      | Some spec -> (
-          match parse_scenarios spec with
-          | Ok scenarios ->
-              let seed =
-                match fault_seed with Some s -> s | None -> seed
-              in
-              Fault.create ~scenarios ~seed ()
-          | Error msg ->
-              Printf.eprintf "cgcsim: %s\n" msg;
-              exit Exit_codes.usage)
-    in
-    let base = gc_base collector in
-    (if base.Config.mode = Config.Gen && (compaction || lazy_sweep) then begin
-       Printf.eprintf
-         "cgcsim: --gc gen composes with neither --compaction nor \
-          --lazy-sweep (the nursery owns the top of the arena)\n";
-       exit Exit_codes.usage
-     end);
-    let gc =
-      {
-        base with
-        Config.k0 = tracing_rate;
-        n_background;
-        n_packets = packets;
-        lazy_sweep;
-        compaction;
-        card_passes;
-        faults;
-        verify;
-      }
-    in
-    let trace = trace_out <> None in
-    let vm =
-      catching_failures (fun () ->
-          match workload with
-          | "specjbb" ->
-              Cgc_workloads.Specjbb.run ~warehouses ~gc ~heap_mb ~ncpus ~seed
-                ~trace ~ms ()
-          | "pbob" ->
-              Cgc_workloads.Pbob.run ~warehouses ~gc ~heap_mb ~ncpus ~seed
-                ~trace ~ms ()
-          | "javac" ->
-              Cgc_workloads.Javac.run ~gc ~heap_mb ~ncpus ~seed ~trace ~ms ()
-          | w ->
-              Printf.eprintf "unknown workload %s (specjbb|pbob|javac)\n" w;
-              exit Exit_codes.usage)
-    in
+  let term =
+    let+ w =
+      workload_arg (Arg.enum workloads) Specjbb
+        "Workload: specjbb, pbob or javac."
+    and+ warehouses
+    and+ vm =
+      vm_term ~tuning:true ~ring:false ~heap_mb:64.0 ~ms:4000.0 ()
+    and+ trace_out = trace_out ()
+    and+ metrics_out = metrics_out () in
+    let vm = run_workload w ~warehouses ~trace:(trace_out <> None) vm in
     Vm.print_report vm;
-    (match trace_out with
-    | Some file ->
-        write_or_die "trace" (Vm.write_trace vm) file;
-        Printf.printf "trace written to %s\n" file
-    | None -> ());
-    match metrics_out with
-    | Some file ->
-        write_or_die "metrics" (Vm.write_metrics vm) file;
-        Printf.printf "per-cycle metrics written to %s\n" file
-    | None -> ()
+    output "trace" (Vm.write_trace vm) trace_out;
+    output "per-cycle metrics" (Vm.write_metrics vm) metrics_out
   in
-  let info =
-    Cmd.info "run" ~doc:"Run a workload under the simulated collector."
-  in
-  Cmd.v info
-    Term.(
-      const exec $ workload $ collector $ warehouses $ heap_mb $ ncpus $ ms
-      $ tracing_rate $ n_background $ packets $ lazy_sweep $ compaction
-      $ card_passes $ seed $ inject $ fault_seed $ verify $ trace_out
-      $ metrics_out)
+  cmd "run" ~doc:"Run a workload under the simulated collector." term
 
 (* ------------------------------------------------------------------ *)
 (* cgcsim analyze — the offline profiler.
@@ -271,184 +331,153 @@ let run_cmd =
    broken blame-conservation identity), 5 = the input lost events to
    ring overflow and --fail-on-drops was given. *)
 
-module Analysis = Cgc_prof.Analysis
-module Prof_report = Cgc_prof.Report
-module Json = Cgc_prof.Json
-module Tails = Cgc_prof.Tails
-module Export = Cgc_obs.Export
-module Obs = Cgc_obs.Obs
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* An analyzer input that cannot be read or parsed exits 4. *)
+let schema_error msg =
+  Printf.eprintf "cgcsim: %s\n" msg;
+  exit Exit_codes.schema
+
+let read_input file =
+  try read_file file
+  with Sys_error msg ->
+    schema_error (Printf.sprintf "cannot read %s: %s" file msg)
+
+let parsed file = function
+  | Ok v -> v
+  | Error msg -> schema_error (file ^ ": " ^ msg)
+
 let known_csv_schemas =
   [ Vm.cycles_schema; Cgc_experiments.Common.runs_schema ]
 
+(* Expand a cluster --trace-out prefix into its per-incarnation trace
+   files, sorted so the order is deterministic. *)
+let expand_trace_prefix prefix =
+  let dir = Filename.dirname prefix in
+  let base = Filename.basename prefix ^ ".shard" in
+  let names = try Sys.readdir dir with Sys_error _ -> [||] in
+  Array.to_list names
+  |> List.filter (fun n ->
+         String.length n > String.length base
+         && String.starts_with ~prefix:base n
+         && Filename.check_suffix n ".json")
+  |> List.sort compare
+  |> List.map (Filename.concat dir)
+
+let validate_csv file contents =
+  let schema, header, rows = parsed file (Export.parse_csv contents) in
+  let known = String.concat ", " known_csv_schemas in
+  (match schema with
+  | None ->
+      schema_error
+        (Printf.sprintf
+           "%s: no #schema= line (pre-v1 file?); known schemas: %s" file known)
+  | Some s when not (List.mem s known_csv_schemas) ->
+      schema_error
+        (Printf.sprintf "%s: unsupported schema %S; known schemas: %s" file s
+           known)
+  | Some s ->
+      Printf.printf "%s: schema %s, %d columns, %d rows\n" file s
+        (List.length header) (List.length rows));
+  List.iter
+    (fun r ->
+      if List.length r <> List.length header then
+        schema_error
+          (Printf.sprintf "%s: row width %d does not match header width %d"
+             file (List.length r) (List.length header)))
+    rows
+
 let analyze_cmd =
-  let trace_in =
-    let doc =
-      "Analyze a Chrome trace-event JSON file written by $(b,run \
-       --trace-out) (or $(b,bench)).  If $(docv) is not a file it is \
-       treated as a $(b,cluster --trace-out) prefix and every \
-       $(docv).shard<K>.json trace is analyzed."
+  let term =
+    let+ trace_in =
+      file_arg "trace"
+        "Analyze a Chrome trace-event JSON file written by $(b,run \
+         --trace-out) (or $(b,bench)).  If $(docv) is not a file it is \
+         treated as a $(b,cluster --trace-out) prefix and every \
+         $(docv).shard<K>.json trace is analyzed."
+    and+ report_in =
+      file_arg "report"
+        "Tail forensics on a serialised report ($(b,serve --json) or \
+         $(b,cluster --json), any supported schema version): re-check the \
+         blame conservation identity, then print the fleet blame \
+         decomposition and the worst-request causal chains."
+    and+ bench_in =
+      file_arg "bench"
+        "Distill the LBO GC cost from a $(b,cgcsim-bench-v1) document \
+         (requires $(b,--lbo))."
+    and+ metrics_in =
+      file_arg "metrics"
+        "Validate a metrics CSV file ($(b,run --metrics-out) or \
+         $(b,experiment --metrics-out)) against its $(b,#schema=) line and \
+         summarise it."
+    and+ tails_n =
+      opt_arg ~docv:"N" Arg.int 16 [ "tails" ]
+        "How many worst-request causal chains to show (with --report)."
+    and+ lbo =
+      flag_arg [ "lbo" ]
+        "Report the LBO-distilled GC cost: each cell's fractional latency (or \
+         throughput) distance above its group's lower-bound baseline."
+    and+ workload =
+      workload_arg
+        Arg.(some (enum workloads))
+        None
+        "Run this workload with tracing armed and analyze it live \
+         (specjbb|pbob|javac)."
+    and+ warehouses
+    and+ vm = vm_term ~collector:false ~heap_mb:64.0 ~ms:1000.0 ()
+    and+ mmu_windows_ms =
+      opt_arg ~docv:"MS,MS,..."
+        Arg.(some (list number))
+        None [ "mmu-windows" ]
+        "Comma-separated MMU window sizes in ms (default 1,5,20,50)."
+    and+ json_out =
+      file_arg "json"
+        (Printf.sprintf "Also write the analysis as $(b,%s) JSON to $(docv)."
+           Prof_report.analysis_schema)
+    and+ fail_on_drops =
+      flag_arg [ "fail-on-drops" ]
+        "Exit 5 if the analyzed trace lost any events to ring overflow — \
+         derived metrics from a truncated trace are not trustworthy."
     in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-  in
-  let report_in =
-    let doc =
-      "Tail forensics on a serialised report ($(b,serve --json) or \
-       $(b,cluster --json), any supported schema version): re-check the \
-       blame conservation identity, then print the fleet blame \
-       decomposition and the worst-request causal chains."
-    in
-    Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
-  in
-  let bench_in =
-    let doc =
-      "Distill the LBO GC cost from a $(b,cgcsim-bench-v1) document \
-       (requires $(b,--lbo))."
-    in
-    Arg.(value & opt (some string) None & info [ "bench" ] ~docv:"FILE" ~doc)
-  in
-  let tails_n =
-    let doc = "How many worst-request causal chains to show (with --report)." in
-    Arg.(value & opt int 16 & info [ "tails" ] ~docv:"N" ~doc)
-  in
-  let lbo =
-    let doc =
-      "Report the LBO-distilled GC cost: each cell's fractional latency \
-       (or throughput) distance above its group's lower-bound baseline."
-    in
-    Arg.(value & flag & info [ "lbo" ] ~doc)
-  in
-  let metrics_in =
-    let doc =
-      "Validate a metrics CSV file ($(b,run --metrics-out) or \
-       $(b,experiment --metrics-out)) against its $(b,#schema=) line and \
-       summarise it."
-    in
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-  in
-  let workload =
-    let doc = "Run this workload with tracing armed and analyze it live (specjbb|pbob|javac)." in
-    Arg.(value & opt (some string) None & info [ "workload"; "w" ] ~doc)
-  in
-  let warehouses =
-    Arg.(value & opt int 8 & info [ "warehouses" ] ~doc:"Warehouse count (live run).")
-  in
-  let heap_mb =
-    Arg.(value & opt float 64.0 & info [ "heap-mb" ] ~doc:"Heap size MB (live run).")
-  in
-  let ncpus = Arg.(value & opt int 4 & info [ "ncpus" ] ~doc:"CPUs (live run).") in
-  let ms = Arg.(value & opt float 1000.0 & info [ "ms" ] ~doc:"Simulated ms (live run).") in
-  let tracing_rate =
-    Arg.(value & opt float 8.0 & info [ "tracing-rate"; "k0" ] ~doc:"Tracing rate K0 (live run).")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed (live run).") in
-  let trace_ring =
-    Arg.(
-      value
-      & opt int (1 lsl 17)
-      & info [ "trace-ring" ] ~doc:"Per-thread event-ring capacity (live run).")
-  in
-  let mmu_windows =
-    let doc = "Comma-separated MMU window sizes in ms (default 1,5,20,50)." in
-    Arg.(value & opt (some string) None & info [ "mmu-windows" ] ~docv:"MS,MS,..." ~doc)
-  in
-  let json_out =
-    let doc = "Also write the analysis as $(b,cgcsim-analysis-v1) JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let fail_on_drops =
-    let doc =
-      "Exit 5 if the analyzed trace lost any events to ring overflow — \
-       derived metrics from a truncated trace are not trustworthy."
-    in
-    Arg.(value & flag & info [ "fail-on-drops" ] ~doc)
-  in
-  let exec trace_in report_in bench_in tails_n lbo metrics_in workload
-      warehouses heap_mb ncpus ms tracing_rate seed trace_ring mmu_windows
-      json_out fail_on_drops =
-    let mmu_windows_ms =
-      match mmu_windows with
-      | None -> None
-      | Some spec -> (
-          try
-            Some
-              (List.map
-                 (fun s -> float_of_string (String.trim s))
-                 (String.split_on_char ',' spec))
-          with Failure _ ->
-            Printf.eprintf "cgcsim: bad --mmu-windows %S\n" spec;
-            exit Exit_codes.usage)
+    let drops_gate dropped where =
+      if fail_on_drops && dropped > 0 then begin
+        Printf.eprintf
+          "cgcsim: %d events dropped by ring overflow%s (--fail-on-drops)\n"
+          dropped where;
+        exit Exit_codes.drops
+      end
     in
     let finish ~label ~emitted ~dropped events cycles_per_us =
       let a = Analysis.analyse_events ?mmu_windows_ms ~cycles_per_us events in
       print_string (Prof_report.summary ~dropped a);
-      (match json_out with
-      | Some file ->
-          write_or_die "analysis JSON"
-            (fun f ->
-              Export.write_file f
-                (Json.to_string ~pretty:true
-                   (Prof_report.to_json ~label ~emitted ~dropped a)))
-            file;
-          Printf.printf "analysis written to %s\n" file
-      | None -> ());
-      if fail_on_drops && dropped > 0 then begin
-        Printf.eprintf
-          "cgcsim: %d events dropped by ring overflow (--fail-on-drops)\n"
-          dropped;
-        exit Exit_codes.drops
-      end
+      output_json "analysis"
+        (fun () -> Prof_report.to_json ~label ~emitted ~dropped a)
+        json_out;
+      drops_gate dropped ""
     in
-    let analyze_trace_file ~label file =
-      let contents =
-        try read_file file
-        with Sys_error msg ->
-          Printf.eprintf "cgcsim: cannot read %s: %s\n" file msg;
-          exit Exit_codes.schema
+    let analyze_trace_file file =
+      let meta, events =
+        parsed file (Export.parse_chrome_json (read_input file))
       in
-      match Export.parse_chrome_json contents with
-      | Error msg ->
-          Printf.eprintf "cgcsim: %s: %s\n" file msg;
-          exit Exit_codes.schema
-      | Ok (meta, events) ->
-          finish ~label ~emitted:meta.Export.emitted
-            ~dropped:meta.Export.dropped (Array.of_list events)
-            meta.Export.cycles_per_us
-    in
-    (* Expand a cluster --trace-out prefix into its per-incarnation
-       trace files, sorted so the order is deterministic. *)
-    let expand_trace_prefix prefix =
-      let dir = Filename.dirname prefix in
-      let base = Filename.basename prefix ^ ".shard" in
-      let names = try Sys.readdir dir with Sys_error _ -> [||] in
-      let matches =
-        List.filter
-          (fun n ->
-            String.length n > String.length base
-            && String.sub n 0 (String.length base) = base
-            && Filename.check_suffix n ".json")
-          (Array.to_list names)
-      in
-      List.map (Filename.concat dir) (List.sort compare matches)
+      finish ~label:file ~emitted:meta.Export.emitted
+        ~dropped:meta.Export.dropped (Array.of_list events)
+        meta.Export.cycles_per_us
     in
     match (trace_in, report_in, bench_in, metrics_in, workload) with
     | Some file, None, None, None, None -> (
-        if Sys.file_exists file then analyze_trace_file ~label:file file
+        if Sys.file_exists file then analyze_trace_file file
         else
           match expand_trace_prefix file with
           | [] ->
-              Printf.eprintf
-                "cgcsim: cannot read %s: no such file and no %s.shard*.json \
-                 traces\n"
-                file file;
-              exit Exit_codes.schema
-          | [ shard_trace ] -> analyze_trace_file ~label:shard_trace shard_trace
+              schema_error
+                (Printf.sprintf
+                   "cannot read %s: no such file and no %s.shard*.json traces"
+                   file file)
+          | [ shard_trace ] -> analyze_trace_file shard_trace
           | traces ->
               if json_out <> None then begin
                 Printf.eprintf
@@ -460,173 +489,150 @@ let analyze_cmd =
               List.iter
                 (fun shard_trace ->
                   Printf.printf "=== %s ===\n" shard_trace;
-                  analyze_trace_file ~label:shard_trace shard_trace)
+                  analyze_trace_file shard_trace)
                 traces)
     | None, Some file, None, None, None ->
-        let contents =
-          try read_file file
-          with Sys_error msg ->
-            Printf.eprintf "cgcsim: cannot read %s: %s\n" file msg;
-            exit Exit_codes.schema
-        in
-        let t =
-          match Tails.of_report contents with
-          | Ok t -> t
-          | Error msg ->
-              Printf.eprintf "cgcsim: %s: %s\n" file msg;
-              exit Exit_codes.schema
-        in
+        let contents = read_input file in
+        let t = parsed file (Tails.of_report contents) in
         (* Exact-span reports get the full round-trip validation,
            including the blame conservation identity. *)
-        (if t.Tails.exact then
-           let validate =
-             if t.Tails.source = Cgc_server.Report.schema then
-               Cgc_server.Report.validate
-             else Cgc_cluster.Report.validate
-           in
-           match validate contents with
-           | Ok _ -> ()
-           | Error msg ->
-               Printf.eprintf "cgcsim: %s: %s\n" file msg;
-               exit Exit_codes.schema);
+        if t.Tails.exact then
+          ignore
+            (parsed file
+               ((if t.Tails.source = Server_report.schema then
+                   Server_report.validate
+                 else Cluster_report.validate)
+                  contents));
         if lbo then begin
-          match Tails.lbo_of_report contents with
-          | Error msg ->
-              Printf.eprintf "cgcsim: %s: %s\n" file msg;
-              exit Exit_codes.schema
-          | Ok row ->
-              print_string (Tails.lbo_text [ row ]);
-              (match json_out with
-              | Some out ->
-                  write_or_die "LBO JSON"
-                    (fun f ->
-                      Export.write_file f
-                        (Json.to_string ~pretty:true (Tails.lbo_json [ row ])))
-                    out;
-                  Printf.printf "LBO distillation written to %s\n" out
-              | None -> ())
+          let row = parsed file (Tails.lbo_of_report contents) in
+          print_string (Tails.lbo_text [ row ]);
+          output_json "LBO distillation"
+            (fun () -> Tails.lbo_json [ row ])
+            json_out
         end
         else begin
           print_string (Tails.text ~n:tails_n t);
-          match json_out with
-          | Some out ->
-              write_or_die "tails JSON"
-                (fun f ->
-                  Export.write_file f
-                    (Json.to_string ~pretty:true (Tails.to_json ~n:tails_n t)))
-                out;
-              Printf.printf "tail forensics written to %s\n" out
-          | None -> ()
+          output_json "tail forensics"
+            (fun () -> Tails.to_json ~n:tails_n t)
+            json_out
         end;
-        if fail_on_drops && t.Tails.dropped > 0 then begin
-          Printf.eprintf
-            "cgcsim: %d events dropped by ring overflow across the report's \
-             shards (--fail-on-drops)\n"
-            t.Tails.dropped;
-          exit Exit_codes.drops
-        end
+        drops_gate t.Tails.dropped " across the report's shards"
     | None, None, Some file, None, None ->
         if not lbo then begin
           Printf.eprintf "cgcsim: analyze --bench requires --lbo\n";
           exit Exit_codes.usage
         end;
-        let contents =
-          try read_file file
-          with Sys_error msg ->
-            Printf.eprintf "cgcsim: cannot read %s: %s\n" file msg;
-            exit Exit_codes.schema
-        in
-        (match Tails.lbo_of_bench contents with
-        | Error msg ->
-            Printf.eprintf "cgcsim: %s: %s\n" file msg;
-            exit Exit_codes.schema
-        | Ok rows ->
-            print_string (Tails.lbo_text rows);
-            (match json_out with
-            | Some out ->
-                write_or_die "LBO JSON"
-                  (fun f ->
-                    Export.write_file f
-                      (Json.to_string ~pretty:true (Tails.lbo_json rows)))
-                  out;
-                Printf.printf "LBO distillation written to %s\n" out
-            | None -> ()))
-    | None, None, None, Some file, None -> (
-        let contents =
-          try read_file file
-          with Sys_error msg ->
-            Printf.eprintf "cgcsim: cannot read %s: %s\n" file msg;
-            exit Exit_codes.schema
-        in
-        match Export.parse_csv contents with
-        | Error msg ->
-            Printf.eprintf "cgcsim: %s: %s\n" file msg;
-            exit Exit_codes.schema
-        | Ok (schema, header, rows) ->
-            (match schema with
-            | None ->
-                Printf.eprintf
-                  "cgcsim: %s: no #schema= line (pre-v1 file?); known \
-                   schemas: %s\n"
-                  file
-                  (String.concat ", " known_csv_schemas);
-                exit Exit_codes.schema
-            | Some s when not (List.mem s known_csv_schemas) ->
-                Printf.eprintf
-                  "cgcsim: %s: unsupported schema %S; known schemas: %s\n"
-                  file s
-                  (String.concat ", " known_csv_schemas);
-                exit Exit_codes.schema
-            | Some s ->
-                Printf.printf "%s: schema %s, %d columns, %d rows\n" file s
-                  (List.length header) (List.length rows));
-            List.iter
-              (fun r ->
-                if List.length r <> List.length header then begin
-                  Printf.eprintf
-                    "cgcsim: %s: row width %d does not match header width %d\n"
-                    file (List.length r) (List.length header);
-                  exit Exit_codes.schema
-                end)
-              rows)
+        let rows = parsed file (Tails.lbo_of_bench (read_input file)) in
+        print_string (Tails.lbo_text rows);
+        output_json "LBO distillation" (fun () -> Tails.lbo_json rows) json_out
+    | None, None, None, Some file, None -> validate_csv file (read_input file)
     | None, None, None, None, Some w ->
-        let gc = { Config.default with Config.k0 = tracing_rate } in
-        let vm =
-          catching_failures (fun () ->
-              match w with
-              | "specjbb" ->
-                  Cgc_workloads.Specjbb.run ~warehouses ~gc ~heap_mb ~ncpus
-                    ~seed ~trace:true ~trace_ring ~ms ()
-              | "pbob" ->
-                  Cgc_workloads.Pbob.run ~warehouses ~gc ~heap_mb ~ncpus ~seed
-                    ~trace:true ~trace_ring ~ms ()
-              | "javac" ->
-                  Cgc_workloads.Javac.run ~gc ~heap_mb ~ncpus ~seed ~trace:true
-                    ~ms ()
-              | w ->
-                  Printf.eprintf "unknown workload %s (specjbb|pbob|javac)\n" w;
-                  exit Exit_codes.usage)
-        in
+        let vm = run_workload w ~warehouses ~trace:true vm in
         let o = Vm.obs vm in
-        finish ~label:w ~emitted:(Obs.emitted o) ~dropped:(Obs.dropped o)
-          (Obs.events_array o) (Vm.cycles_per_us vm)
+        finish ~label:(workload_name w) ~emitted:(Obs.emitted o)
+          ~dropped:(Obs.dropped o) (Obs.events_array o) (Vm.cycles_per_us vm)
     | _ ->
         Printf.eprintf
           "cgcsim: analyze needs exactly one of --trace FILE, --report FILE, \
            --bench FILE, --metrics FILE or --workload NAME\n";
         exit Exit_codes.usage
   in
-  let info =
-    Cmd.info "analyze"
-      ~doc:
-        "Derive profiling metrics (MMU, load balance, pauses) from a trace \
-         file, validate a metrics CSV, or run-and-analyze a workload."
+  cmd "analyze"
+    ~doc:
+      "Derive profiling metrics (MMU, load balance, pauses) from a trace \
+       file, validate a metrics CSV, or run-and-analyze a workload."
+    term
+
+(* ------------------------------------------------------------------ *)
+(* Open-loop traffic (serve, cluster)                                  *)
+
+type traffic = {
+  rate : float;
+  arrival : Arrival.kind;
+  queue : int;
+  workers : int;
+  timeout_ms : float;
+  slo_ms : float;
+  slo_target : float;
+  throttle_hi : int;
+  throttle_lo : int;
+}
+
+let traffic ~rate =
+  let+ rate =
+    opt_arg Arg.float rate [ "rate" ]
+      "Offered load, requests per simulated second."
+  and+ arrival =
+    opt_arg
+      (Arg.enum
+         [
+           ("poisson", Arrival.Poisson);
+           ("constant", Arrival.Constant);
+           ( "bursty",
+             Arrival.Bursty { on_ms = 20.0; off_ms = 80.0; factor = 4.0 } );
+         ])
+      Arrival.Poisson [ "arrival" ]
+      "Arrival process: poisson, constant or bursty."
+  and+ burst =
+    opt_arg ~docv:"ON,OFF,X"
+      Arg.(some (t3 number number number))
+      None [ "burst" ]
+      "Bursty on/off windows as $(b,ON_MS,OFF_MS,FACTOR) (rate is \
+       FACTOR$(b,x) during bursts, reduced between them to preserve the \
+       average).  Implies $(b,--arrival bursty)."
+  and+ queue =
+    opt_arg Arg.int 256 [ "queue" ]
+      "Request queue bound (drop-newest beyond it)."
+  and+ workers = opt_arg Arg.int 4 [ "workers" ] "Worker mutator threads."
+  and+ timeout_ms =
+    opt_arg Arg.float 0.0 [ "timeout-ms" ] "Queueing deadline; 0 disables."
+  and+ slo_ms =
+    opt_arg Arg.float 0.0 [ "slo-ms" ] "End-to-end latency SLO; 0 disables."
+  and+ slo_target =
+    opt_arg Arg.float 0.999 [ "slo-target" ] "Required SLO attainment fraction."
+  and+ throttle =
+    opt_arg ~docv:"HI,LO"
+      Arg.(some (t2 number number))
+      None [ "throttle" ]
+      "Admission-throttle hysteresis as $(b,HI,LO) queue depths: shed at the \
+       door above HI until the backlog drains to LO."
   in
-  Cmd.v info
-    Term.(
-      const exec $ trace_in $ report_in $ bench_in $ tails_n $ lbo $ metrics_in
-      $ workload $ warehouses $ heap_mb $ ncpus $ ms $ tracing_rate $ seed
-      $ trace_ring $ mmu_windows $ json_out $ fail_on_drops)
+  let arrival =
+    match burst with
+    | Some (on_ms, off_ms, factor) -> Arrival.Bursty { on_ms; off_ms; factor }
+    | None -> arrival
+  in
+  let throttle_hi, throttle_lo =
+    match throttle with
+    | None -> (0, 0)
+    | Some (hi, lo) -> (int_of_float hi, int_of_float lo)
+  in
+  {
+    rate;
+    arrival;
+    queue;
+    workers;
+    timeout_ms;
+    slo_ms;
+    slo_target;
+    throttle_hi;
+    throttle_lo;
+  }
+
+(* A configuration the server or cluster library rejects is a usage
+   error. *)
+let checked_cfg f =
+  try f ()
+  with Invalid_argument msg ->
+    Printf.eprintf "cgcsim: %s\n" msg;
+    exit Exit_codes.usage
+
+let slo_gate ~breached ~attainment ~what t =
+  if breached then begin
+    Printf.eprintf "cgcsim: %s — %.1f ms attainment %.4f below target %.4f\n"
+      what t.slo_ms attainment t.slo_target;
+    exit Exit_codes.slo
+  end
 
 (* ------------------------------------------------------------------ *)
 (* cgcsim serve — the open-loop request/latency subsystem.
@@ -644,167 +650,31 @@ let analyze_cmd =
    Exit code 6: an SLO was configured (--slo-ms) and attainment fell
    below --slo-target. *)
 
-module Server = Cgc_server.Server
-module Server_report = Cgc_server.Report
-module Arrival = Cgc_server.Arrival
-
 let serve_cmd =
-  let rate =
-    Arg.(value & opt float 4000.0 & info [ "rate" ] ~doc:"Offered load, requests per simulated second.")
-  in
-  let arrival =
-    let doc = "Arrival process: poisson, constant or bursty." in
-    Arg.(value & opt string "poisson" & info [ "arrival" ] ~doc)
-  in
-  let burst =
-    let doc =
-      "Bursty on/off windows as $(b,ON_MS,OFF_MS,FACTOR) (rate is \
-       FACTOR$(b,x) during bursts, reduced between them to preserve the \
-       average).  Implies $(b,--arrival bursty)."
+  let term =
+    let+ t = traffic ~rate:4000.0
+    and+ { gc; heap_mb; ncpus; ms; seed; trace_ring } =
+      vm_term ~heap_mb:24.0 ~ms:2000.0 ()
+    and+ warmup_ms =
+      opt_arg Arg.float 0.0 [ "warmup-ms" ]
+        "Warm-up window discarded before measuring."
+    and+ trace_out = trace_out ()
+    and+ metrics_out = metrics_out ()
+    and+ json_out =
+      file_arg "json"
+        (Printf.sprintf "Write the $(b,%s) SLO report to $(docv)."
+           Server_report.schema)
     in
-    Arg.(value & opt (some string) None & info [ "burst" ] ~docv:"ON,OFF,X" ~doc)
-  in
-  let queue =
-    Arg.(value & opt int 256 & info [ "queue" ] ~doc:"Request queue bound (drop-newest beyond it).")
-  in
-  let workers =
-    Arg.(value & opt int 4 & info [ "workers" ] ~doc:"Worker mutator threads.")
-  in
-  let timeout_ms =
-    Arg.(value & opt float 0.0 & info [ "timeout-ms" ] ~doc:"Queueing deadline; 0 disables.")
-  in
-  let slo_ms =
-    Arg.(value & opt float 0.0 & info [ "slo-ms" ] ~doc:"End-to-end latency SLO; 0 disables.")
-  in
-  let slo_target =
-    Arg.(value & opt float 0.999 & info [ "slo-target" ] ~doc:"Required SLO attainment fraction.")
-  in
-  let throttle =
-    let doc =
-      "Admission-throttle hysteresis as $(b,HI,LO) queue depths: shed at \
-       the door above HI until the backlog drains to LO."
-    in
-    Arg.(value & opt (some string) None & info [ "throttle" ] ~docv:"HI,LO" ~doc)
-  in
-  let collector =
-    Arg.(value & opt string "cgc" & info [ "gc"; "collector"; "c" ] ~doc:gc_doc)
-  in
-  let heap_mb =
-    Arg.(value & opt float 24.0 & info [ "heap-mb" ] ~doc:"Simulated heap size (MB).")
-  in
-  let ncpus = Arg.(value & opt int 4 & info [ "ncpus" ] ~doc:"Simulated CPUs.") in
-  let ms =
-    Arg.(value & opt float 2000.0 & info [ "ms" ] ~doc:"Simulated milliseconds measured.")
-  in
-  let warmup_ms =
-    Arg.(value & opt float 0.0 & info [ "warmup-ms" ] ~doc:"Warm-up window discarded before measuring.")
-  in
-  let tracing_rate =
-    Arg.(value & opt float 8.0 & info [ "tracing-rate"; "k0" ] ~doc:"Tracing rate K0.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed.") in
-  let inject =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "inject" ] ~docv:"SCENARIOS" ~doc:inject_doc)
-  in
-  let fault_seed =
-    let doc = "Seed for the fault injector (default: the run seed)." in
-    Arg.(value & opt (some int) None & info [ "fault-seed" ] ~doc)
-  in
-  let verify =
-    let doc = "Run the heap invariant verifier at every GC cycle boundary." in
-    Arg.(value & flag & info [ "verify" ] ~doc)
-  in
-  let trace_out =
-    let doc = "Write a Chrome trace-event JSON file (arms the event sink)." in
-    Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
-  in
-  let trace_ring =
-    Arg.(
-      value
-      & opt int (1 lsl 17)
-      & info [ "trace-ring" ] ~doc:"Per-thread event-ring capacity.")
-  in
-  let metrics_out =
-    let doc = "Write per-GC-cycle metrics to $(docv) as CSV." in
-    Arg.(
-      value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
-  in
-  let json_out =
-    let doc =
-      Printf.sprintf "Write the $(b,%s) SLO report to $(docv)."
-        Server_report.schema
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let exec rate arrival burst queue workers timeout_ms slo_ms slo_target
-      throttle collector heap_mb ncpus ms warmup_ms tracing_rate seed inject
-      fault_seed verify trace_out trace_ring metrics_out json_out =
-    let parse_floats what spec n =
-      let parts = String.split_on_char ',' spec in
-      match
-        if List.length parts <> n then None
-        else
-          try Some (List.map (fun s -> float_of_string (String.trim s)) parts)
-          with Failure _ -> None
-      with
-      | Some fs -> fs
-      | None ->
-          Printf.eprintf "cgcsim: bad %s %S (expected %d comma-separated numbers)\n"
-            what spec n;
-          exit Exit_codes.usage
-    in
-    let arrival_kind =
-      match (burst, arrival) with
-      | Some spec, _ -> (
-          match parse_floats "--burst" spec 3 with
-          | [ on_ms; off_ms; factor ] -> Arrival.Bursty { on_ms; off_ms; factor }
-          | _ -> assert false)
-      | None, "poisson" -> Arrival.Poisson
-      | None, "constant" -> Arrival.Constant
-      | None, "bursty" ->
-          Arrival.Bursty { on_ms = 20.0; off_ms = 80.0; factor = 4.0 }
-      | None, a ->
-          Printf.eprintf "cgcsim: unknown arrival process %S (poisson|constant|bursty)\n" a;
-          exit Exit_codes.usage
-    in
-    let throttle_hi, throttle_lo =
-      match throttle with
-      | None -> (0, 0)
-      | Some spec -> (
-          match parse_floats "--throttle" spec 2 with
-          | [ hi; lo ] -> (int_of_float hi, int_of_float lo)
-          | _ -> assert false)
-    in
-    let faults =
-      match inject with
-      | None -> Fault.disabled
-      | Some spec -> (
-          match parse_scenarios spec with
-          | Ok scenarios ->
-              let seed = match fault_seed with Some s -> s | None -> seed in
-              Fault.create ~scenarios ~seed ()
-          | Error msg ->
-              Printf.eprintf "cgcsim: %s\n" msg;
-              exit Exit_codes.usage)
-    in
-    let gc =
-      { (gc_base collector) with Config.k0 = tracing_rate; faults; verify }
+    let scfg =
+      checked_cfg (fun () ->
+          Server.cfg ~arrival:t.arrival ~queue_cap:t.queue ~workers:t.workers
+            ~timeout_ms:t.timeout_ms ~slo_ms:t.slo_ms ~slo_target:t.slo_target
+            ~throttle_hi:t.throttle_hi ~throttle_lo:t.throttle_lo
+            ~rate_per_s:t.rate ())
     in
     let trace = trace_out <> None in
-    let scfg =
-      try
-        Server.cfg ~arrival:arrival_kind ~queue_cap:queue ~workers ~timeout_ms
-          ~slo_ms ~slo_target ~throttle_hi ~throttle_lo ~rate_per_s:rate ()
-      with Invalid_argument msg ->
-        Printf.eprintf "cgcsim: %s\n" msg;
-        exit Exit_codes.usage
-    in
     let vm =
-      Vm.create
-        (Vm.config ~heap_mb ~ncpus ~seed ~gc ~trace ~trace_ring ())
+      Vm.create (Vm.config ~heap_mb ~ncpus ~seed ~gc ~trace ?trace_ring ())
     in
     let srv = Server.create scfg vm in
     catching_failures (fun () ->
@@ -812,47 +682,19 @@ let serve_cmd =
         else Vm.run vm ~ms);
     let tot = Server.totals srv in
     print_string (Server_report.text scfg ~ran_ms:ms tot);
-    (match trace_out with
-    | Some file ->
-        write_or_die "trace" (Vm.write_trace vm) file;
-        Printf.printf "trace written to %s\n" file
-    | None -> ());
-    (match metrics_out with
-    | Some file ->
-        write_or_die "metrics" (Vm.write_metrics vm) file;
-        Printf.printf "per-cycle metrics written to %s\n" file
-    | None -> ());
-    (match json_out with
-    | Some file ->
-        write_or_die "server report"
-          (fun f ->
-            Export.write_file f
-              (Json.to_string ~pretty:true
-                 (Server_report.to_json scfg ~ran_ms:ms tot)))
-          file;
-        Printf.printf "server report written to %s\n" file
-    | None -> ());
-    if Server.slo_breached srv then begin
-      Printf.eprintf
-        "cgcsim: SLO breach — %.1f ms attainment %.4f below target %.4f\n"
-        slo_ms
-        (Server.slo_attainment tot)
-        slo_target;
-      exit Exit_codes.slo
-    end
+    output "trace" (Vm.write_trace vm) trace_out;
+    output "per-cycle metrics" (Vm.write_metrics vm) metrics_out;
+    output_json "server report"
+      (fun () -> Server_report.to_json scfg ~ran_ms:ms tot)
+      json_out;
+    slo_gate t ~what:"SLO breach" ~breached:(Server.slo_breached srv)
+      ~attainment:(Server.slo_attainment tot)
   in
-  let info =
-    Cmd.info "serve"
-      ~doc:
-        "Run the deterministic open-loop request/latency simulation and \
-         print its SLO report."
-  in
-  Cmd.v info
-    Term.(
-      const exec $ rate $ arrival $ burst $ queue $ workers $ timeout_ms
-      $ slo_ms $ slo_target $ throttle $ collector $ heap_mb $ ncpus $ ms
-      $ warmup_ms $ tracing_rate $ seed $ inject $ fault_seed $ verify
-      $ trace_out $ trace_ring $ metrics_out $ json_out)
+  cmd "serve"
+    ~doc:
+      "Run the deterministic open-loop request/latency simulation and print \
+       its SLO report."
+    term
 
 (* ------------------------------------------------------------------ *)
 (* cgcsim cluster — N shard VMs behind a front-end load balancer.
@@ -862,7 +704,7 @@ let serve_cmd =
    the epoch router, and each shard incarnation — a complete VM +
    collector + server — replays its slice on the persistent domain pool
    (--jobs).  Prints the fleet SLO report and optionally writes it as
-   cgcsim-cluster-v3 JSON, plus the merged fleet timeline
+   Cluster_report.schema JSON, plus the merged fleet timeline
    (--timeline-out) as Chrome counter tracks.
 
      cgcsim cluster --shards 8 --policy lqd --rate 24000 --slo-ms 50 \
@@ -875,433 +717,228 @@ let serve_cmd =
    incarnations as PREFIX.shard<K>.r<I>.json, each independently
    loadable in Perfetto. *)
 
-module Balancer = Cgc_cluster.Balancer
-module Cluster = Cgc_cluster.Cluster
-module Cluster_report = Cgc_cluster.Report
-module Dpool = Cgc_cluster.Dpool
-
 let cluster_cmd =
-  let shards =
-    Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Shard VM count.")
-  in
-  let policy =
-    let doc =
-      "Routing policy: round-robin (rr), least-queue (lqd) or \
-       consistent-hash (hash)."
+  let term =
+    let+ shards = opt_arg Arg.int 4 [ "shards" ] "Shard VM count."
+    and+ policy =
+      opt_arg
+        (named "policy" Balancer.policy_of_name Balancer.policy_name
+           Balancer.all_policies)
+        Balancer.Round_robin [ "policy" ]
+        "Routing policy: round-robin (rr), least-queue (lqd) or \
+         consistent-hash (hash)."
+    and+ t = traffic ~rate:16000.0
+    and+ service_est_ms =
+      opt_arg Arg.float 0.12 [ "service-est-ms" ]
+        "The balancer's mean-service-time estimate (ms), parameterising the \
+         least-queue fluid model."
+    and+ bin_ms =
+      opt_arg Arg.float 10.0 [ "bin-ms" ]
+        "Fleet-phenomena timeline bin width (ms)."
+    and+ { gc; heap_mb; ncpus; ms; seed; trace_ring } =
+      vm_term ~heap_mb:24.0 ~ms:2000.0 ()
+    and+ jobs =
+      jobs
+        "Run shards on $(docv) OCaml domains.  Host-side parallelism only: \
+         per-shard traces and the fleet report are byte-identical at every \
+         job count."
+    and+ chaos =
+      opt_arg ~docv:"SCENARIO"
+        (Arg.some
+           (named "chaos scenario"
+              (fun s -> Cluster_fault.of_name (String.trim s))
+              Cluster_fault.to_name Cluster_fault.all))
+        None [ "chaos" ]
+        ("Arm one deterministic fleet chaos scenario (seeded by \
+          $(b,--chaos-seed)): "
+        ^ scenario_doc Cluster_fault.to_name Cluster_fault.describe
+            Cluster_fault.all
+        ^ ".")
+    and+ chaos_seed =
+      opt_arg Arg.(some int) None [ "chaos-seed" ]
+        "Seed for the chaos plan (default: the fleet seed)."
+    and+ epoch_ms =
+      opt_arg Arg.(some float) None [ "epoch-ms" ]
+        "Balancer liveness re-read interval in ms (default: one \
+         $(b,--bin-ms) timeline bin)."
+    and+ retries =
+      opt_arg Arg.int 3 [ "retries" ]
+        "Per-request retry budget when a target shard is dark."
+    and+ retry_base_ms =
+      opt_arg Arg.float 0.25 [ "retry-base-ms" ]
+        "First retry backoff in ms; doubles per attempt."
+    and+ hedge_margin =
+      opt_arg ~docv:"MARGIN" Arg.float 0.0 [ "hedge" ]
+        "Hedge to a shard whose modelled queue depth undercuts the primary's \
+         by at least $(docv) requests; 0 disables."
+    and+ fleet_throttle_frac =
+      opt_arg ~docv:"FRAC" Arg.float 0.5 [ "fleet-throttle" ]
+        "Arm the fleet-wide admission throttle at or below this \
+         balancer-visible live fraction."
+    and+ give_up =
+      opt_arg ~docv:"N" Arg.int 100 [ "give-up" ]
+        "Unroutable requests tolerated before the typed \
+         $(b,Fleet_unavailable) failure (exit code 7)."
+    and+ trace_out =
+      trace_out ~docv:"PREFIX"
+        ~doc:
+          "Write one Chrome trace-event JSON file per shard, named \
+           $(docv).shard<K>.json (arms every shard's event sink)."
+        ()
+    and+ json_out =
+      file_arg "json"
+        (Printf.sprintf "Write the $(b,%s) fleet report to $(docv)."
+           Cluster_report.schema)
+    and+ timeline_out =
+      file_arg "timeline-out"
+        (Printf.sprintf
+           "Write the merged fleet timeline (per-epoch liveness, per-bin \
+            placement accounting and availability, per-shard stopped time / \
+            queue depth / sheds) as $(b,%s) Chrome counter tracks to \
+            $(docv)."
+           Cgc_cluster.Timeline.schema)
     in
-    Arg.(value & opt string "round-robin" & info [ "policy" ] ~doc)
-  in
-  let rate =
-    Arg.(value & opt float 16000.0 & info [ "rate" ] ~doc:"Fleet offered load, requests per simulated second.")
-  in
-  let arrival =
-    let doc = "Arrival process: poisson, constant or bursty." in
-    Arg.(value & opt string "poisson" & info [ "arrival" ] ~doc)
-  in
-  let burst =
-    let doc =
-      "Bursty on/off windows as $(b,ON_MS,OFF_MS,FACTOR) (implies \
-       $(b,--arrival bursty))."
-    in
-    Arg.(value & opt (some string) None & info [ "burst" ] ~docv:"ON,OFF,X" ~doc)
-  in
-  let queue =
-    Arg.(value & opt int 256 & info [ "queue" ] ~doc:"Per-shard request queue bound.")
-  in
-  let workers =
-    Arg.(value & opt int 4 & info [ "workers" ] ~doc:"Worker mutator threads per shard.")
-  in
-  let timeout_ms =
-    Arg.(value & opt float 0.0 & info [ "timeout-ms" ] ~doc:"Queueing deadline; 0 disables.")
-  in
-  let slo_ms =
-    Arg.(value & opt float 0.0 & info [ "slo-ms" ] ~doc:"End-to-end latency SLO; 0 disables.")
-  in
-  let slo_target =
-    Arg.(value & opt float 0.999 & info [ "slo-target" ] ~doc:"Required fleet SLO attainment fraction.")
-  in
-  let throttle =
-    let doc = "Per-shard admission-throttle hysteresis as $(b,HI,LO) queue depths." in
-    Arg.(value & opt (some string) None & info [ "throttle" ] ~docv:"HI,LO" ~doc)
-  in
-  let service_est_ms =
-    let doc =
-      "The balancer's mean-service-time estimate (ms), parameterising \
-       the least-queue fluid model."
-    in
-    Arg.(value & opt float 0.12 & info [ "service-est-ms" ] ~doc)
-  in
-  let bin_ms =
-    Arg.(value & opt float 10.0 & info [ "bin-ms" ] ~doc:"Fleet-phenomena timeline bin width (ms).")
-  in
-  let collector =
-    Arg.(value & opt string "cgc" & info [ "gc"; "collector"; "c" ] ~doc:gc_doc)
-  in
-  let heap_mb =
-    Arg.(value & opt float 24.0 & info [ "heap-mb" ] ~doc:"Per-shard simulated heap size (MB).")
-  in
-  let ncpus = Arg.(value & opt int 4 & info [ "ncpus" ] ~doc:"Per-shard simulated CPUs.") in
-  let ms =
-    Arg.(value & opt float 2000.0 & info [ "ms" ] ~doc:"Simulated milliseconds to run.")
-  in
-  let tracing_rate =
-    Arg.(value & opt float 8.0 & info [ "tracing-rate"; "k0" ] ~doc:"Tracing rate K0.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Fleet PRNG seed (shard seeds derive from it).") in
-  let jobs =
-    let doc =
-      "Run shards on $(docv) OCaml domains.  Host-side parallelism \
-       only: per-shard traces and the fleet report are byte-identical \
-       at every job count."
-    in
-    Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-  in
-  let inject =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "inject" ] ~docv:"SCENARIOS" ~doc:inject_doc)
-  in
-  let fault_seed =
-    let doc = "Seed for the fault injectors (default: the fleet seed)." in
-    Arg.(value & opt (some int) None & info [ "fault-seed" ] ~doc)
-  in
-  let chaos =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chaos" ] ~docv:"SCENARIO" ~doc:chaos_doc)
-  in
-  let chaos_seed =
-    let doc = "Seed for the chaos plan (default: the fleet seed)." in
-    Arg.(value & opt (some int) None & info [ "chaos-seed" ] ~doc)
-  in
-  let epoch_ms =
-    let doc =
-      "Balancer liveness re-read interval in ms (default: one \
-       $(b,--bin-ms) timeline bin)."
-    in
-    Arg.(value & opt (some float) None & info [ "epoch-ms" ] ~doc)
-  in
-  let retries =
-    Arg.(
-      value & opt int 3
-      & info [ "retries" ] ~doc:"Per-request retry budget when a target shard is dark.")
-  in
-  let retry_base_ms =
-    Arg.(
-      value & opt float 0.25
-      & info [ "retry-base-ms" ]
-          ~doc:"First retry backoff in ms; doubles per attempt.")
-  in
-  let hedge =
-    let doc =
-      "Hedge to a shard whose modelled queue depth undercuts the \
-       primary's by at least $(docv) requests; 0 disables."
-    in
-    Arg.(value & opt float 0.0 & info [ "hedge" ] ~docv:"MARGIN" ~doc)
-  in
-  let fleet_throttle =
-    let doc =
-      "Arm the fleet-wide admission throttle at or below this \
-       balancer-visible live fraction."
-    in
-    Arg.(value & opt float 0.5 & info [ "fleet-throttle" ] ~docv:"FRAC" ~doc)
-  in
-  let give_up =
-    let doc =
-      "Unroutable requests tolerated before the typed \
-       $(b,Fleet_unavailable) failure (exit code 7)."
-    in
-    Arg.(value & opt int 100 & info [ "give-up" ] ~docv:"N" ~doc)
-  in
-  let verify =
-    let doc = "Run the heap invariant verifier in every shard at every GC cycle boundary." in
-    Arg.(value & flag & info [ "verify" ] ~doc)
-  in
-  let trace_out =
-    let doc =
-      "Write one Chrome trace-event JSON file per shard, named \
-       $(docv).shard<K>.json (arms every shard's event sink)."
-    in
-    Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"PREFIX" ~doc)
-  in
-  let trace_ring =
-    Arg.(
-      value
-      & opt int (1 lsl 17)
-      & info [ "trace-ring" ] ~doc:"Per-thread event-ring capacity.")
-  in
-  let json_out =
-    let doc = "Write the $(b,cgcsim-cluster-v3) fleet report to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let timeline_out =
-    let doc =
-      "Write the merged fleet timeline (per-epoch liveness, per-bin \
-       placement accounting and availability, per-shard stopped time / \
-       queue depth / sheds) as $(b,cgcsim-timeline-v1) Chrome counter \
-       tracks to $(docv)."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "timeline-out" ] ~docv:"FILE" ~doc)
-  in
-  let exec shards policy rate arrival burst queue workers timeout_ms slo_ms
-      slo_target throttle service_est_ms bin_ms collector heap_mb ncpus ms
-      tracing_rate seed jobs inject fault_seed chaos chaos_seed epoch_ms
-      retries retry_base_ms hedge fleet_throttle give_up verify trace_out
-      trace_ring json_out timeline_out =
-    let parse_floats what spec n =
-      let parts = String.split_on_char ',' spec in
-      match
-        if List.length parts <> n then None
-        else
-          try Some (List.map (fun s -> float_of_string (String.trim s)) parts)
-          with Failure _ -> None
-      with
-      | Some fs -> fs
-      | None ->
-          Printf.eprintf
-            "cgcsim: bad %s %S (expected %d comma-separated numbers)\n" what
-            spec n;
-          exit Exit_codes.usage
-    in
-    let policy =
-      match Balancer.policy_of_name policy with
-      | Some p -> p
-      | None ->
-          Printf.eprintf
-            "cgcsim: unknown policy %S (round-robin|least-queue|consistent-hash)\n"
-            policy;
-          exit Exit_codes.usage
-    in
-    let arrival_kind =
-      match (burst, arrival) with
-      | Some spec, _ -> (
-          match parse_floats "--burst" spec 3 with
-          | [ on_ms; off_ms; factor ] -> Arrival.Bursty { on_ms; off_ms; factor }
-          | _ -> assert false)
-      | None, "poisson" -> Arrival.Poisson
-      | None, "constant" -> Arrival.Constant
-      | None, "bursty" ->
-          Arrival.Bursty { on_ms = 20.0; off_ms = 80.0; factor = 4.0 }
-      | None, a ->
-          Printf.eprintf
-            "cgcsim: unknown arrival process %S (poisson|constant|bursty)\n" a;
-          exit Exit_codes.usage
-    in
-    let throttle_hi, throttle_lo =
-      match throttle with
-      | None -> (0, 0)
-      | Some spec -> (
-          match parse_floats "--throttle" spec 2 with
-          | [ hi; lo ] -> (int_of_float hi, int_of_float lo)
-          | _ -> assert false)
-    in
-    if jobs < 1 then begin
-      Printf.eprintf "--jobs expects a positive integer, got %d\n" jobs;
-      exit Exit_codes.usage
-    end;
     Dpool.set_size jobs;
-    let faults =
-      match inject with
-      | None -> Fault.disabled
-      | Some spec -> (
-          match parse_scenarios spec with
-          | Ok scenarios ->
-              let seed = match fault_seed with Some s -> s | None -> seed in
-              Fault.create ~scenarios ~seed ()
-          | Error msg ->
-              Printf.eprintf "cgcsim: %s\n" msg;
-              exit Exit_codes.usage)
-    in
-    let gc =
-      { (gc_base collector) with Config.k0 = tracing_rate; faults; verify }
-    in
-    let chaos =
-      match chaos with
-      | None -> None
-      | Some name -> (
-          match Cluster_fault.of_name (String.trim name) with
-          | Some sc -> Some sc
-          | None ->
-              Printf.eprintf
-                "cgcsim: unknown chaos scenario %S (known: %s)\n" name
-                (String.concat ", "
-                   (List.map Cluster_fault.to_name Cluster_fault.all));
-              exit Exit_codes.usage)
-    in
-    let chaos_seed = match chaos_seed with Some s -> s | None -> seed in
     let ccfg =
-      try
-        Cluster.cfg ~shards ~policy ~arrival:arrival_kind ~queue_cap:queue
-          ~workers ~timeout_ms ~slo_ms ~slo_target ~throttle_hi ~throttle_lo
-          ~service_est_ms ~bin_ms ~gc ~heap_mb ~ncpus ~seed ~ms
-          ~trace:(trace_out <> None) ~trace_ring ?chaos ~chaos_seed ?epoch_ms
-          ~retries ~retry_base_ms ~hedge_margin:hedge
-          ~fleet_throttle_frac:fleet_throttle ~give_up ~rate_per_s:rate ()
-      with Invalid_argument msg ->
-        Printf.eprintf "cgcsim: %s\n" msg;
-        exit Exit_codes.usage
+      checked_cfg (fun () ->
+          Cluster.cfg ~shards ~policy ~arrival:t.arrival ~queue_cap:t.queue
+            ~workers:t.workers ~timeout_ms:t.timeout_ms ~slo_ms:t.slo_ms
+            ~slo_target:t.slo_target ~throttle_hi:t.throttle_hi
+            ~throttle_lo:t.throttle_lo ~service_est_ms ~bin_ms ~gc ~heap_mb
+            ~ncpus ~seed ~ms ~trace:(trace_out <> None) ?trace_ring ?chaos
+            ~chaos_seed:(Option.value chaos_seed ~default:seed) ?epoch_ms
+            ~retries ~retry_base_ms ~hedge_margin ~fleet_throttle_frac ~give_up
+            ~rate_per_s:t.rate ())
     in
     let result = catching_failures (fun () -> Cluster.run ccfg) in
     print_string (Cluster_report.text result);
-    (match trace_out with
-    | Some prefix ->
+    Option.iter
+      (fun prefix ->
         Array.iter
-          (fun (s : Cgc_cluster.Shard.result) ->
-            match s.Cgc_cluster.Shard.trace with
-            | Some trace ->
-                (* Incarnation 0 keeps the historical name, so chaos-free
-                   campaigns produce the same files as before. *)
-                let file =
-                  if s.Cgc_cluster.Shard.incarnation = 0 then
-                    Printf.sprintf "%s.shard%d.json" prefix
-                      s.Cgc_cluster.Shard.id
-                  else
-                    Printf.sprintf "%s.shard%d.r%d.json" prefix
-                      s.Cgc_cluster.Shard.id s.Cgc_cluster.Shard.incarnation
-                in
-                write_or_die "trace"
+          (fun (s : Shard.result) ->
+            (* Incarnation 0 keeps the historical name, so chaos-free
+               campaigns produce the same files as before. *)
+            let file =
+              if s.Shard.incarnation = 0 then
+                Printf.sprintf "%s.shard%d.json" prefix s.Shard.id
+              else
+                Printf.sprintf "%s.shard%d.r%d.json" prefix s.Shard.id
+                  s.Shard.incarnation
+            in
+            Option.iter
+              (fun trace ->
+                output
+                  (Printf.sprintf "shard %d trace" s.Shard.id)
                   (fun f -> Export.write_file f trace)
-                  file;
-                Printf.printf "shard %d trace written to %s\n"
-                  s.Cgc_cluster.Shard.id file
-            | None -> ())
-          result.Cluster.shards
-    | None -> ());
-    (match json_out with
-    | Some file ->
-        write_or_die "cluster report"
-          (fun f ->
-            Export.write_file f
-              (Json.to_string ~pretty:true (Cluster_report.to_json result)))
-          file;
-        Printf.printf "cluster report written to %s\n" file
-    | None -> ());
-    (match timeline_out with
-    | Some file ->
-        write_or_die "fleet timeline"
-          (fun f ->
-            Export.write_file f (Cgc_cluster.Timeline.chrome_json result))
-          file;
-        Printf.printf "fleet timeline written to %s\n" file
-    | None -> ());
-    if Cluster.slo_breached result then begin
-      Printf.eprintf
-        "cgcsim: fleet SLO breach — %.1f ms attainment %.4f below target %.4f\n"
-        slo_ms
-        (Cluster.slo_attainment result)
-        slo_target;
-      exit Exit_codes.slo
-    end
+                  (Some file))
+              s.Shard.trace)
+          result.Cluster.shards)
+      trace_out;
+    output_json "cluster report"
+      (fun () -> Cluster_report.to_json result)
+      json_out;
+    output "fleet timeline"
+      (fun f -> Export.write_file f (Cgc_cluster.Timeline.chrome_json result))
+      timeline_out;
+    slo_gate t ~what:"fleet SLO breach"
+      ~breached:(Cluster.slo_breached result)
+      ~attainment:(Cluster.slo_attainment result)
   in
-  let info =
-    Cmd.info "cluster"
-      ~doc:
-        "Run N shard VMs behind a front-end load balancer on the \
-         persistent domain pool and print the fleet SLO report."
-  in
-  Cmd.v info
-    Term.(
-      const exec $ shards $ policy $ rate $ arrival $ burst $ queue $ workers
-      $ timeout_ms $ slo_ms $ slo_target $ throttle $ service_est_ms $ bin_ms
-      $ collector $ heap_mb $ ncpus $ ms $ tracing_rate $ seed $ jobs $ inject
-      $ fault_seed $ chaos $ chaos_seed $ epoch_ms $ retries $ retry_base_ms
-      $ hedge $ fleet_throttle $ give_up $ verify $ trace_out $ trace_ring
-      $ json_out $ timeline_out)
+  cmd "cluster"
+    ~doc:
+      "Run N shard VMs behind a front-end load balancer on the persistent \
+       domain pool and print the fleet SLO report.  The VM and traffic flags \
+       apply to every shard; shard seeds derive from $(b,--seed)."
+    term
 
 let exit_codes_cmd =
-  let markdown =
-    let doc =
-      "Print the GitHub-flavoured markdown table — the literal source of \
-       the README's exit-code block."
+  let term =
+    let+ markdown =
+      flag_arg [ "markdown" ]
+        "Print the GitHub-flavoured markdown table — the literal source of \
+         the README's exit-code block."
     in
-    Arg.(value & flag & info [ "markdown" ] ~doc)
-  in
-  let exec markdown =
     print_string
       (if markdown then Exit_codes.markdown_table () else Exit_codes.text ())
   in
-  let info =
-    Cmd.info "exit-codes"
-      ~doc:
-        "Print the process exit-code table (the single source of truth the \
-         README and the binary both use)."
-  in
-  Cmd.v info Term.(const exec $ markdown)
+  cmd "exit-codes"
+    ~doc:
+      "Print the process exit-code table (the single source of truth the \
+       README and the binary both use)."
+    term
 
 let experiment_cmd =
-  let which =
-    let doc =
-      "Experiment: fig1, fig2, table1, table2, table3, table4, javac, \
-       packetmem, serverlat, genlat, clusterlat, clusterchaos."
-    in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME" ~doc)
+  let module E = Cgc_experiments in
+  let tables () = ignore (E.Tables123.run ()) in
+  let experiments =
+    [
+      ("fig1", fun () -> ignore (E.Fig1_specjbb.run ()));
+      ("fig2", fun () -> ignore (E.Fig2_pbob.run ()));
+      ("table1", tables);
+      ("table2", tables);
+      ("table3", tables);
+      ("table4", fun () -> ignore (E.Table4_load_balance.run ()));
+      ("javac", fun () -> ignore (E.Javac_exp.run ()));
+      ("packetmem", fun () -> ignore (E.Packet_memory.run ()));
+      ("serverlat", fun () -> ignore (E.Server_latency.run ()));
+      ("genlat", fun () -> ignore (E.Genlat.run ()));
+      ("clusterlat", fun () -> ignore (E.Clusterlat.run ()));
+      ("clusterchaos", fun () -> ignore (E.Clusterchaos.run ()));
+    ]
   in
-  let metrics_out =
-    let doc =
-      "Write every per-run metrics record the experiment measured to $(docv) \
-       as CSV."
+  let names = List.map fst experiments in
+  let term =
+    let+ which =
+      Arg.(
+        required
+        & pos 0 (some (enum (List.combine names names))) None
+        & info [] ~docv:"NAME"
+            ~doc:("Experiment: " ^ String.concat ", " names ^ "."))
+    and+ metrics_out =
+      metrics_out
+        ~doc:
+          "Write every per-run metrics record the experiment measured to \
+           $(docv) as CSV."
+        ()
+    and+ jobs =
+      jobs
+        "Run the experiment's independent simulations on $(docv) OCaml \
+         domains.  Host-side parallelism only: results (tables, metrics \
+         CSV) are identical at every job count."
     in
-    Arg.(
-      value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
-  in
-  let jobs =
-    let doc =
-      "Run the experiment's independent simulations on $(docv) OCaml \
-       domains.  Host-side parallelism only: results (tables, metrics CSV) \
-       are identical at every job count."
-    in
-    Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-  in
-  let exec which metrics_out jobs =
-    let module E = Cgc_experiments in
-    if jobs < 1 then begin
-      Printf.eprintf "--jobs expects a positive integer, got %d\n" jobs;
-      exit Exit_codes.usage
-    end;
     E.Common.set_jobs jobs;
     E.Common.reset_recorded ();
-    (match which with
-    | "fig1" -> ignore (E.Fig1_specjbb.run ())
-    | "fig2" -> ignore (E.Fig2_pbob.run ())
-    | "table1" | "table2" | "table3" -> ignore (E.Tables123.run ())
-    | "table4" -> ignore (E.Table4_load_balance.run ())
-    | "javac" -> ignore (E.Javac_exp.run ())
-    | "packetmem" -> ignore (E.Packet_memory.run ())
-    | "serverlat" -> ignore (E.Server_latency.run ())
-    | "genlat" -> ignore (E.Genlat.run ())
-    | "clusterlat" -> ignore (E.Clusterlat.run ())
-    | "clusterchaos" -> ignore (E.Clusterchaos.run ())
-    | n ->
-        Printf.eprintf "unknown experiment %s\n" n;
-        exit Exit_codes.usage);
-    match metrics_out with
-    | Some file ->
-        write_or_die "metrics" E.Common.write_metrics_csv file;
-        Printf.printf "metrics written to %s (%d runs)\n" file
-          (List.length (E.Common.recorded ()))
-    | None -> ()
+    List.assoc which experiments ();
+    output
+      (Printf.sprintf "metrics of %d runs"
+         (List.length (E.Common.recorded ())))
+      E.Common.write_metrics_csv metrics_out
   in
-  let info = Cmd.info "experiment" ~doc:"Run a paper-reproduction experiment." in
-  Cmd.v info Term.(const exec $ which $ metrics_out $ jobs)
+  cmd "experiment" ~doc:"Run a paper-reproduction experiment." term
 
+(* Command-line errors — a malformed value, an unknown flag, an illegal
+   collector combination — exit 1 ([Exit_codes.usage]), not cmdliner's
+   124, so the binary keeps the one exit-code table. *)
 let () =
   let info =
-    Cmd.info "cgcsim"
+    Cmd.info "cgcsim" ~exits
       ~doc:
         "Simulator of the PLDI 2002 parallel, incremental and mostly \
          concurrent garbage collector."
   in
+  let cmd =
+    Cmd.group info
+      [
+        run_cmd;
+        serve_cmd;
+        cluster_cmd;
+        analyze_cmd;
+        experiment_cmd;
+        exit_codes_cmd;
+      ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            run_cmd;
-            serve_cmd;
-            cluster_cmd;
-            analyze_cmd;
-            experiment_cmd;
-            exit_codes_cmd;
-          ]))
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok () | `Help | `Version) -> Exit_codes.ok
+    | Error (`Parse | `Term) -> Exit_codes.usage
+    | Error `Exn -> Cmd.Exit.internal_error)

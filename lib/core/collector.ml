@@ -98,18 +98,9 @@ type t = {
 }
 
 let create cfg ~sched ~heap =
-  if cfg.Config.compaction && cfg.Config.lazy_sweep then
-    invalid_arg "Collector.create: compaction requires in-pause sweep";
-  if cfg.Config.compaction && cfg.Config.load_balance = Config.Stealing then
-    invalid_arg "Collector.create: compaction requires the packet tracer";
-  if cfg.Config.mode = Config.Gen && cfg.Config.compaction then
-    invalid_arg
-      "Collector.create: gen mode excludes incremental compaction (the \
-       compactor would evacuate across the nursery boundary)";
-  if cfg.Config.mode = Config.Gen && cfg.Config.lazy_sweep then
-    invalid_arg
-      "Collector.create: gen mode requires in-pause sweep (the lazy cursor \
-       would fold the nursery into the free list)";
+  (match Config.validate cfg with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Collector.create: " ^ msg));
   let mach = Heap.machine heap in
   let pl =
     (* Under the naive fence policy the ablation also pays one fence per
@@ -330,13 +321,8 @@ let find_work t session ~budget =
 (* ------------------------------------------------------------------ *)
 (* Cycle start                                                         *)
 
-let dbg = try Sys.getenv "CGC_DEBUG" = "1" with Not_found -> false
-
 let start_cycle t =
   assert (t.ph = Idle);
-  if dbg then
-    Printf.printf "[%d] start_cycle %d free=%d\n%!" (Machine.now t.mach)
-      (t.cycle_no + 1) (Heap.free_slots t.hp);
   (* A still-running lazy sweep reads the mark bits we are about to
      clear: drive it to completion first. *)
   (match t.lazy_state with
@@ -381,36 +367,12 @@ let start_cycle t =
 (* Stop-the-world phase                                                *)
 
 let stw_mark_worker t wid nworkers =
-  let spin = ref 0 in
   let rec go session =
     let _ = Tracer.trace_until t.tr session ~budget:max_int in
     match Card_clean.clean_one t.cl t.tr session ~stw:true with
     | Some _ -> go session
     | None ->
         if Pool.deferred_count t.pl > 0 && Pool.recycle_deferred t.pl > 0 then begin
-          incr spin;
-          if dbg && !spin mod 100_000 = 0 then begin
-            Printf.printf "[stw spin %d] %s
-%!" !spin (Pool.debug_dump t.pl);
-            (* dump a deferred entry *)
-            ignore (Pool.recycle_deferred t.pl);
-            (match Pool.get_input t.pl with
-            | Some p ->
-                (match Cgc_packets.Packet.peek p with
-                | Some v ->
-                    Printf.printf
-                      "  entry=%d in_heap=%b abit_sc=%b abit_weak=%b header_sc=%b marked=%b
-%!"
-                      v
-                      (Arena.in_heap (Heap.arena t.hp) v)
-                      (Cgc_heap.Alloc_bits.is_set_sc (Heap.alloc_bits t.hp) v)
-                      (Cgc_heap.Alloc_bits.is_set (Heap.alloc_bits t.hp) v)
-                      (Arena.header_valid_sc (Heap.arena t.hp) v)
-                      (Heap.is_marked t.hp v)
-                | None -> ());
-                Pool.put t.pl p
-            | None -> ())
-          end;
           go session
         end
         else begin
@@ -438,8 +400,6 @@ let stw_mark_worker t wid nworkers =
   go session
 
 type stw_reason = Completed | Halted | Degenerate | Forced
-
-let verify = try Sys.getenv "CGC_VERIFY" = "1" with Not_found -> false
 
 (* Host-side (uncharged) heap-integrity walk: every object reachable from
    the roots must still look like an object.  Returns the invalid
@@ -481,18 +441,6 @@ let check_reachable t =
   Array.iter (fun v -> if v <> 0 then walk (-999) v) t.globals;
   !bad
 
-let verify_reachable t =
-  match check_reachable t with
-  | [] -> ()
-  | bad ->
-      List.iter
-        (fun (from, addr) ->
-          Printf.eprintf
-            "HEAP CORRUPTION cycle %d: object %d (from %d) invalid\n%!"
-            t.cycle_no addr from)
-        (List.filteri (fun i _ -> i < 5) bad);
-      failwith "verify_reachable: corruption"
-
 let finalize t reason =
   if t.ph <> Marking then ()
   else begin
@@ -501,15 +449,6 @@ let finalize t reason =
        take an allocation failure while we are in Finalizing. *)
     Sched.stop_the_world t.sched;
     t.ph <- Finalizing;
-    (if dbg then
-       let e, ne, af, d = Pool.counts t.pl in
-       Printf.printf
-         "[%d] finalize %s pool=(%d,%d,%d,%d) qlen=%d passes=%d stacks=%b globals=%b free=%d\n%!"
-         (Machine.now t.mach)
-         (match reason with Completed -> "completed" | Halted -> "halted"
-          | Degenerate -> "degenerate" | Forced -> "forced")
-         e ne af d (Card_clean.queue_len t.cl) (Card_clean.passes_started t.cl)
-         (all_stacks_scanned t) t.globals_scanned (Heap.free_slots t.hp));
     Machine.flush t.mach;
     let free_frac =
       float_of_int (Heap.free_slots t.hp) /. float_of_int (Heap.nslots t.hp)
@@ -657,7 +596,6 @@ let finalize t reason =
       ~m_observed:
         ((Card_clean.conc_cleaned t.cl + Card_clean.stw_cleaned t.cl)
         * Arena.slots_per_card);
-    if verify then verify_reachable t;
     (* Configured invariant verification (host-side, uncharged): marking
        is complete, caches are retired, sweep has rebuilt the free list
        and the overflow re-mark loop left no dirty card, so the strongest
@@ -782,15 +720,6 @@ let do_increment t (m : Mctx.t) ~alloc =
     Tracer.release t.tr !session;
     Machine.flush t.mach;
     let complete = trace_complete t in
-    (if dbg && !traced < work && t.ph = Marking then
-       let e, ne, af, d = Pool.counts t.pl in
-       Printf.printf
-         "[%d] starved: pool=(%d,%d,%d,%d) term=%b qlen=%d passes=%d stacks=%b free=%d marked=%d sessions=%d\n%!"
-         (Machine.now t.mach) e ne af d (Pool.terminated t.pl)
-         (Card_clean.queue_len t.cl)
-         (Card_clean.passes_started t.cl)
-         (all_stacks_scanned t) (Heap.free_slots t.hp)
-         (Tracer.marked_slots t.tr) (Tracer.live_sessions t.tr));
     (* The tracing factor is measured over increments that participated
        in tracing.  A thread that could not obtain any input packet at
        all "quits the tracing task" (section 4.3) and contributes no

@@ -54,6 +54,8 @@ exception Out_of_memory of oom_diag
 val oom_to_string : oom_diag -> string
 
 val create : Config.t -> sched:Cgc_sim.Sched.t -> heap:Cgc_heap.Heap.t -> t
+(** @raise Invalid_argument when {!Config.validate} rejects the
+    configuration. *)
 
 val config : t -> Config.t
 val heap : t -> Cgc_heap.Heap.t
@@ -142,5 +144,5 @@ val check_reachable : t -> (int * int) list
 (** Host-side heap-integrity walk: follow every reference reachable from
     the mutator roots and globals and return the (referrer, address)
     pairs that no longer look like valid objects.  Empty on a sound
-    heap.  Used by the tests and by [CGC_VERIFY=1] (which runs it after
-    every collection and aborts on corruption). *)
+    heap.  The tests' reference walker; runs under [--verify] use
+    {!Verify.check}, which checks a superset. *)

@@ -65,3 +65,18 @@ let mode_of_name = function
   | "cgc" -> Some Cgc
   | "gen" -> Some Gen
   | _ -> None
+
+let validate t =
+  if t.compaction && t.lazy_sweep then
+    Error "compaction requires in-pause sweep"
+  else if t.compaction && t.load_balance = Stealing then
+    Error "compaction requires the packet tracer"
+  else if t.mode = Gen && t.compaction then
+    Error
+      "gen mode excludes incremental compaction (the compactor would \
+       evacuate across the nursery boundary)"
+  else if t.mode = Gen && t.lazy_sweep then
+    Error
+      "gen mode requires in-pause sweep (the lazy cursor would fold the \
+       nursery into the free list)"
+  else Ok ()

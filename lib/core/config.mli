@@ -68,3 +68,10 @@ val mode_name : mode -> string
 
 val mode_of_name : string -> mode option
 (** Inverse of {!mode_name}. *)
+
+val validate : t -> (unit, string) result
+(** The one legality check: rejects compaction with lazy sweep or with
+    stealing, and gen mode with compaction or lazy sweep.  The error
+    names the first rejected combination.  [Collector.create] raises
+    [Invalid_argument] with it, and the CLI reports it as a usage
+    error. *)

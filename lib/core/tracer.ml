@@ -247,15 +247,7 @@ let push_to_output t s addr =
             dirty_card_of t addr)
   end
 
-let watch =
-  match Sys.getenv_opt "CGC_WATCH" with
-  | Some v -> int_of_string v
-  | None -> -1
-
 let push_obj t s addr =
-  if addr = watch then
-    Printf.printf "[watch %d] PUSHED at t=%d
-%!" addr (Machine.now t.mach);
   if Heap.mark_test_and_set t.heap addr then
     if s.is_stolen then begin
       (* The session lost its packets to a world-stop; fall back to the
@@ -364,8 +356,6 @@ let marked_slots t = t.marked
 let retraced_slots t = t.retraced
 let overflow_events t = t.overflows
 let corruptions t = t.corrupt
-
-let live_sessions t = List.length t.sessions
 
 let reset_cycle t =
   t.marked <- 0;

@@ -82,6 +82,3 @@ val corruptions : t -> int
     zero whenever the section 5 protocols are enabled. *)
 
 val reset_cycle : t -> unit
-
-val live_sessions : t -> int
-(** Number of registered (unreleased) sessions — diagnostics. *)

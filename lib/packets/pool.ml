@@ -222,22 +222,6 @@ let occupancy t =
 let get_ops t = t.gets
 let put_ops t = t.puts
 
-let debug_dump t =
-  let b = Buffer.create 128 in
-  let names = [| "empty"; "nonempty"; "almost"; "deferred" |] in
-  for sp = 0 to 3 do
-    Buffer.add_string b
-      (Printf.sprintf "%s: ctr=%d len=%d; " names.(sp) t.counters.(sp)
-         (List.length t.subs.(sp)));
-    List.iter
-      (fun p ->
-        if not (Packet.is_empty p) then
-          Buffer.add_string b
-            (Printf.sprintf "[pkt%d n=%d] " (Packet.id p) (Packet.count p)))
-      t.subs.(sp)
-  done;
-  Buffer.contents b
-
 let reset_watermarks t =
   t.hw_in_use <- in_use t;
   t.hw_entries <- t.n_entries;

@@ -120,7 +120,3 @@ val get_ops : t -> int
 val put_ops : t -> int
 
 val reset_watermarks : t -> unit
-
-val debug_dump : t -> string
-(** Counters vs. actual list lengths per sub-pool, plus the ids and entry
-    counts of non-empty pooled packets (diagnostics). *)

@@ -41,16 +41,18 @@ let body ~unit_slots m =
   done
 
 let setup ~gc ?(heap_mb = 25.0) ?(ncpus = 1) ?(seed = 1) ?(trace = false)
-    ?(n_background = 1) () =
+    ?trace_ring ?(n_background = 1) () =
   let gc = { gc with Cgc_core.Config.n_background } in
-  let vm = Vm.create (Vm.config ~heap_mb ~ncpus ~seed ~gc ~trace ()) in
+  let vm =
+    Vm.create (Vm.config ~heap_mb ~ncpus ~seed ~gc ~trace ?trace_ring ())
+  in
   let nslots = Cgc_heap.Heap.nslots (Vm.heap vm) in
   (* Two units live at ~70% residency. *)
   let unit_slots = int_of_float (float_of_int nslots *. 0.7 /. 2.0) in
   Vm.spawn_mutator vm ~name:"javac" (body ~unit_slots);
   vm
 
-let run ~gc ?heap_mb ?ncpus ?seed ?trace ?(ms = 4000.0) () =
-  let vm = setup ~gc ?heap_mb ?ncpus ?seed ?trace () in
+let run ~gc ?heap_mb ?ncpus ?seed ?trace ?trace_ring ?(ms = 4000.0) () =
+  let vm = setup ~gc ?heap_mb ?ncpus ?seed ?trace ?trace_ring () in
   Vm.run vm ~ms;
   vm

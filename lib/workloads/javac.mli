@@ -10,6 +10,7 @@ val setup :
   ?ncpus:int ->
   ?seed:int ->
   ?trace:bool ->
+  ?trace_ring:int ->
   ?n_background:int ->
   unit ->
   Cgc_runtime.Vm.t
@@ -20,7 +21,9 @@ val run :
   ?ncpus:int ->
   ?seed:int ->
   ?trace:bool ->
+  ?trace_ring:int ->
   ?ms:float ->
   unit ->
   Cgc_runtime.Vm.t
-(** Defaults: 25 MB heap, 1 CPU, 1 background thread, 4000 ms. *)
+(** Defaults: 25 MB heap, 1 CPU, 1 background thread, 4000 ms, and the
+    VM's default event-ring capacity. *)

@@ -172,6 +172,18 @@ let test_javac_uniprocessor_config () =
   check ci "1 background thread" 1
     (Collector.config (Vm.collector vm)).Config.n_background
 
+(* javac's ring capacity reaches the VM: a tiny ring is configured as
+   asked and overflows, while the default ring holds the same run. *)
+let test_javac_trace_ring () =
+  let dropped ?trace_ring () =
+    let vm = Javac.run ~gc:Config.default ~trace:true ?trace_ring ~ms:50.0 () in
+    ((Vm.the_config vm).Vm.trace_ring, Cgc_obs.Obs.dropped (Vm.obs vm))
+  in
+  let ring, lost = dropped ~trace_ring:64 () in
+  check ci "ring capacity honoured" 64 ring;
+  check cb "a 64-event ring overflows" true (lost > 0);
+  check ci "default ring holds the run" 0 (snd (dropped ()))
+
 let () =
   Alcotest.run "workloads"
     [
@@ -203,5 +215,6 @@ let () =
           Alcotest.test_case "javac runs" `Slow test_javac_runs;
           Alcotest.test_case "javac uniprocessor" `Quick
             test_javac_uniprocessor_config;
+          Alcotest.test_case "javac trace ring" `Quick test_javac_trace_ring;
         ] );
     ]
