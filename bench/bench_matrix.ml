@@ -34,7 +34,7 @@ module Cluster_report = Cgc_cluster.Report
 module Shard = Cgc_cluster.Shard
 module Cluster_fault = Cgc_fault.Cluster_fault
 
-let bench_schema = "cgcsim-bench-v1"
+let bench_schema = Cgc_prof.Tails.bench_schema
 
 type cell = {
   workload : string;
@@ -327,7 +327,8 @@ let scan_float_field path key =
   end
 
 let run ?(out = "BENCH_PR10.json") ?trace_out ?(jobs = 1) () =
-  Cgc_experiments.Common.hdr "Benchmark matrix (cgcsim-bench-v1)";
+  Cgc_experiments.Common.hdr
+    (Printf.sprintf "Benchmark matrix (%s)" bench_schema);
   let cells = matrix () in
   let ncells = List.length cells in
   Printf.printf "%d cells, %s mode, %d job%s\n%!" ncells

@@ -10,13 +10,17 @@
    Targets: fig1 fig2 table1 table2 table3 table4 javac packetmem
             serverlat genlat clusterlat clusterchaos ablation-fence
             ablation-cardpass ablation-lazysweep ablation-steal
-            ablation-compact itanium micro matrix all
+            ablation-compact itanium micro matrix profile all
 
    The matrix target additionally honours --out FILE (default
    BENCH_PR10.json), --trace-out FILE (Chrome trace of cell 0) and
    --jobs N (run cells on N OCaml 5 domains; simulated results are
    identical at every N, only host wall-clock changes).  --jobs also
-   fans out the per-target experiment sweeps. *)
+   fans out the per-target experiment sweeps.
+
+   The profile target samples the simulator's own host time (see
+   profile.ml) over one workload: --workload jbb|serve (default jbb)
+   and --ms N simulated milliseconds after the warm-up (default 2000). *)
 
 module E = Cgc_experiments
 
@@ -147,6 +151,10 @@ let matrix_out = ref "BENCH_PR10.json"
 let matrix_trace_out : string option ref = ref None
 let jobs = ref 1
 
+(* --workload / --ms for the profile target. *)
+let profile_workload = ref "jbb"
+let profile_ms = ref 2000.0
+
 let run_all () =
   (* Tables 1-3 share one sweep when running everything. *)
   ignore (E.Fig1_specjbb.run ());
@@ -172,6 +180,16 @@ let () =
     | "--trace-out" :: v :: rest ->
         matrix_trace_out := Some v;
         strip rest
+    | "--workload" :: v :: rest ->
+        profile_workload := v;
+        strip rest
+    | "--ms" :: v :: rest ->
+        (match float_of_string_opt v with
+        | Some ms when ms > 0.0 -> profile_ms := ms
+        | _ ->
+            Printf.eprintf "--ms expects a positive number, got %s\n" v;
+            exit 2);
+        strip rest
     | "--jobs" :: v :: rest ->
         (match int_of_string_opt v with
         | Some n when n >= 1 -> jobs := n
@@ -192,6 +210,8 @@ let () =
             Bench_matrix.run ~out:!matrix_out ?trace_out:!matrix_trace_out
               ~jobs:!jobs ()
         );
+        ( "profile",
+          fun () -> Profile.run ~workload:!profile_workload ~ms:!profile_ms );
       ]
   in
   Printf.printf

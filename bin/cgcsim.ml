@@ -407,8 +407,10 @@ let analyze_cmd =
          decomposition and the worst-request causal chains."
     and+ bench_in =
       file_arg "bench"
-        "Distill the LBO GC cost from a $(b,cgcsim-bench-v1) document \
-         (requires $(b,--lbo))."
+        (Printf.sprintf
+           "Distill the LBO GC cost from a $(b,%s) document (requires \
+            $(b,--lbo))."
+           Tails.bench_schema)
     and+ metrics_in =
       file_arg "metrics"
         "Validate a metrics CSV file ($(b,run --metrics-out) or \

@@ -124,7 +124,7 @@ let evacuate t ~globals =
        Sweep ran just before us, so live == marked, and the vacated
        extents can go straight back to the free list. *)
     let freed = ref [] in
-    let a = ref (Bitvec.next_set mark t.lo) in
+    let a = ref (Bitvec.next_set_below mark t.lo t.hi) in
     while !a < t.hi do
       let addr = !a in
       let size = Arena.size_of_sc arena addr in
@@ -149,7 +149,7 @@ let evacuate t ~globals =
             t.evac_slots <- t.evac_slots + size;
             moved_slots := !moved_slots + size
       end;
-      a := Bitvec.next_set mark (max (addr + size) (addr + 1))
+      a := Bitvec.next_set_below mark (max (addr + size) (addr + 1)) t.hi
     done;
     Machine.flush t.mach;
     (* 2. Fix up the remembered slots.  A recorded parent may itself have

@@ -33,26 +33,29 @@ let sweep_region heap ~lo ~hi =
   let mark = Heap.mark_bits heap in
   let arena = Heap.arena heap in
   charge_scan heap ~lo ~hi;
-  (* Gap enumeration over word-level runs of mark bits: every set bit in
-     [lo, hi) is a candidate object head (runs longer than one bit are
-     adjacent small objects).  A head inside the extent of the object we
-     just accepted is skipped, which is exactly what the jump to
-     [next_set (head + size)] did in the byte-at-a-time formulation. *)
+  (* Gap enumeration over the mark bits: every set bit in [lo, hi) at or
+     past the end of the last accepted object is an object head.  After
+     a head the scan resumes at that object's end, so the mark bits
+     inside a live object's extent are never visited and the scan never
+     reads a word past [hi]. *)
   let cur_end = ref (-1) in
-  Bitvec.fold_set_ranges mark ~lo ~hi ~init:()
-    ~f:(fun () pos len ->
-      for m = pos to pos + len - 1 do
-        if m >= !cur_end then begin
-          if r.first_mark = max_int then r.first_mark <- m
-          else if m > !cur_end then r.gaps <- (!cur_end, m - !cur_end) :: r.gaps;
-          let size = Arena.size_of arena m in
-          r.live <- r.live + size;
-          cur_end := m + size
-        end
-      done);
+  let m = ref (Bitvec.next_set_below mark lo hi) in
+  while !m < hi do
+    let head = !m in
+    if r.first_mark = max_int then r.first_mark <- head
+    else if head > !cur_end then
+      r.gaps <- (!cur_end, head - !cur_end) :: r.gaps;
+    let size = Arena.size_of arena head in
+    r.live <- r.live + size;
+    cur_end := head + size;
+    m := Bitvec.next_set_below mark (max (head + 1) !cur_end) hi
+  done;
   if r.first_mark <> max_int then r.last_end <- !cur_end;
   Machine.flush mach;
   finish r
+
+let gaps r = List.rev r.gaps
+let live r = r.live
 
 let add_free heap ~addr ~size =
   let mach = Heap.machine heap in
@@ -110,26 +113,25 @@ let lazy_step heap lz ~max_slots =
     let mark = Heap.mark_bits heap in
     let arena = Heap.arena heap in
     charge_scan heap ~lo:lz.pos ~hi;
-    (* Same word-level gap enumeration as [sweep_region], windowed: walk
-       the runs of mark bits in [start, hi), emitting each free gap as a
-       chunk.  [crossed] records that the last object ran past the window
-       edge — in that case the cursor parks at its end and no partial run
-       is emitted, matching the cursor-based formulation exactly. *)
+    (* Same head-skipping gap enumeration as [sweep_region], windowed:
+       walk the heads in [start, hi), emitting each free gap as a chunk.
+       [crossed] records that the last object ran past the window edge —
+       in that case the cursor parks at its end and no partial run is
+       emitted, matching the cursor-based formulation exactly. *)
     let start = max lz.pos lz.prev_end in
     let crossed = ref false in
-    Bitvec.fold_set_ranges mark ~lo:start ~hi ~init:()
-      ~f:(fun () pos len ->
-        for m = pos to pos + len - 1 do
-          if m >= lz.prev_end then begin
-            if m > lz.prev_end then
-              add_free heap ~addr:lz.prev_end ~size:(m - lz.prev_end);
-            let size = Arena.size_of arena m in
-            lz.llive <- lz.llive + size;
-            lz.prev_end <- m + size;
-            lz.pos <- m + size;
-            if lz.pos >= hi then crossed := true
-          end
-        done);
+    let m = ref (Bitvec.next_set_below mark start hi) in
+    while !m < hi do
+      let head = !m in
+      if head > lz.prev_end then
+        add_free heap ~addr:lz.prev_end ~size:(head - lz.prev_end);
+      let size = Arena.size_of arena head in
+      lz.llive <- lz.llive + size;
+      lz.prev_end <- head + size;
+      lz.pos <- head + size;
+      if lz.pos >= hi then crossed := true;
+      m := Bitvec.next_set_below mark (max (head + 1) lz.prev_end) hi
+    done;
     if not !crossed then begin
       (* Emit the partial free run up to the window edge.  This may
          split a long run across steps; the resulting chunks are still

@@ -20,6 +20,13 @@ val sweep_region : Cgc_heap.Heap.t -> lo:int -> hi:int -> region
 (** Scan one region of the mark bit vector.  Charges scan cost; safe to
     run from parallel worker threads. *)
 
+val gaps : region -> (int * int) list
+(** The region's interior free gaps as [(addr, len)], ascending: the runs
+    between consecutive live objects. *)
+
+val live : region -> int
+(** Slots of the live objects whose heads lie in the region. *)
+
 val merge : ?limit:int -> Cgc_heap.Heap.t -> region array -> int
 (** Clear the free list, install all free runs (clearing their allocation
     bits), and return the total live slots.  Regions must be given in

@@ -5,6 +5,7 @@ module Card_table = Cgc_heap.Card_table
 module Pool = Cgc_packets.Pool
 module Packet = Cgc_packets.Packet
 module Machine = Cgc_smp.Machine
+module Weakmem = Cgc_smp.Weakmem
 module Fence = Cgc_smp.Fence
 module Cost = Cgc_smp.Cost
 
@@ -25,6 +26,10 @@ type t = {
   mutable retraced : int;
   mutable overflows : int;
   mutable corrupt : int;
+  in_place : bool;
+      (* SC memory and batched mark fences: a packet store draws no
+         weak-memory PRNG value and fences nothing, so [acquire_input]
+         may filter an all-safe packet in place *)
   mutable scratch_safe : int array;
   mutable scratch_unsafe : int array;
       (* reusable partition buffers for [acquire_input]'s allocation-bit
@@ -34,11 +39,15 @@ type t = {
 }
 
 let create cfg heap pl =
+  let mach = Heap.machine heap in
   {
     cfg;
     heap;
     pl;
-    mach = Heap.machine heap;
+    mach;
+    in_place =
+      Weakmem.mode mach.Machine.wm = Weakmem.Sc
+      && not (Pool.naive_mark_fence pl);
     sessions = [];
     compact = None;
     marked = 0;
@@ -96,6 +105,14 @@ let confiscate_all t =
     t.sessions;
   t.sessions <- []
 
+(* Whether every entry of [p] already has its allocation bit set — a
+   committed-state test, exact only where reads are never masked (SC). *)
+let all_safe abits p =
+  let rec go i =
+    i < 0 || (Alloc_bits.is_set_sc abits (Packet.get_sc p i) && go (i - 1))
+  in
+  go (Packet.count p - 1)
+
 (* Acquire an input packet, applying the section 5.2 allocation-bit
    filtering.  Unsafe entries are moved to a deferred packet.  Returns a
    packet guaranteed to contain only safe entries (it may come back empty
@@ -107,6 +124,17 @@ let rec acquire_input ?(tries = 3) t =
     | None -> None
     | Some p ->
         if not t.cfg.Config.defer_protocol then Some p
+        else if t.in_place && all_safe (Heap.alloc_bits t.heap) p then begin
+          (* Every entry is safe: the summed per-entry charge, the fence
+             and the reversal are exactly what popping each entry and
+             pushing it back leaves (a packet from [get_input] is never
+             empty).  Only where a packet store is a plain write. *)
+          Machine.charge t.mach
+            (Packet.count p * t.mach.Machine.cost.Cost.trace_slot);
+          Machine.fence t.mach Fence.Packet_defer;
+          Packet.reverse p;
+          Some p
+        end
         else begin
           let abits = Heap.alloc_bits t.heap in
           let n = Packet.count p in
@@ -280,15 +308,17 @@ let push_root t s v =
 
 let scan_object t s ~retrace addr =
   let arena = Heap.arena t.heap in
-  if not (Arena.header_valid arena addr) then begin
+  (* One header load: validity, size and nrefs all decode from it. *)
+  let h = Arena.read_slot arena addr in
+  if not (Arena.header_ok arena addr h) then begin
     (* Tracing an object whose initialising stores are not yet visible:
        the section 5.2 anomaly.  Real hardware would fault; we count. *)
     t.corrupt <- t.corrupt + 1;
     0
   end
   else begin
-    let size = Arena.size_of arena addr in
-    let nrefs = Arena.nrefs_of arena addr in
+    let size = Arena.decode_size h in
+    let nrefs = Arena.decode_nrefs h in
     let c = t.mach.Machine.cost in
     Machine.charge t.mach (c.Cost.trace_obj + (nrefs * c.Cost.trace_slot));
     (* Do not read a child's header here: it may be a freshly allocated
@@ -322,6 +352,8 @@ let scan_object t s ~retrace addr =
     size
   end
 
+let is_input s p = match s.input with Some q -> q == p | None -> false
+
 let trace_until t s ~budget =
   let traced = ref 0 in
   let continue = ref true in
@@ -331,13 +363,27 @@ let trace_until t s ~budget =
       match input_with_work t s with
       | None -> continue := false
       | Some p ->
-          let addr = Pool.pop_raw t.pl p in
-          if addr <> Pool.no_entry then begin
-            traced := !traced + scan_object t s ~retrace:false addr;
-            (* Safe point: spend the accumulated cycle debt.  Preemption
-               can only happen here, between whole-object scans. *)
-            Machine.flush t.mach
-          end
+          (* Drain [p] while it stays this session's input: after each
+             safe point the world may have stopped (stolen), the budget
+             run out, the packet emptied, or [push_to_output] swapped it
+             to the output role.  Any of those goes back to the outer
+             loop, which re-examines the session exactly as per-object
+             iteration did. *)
+          let draining = ref true in
+          while !draining do
+            let addr = Pool.pop_raw t.pl p in
+            if addr = Pool.no_entry then draining := false
+            else begin
+              traced := !traced + scan_object t s ~retrace:false addr;
+              (* Safe point: spend the accumulated cycle debt.  Preemption
+                 can only happen here, between whole-object scans. *)
+              Machine.flush t.mach;
+              draining :=
+                !traced < budget && (not s.is_stolen)
+                && (not (Packet.is_empty p))
+                && is_input s p
+            end
+          done
   done;
   Machine.flush t.mach;
   !traced

@@ -59,6 +59,13 @@ val scan_object : t -> session -> retrace:bool -> int -> int
     the object's size in slots.  [retrace] marks a card-cleaning rescan
     (not counted as first-time mark volume). *)
 
+val acquire_input : ?tries:int -> t -> Cgc_packets.Packet.t option
+(** Take an input packet from the pool through the section 5.2 filter:
+    unsafe entries are parked in the Deferred sub-pool and the packet
+    returned holds only safe ones; an emptied packet goes back and
+    another is tried, up to [tries] (default 3) times.  {!trace_until}
+    acquires its input this way; exposed for the filter's tests. *)
+
 val trace_until : t -> session -> budget:int -> int
 (** Pop and scan objects until [budget] slots have been traced or no
     input work can be acquired.  Returns slots traced.  Flushes charge

@@ -31,3 +31,7 @@ val prev_set : t -> int -> int
 
 val next_set : t -> int -> int
 (** Committed-state scan forward; [nslots] if none. *)
+
+val next_set_below : t -> int -> int -> int
+(** [next_set_below t i hi]: committed-state scan forward over [[i, hi)]
+    only; [hi] (clamped to [nslots]) if none. *)

@@ -6,6 +6,7 @@ type t = {
   data : int array;
   n : int;
   wm_base : int;
+  sc : bool; (* [Weakmem.mode] never changes, so it is resolved here once *)
 }
 
 let slots_per_card = 64
@@ -13,7 +14,8 @@ let slots_per_card = 64
 let create mach ~nslots =
   if nslots < slots_per_card then invalid_arg "Arena.create: heap too small";
   let wm_base = Weakmem.register mach.Machine.wm nslots in
-  { mach; data = Array.make nslots 0; n = nslots; wm_base }
+  { mach; data = Array.make nslots 0; n = nslots; wm_base;
+    sc = Weakmem.mode mach.Machine.wm = Weakmem.Sc }
 
 let machine t = t.mach
 let nslots t = t.n
@@ -21,20 +23,15 @@ let ncards t = (t.n + slots_per_card - 1) / slots_per_card
 let card_of_addr addr = addr / slots_per_card
 
 let read_slot t i =
-  let wm = t.mach.Machine.wm in
-  match Weakmem.mode wm with
-  | Sc -> t.data.(i)
-  | Relaxed ->
-      Weakmem.read wm ~cpu:(Machine.cpu t.mach) ~now:(Machine.now t.mach)
-        ~key:(t.wm_base + i) ~current:t.data.(i)
+  if t.sc then t.data.(i)
+  else
+    Weakmem.read t.mach.Machine.wm ~cpu:(Machine.cpu t.mach)
+      ~now:(Machine.now t.mach) ~key:(t.wm_base + i) ~current:t.data.(i)
 
 let write_slot t i v =
-  let wm = t.mach.Machine.wm in
-  (match Weakmem.mode wm with
-  | Sc -> ()
-  | Relaxed ->
-      Weakmem.store wm ~cpu:(Machine.cpu t.mach) ~now:(Machine.now t.mach)
-        ~key:(t.wm_base + i) ~prev:t.data.(i));
+  if not t.sc then
+    Weakmem.store t.mach.Machine.wm ~cpu:(Machine.cpu t.mach)
+      ~now:(Machine.now t.mach) ~key:(t.wm_base + i) ~prev:t.data.(i);
   t.data.(i) <- v
 
 let read_slot_sc t i = t.data.(i)
@@ -64,19 +61,14 @@ let clear_fields t addr ~size ~nrefs =
 let size_of t addr = decode_size (read_slot t addr)
 let nrefs_of t addr = decode_nrefs (read_slot t addr)
 
-let header_valid t addr =
-  let h = read_slot t addr in
+let header_ok t addr h =
   h land tag <> 0
   &&
   let size = decode_size h and nrefs = decode_nrefs h in
   size >= 1 && addr + size <= t.n && nrefs <= size - 1
 
-let header_valid_sc t addr =
-  let h = read_slot_sc t addr in
-  h land tag <> 0
-  &&
-  let size = decode_size h and nrefs = decode_nrefs h in
-  size >= 1 && addr + size <= t.n && nrefs <= size - 1
+let header_valid t addr = header_ok t addr (read_slot t addr)
+let header_valid_sc t addr = header_ok t addr (read_slot_sc t addr)
 
 let size_of_sc t addr = decode_size (read_slot_sc t addr)
 let nrefs_of_sc t addr = decode_nrefs (read_slot_sc t addr)

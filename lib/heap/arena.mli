@@ -62,6 +62,17 @@ val header_valid : t -> int -> bool
     within the heap, nrefs <= size-1).  Used to detect the section 5.2
     anomaly when the protocol is deliberately disabled in tests. *)
 
+val header_ok : t -> int -> int -> bool
+(** [header_ok t addr h]: {!header_valid}'s test applied to a header
+    word [h] already read from [addr] with {!read_slot}, for a caller
+    that decodes validity, size and nrefs from one load. *)
+
+val decode_size : int -> int
+(** The size field of a header word. *)
+
+val decode_nrefs : int -> int
+(** The nrefs field of a header word. *)
+
 (** {2 Committed-state accessors}
 
     These bypass store-buffer masking and need no running simulated

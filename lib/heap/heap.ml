@@ -189,22 +189,22 @@ let iter_marked_on_card t card f =
   | a ->
       let size = Arena.size_of t.arena a in
       if size >= 1 && a + size > lo then f a);
-  let i = ref (Bitvec.next_set t.mark lo) in
+  let i = ref (Bitvec.next_set_below t.mark lo hi) in
   while !i < hi do
     f !i;
-    i := Bitvec.next_set t.mark (!i + 1)
+    i := Bitvec.next_set_below t.mark (!i + 1) hi
   done
 
 let iter_objects_on_card t card f =
   let lo = card * Arena.slots_per_card in
   let hi = min t.n (lo + Arena.slots_per_card) in
   (* Object spanning the card start. *)
-  let first_inside = Alloc_bits.next_set t.abits lo in
+  let first_inside = Alloc_bits.next_set_below t.abits lo hi in
   (match object_overlapping t lo with
   | Some a when a < lo -> f a
   | _ -> ());
   let i = ref first_inside in
   while !i < hi do
     f !i;
-    i := Alloc_bits.next_set t.abits (!i + 1)
+    i := Alloc_bits.next_set_below t.abits (!i + 1) hi
   done

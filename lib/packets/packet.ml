@@ -7,11 +7,13 @@ type t = {
   data : int array;
   mutable n : int;
   wm_base : int;
+  sc : bool; (* [Weakmem.mode] never changes, so it is resolved here once *)
 }
 
 let make mach ~id ~capacity =
   let wm_base = Weakmem.register mach.Machine.wm capacity in
-  { mach; pid = id; data = Array.make capacity 0; n = 0; wm_base }
+  { mach; pid = id; data = Array.make capacity 0; n = 0; wm_base;
+    sc = Weakmem.mode mach.Machine.wm = Weakmem.Sc }
 
 let id t = t.pid
 let capacity t = Array.length t.data
@@ -20,20 +22,15 @@ let is_empty t = t.n = 0
 let is_full t = t.n = Array.length t.data
 
 let read t i =
-  let wm = t.mach.Machine.wm in
-  match Weakmem.mode wm with
-  | Sc -> t.data.(i)
-  | Relaxed ->
-      Weakmem.read wm ~cpu:(Machine.cpu t.mach) ~now:(Machine.now t.mach)
-        ~key:(t.wm_base + i) ~current:t.data.(i)
+  if t.sc then t.data.(i)
+  else
+    Weakmem.read t.mach.Machine.wm ~cpu:(Machine.cpu t.mach)
+      ~now:(Machine.now t.mach) ~key:(t.wm_base + i) ~current:t.data.(i)
 
 let write t i v =
-  let wm = t.mach.Machine.wm in
-  (match Weakmem.mode wm with
-  | Sc -> ()
-  | Relaxed ->
-      Weakmem.store wm ~cpu:(Machine.cpu t.mach) ~now:(Machine.now t.mach)
-        ~key:(t.wm_base + i) ~prev:t.data.(i));
+  if not t.sc then
+    Weakmem.store t.mach.Machine.wm ~cpu:(Machine.cpu t.mach)
+      ~now:(Machine.now t.mach) ~key:(t.wm_base + i) ~prev:t.data.(i);
   t.data.(i) <- v
 
 let push t v =
@@ -61,6 +58,20 @@ let pop t =
   end
 
 let peek t = if t.n = 0 then None else Some (read t (t.n - 1))
+
+let get_sc t i = t.data.(i)
+
+let reverse t =
+  if not t.sc then invalid_arg "Packet.reverse: needs SC memory";
+  let d = t.data in
+  let i = ref 0 and j = ref (t.n - 1) in
+  while !i < !j do
+    let x = d.(!i) in
+    d.(!i) <- d.(!j);
+    d.(!j) <- x;
+    incr i;
+    decr j
+  done
 
 let iter t f =
   for i = 0 to t.n - 1 do

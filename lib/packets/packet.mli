@@ -40,6 +40,16 @@ val peek : t -> int option
     the tracer prefetch the next object because, unlike a mark stack's
     top, it is always known. *)
 
+val get_sc : t -> int -> int
+(** [get_sc p i]: committed entry [i] ([0] oldest), bypassing
+    store-buffer masking. *)
+
+val reverse : t -> unit
+(** Reverse the entries in place: the order that popping every entry and
+    pushing it back leaves.  The entries are rewritten as plain stores,
+    so this is only allowed under SC memory, where a push records no
+    weak-memory store ([Invalid_argument] otherwise). *)
+
 val iter : t -> (int -> unit) -> unit
 (** Iterate current entries (weak-memory aware reads), newest last. *)
 

@@ -59,6 +59,7 @@ let create ?(fence_on_put = true) ?(naive_mark_fence = false)
   t
 
 let machine t = t.mach
+let naive_mark_fence t = t.naive_mark_fence
 let total t = Array.length t.packets
 let capacity t = t.cap
 

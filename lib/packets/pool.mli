@@ -39,6 +39,10 @@ val create :
     starvation windows (still charging the probe). *)
 
 val machine : t -> Cgc_smp.Machine.t
+
+val naive_mark_fence : t -> bool
+(** Whether every push fences (the ablation [create] option). *)
+
 val total : t -> int
 val capacity : t -> int
 

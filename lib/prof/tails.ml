@@ -18,6 +18,7 @@
 
 let schema = "cgcsim-tails-v1"
 let lbo_schema = "cgcsim-lbo-v1"
+let bench_schema = "cgcsim-bench-v1"
 
 (* ------------------------- JSON accessors ------------------------- *)
 
@@ -378,15 +379,15 @@ let lbo_of_bench s =
   | Error e -> Error e
   | Ok j -> (
       match mem "schema" j with
-      | Some (Json.Str "cgcsim-bench-v1") -> (
+      | Some (Json.Str v) when v = bench_schema -> (
           match mem "cells" j with
           | Some (Json.Arr cells) ->
               Ok (lbo_rows (List.filter_map lbo_point cells))
           | _ -> Error "bench document has no cells array")
       | Some (Json.Str v) ->
           Error
-            (Printf.sprintf "unsupported bench schema %s (want cgcsim-bench-v1)"
-               v)
+            (Printf.sprintf "unsupported bench schema %s (want %s)" v
+               bench_schema)
       | _ -> Error "missing schema tag")
 
 (* Single-report LBO: the report is its own group of one, so the

@@ -26,6 +26,10 @@ val schema : string
 val lbo_schema : string
 (** ["cgcsim-lbo-v1"]. *)
 
+val bench_schema : string
+(** ["cgcsim-bench-v1"]: the benchmark matrix document [bench/main.exe]
+    writes and {!lbo_of_bench} reads. *)
+
 type tail = {
   rid : int;  (** fleet-unique request id *)
   shard : int;  (** shard that served it *)
@@ -82,7 +86,7 @@ type lbo_row = {
 }
 
 val lbo_of_bench : string -> (lbo_row list, string) result
-(** Distill a [cgcsim-bench-v1] document; cells without a latency or
+(** Distill a {!bench_schema} document; cells without a latency or
     throughput signal are skipped. *)
 
 val lbo_of_report : string -> (lbo_row, string) result

@@ -138,6 +138,26 @@ let next_set t i =
     if r > t.len then t.len else r
   end
 
+let next_set_below t i hi =
+  let hi = if hi > t.len then t.len else hi in
+  if i >= hi then hi
+  else begin
+    let w = ref (i / bits_per_word) in
+    let cur = t.words.(!w) lsr (i mod bits_per_word) in
+    let r =
+      if cur <> 0 then i + lowest_bit cur
+      else begin
+        let last = (hi - 1) / bits_per_word in
+        incr w;
+        while !w <= last && t.words.(!w) = 0 do
+          incr w
+        done;
+        if !w > last then hi else (!w * bits_per_word) + lowest_bit t.words.(!w)
+      end
+    in
+    if r > hi then hi else r
+  end
+
 let next_clear t i =
   if i >= t.len then t.len
   else begin

@@ -34,6 +34,13 @@ val next_set : t -> int -> int
 (** [next_set t i] is the index of the first set bit at or after [i], or
     [length t] if none. *)
 
+val next_set_below : t -> int -> int -> int
+(** [next_set_below t i hi] is the index of the first set bit in
+    [\[i, hi)], or [hi] if none, with [hi] clamped to [length t].  It
+    never reads a word past the one holding bit [hi - 1], so a scan of a
+    short window costs the window, not the distance to the next set bit
+    beyond it. *)
+
 val next_clear : t -> int -> int
 (** First clear bit at or after [i], or [length t]. *)
 

@@ -273,6 +273,42 @@ let sweep_model =
       let dark = Freelist.dark_matter (Heap.freelist h) in
       live = expected_live && free + dark + live = nslots - 1)
 
+(* Property: [sweep_region]'s head-skipping scan finds the same gaps and
+   live volume as visiting every mark bit of the region.  Marks may sit
+   inside another marked object's extent (they are skipped), headers may
+   decode to size 0, and objects may run past the region's end. *)
+let sweep_region_per_bit =
+  QCheck.Test.make ~name:"sweep_region matches a per-bit scan" ~count:300
+    QCheck.(
+      triple (int_range 0 300) (int_range 1 400)
+        (list_of_size (Gen.int_range 0 60)
+           (pair (int_range 1 511) (int_range 0 70))))
+    (fun (lo, len, marks) ->
+      let nslots = 512 in
+      let lo = max 1 lo in
+      let hi = min nslots (lo + len) in
+      let h = mk_heap ~nslots () in
+      let arena = Heap.arena h in
+      List.iter
+        (fun (addr, size) ->
+          if size = 0 then Arena.write_slot arena addr 0
+          else Arena.write_header arena addr ~size ~nrefs:0;
+          ignore (Heap.mark_test_and_set h addr))
+        marks;
+      let gaps = ref [] and live = ref 0 and cur_end = ref (-1) in
+      let first = ref true in
+      for m = lo to hi - 1 do
+        if Heap.is_marked h m && m >= !cur_end then begin
+          if !first then first := false
+          else if m > !cur_end then gaps := (!cur_end, m - !cur_end) :: !gaps;
+          let size = Arena.size_of_sc arena m in
+          live := !live + size;
+          cur_end := m + size
+        end
+      done;
+      let r = Sweep.sweep_region h ~lo ~hi in
+      Sweep.gaps r = List.rev !gaps && Sweep.live r = !live)
+
 let () =
   Alcotest.run "sweep"
     [
@@ -295,6 +331,7 @@ let () =
           Alcotest.test_case "allocatable after sweep" `Quick
             test_allocatable_after_sweep;
           QCheck_alcotest.to_alcotest sweep_model;
+          QCheck_alcotest.to_alcotest sweep_region_per_bit;
         ] );
       ( "lazy",
         [

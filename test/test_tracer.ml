@@ -236,6 +236,61 @@ let test_corruption_detection_disabled_protocol () =
   check cb "corruption observed without the protocol" true
     (Tracer.corruptions env.tracer > 0)
 
+(* Property: the in-place allocation-bit filter (SC memory, batched
+   fences) leaves exactly what the per-entry pop and re-push filter
+   leaves.  The reference runs the same pool under relaxed memory on one
+   CPU, where every read sees the committed value but each packet store
+   goes through the store buffer, so the tracer has to pop and push.
+   Compared: the entries of every packet handed out, in order, the
+   pool's entry count, high-water mark and sub-pool counters, the total
+   charge and the fences. *)
+let filter_in_place_matches_pop_push =
+  (* a packet: whether all its entries are published, and its entries
+     with whether each one is *)
+  let packet =
+    QCheck.(
+      pair bool (list_of_size (Gen.int_range 0 8) (pair (int_range 1 255) bool)))
+  in
+  QCheck.Test.make ~name:"in-place filter matches pop and re-push" ~count:300
+    QCheck.(pair (int_range 2 6) (list_of_size (Gen.int_range 1 5) packet))
+    (fun (spare, packets) ->
+      let run mode =
+        let mach = Machine.testing ~mode () in
+        let heap = Heap.create mach ~nslots:256 in
+        let pool =
+          Pool.create mach ~n_packets:(List.length packets + spare) ~capacity:8
+        in
+        let tracer = Tracer.create Config.default heap pool in
+        let abits = Heap.alloc_bits heap in
+        List.iter
+          (fun (all_safe, entries) ->
+            let p = Option.get (Pool.get_output pool) in
+            List.iter
+              (fun (addr, safe) ->
+                if all_safe || safe then Alloc_bits.set abits addr;
+                ignore (Pool.push pool p addr))
+              entries;
+            Pool.put pool p)
+          packets;
+        let handed = ref [] in
+        let rec drain () =
+          match Tracer.acquire_input tracer with
+          | None -> ()
+          | Some p ->
+              let es = ref [] in
+              Cgc_packets.Packet.iter p (fun v -> es := v :: !es);
+              handed := List.rev !es :: !handed;
+              drain ()
+        in
+        drain ();
+        Machine.flush mach;
+        ( List.rev !handed,
+          (Pool.entries pool, Pool.max_entries pool, Pool.counts pool),
+          Machine.now mach,
+          Cgc_smp.Fence.total mach.Machine.fences )
+      in
+      run Cgc_smp.Weakmem.Sc = run Cgc_smp.Weakmem.Relaxed)
+
 let () =
   Alcotest.run "tracer"
     [
@@ -260,5 +315,6 @@ let () =
           Alcotest.test_case "confiscation" `Quick test_confiscation;
           Alcotest.test_case "corruption without protocol" `Quick
             test_corruption_detection_disabled_protocol;
+          QCheck_alcotest.to_alcotest filter_in_place_matches_pop_push;
         ] );
     ]

@@ -440,6 +440,42 @@ let bitvec_model_test =
         model;
       true)
 
+(* next_set_below against a naive bit loop: lengths that cross the
+   62-bit word boundary, windows that start at or past their end, and
+   window ends past the vector's length. *)
+let bitvec_next_set_below_test =
+  QCheck.Test.make ~name:"next_set_below matches a naive bit loop" ~count:500
+    QCheck.(
+      quad (int_bound 200) (int_bound 5)
+        (list (int_bound 199))
+        (pair (int_bound 260) (int_bound 260)))
+    (fun (n, dense, bits, (i, hi)) ->
+      let v = Bitvec.create n in
+      if n > 0 then begin
+        List.iter (fun b -> Bitvec.set v (b mod n)) bits;
+        (* every [dense]-th bit too, so whole words are sometimes full *)
+        if dense > 0 then
+          for b = 0 to n - 1 do
+            if b mod (dense + 1) = 0 then Bitvec.set v b
+          done
+      end;
+      let hi' = min hi n in
+      let rec naive j =
+        if j >= hi' then hi' else if Bitvec.get v j then j else naive (j + 1)
+      in
+      Bitvec.next_set_below v i hi = naive i)
+
+let test_bitvec_next_set_below () =
+  let v = Bitvec.create 200 in
+  List.iter (Bitvec.set v) [ 5; 61; 62; 130 ];
+  check ci "first in window" 5 (Bitvec.next_set_below v 0 10);
+  check ci "none below hi" 10 (Bitvec.next_set_below v 6 10);
+  check ci "last bit of word 0" 61 (Bitvec.next_set_below v 6 62);
+  check ci "crosses into word 1" 62 (Bitvec.next_set_below v 62 63);
+  check ci "window ends at the bit" 100 (Bitvec.next_set_below v 63 100);
+  check ci "i >= hi" 7 (Bitvec.next_set_below v 9 7);
+  check ci "hi clamped to length" 200 (Bitvec.next_set_below v 131 1_000)
+
 let bitvec_range_test =
   QCheck.Test.make ~name:"set_range/clear_range match model" ~count:200
     QCheck.(quad (int_bound 300) (int_bound 300) (int_bound 300) bool)
@@ -663,6 +699,7 @@ let () =
           Alcotest.test_case "test_and_set" `Quick test_bitvec_test_and_set;
           Alcotest.test_case "ranges" `Quick test_bitvec_ranges;
           Alcotest.test_case "next_set" `Quick test_bitvec_next_set;
+          Alcotest.test_case "next_set_below" `Quick test_bitvec_next_set_below;
           Alcotest.test_case "next_clear" `Quick test_bitvec_next_clear;
           Alcotest.test_case "prev_set" `Quick test_bitvec_prev_set;
           Alcotest.test_case "count_range" `Quick test_bitvec_count_range;
@@ -670,6 +707,7 @@ let () =
             test_bitvec_fold_set_ranges;
           QCheck_alcotest.to_alcotest bitvec_model_test;
           QCheck_alcotest.to_alcotest bitvec_range_test;
+          QCheck_alcotest.to_alcotest bitvec_next_set_below_test;
         ] );
       ( "ringbuf",
         [
