@@ -3,15 +3,14 @@
    JSON document (schema cgcsim-bench-v1) — the benchmark trajectory the
    repo tracks across PRs.
 
-     dune exec bench/main.exe -- matrix --jobs 4 --out BENCH_PR8.json \
+     dune exec bench/main.exe -- matrix --jobs 4 --out BENCH_PR10.json \
          --trace-out bench-cell0.trace.json
 
    Cells are independent simulations (each owns its VM, machine, PRNG
    and event rings), so --jobs N fans them out over N OCaml 5 domains.
-   Parallelism is host-side only: the simulated results and the cell
-   order in the JSON are identical at every job count; only the
-   host-timing fields (every key prefixed "host", so determinism diffs
-   can exclude them with a single filter) change between runs.
+   Parallelism is host-side only: the document is byte-identical at
+   every job count.  It holds no host timing; perfbench/ measures host
+   speed.
 
    Cells run without a warm-up window so the trace covers the run from
    cycle 0 and the derived metrics account for every event.  The harness
@@ -271,60 +270,11 @@ let cell_json c vm srv =
 (* Everything a finished cell contributes, computed inside the worker
    domain so the (large) VM never escapes it. *)
 type cell_result = {
-  json : Json.t;  (* the cell's entry in the document, hostMs included *)
+  json : Json.t;  (* the cell's entry in the document *)
   drops : int;
-  emitted : int;  (* events accepted by the cell's rings (fleet: summed) *)
   row : string list;  (* the progress table row *)
   trace : string option;  (* Chrome trace, kept for cell 0 only *)
-  host_ms : float;
 }
-
-(* The committed PR 8 baseline this build is compared against.  The
-   full and fast matrices run different sweeps, so each carries its own
-   baseline file; [CGC_BASELINE] overrides the path (set it to an empty
-   string to skip the comparison, e.g. on CI hosts whose absolute speed
-   is not comparable to the machine that recorded the baseline). *)
-let baseline_path () =
-  match Sys.getenv_opt "CGC_BASELINE" with
-  | Some p -> if p = "" then None else Some p
-  | None ->
-      Some
-        (if Cgc_experiments.Common.quick () then
-           "bench/baselines/BENCH_PR8.fast.json"
-         else "bench/baselines/BENCH_PR8.json")
-
-(* Pull one "key": <float> field out of a baseline document without a
-   JSON parser: the files are machine-written by [Json.to_string], so a
-   textual scan for the quoted key is reliable. *)
-let scan_float_field path key =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    let needle = "\"" ^ key ^ "\":" in
-    let nlen = String.length needle in
-    let rec find i =
-      if i + nlen > len then None
-      else if String.sub s i nlen = needle then begin
-        let j = ref (i + nlen) in
-        while !j < len && (s.[!j] = ' ' || s.[!j] = '\n') do incr j done;
-        let k = ref !j in
-        while
-          !k < len
-          && (match s.[!k] with
-             | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-             | _ -> false)
-        do
-          incr k
-        done;
-        float_of_string_opt (String.sub s !j (!k - !j))
-      end
-      else find (i + 1)
-    in
-    find 0
-  end
 
 let run ?(out = "BENCH_PR10.json") ?trace_out ?(jobs = 1) () =
   Cgc_experiments.Common.hdr
@@ -336,7 +286,6 @@ let run ?(out = "BENCH_PR10.json") ?trace_out ?(jobs = 1) () =
     (max 1 jobs)
     (if max 1 jobs = 1 then "" else "s");
   Cgc_experiments.Common.set_jobs jobs;
-  let wall0 = Unix.gettimeofday () in
   let results =
     Cgc_experiments.Common.par_map
       ~progress:(fun _ (i, c) ->
@@ -344,32 +293,13 @@ let run ?(out = "BENCH_PR10.json") ?trace_out ?(jobs = 1) () =
       (List.mapi (fun i c -> (i, c)) cells)
       (fun (i, c) ->
         let label = cell_label c in
-        let t0 = Unix.gettimeofday () in
-        let ran = run_cell c in
-        let host_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
-        match ran with
+        match run_cell c with
         | Sim (vm, srv) ->
             let trace =
               if i = 0 && trace_out <> None then Some (Vm.trace_json vm)
               else None
             in
             let json, drops, a = cell_json c vm srv in
-            let emitted = Obs.emitted (Vm.obs vm) in
-            let json =
-              match json with
-              | Json.Obj fields ->
-                  Json.Obj
-                    (fields
-                    @ [
-                        ("hostMs", Json.Float host_ms);
-                        ( "hostEventsPerS",
-                          Json.Float
-                            (if host_ms > 0.0 then
-                               1000.0 *. float_of_int emitted /. host_ms
-                             else 0.0) );
-                      ])
-              | j -> j
-            in
             let mmu20 =
               match
                 List.find_opt
@@ -389,12 +319,11 @@ let run ?(out = "BENCH_PR10.json") ?trace_out ?(jobs = 1) () =
                 Cgc_util.Table.f3 a.Analysis.balance.Analysis.fairness;
                 string_of_int drops ]
             in
-            { json; drops; emitted; row; trace; host_ms }
+            { json; drops; row; trace }
         | Fleet r ->
             let tot = Cluster.fleet_totals r in
             let sum f = Array.fold_left (fun acc s -> acc + f s) 0 r.Cluster.shards in
             let drops = sum (fun s -> s.Shard.dropped) in
-            let emitted = sum (fun s -> s.Shard.emitted) in
             let cycles = sum (fun s -> s.Shard.gc_cycles) in
             let max_pause =
               Array.fold_left
@@ -417,12 +346,6 @@ let run ?(out = "BENCH_PR10.json") ?trace_out ?(jobs = 1) () =
                   ("gcCycles", Json.Int cycles);
                   ("dropped", Json.Int drops);
                   ("cluster", Cluster_report.to_json r);
-                  ("hostMs", Json.Float host_ms);
-                  ( "hostEventsPerS",
-                    Json.Float
-                      (if host_ms > 0.0 then
-                         1000.0 *. float_of_int emitted /. host_ms
-                       else 0.0) );
                 ]
             in
             let row =
@@ -436,9 +359,8 @@ let run ?(out = "BENCH_PR10.json") ?trace_out ?(jobs = 1) () =
                 "-";
                 string_of_int drops ]
             in
-            { json; drops; emitted; row; trace = None; host_ms })
+            { json; drops; row; trace = None })
   in
-  let host_wall_ms = 1000.0 *. (Unix.gettimeofday () -. wall0) in
   (match (trace_out, results) with
   | Some file, { trace = Some trace; _ } :: _ ->
       Cgc_obs.Export.write_file file trace;
@@ -451,86 +373,16 @@ let run ?(out = "BENCH_PR10.json") ?trace_out ?(jobs = 1) () =
   List.iter (fun r -> Cgc_util.Table.add_row t r.row) results;
   Cgc_util.Table.print t;
   let total_drops = List.fold_left (fun acc r -> acc + r.drops) 0 results in
-  let host_serial_ms =
-    List.fold_left (fun acc r -> acc +. r.host_ms) 0.0 results
-  in
-  (* Host event throughput: the perf-smoke signal.  Simulated event
-     counts are deterministic, so dividing by host wall time isolates
-     host-side regressions (the field is host-prefixed and therefore
-     excluded from determinism diffs). *)
-  let total_emitted =
-    List.fold_left (fun acc r -> acc + r.emitted) 0 results
-  in
-  let host_events_per_s =
-    if host_wall_ms > 0.0 then
-      1000.0 *. float_of_int total_emitted /. host_wall_ms
-    else 0.0
-  in
-  (* Compare against the committed PR 8 baseline recorded on the same
-     matrix.  Both extra fields are host-prefixed, so determinism diffs
-     drop them along with the other wall-clock fields. *)
-  let baseline_eps =
-    match baseline_path () with
-    | None -> None
-    | Some p -> scan_float_field p "hostEventsPerSec"
-  in
-  let speedup_fields =
-    match baseline_eps with
-    | Some b when b > 0.0 ->
-        [
-          ("hostBaselineEventsPerSec", Json.Float b);
-          ("hostSpeedupVsPr8", Json.Float (host_events_per_s /. b));
-        ]
-    | _ -> []
-  in
   let doc =
     Json.Obj
-      ([
-         ("schema", Json.Str bench_schema);
-         ("fast", Json.Bool (Cgc_experiments.Common.quick ()));
-         (* Host-timing fields all start with "host" so a determinism
-            diff can drop them with one grep filter on the key prefix. *)
-         ("hostJobs", Json.Int (max 1 jobs));
-         ("hostWallMs", Json.Float host_wall_ms);
-         ("hostSerialEstMs", Json.Float host_serial_ms);
-         ("hostEventsPerSec", Json.Float host_events_per_s);
-         ( "hostSpeedup",
-           Json.Float
-             (if host_wall_ms > 0.0 then host_serial_ms /. host_wall_ms
-              else 0.0) );
-       ]
-      @ speedup_fields
-      @ [ ("cells", Json.Arr (List.map (fun r -> r.json) results)) ])
+      [
+        ("schema", Json.Str bench_schema);
+        ("fast", Json.Bool (Cgc_experiments.Common.quick ()));
+        ("cells", Json.Arr (List.map (fun r -> r.json) results));
+      ]
   in
   Cgc_obs.Export.write_file out (Json.to_string ~pretty:true doc);
-  (match baseline_eps with
-  | Some b when b > 0.0 ->
-      let ratio = host_events_per_s /. b in
-      let table =
-        Printf.sprintf
-          "# Benchmark matrix: before / after\n\n\
-           | | PR 8 baseline | this build |\n\
-           |---|---|---|\n\
-           | host events/sec | %.0f | %.0f |\n\
-           | matrix wall | %.1f s | %.1f s |\n\n\
-           Speedup vs committed baseline: **%.2fx** (`hostSpeedupVsPr8`).\n\
-           Simulated outputs are byte-identical; only host-prefixed\n\
-           wall-clock fields differ between the two runs.\n"
-          b host_events_per_s
-          (1000.0 *. float_of_int total_emitted /. b /. 1000.0)
-          (host_wall_ms /. 1000.0)
-          ratio
-      in
-      let table_path = Filename.concat (Filename.dirname out) "PERF_TABLE.md" in
-      Cgc_obs.Export.write_file table_path table;
-      Printf.printf "speedup vs PR 8 baseline: %.2fx (table in %s)\n%!" ratio
-        table_path
-  | _ -> ());
-  Printf.printf
-    "benchmark matrix written to %s (%.1f s wall, %.1f s serial estimate, \
-     %.2fx)\n"
-    out (host_wall_ms /. 1000.0) (host_serial_ms /. 1000.0)
-    (if host_wall_ms > 0.0 then host_serial_ms /. host_wall_ms else 0.0);
+  Printf.printf "benchmark matrix written to %s\n" out;
   if total_drops > 0 then begin
     Printf.eprintf
       "bench: FAIL — %d events dropped by ring overflow across the matrix; \

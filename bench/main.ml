@@ -188,14 +188,14 @@ let () =
         | Some ms when ms > 0.0 -> profile_ms := ms
         | _ ->
             Printf.eprintf "--ms expects a positive number, got %s\n" v;
-            exit 2);
+            exit Cgc_cli.Exit_codes.usage);
         strip rest
     | "--jobs" :: v :: rest ->
         (match int_of_string_opt v with
         | Some n when n >= 1 -> jobs := n
         | _ ->
             Printf.eprintf "--jobs expects a positive integer, got %s\n" v;
-            exit 2);
+            exit Cgc_cli.Exit_codes.usage);
         strip rest
     | x :: rest -> x :: strip rest
     | [] -> []
@@ -227,5 +227,5 @@ let () =
           | None ->
               Printf.eprintf "unknown target %s; available: %s all\n" name
                 (String.concat " " (List.map fst targets));
-              exit 1)
+              exit Cgc_cli.Exit_codes.usage)
         names

@@ -1,14 +1,22 @@
 (* Configuration fuzzing: random combinations of heap size, CPU count,
-   collector mode and features (tracing rate, packets, lazy sweep,
-   compaction, card passes, fence policy, memory model) each run a churn
-   workload briefly; afterwards the reachable heap must be fully intact
-   and the tracer must have observed no corruption.  This is the
-   failure-injection net that catches interactions the targeted tests
-   miss. *)
+   collector mode (stw, cgc, gen) and features (tracing rate, packets,
+   lazy sweep, compaction, card passes, fence policy, memory model) each
+   run a churn workload briefly; afterwards the reachable heap must be
+   fully intact and the tracer must have observed no corruption.  This
+   is the failure-injection net that catches interactions the targeted
+   tests miss.
+
+   The generator draws from the full option product; [Config.validate]
+   alone decides which combinations are legal.  The soundness property
+   runs only the legal ones, and a second property checks that
+   [Collector.create] rejects exactly the illegal ones. *)
 
 module Vm = Cgc_runtime.Vm
 module Mutator = Cgc_runtime.Mutator
 module Collector = Cgc_core.Collector
+module Sched = Cgc_sim.Sched
+module Heap = Cgc_heap.Heap
+module Machine = Cgc_smp.Machine
 module Config = Cgc_core.Config
 module Tracer = Cgc_core.Tracer
 module Objgraph = Cgc_workloads.Objgraph
@@ -54,7 +62,7 @@ let gen =
     let* heap_mb = oneofl [ 2.0; 4.0; 8.0 ] in
     let* ncpus = int_range 1 6 in
     let* workers = int_range 1 6 in
-    let* mode = oneofl [ Config.Cgc; Config.Stw ] in
+    let* mode = oneofl [ Config.Cgc; Config.Stw; Config.Gen ] in
     let* k0 = oneofl [ 1.0; 4.0; 8.0; 12.0 ] in
     let* n_packets = oneofl [ 8; 64; 1000 ] in
     let* capacity = oneofl [ 4; 64; 493 ] in
@@ -81,10 +89,8 @@ let gen =
           packet_capacity = capacity;
           n_background;
           card_passes;
-          (* lazy sweep and compaction are mutually exclusive; stealing is
-             only a baseline-mode load balancer and excludes compaction *)
-          lazy_sweep = lazy_sweep && not compaction;
-          compaction = compaction && not stealing;
+          lazy_sweep;
+          compaction;
           load_balance = (if stealing then Config.Stealing else Config.Packets);
         },
         relaxed,
@@ -110,11 +116,14 @@ let print_cfg
     (String.concat "," (List.map Fault.to_name (scenarios_of_mask fault_mask)))
     seed
 
+let arb = QCheck.make ~print:print_cfg gen
+
+(* About half the option product is legal, so allow ample draws. *)
 let fuzz =
   QCheck.Test.make ~name:"random configurations keep the heap sound"
-    ~count:fuzz_count
-    (QCheck.make ~print:print_cfg gen)
+    ~count:fuzz_count ~max_gen:(10 * fuzz_count) arb
     (fun (heap_mb, ncpus, workers, gc, relaxed, naive, fault_mask, seed) ->
+      QCheck.assume (Config.validate gc = Ok ());
       let scenarios = scenarios_of_mask fault_mask in
       let gc =
         if scenarios = [] then gc
@@ -149,6 +158,27 @@ let fuzz =
       Collector.check_reachable coll = []
       && Tracer.corruptions (Collector.tracer coll) = 0)
 
+let create_agrees_with_validate =
+  QCheck.Test.make
+    ~name:"Collector.create raises exactly when Config.validate rejects"
+    ~count:500 arb
+    (fun (_, _, _, gc, _, _, _, _) ->
+      let raised =
+        match
+          Collector.create gc ~sched:(Sched.create ~ncpus:1 ())
+            ~heap:(Heap.create (Machine.testing ()) ~nslots:16384)
+        with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      raised = Result.is_error (Config.validate gc))
+
 let () =
   Alcotest.run "fuzz"
-    [ ("fuzz", [ QCheck_alcotest.to_alcotest ~long:true fuzz ]) ]
+    [
+      ( "fuzz",
+        [
+          QCheck_alcotest.to_alcotest ~long:true fuzz;
+          QCheck_alcotest.to_alcotest create_agrees_with_validate;
+        ] );
+    ]
