@@ -6,7 +6,7 @@
 
 .PHONY: all build test doc doc-strict fmt-check verify fuzz bench \
 	bench-smoke bench-determinism serve-smoke cluster-smoke chaos-smoke \
-	perf-smoke tails-smoke gen-smoke clean
+	perf-smoke tails-smoke gen-smoke experiment-smoke clean
 
 # Number of random configurations `make fuzz` tries.
 FUZZ_COUNT ?= 100
@@ -76,13 +76,13 @@ bench: build
 	dune exec bench/main.exe -- matrix --jobs $(JOBS) \
 	  --out $(ART)/BENCH_PR10.json --trace-out $(ART)/bench-cell0.trace.json
 
-# Shrunk matrix for CI (<60 s): one SPECjbb cell, one pBOB cell, serve
-# cells (cgc and gen) and one cluster cell, then the offline analyzer
-# re-reads the emitted trace and fails on ring drops or a schema
-# mismatch.
+# Shrunk matrix for CI (<60 s, matrix --fast): one SPECjbb cell, one
+# pBOB cell, serve cells (cgc and gen) and one cluster cell, then the
+# offline analyzer re-reads the emitted trace and fails on ring drops or
+# a schema mismatch.
 bench-smoke: build
 	mkdir -p $(ART)
-	CGC_BENCH_FAST=1 dune exec bench/main.exe -- matrix --jobs $(JOBS) \
+	dune exec bench/main.exe -- matrix --fast --jobs $(JOBS) \
 	  --out $(ART)/BENCH_PR10.json --trace-out $(ART)/bench-cell0.trace.json
 	dune exec bin/cgcsim.exe -- analyze \
 	  --trace $(ART)/bench-cell0.trace.json --fail-on-drops
@@ -92,9 +92,9 @@ bench-smoke: build
 # cell-0 traces must be byte-identical.
 bench-determinism: build
 	mkdir -p $(ART)
-	CGC_BENCH_FAST=1 dune exec bench/main.exe -- matrix \
+	dune exec bench/main.exe -- matrix --fast \
 	  --out $(ART)/bench-serial.json --trace-out $(ART)/bench-serial.trace.json
-	CGC_BENCH_FAST=1 dune exec bench/main.exe -- matrix --jobs 2 \
+	dune exec bench/main.exe -- matrix --fast --jobs 2 \
 	  --out $(ART)/bench-par.json --trace-out $(ART)/bench-par.trace.json
 	cmp $(ART)/bench-serial.json $(ART)/bench-par.json
 	cmp $(ART)/bench-serial.trace.json $(ART)/bench-par.trace.json
@@ -264,12 +264,29 @@ tails-smoke: build
 	  --lbo > /dev/null
 	dune exec bin/cgcsim.exe -- analyze --trace $(ART)/tails-a \
 	  --fail-on-drops > /dev/null
-	CGC_BENCH_FAST=1 dune exec bench/main.exe -- matrix \
+	dune exec bench/main.exe -- matrix --fast \
 	  --out $(ART)/tails-bench.json \
 	  --trace-out $(ART)/tails-bench.trace.json > /dev/null
 	dune exec bin/cgcsim.exe -- analyze --bench $(ART)/tails-bench.json \
 	  --lbo --json $(ART)/lbo.json
 	@echo "tails smoke OK: forensics byte-identical at --jobs 1 vs 4, LBO distils"
+
+# Experiment smoke: two paper experiments in fast mode, each at --jobs 1
+# and --jobs 2, must print the same tables and write byte-identical
+# --metrics-out CSVs (the CSV is renamed after each run, so both stdouts
+# name the same path).
+experiment-smoke: build
+	mkdir -p $(ART)
+	for e in javac ablation-steal; do \
+	  for j in 1 2; do \
+	    dune exec bin/cgcsim.exe -- experiment $$e --fast --jobs $$j \
+	      --metrics-out $(ART)/exp-$$e.csv > $(ART)/exp-$$e-j$$j.txt \
+	      && mv $(ART)/exp-$$e.csv $(ART)/exp-$$e-j$$j.csv || exit 1; \
+	  done; \
+	  cmp $(ART)/exp-$$e-j1.txt $(ART)/exp-$$e-j2.txt || exit 1; \
+	  cmp $(ART)/exp-$$e-j1.csv $(ART)/exp-$$e-j2.csv || exit 1; \
+	done
+	@echo "experiment smoke OK: tables and metrics CSVs identical at --jobs 1 and 2"
 
 clean:
 	dune clean

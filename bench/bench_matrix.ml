@@ -64,9 +64,9 @@ let cell_label c =
 (* SPECjbb cells get deep rings (a dozen threads saturating 4 CPUs emit
    a lot); pBOB cells spread far fewer events over hundreds of threads,
    and rings are preallocated per thread, so theirs stay shallow. *)
-let matrix () =
-  let rates = if Cgc_experiments.Common.quick () then [ 8.0 ] else [ 4.0; 8.0; 12.0 ] in
-  let ms = if Cgc_experiments.Common.quick () then 800.0 else 1500.0 in
+let matrix ~fast =
+  let rates = if fast then [ 8.0 ] else [ 4.0; 8.0; 12.0 ] in
+  let ms = if fast then 800.0 else 1500.0 in
   let spec wh =
     List.map
       (fun k0 ->
@@ -100,7 +100,7 @@ let matrix () =
     { workload = "cluster"; warehouses = 0; k0 = 8.0; rate; shards; chaos;
       gc_mode = Config.Cgc; ms; ring = 1 lsl 17 }
   in
-  if Cgc_experiments.Common.quick () then
+  if fast then
     spec 4 @ pbob 8
     @ [ serve 6000.0; serve ~mode:Config.Gen 6000.0; cluster 2 6000.0;
         cluster ~chaos:Cluster_fault.Shard_restart 2 6000.0 ]
@@ -276,15 +276,15 @@ type cell_result = {
   trace : string option;  (* Chrome trace, kept for cell 0 only *)
 }
 
-let run ?(out = "BENCH_PR10.json") ?trace_out ?(jobs = 1) () =
+let run ~out ?trace_out ~jobs ~fast () =
   Cgc_experiments.Common.hdr
     (Printf.sprintf "Benchmark matrix (%s)" bench_schema);
-  let cells = matrix () in
+  let cells = matrix ~fast in
   let ncells = List.length cells in
   Printf.printf "%d cells, %s mode, %d job%s\n%!" ncells
-    (if Cgc_experiments.Common.quick () then "smoke" else "full")
-    (max 1 jobs)
-    (if max 1 jobs = 1 then "" else "s");
+    (if fast then "smoke" else "full")
+    jobs
+    (if jobs = 1 then "" else "s");
   Cgc_experiments.Common.set_jobs jobs;
   let results =
     Cgc_experiments.Common.par_map
@@ -377,7 +377,7 @@ let run ?(out = "BENCH_PR10.json") ?trace_out ?(jobs = 1) () =
     Json.Obj
       [
         ("schema", Json.Str bench_schema);
-        ("fast", Json.Bool (Cgc_experiments.Common.quick ()));
+        ("fast", Json.Bool fast);
         ("cells", Json.Arr (List.map (fun r -> r.json) results));
       ]
   in

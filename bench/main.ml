@@ -1,26 +1,19 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation section, runs the ablation studies from DESIGN.md,
-   and finishes with Bechamel micro-benchmarks of the collector's hot
-   operations.
+(* The benchmark harness: the fixed benchmark matrix, a sampling
+   profile of the simulator's own host time, and Bechamel
+   micro-benchmarks of the collector's hot operations.  The paper's
+   tables, figures and ablations are `cgcsim experiment NAME`.
 
-     dune exec bench/main.exe              # everything
-     dune exec bench/main.exe -- fig1      # one experiment
-     CGC_BENCH_FAST=1 dune exec bench/main.exe   # fast smoke sweep
+     dune exec bench/main.exe -- matrix --fast --jobs 2 \
+         --out BENCH_PR10.json --trace-out bench-cell0.trace.json
+     dune exec bench/main.exe -- profile --workload jbb --ms 2000
+     dune exec bench/main.exe -- micro
 
-   Targets: fig1 fig2 table1 table2 table3 table4 javac packetmem
-            serverlat genlat clusterlat clusterchaos ablation-fence
-            ablation-cardpass ablation-lazysweep ablation-steal
-            ablation-compact itanium micro matrix profile all
+   The flags are Cgc_cli.Flags' shared cmdliner terms, so a malformed
+   value exits 1, as it does for cgcsim. *)
 
-   The matrix target additionally honours --out FILE (default
-   BENCH_PR10.json), --trace-out FILE (Chrome trace of cell 0) and
-   --jobs N (run cells on N OCaml 5 domains; simulated results are
-   identical at every N, only host wall-clock changes).  --jobs also
-   fans out the per-target experiment sweeps.
-
-   The profile target samples the simulator's own host time (see
-   profile.ml) over one workload: --workload jbb|serve (default jbb)
-   and --ms N simulated milliseconds after the warm-up (default 2000). *)
+open Cmdliner
+open Term.Syntax
+open Cgc_cli.Flags
 
 module E = Cgc_experiments
 
@@ -86,10 +79,10 @@ let micro_tests () =
            ignore (Cgc_heap.Card_table.snapshot cards)));
   ]
 
-let run_micro () =
+let run_micro ~fast =
   E.Common.hdr "Micro-benchmarks (Bechamel, host nanoseconds per operation)";
   let tests = Test.make_grouped ~name:"cgc" (micro_tests ()) in
-  let quota = if E.Common.quick () then 0.2 else 0.5 in
+  let quota = if fast then 0.2 else 0.5 in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) () in
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
   let ols =
@@ -112,120 +105,43 @@ let run_micro () =
     rows;
   Cgc_util.Table.print t
 
-(* ----------------------------- dispatch ----------------------------- *)
+(* ----------------------------- commands ----------------------------- *)
 
-let targets : (string * (unit -> unit)) list =
-  [
-    ("fig1", fun () -> ignore (E.Fig1_specjbb.run ()));
-    ("fig2", fun () -> ignore (E.Fig2_pbob.run ()));
-    ( "table1",
-      fun () ->
-        let s = E.Tables123.run_sweep () in
-        E.Tables123.table1 s );
-    ( "table2",
-      fun () ->
-        let s = E.Tables123.run_sweep () in
-        E.Tables123.table2 s );
-    ( "table3",
-      fun () ->
-        let s = E.Tables123.run_sweep () in
-        E.Tables123.table3 s );
-    ("table4", fun () -> ignore (E.Table4_load_balance.run ()));
-    ("javac", fun () -> ignore (E.Javac_exp.run ()));
-    ("packetmem", fun () -> ignore (E.Packet_memory.run ()));
-    ("serverlat", fun () -> ignore (E.Server_latency.run ()));
-    ("genlat", fun () -> ignore (E.Genlat.run ()));
-    ("clusterlat", fun () -> ignore (E.Clusterlat.run ()));
-    ("clusterchaos", fun () -> ignore (E.Clusterchaos.run ()));
-    ("ablation-fence", fun () -> ignore (E.Ablations.fence_batching ()));
-    ("ablation-cardpass", fun () -> ignore (E.Ablations.card_passes ()));
-    ("ablation-lazysweep", fun () -> ignore (E.Ablations.lazy_sweep ()));
-    ("ablation-steal", fun () -> ignore (E.Ablations.stealing ()));
-    ("ablation-compact", fun () -> ignore (E.Ablations.compaction ()));
-    ("itanium", fun () -> ignore (E.Ablations.itanium ()));
-    ("micro", run_micro);
-  ]
+let matrix_cmd =
+  cmd "matrix"
+    ~doc:
+      "Run the benchmark matrix and write its $(b,cgcsim-bench-v1) JSON \
+       document; exit 1 if any cell dropped trace events."
+    (let+ out =
+       opt_arg ~docv:"FILE" Arg.string "BENCH_PR10.json" [ "out" ]
+         "Write the matrix document to $(docv)."
+     and+ trace_out = trace_out ~doc:"Write cell 0's Chrome trace to $(docv)." ()
+     and+ jobs =
+       jobs
+         "Run cells on $(docv) OCaml domains.  Host-side parallelism only: \
+          the document and the trace are byte-identical at every job count."
+     and+ fast in
+     Bench_matrix.run ~out ?trace_out ~jobs ~fast ())
 
-(* --out / --trace-out / --jobs for the matrix target. *)
-let matrix_out = ref "BENCH_PR10.json"
-let matrix_trace_out : string option ref = ref None
-let jobs = ref 1
+let profile_cmd =
+  cmd "profile" ~doc:"Sample the simulator's own host time over one workload."
+    (let+ workload =
+       opt_arg
+         (Arg.enum (List.map (fun (w, _) -> (w, w)) Profile.workloads))
+         "jbb" [ "workload" ] "Workload: jbb or serve."
+     and+ ms =
+       opt_arg positive_float 2000.0 [ "ms" ]
+         "Simulated milliseconds sampled after the warm-up."
+     in
+     Profile.run ~workload ~ms)
 
-(* --workload / --ms for the profile target. *)
-let profile_workload = ref "jbb"
-let profile_ms = ref 2000.0
-
-let run_all () =
-  (* Tables 1-3 share one sweep when running everything. *)
-  ignore (E.Fig1_specjbb.run ());
-  ignore (E.Tables123.run ());
-  ignore (E.Fig2_pbob.run ());
-  ignore (E.Table4_load_balance.run ());
-  ignore (E.Javac_exp.run ());
-  ignore (E.Packet_memory.run ());
-  ignore (E.Server_latency.run ());
-  ignore (E.Genlat.run ());
-  ignore (E.Clusterlat.run ());
-  E.Ablations.run_all ();
-  run_micro ()
+let micro_cmd =
+  cmd "micro" ~doc:"Bechamel micro-benchmarks of the collector's hot operations."
+    (let+ fast in
+     run_micro ~fast)
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  (* Peel off the matrix options wherever they appear; what remains is
-     the target list. *)
-  let rec strip = function
-    | "--out" :: v :: rest ->
-        matrix_out := v;
-        strip rest
-    | "--trace-out" :: v :: rest ->
-        matrix_trace_out := Some v;
-        strip rest
-    | "--workload" :: v :: rest ->
-        profile_workload := v;
-        strip rest
-    | "--ms" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some ms when ms > 0.0 -> profile_ms := ms
-        | _ ->
-            Printf.eprintf "--ms expects a positive number, got %s\n" v;
-            exit Cgc_cli.Exit_codes.usage);
-        strip rest
-    | "--jobs" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some n when n >= 1 -> jobs := n
-        | _ ->
-            Printf.eprintf "--jobs expects a positive integer, got %s\n" v;
-            exit Cgc_cli.Exit_codes.usage);
-        strip rest
-    | x :: rest -> x :: strip rest
-    | [] -> []
-  in
-  let names = strip args in
-  E.Common.set_jobs !jobs;
-  let targets =
-    targets
-    @ [
-        ( "matrix",
-          fun () ->
-            Bench_matrix.run ~out:!matrix_out ?trace_out:!matrix_trace_out
-              ~jobs:!jobs ()
-        );
-        ( "profile",
-          fun () -> Profile.run ~workload:!profile_workload ~ms:!profile_ms );
-      ]
-  in
-  Printf.printf
-    "CGC paper reproduction bench harness%s\n"
-    (if E.Common.quick () then " (CGC_BENCH_FAST: shrunk sweeps)" else "");
-  match names with
-  | [] | [ "all" ] -> run_all ()
-  | names ->
-      List.iter
-        (fun name ->
-          match List.assoc_opt name targets with
-          | Some f -> f ()
-          | None ->
-              Printf.eprintf "unknown target %s; available: %s all\n" name
-                (String.concat " " (List.map fst targets));
-              exit Cgc_cli.Exit_codes.usage)
-        names
+  eval
+    (Cmd.group
+       (Cmd.info "bench" ~exits ~doc:"The cgcsim benchmark harness.")
+       [ matrix_cmd; profile_cmd; micro_cmd ])

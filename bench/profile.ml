@@ -111,31 +111,33 @@ let print_shares title h samples =
 
 (* The workloads are perfbench's jbb and serve-gen set-ups: their warm-up
    runs unsampled, then [ms] simulated milliseconds are sampled. *)
-let workload = function
-  | "jbb" ->
-      let vm =
-        Cgc_workloads.Specjbb.setup ~warehouses:8 ~gc:Config.default
-          ~heap_mb:48.0 ~ncpus:4 ~seed:1 ()
-      in
-      (vm, 500.0)
-  | "serve" ->
-      let vm =
-        Vm.create (Vm.config ~heap_mb:24.0 ~ncpus:4 ~seed:1 ~gc:Config.gen ())
-      in
-      ignore
-        (Cgc_server.Server.create
-           (Cgc_server.Server.cfg ~rate_per_s:20_000.0 ~queue_cap:256
-              ~workers:4 ~slo_ms:50.0 ())
-           vm);
-      (vm, 1000.0)
-  | w ->
-      Printf.eprintf "profile: unknown workload %s (jbb or serve)\n" w;
-      exit 2
+let workloads =
+  [
+    ( "jbb",
+      fun () ->
+        let vm =
+          Cgc_workloads.Specjbb.setup ~warehouses:8 ~gc:Config.default
+            ~heap_mb:48.0 ~ncpus:4 ~seed:1 ()
+        in
+        (vm, 500.0) );
+    ( "serve",
+      fun () ->
+        let vm =
+          Vm.create
+            (Vm.config ~heap_mb:24.0 ~ncpus:4 ~seed:1 ~gc:Config.gen ())
+        in
+        ignore
+          (Cgc_server.Server.create
+             (Cgc_server.Server.cfg ~rate_per_s:20_000.0 ~queue_cap:256
+                ~workers:4 ~slo_ms:50.0 ())
+             vm);
+        (vm, 1000.0) );
+  ]
 
 let run ~workload:name ~ms =
   Cgc_experiments.Common.hdr
     (Printf.sprintf "Host profile: %s, %.0f simulated ms" name ms);
-  let vm, warmup_ms = workload name in
+  let vm, warmup_ms = List.assoc name workloads () in
   Vm.run vm ~ms:warmup_ms;
   let cpu0 = Sys.time () in
   let acc = sampled (fun () -> Vm.run vm ~ms) in

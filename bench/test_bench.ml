@@ -78,14 +78,22 @@ let test_missing_metric_fails () =
   | fs -> Alcotest.failf "expected one failure, got %d" (List.length fs));
   check cb "a workload without output fails" true (failures [] <> [])
 
-(* A malformed --ms or --jobs is a usage error (1), not 2 (simulated
-   heap exhausted). *)
+(* A malformed --ms, --jobs or --workload, or an unknown sub-command,
+   is a usage error (1), not 2 (simulated heap exhausted).  Each flag
+   names its sub-command, so the converter is what rejects it. *)
 let test_bad_flags_exit_usage () =
   List.iter
     (fun args ->
       check ci args Cgc_cli.Exit_codes.usage
         (Sys.command ("./main.exe " ^ args ^ " > /dev/null 2>&1")))
-    [ "--ms abc"; "--ms 0"; "--jobs x"; "--jobs 0"; "no-such-target" ]
+    [
+      "profile --ms abc";
+      "profile --ms 0";
+      "profile --workload bogus";
+      "matrix --jobs x";
+      "matrix --jobs 0";
+      "no-such-target";
+    ]
 
 let () =
   Alcotest.run "bench"

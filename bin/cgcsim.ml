@@ -6,18 +6,21 @@
      dune exec bin/cgcsim.exe -- run --workload specjbb --collector cgc \
        --warehouses 8 --heap-mb 64 --ms 4000 --tracing-rate 8
 
-   Or run one of the paper-reproduction experiments:
+   Or run one of the paper-reproduction experiments or ablations, or all
+   of them ([experiment_cmd] holds the one table of them):
 
-     dune exec bin/cgcsim.exe -- experiment fig1
+     dune exec bin/cgcsim.exe -- experiment fig1 --fast
 
    Every flag group is declared once, as a cmdliner term, and each
    sub-command composes the terms it takes; per-command differences
    (defaults, whether a flag exists) are arguments to the shared term.
-   Malformed values are rejected by the converters, so every command-line
-   error exits 1 through the one mapping at the bottom of this file. *)
+   The terms bench/main.ml also takes live in [Cgc_cli.Flags].  Malformed
+   values are rejected by the converters, so every command-line error
+   exits 1 through [Cgc_cli.Flags.eval]. *)
 
 open Cmdliner
 open Term.Syntax
+open Cgc_cli.Flags
 
 module Vm = Cgc_runtime.Vm
 module Config = Cgc_core.Config
@@ -91,20 +94,6 @@ let number =
   in
   Arg.conv' (parse, Format.pp_print_float)
 
-let positive_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (Printf.sprintf "expected a positive integer, got %S" s)
-  in
-  Arg.conv' (parse, Format.pp_print_int)
-
-(* The two shapes every flag here takes. *)
-let opt_arg ?docv c default names doc =
-  Arg.(value & opt c default & info names ?docv ~doc)
-
-let flag_arg names doc = Arg.(value & flag & info names ~doc)
-
 (* The --help scenario listings are generated from the injector modules
    themselves, so a scenario added there shows up in the docs without a
    second edit here. *)
@@ -149,27 +138,8 @@ let output_json what json =
   output what (fun f ->
       Export.write_file f (Json.to_string ~pretty:true (json ())))
 
-let file_arg ?(docv = "FILE") name doc =
-  opt_arg ~docv Arg.(some string) None [ name ] doc
-
-let trace_out ?docv
-    ?(doc =
-      "Write a Chrome trace-event JSON file (load in Perfetto or \
-       chrome://tracing).  Arms the event-tracing sink for the run.") () =
-  file_arg ?docv "trace-out" doc
-
 let metrics_out ?(doc = "Write per-GC-cycle metrics to $(docv) as CSV.") () =
   file_arg "metrics-out" doc
-
-let jobs doc = opt_arg ~docv:"N" positive_int 1 [ "jobs"; "j" ] doc
-
-(* Every command's man page lists the binary's own exit codes. *)
-let exits =
-  List.map
-    (fun (c : Exit_codes.code) -> Cmd.Exit.info c.value ~doc:c.meaning)
-    Exit_codes.all
-
-let cmd name ~doc term = Cmd.v (Cmd.info name ~exits ~doc) term
 
 (* ------------------------------------------------------------------ *)
 (* The simulated VM: heap, CPUs, run length, seed and the collector    *)
@@ -886,8 +856,22 @@ let experiment_cmd =
       ("genlat", fun () -> ignore (E.Genlat.run ()));
       ("clusterlat", fun () -> ignore (E.Clusterlat.run ()));
       ("clusterchaos", fun () -> ignore (E.Clusterchaos.run ()));
+      ("ablation-fence", fun () -> ignore (E.Ablations.fence_batching ()));
+      ("ablation-cardpass", fun () -> ignore (E.Ablations.card_passes ()));
+      ("ablation-lazysweep", fun () -> ignore (E.Ablations.lazy_sweep ()));
+      ("ablation-steal", fun () -> ignore (E.Ablations.stealing ()));
+      ("ablation-compact", fun () -> ignore (E.Ablations.compaction ()));
+      ("itanium", fun () -> ignore (E.Ablations.itanium ()));
     ]
   in
+  (* [all] runs each distinct entry once, so Tables 1-3 share a sweep. *)
+  let all () =
+    ignore
+      (List.fold_left
+         (fun ran (_, f) -> if List.memq f ran then ran else (f (); f :: ran))
+         [] experiments)
+  in
+  let experiments = experiments @ [ ("all", all) ] in
   let names = List.map fst experiments in
   let term =
     let+ which =
@@ -907,7 +891,8 @@ let experiment_cmd =
         "Run the experiment's independent simulations on $(docv) OCaml \
          domains.  Host-side parallelism only: results (tables, metrics \
          CSV) are identical at every job count."
-    in
+    and+ fast in
+    E.Common.set_quick fast;
     E.Common.set_jobs jobs;
     E.Common.reset_recorded ();
     List.assoc which experiments ();
@@ -916,11 +901,11 @@ let experiment_cmd =
          (List.length (E.Common.recorded ())))
       E.Common.write_metrics_csv metrics_out
   in
-  cmd "experiment" ~doc:"Run a paper-reproduction experiment." term
+  cmd "experiment"
+    ~doc:
+      "Run a paper-reproduction experiment or ablation, or $(b,all) of them."
+    term
 
-(* Command-line errors — a malformed value, an unknown flag, an illegal
-   collector combination — exit 1 ([Exit_codes.usage]), not cmdliner's
-   124, so the binary keeps the one exit-code table. *)
 let () =
   let info =
     Cmd.info "cgcsim" ~exits
@@ -928,19 +913,13 @@ let () =
         "Simulator of the PLDI 2002 parallel, incremental and mostly \
          concurrent garbage collector."
   in
-  let cmd =
-    Cmd.group info
-      [
-        run_cmd;
-        serve_cmd;
-        cluster_cmd;
-        analyze_cmd;
-        experiment_cmd;
-        exit_codes_cmd;
-      ]
-  in
-  exit
-    (match Cmd.eval_value cmd with
-    | Ok (`Ok () | `Help | `Version) -> Exit_codes.ok
-    | Error (`Parse | `Term) -> Exit_codes.usage
-    | Error `Exn -> Cmd.Exit.internal_error)
+  eval
+    (Cmd.group info
+       [
+         run_cmd;
+         serve_cmd;
+         cluster_cmd;
+         analyze_cmd;
+         experiment_cmd;
+         exit_codes_cmd;
+       ])

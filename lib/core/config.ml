@@ -79,4 +79,6 @@ let validate t =
     Error
       "gen mode requires in-pause sweep (the lazy cursor would fold the \
        nursery into the free list)"
+  else if t.load_balance = Stealing && t.mode <> Stw then
+    Error "work stealing drives only the stop-the-world mark"
   else Ok ()

@@ -71,7 +71,8 @@ val mode_of_name : string -> mode option
 
 val validate : t -> (unit, string) result
 (** The one legality check: rejects compaction with lazy sweep or with
-    stealing, and gen mode with compaction or lazy sweep.  The error
+    stealing, gen mode with compaction or lazy sweep, and stealing
+    outside stw mode (only the stop-the-world mark steals).  The error
     names the first rejected combination.  [Collector.create] raises
     [Invalid_argument] with it, and the CLI reports it as a usage
     error. *)

@@ -259,11 +259,3 @@ let itanium () =
     "Paper: 'both the reduction in pause times and the reduction in the overall";
   print_endline "SPECjbb throughput score are similar' on the 4-way Itanium.";
   (stw, cgc)
-
-let run_all () =
-  ignore (fence_batching ());
-  ignore (card_passes ());
-  ignore (lazy_sweep ());
-  ignore (stealing ());
-  ignore (compaction ());
-  ignore (itanium ())

@@ -198,10 +198,9 @@ let collect ~label vm =
   record m;
   m
 
-let quick () =
-  match Sys.getenv_opt "CGC_BENCH_FAST" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
+let quick_mode = ref false
+let set_quick b = quick_mode := b
+let quick () = !quick_mode
 
 let specjbb_vm ~label ~gc ?(warehouses = 8) ?(heap_mb = 64.0)
     ?(warmup_ms = 1500.0) ?(ms = 4000.0) ?(seed = 1) ?(trace = false)

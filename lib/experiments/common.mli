@@ -63,9 +63,12 @@ val write_metrics_csv : string -> unit
     column sets (implements [cgcsim experiment NAME --metrics-out
     FILE]). *)
 
+val set_quick : bool -> unit
+(** Shrink every experiment's sweep for a fast smoke run (the [--fast]
+    flag); default off.  Set it before the experiment starts. *)
+
 val quick : unit -> bool
-(** True when the CGC_BENCH_FAST environment variable is set: experiments
-    shrink their sweeps for a fast smoke run. *)
+(** The current {!set_quick} value. *)
 
 val set_jobs : int -> unit
 (** Resize the process-wide persistent domain pool

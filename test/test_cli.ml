@@ -285,6 +285,7 @@ let option_labels =
       ] );
     ( "experiment",
       [
+        "--fast";
         "-j N, --jobs=N (absent=1)";
         "--metrics-out=FILE";
         "--help[=FMT] (default=auto)";

@@ -118,7 +118,8 @@ let print_cfg
 
 let arb = QCheck.make ~print:print_cfg gen
 
-(* About half the option product is legal, so allow ample draws. *)
+(* Nine of the 24 mode x lazy sweep x compaction x stealing
+   combinations are legal, so allow ample draws. *)
 let fuzz =
   QCheck.Test.make ~name:"random configurations keep the heap sound"
     ~count:fuzz_count ~max_gen:(10 * fuzz_count) arb

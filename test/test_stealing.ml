@@ -87,6 +87,21 @@ let test_stw_baseline_with_stealing () =
   (* End-to-end: the baseline collector configured with stealing for its
      parallel mark produces a sound heap and comparable pauses. *)
   let gc = { Config.stw with Config.load_balance = Config.Stealing } in
+  (* Only the STW mark steals; the concurrent modes reject the setting. *)
+  List.iter
+    (fun base ->
+      Alcotest.check_raises
+        (Config.mode_name base.Config.mode ^ " + stealing rejected")
+        (Invalid_argument
+           "Collector.create: work stealing drives only the stop-the-world \
+            mark")
+        (fun () ->
+          ignore
+            (Vm.create
+               (Vm.config ~heap_mb:4.0
+                  ~gc:{ base with Config.load_balance = Config.Stealing }
+                  ()))))
+    [ Config.default; Config.gen ];
   let vm = Cgc_workloads.Specjbb.setup ~warehouses:4 ~gc ~heap_mb:16.0 () in
   Vm.run vm ~ms:800.0;
   let st = Vm.gc_stats vm in
