@@ -185,7 +185,7 @@ let vm_term ?(collector = true) ?(tuning = false) ?(ring = true) ~heap_mb
        only collector Config.Cgc
          (opt_arg
             (named "collector" Config.mode_of_name Config.mode_name
-               [ Config.Cgc; Config.Gen; Config.Stw ])
+               Config.all_modes)
             Config.Cgc [ "gc"; "collector"; "c" ]
             "Collector: cgc (mostly-concurrent), gen (nursery + minor \
              collections over cgc) or stw (baseline).")

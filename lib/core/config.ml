@@ -58,13 +58,9 @@ let default =
 let stw = { default with mode = Stw }
 let gen = { default with mode = Gen }
 
+let all_modes = [ Cgc; Gen; Stw ]
 let mode_name = function Stw -> "stw" | Cgc -> "cgc" | Gen -> "gen"
-
-let mode_of_name = function
-  | "stw" -> Some Stw
-  | "cgc" -> Some Cgc
-  | "gen" -> Some Gen
-  | _ -> None
+let mode_of_name n = List.find_opt (fun m -> mode_name m = n) all_modes
 
 let validate t =
   if t.compaction && t.lazy_sweep then

@@ -63,8 +63,11 @@ val stw : t
 val gen : t
 (** The generational front end over the concurrent major collector. *)
 
+val all_modes : mode list
+(** Every mode, in the order the CLI lists them: cgc, gen, stw. *)
+
 val mode_name : mode -> string
-(** ["stw"], ["cgc"] or ["gen"] — the [--gc] axis spelling. *)
+(** The [--gc] axis spelling of a mode, e.g. [cgc]. *)
 
 val mode_of_name : string -> mode option
 (** Inverse of {!mode_name}. *)

@@ -28,12 +28,12 @@ let run () =
   let results =
     Common.par_map (warehouse_counts ()) (fun wh ->
         let ms = if Common.quick () then 2000.0 else 4000.0 in
-        let stw =
-          Common.specjbb ~label:"stw" ~gc:Config.stw ~warehouses:wh ~ms ()
+        let run gc =
+          Common.specjbb ~label:(Config.mode_name gc.Config.mode) ~gc
+            ~warehouses:wh ~ms ()
         in
-        let cgc =
-          Common.specjbb ~label:"cgc" ~gc:Config.default ~warehouses:wh ~ms ()
-        in
+        let stw = run Config.stw in
+        let cgc = run Config.default in
         (wh, stw, cgc))
   in
   List.iter

@@ -30,14 +30,12 @@ let run () =
     Common.par_map (warehouse_counts ()) (fun wh ->
         let ms = if Common.quick () then 2500.0 else 6000.0 in
         let warmup_ms = if Common.quick () then 1000.0 else 2000.0 in
-        let stw =
-          Common.pbob ~label:"stw" ~gc:Config.stw ~warehouses:wh ~warmup_ms ~ms
-            ()
+        let run gc =
+          Common.pbob ~label:(Config.mode_name gc.Config.mode) ~gc
+            ~warehouses:wh ~warmup_ms ~ms ()
         in
-        let cgc =
-          Common.pbob ~label:"cgc" ~gc:Config.default ~warehouses:wh ~warmup_ms
-            ~ms ()
-        in
+        let stw = run Config.stw in
+        let cgc = run Config.default in
         (wh, stw, cgc))
   in
   List.iter

@@ -80,7 +80,7 @@ let run () =
           let tot = o.totals in
           Table.add_row t
             [ Printf.sprintf "%.0f" rate;
-              (if o == stw then "stw" else "cgc");
+              Config.mode_name (if o == stw then Config.Stw else Config.Cgc);
               Printf.sprintf "%.0f"
                 (float_of_int tot.Server.completed /. (o.ran_ms /. 1000.0));
               Printf.sprintf "%.2f" (p o 50.0);

@@ -2,30 +2,34 @@ module Prng = Cgc_util.Prng
 
 type scenario = Shard_crash | Shard_restart | Shard_brownout | Ring_flap
 
-let all = [ Shard_crash; Shard_restart; Shard_brownout; Ring_flap ]
-
 let index = function
   | Shard_crash -> 0
   | Shard_restart -> 1
   | Shard_brownout -> 2
   | Ring_flap -> 3
 
-let to_name = function
-  | Shard_crash -> "shard-crash"
-  | Shard_restart -> "shard-restart"
-  | Shard_brownout -> "shard-brownout"
-  | Ring_flap -> "ring-flap"
+(* One row per scenario, in [index] order: the scenario, its CLI name and
+   its one-line description. *)
+let table =
+  [|
+    ( Shard_crash,
+      "shard-crash",
+      "one shard goes dark mid-run and never rejoins; queued requests lost" );
+    ( Shard_restart,
+      "shard-restart",
+      "a dark window then a cold rejoin with empty queue and fresh heap" );
+    ( Shard_brownout,
+      "shard-brownout",
+      "a noisy neighbour inflates one shard's service times for a window" );
+    ( Ring_flap,
+      "ring-flap",
+      "the victim shard repeatedly leaves and rejoins the fleet" );
+  |]
 
-let of_name s = List.find_opt (fun sc -> to_name sc = s) all
-
-let describe = function
-  | Shard_crash ->
-      "one shard goes dark mid-run and never rejoins; queued requests lost"
-  | Shard_restart ->
-      "a dark window then a cold rejoin with empty queue and fresh heap"
-  | Shard_brownout ->
-      "a noisy neighbour inflates one shard's service times for a window"
-  | Ring_flap -> "the victim shard repeatedly leaves and rejoins the fleet"
+let all = Array.to_list (Array.map (fun (s, _, _) -> s) table)
+let to_name s = let _, n, _ = table.(index s) in n
+let describe s = let _, _, d = table.(index s) in d
+let of_name n = List.find_opt (fun s -> to_name s = n) all
 
 type incarnation = { index : int; start : int; stop : int; crashed : bool }
 

@@ -32,7 +32,7 @@ val index : scenario -> int
     event. *)
 
 val to_name : scenario -> string
-(** Stable dashed name, e.g. ["shard-crash"] — the CLI vocabulary. *)
+(** Stable dashed name, e.g. [shard-crash] — the CLI vocabulary. *)
 
 val of_name : string -> scenario option
 (** Inverse of {!to_name}. *)

@@ -10,12 +10,6 @@ type scenario =
   | Card_storm
   | Bg_stall
 
-let all =
-  [ Packet_starvation; Alloc_burst; Mutator_stall; Meter_lowball; Card_storm;
-    Bg_stall ]
-
-let n_scenarios = List.length all
-
 let index = function
   | Packet_starvation -> 0
   | Alloc_burst -> 1
@@ -24,24 +18,31 @@ let index = function
   | Card_storm -> 4
   | Bg_stall -> 5
 
-let to_name = function
-  | Packet_starvation -> "packet-starvation"
-  | Alloc_burst -> "alloc-burst"
-  | Mutator_stall -> "mutator-stall"
-  | Meter_lowball -> "meter-lowball"
-  | Card_storm -> "card-storm"
-  | Bg_stall -> "bg-stall"
+(* One row per scenario, in [index] order: the scenario, its CLI name and
+   its one-line description. *)
+let table =
+  [|
+    ( Packet_starvation,
+      "packet-starvation",
+      "periodic windows where the packet pool pretends to be empty" );
+    ( Alloc_burst,
+      "alloc-burst",
+      "occasional bursts of extra garbage allocation" );
+    ( Mutator_stall,
+      "mutator-stall",
+      "occasional long mutator stalls mid-allocation" );
+    ( Meter_lowball,
+      "meter-lowball",
+      "metering rate estimates scaled down (late, lazy cycles)" );
+    (Card_storm, "card-storm", "periodic mass dirtying of random cards");
+    (Bg_stall, "bg-stall", "background tracing threads repeatedly oversleep");
+  |]
 
-let of_name s = List.find_opt (fun sc -> to_name sc = s) all
-
-let describe = function
-  | Packet_starvation ->
-      "periodic windows where the packet pool pretends to be empty"
-  | Alloc_burst -> "occasional bursts of extra garbage allocation"
-  | Mutator_stall -> "occasional long mutator stalls mid-allocation"
-  | Meter_lowball -> "metering rate estimates scaled down (late, lazy cycles)"
-  | Card_storm -> "periodic mass dirtying of random cards"
-  | Bg_stall -> "background tracing threads repeatedly oversleep"
+let all = Array.to_list (Array.map (fun (s, _, _) -> s) table)
+let n_scenarios = Array.length table
+let to_name s = let _, n, _ = table.(index s) in n
+let describe s = let _, _, d = table.(index s) in d
+let of_name n = List.find_opt (fun s -> to_name s = n) all
 
 (* Timing/magnitude constants, in simulated cycles (the default cost
    model runs 550_000 cycles per simulated millisecond). *)

@@ -47,7 +47,7 @@ val index : scenario -> int
 (** Stable 0-based index — the [arg] of the [Fault_inject] trace event. *)
 
 val to_name : scenario -> string
-(** Stable dashed name, e.g. ["packet-starvation"] — the CLI vocabulary. *)
+(** Stable dashed name, e.g. [packet-starvation] — the CLI vocabulary. *)
 
 val of_name : string -> scenario option
 (** Inverse of {!to_name}; ["all"] is handled by the CLI, not here. *)

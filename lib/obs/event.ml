@@ -45,71 +45,8 @@ type t = { ts : int; dur : int; tid : int; code : code; arg : int }
 
 let instant e = e.dur < 0
 
-let name = function
-  | Cycle_start -> "cycle-start"
-  | Cycle_end -> "cycle-end"
-  | Conc_mark -> "concurrent-mark"
-  | Stw_pause -> "stw-pause"
-  | Stw_mark -> "stw-mark"
-  | Stw_sweep -> "stw-sweep"
-  | Stw_compact -> "stw-compact"
-  | Mut_increment -> "mutator-increment"
-  | Bg_chunk -> "background-chunk"
-  | Root_scan -> "root-scan"
-  | Card_pass -> "card-pass"
-  | Card_clean_conc -> "card-clean-concurrent"
-  | Card_clean_stw -> "card-clean-stw"
-  | Packet_get -> "packet-get"
-  | Packet_put -> "packet-put"
-  | Packet_defer -> "packet-defer"
-  | Packet_recycle -> "packet-recycle"
-  | Packet_steal -> "packet-steal"
-  | Sweep_chunk -> "sweep-chunk"
-  | Fence_flush -> "fence-flush"
-  | Alloc_failure -> "alloc-failure"
-  | Fault_inject -> "fault-inject"
-  | Degrade_force_finish -> "degrade-force-finish"
-  | Degrade_full_stw -> "degrade-full-stw"
-  | Degrade_compact -> "degrade-compact"
-  | Oom -> "out-of-memory"
-  | Verify_pass -> "verify-pass"
-  | Incr_factor -> "increment-factor"
-  | Req_arrive -> "req-arrive"
-  | Req_start -> "req-start"
-  | Req_done -> "req-done"
-  | Req_shed -> "req-shed"
-  | Req_timeout -> "req-timeout"
-  | Req_retry -> "req-retry"
-  | Req_redirect -> "req-redirect"
-  | Req_hedge -> "req-hedge"
-  | Cluster_fault -> "cluster-fault"
-  | Minor_start -> "minor-start"
-  | Minor_done -> "minor-done"
-  | Promote -> "promote"
-  | Nursery_fill -> "nursery-fill"
-
-let cat = function
-  | Cycle_start | Cycle_end -> "cycle"
-  | Conc_mark | Mut_increment | Bg_chunk -> "phase"
-  | Stw_pause | Stw_mark | Stw_sweep | Stw_compact -> "pause"
-  | Root_scan -> "root"
-  | Card_pass | Card_clean_conc | Card_clean_stw -> "card"
-  | Packet_get | Packet_put | Packet_defer | Packet_recycle | Packet_steal ->
-      "packet"
-  | Sweep_chunk -> "sweep"
-  | Fence_flush -> "fence"
-  | Alloc_failure -> "cycle"
-  | Fault_inject -> "fault"
-  | Degrade_force_finish | Degrade_full_stw | Degrade_compact | Oom ->
-      "degrade"
-  | Verify_pass -> "verify"
-  | Incr_factor -> "phase"
-  | Req_arrive | Req_start | Req_done | Req_shed | Req_timeout | Req_retry
-  | Req_redirect | Req_hedge ->
-      "server"
-  | Cluster_fault -> "fault"
-  | Minor_start | Minor_done | Promote | Nursery_fill -> "gen"
-
+(* The one map from code to integer: compiler-checked, so every code has
+   an index, and flat per-code arrays need no hash. *)
 let index = function
   | Cycle_start -> 0
   | Cycle_end -> 1
@@ -153,47 +90,53 @@ let index = function
   | Promote -> 39
   | Nursery_fill -> 40
 
-let all_codes =
-  [
-    Cycle_start;
-    Cycle_end;
-    Conc_mark;
-    Stw_pause;
-    Stw_mark;
-    Stw_sweep;
-    Stw_compact;
-    Mut_increment;
-    Bg_chunk;
-    Root_scan;
-    Card_pass;
-    Card_clean_conc;
-    Card_clean_stw;
-    Packet_get;
-    Packet_put;
-    Packet_defer;
-    Packet_recycle;
-    Packet_steal;
-    Sweep_chunk;
-    Fence_flush;
-    Alloc_failure;
-    Fault_inject;
-    Degrade_force_finish;
-    Degrade_full_stw;
-    Degrade_compact;
-    Oom;
-    Verify_pass;
-    Incr_factor;
-    Req_arrive;
-    Req_start;
-    Req_done;
-    Req_shed;
-    Req_timeout;
-    Req_retry;
-    Req_redirect;
-    Req_hedge;
-    Cluster_fault;
-    Minor_start;
-    Minor_done;
-    Promote;
-    Nursery_fill;
-  ]
+(* One row per code, in [index] order: the code, its trace name and its
+   category. *)
+let table =
+  [|
+    (Cycle_start, "cycle-start", "cycle");
+    (Cycle_end, "cycle-end", "cycle");
+    (Conc_mark, "concurrent-mark", "phase");
+    (Stw_pause, "stw-pause", "pause");
+    (Stw_mark, "stw-mark", "pause");
+    (Stw_sweep, "stw-sweep", "pause");
+    (Stw_compact, "stw-compact", "pause");
+    (Mut_increment, "mutator-increment", "phase");
+    (Bg_chunk, "background-chunk", "phase");
+    (Root_scan, "root-scan", "root");
+    (Card_pass, "card-pass", "card");
+    (Card_clean_conc, "card-clean-concurrent", "card");
+    (Card_clean_stw, "card-clean-stw", "card");
+    (Packet_get, "packet-get", "packet");
+    (Packet_put, "packet-put", "packet");
+    (Packet_defer, "packet-defer", "packet");
+    (Packet_recycle, "packet-recycle", "packet");
+    (Packet_steal, "packet-steal", "packet");
+    (Sweep_chunk, "sweep-chunk", "sweep");
+    (Fence_flush, "fence-flush", "fence");
+    (Alloc_failure, "alloc-failure", "cycle");
+    (Fault_inject, "fault-inject", "fault");
+    (Degrade_force_finish, "degrade-force-finish", "degrade");
+    (Degrade_full_stw, "degrade-full-stw", "degrade");
+    (Degrade_compact, "degrade-compact", "degrade");
+    (Oom, "out-of-memory", "degrade");
+    (Verify_pass, "verify-pass", "verify");
+    (Incr_factor, "increment-factor", "phase");
+    (Req_arrive, "req-arrive", "server");
+    (Req_start, "req-start", "server");
+    (Req_done, "req-done", "server");
+    (Req_shed, "req-shed", "server");
+    (Req_timeout, "req-timeout", "server");
+    (Req_retry, "req-retry", "server");
+    (Req_redirect, "req-redirect", "server");
+    (Req_hedge, "req-hedge", "server");
+    (Cluster_fault, "cluster-fault", "fault");
+    (Minor_start, "minor-start", "gen");
+    (Minor_done, "minor-done", "gen");
+    (Promote, "promote", "gen");
+    (Nursery_fill, "nursery-fill", "gen");
+  |]
+
+let name c = let _, n, _ = table.(index c) in n
+let cat c = let _, _, k = table.(index c) in k
+let all_codes = Array.to_list (Array.map (fun (c, _, _) -> c) table)

@@ -128,13 +128,14 @@ type t = {
 val instant : t -> bool
 
 val name : code -> string
-(** Stable lowercase-dashed name, e.g. ["stw-pause"] — the [name] field
+(** Stable lowercase-dashed name, e.g. [stw-pause] — the [name] field
     of the Chrome trace event. *)
 
 val cat : code -> string
 (** Coarse grouping (["phase"], ["pause"], ["packet"], ["card"],
-    ["sweep"], ["root"], ["fence"], ["cycle"], ["server"], ["gen"]) —
-    the [cat] field used by trace-viewer filtering. *)
+    ["sweep"], ["root"], ["fence"], ["cycle"], ["fault"], ["degrade"],
+    ["verify"], ["server"], ["gen"]) — the [cat] field used by
+    trace-viewer filtering. *)
 
 val index : code -> int
 (** A code's position in {!all_codes}, from 0 — lets per-code tables be

@@ -18,7 +18,22 @@ let site_index = function
   | Naive_mark -> 6
   | Other -> 7
 
-let nsites = 8
+(* One row per site, in [site_index] order. *)
+let table =
+  [|
+    (Alloc_batch, "alloc-batch");
+    (Packet_return, "packet-return");
+    (Packet_defer, "packet-defer");
+    (Card_snapshot, "card-snapshot");
+    (Naive_alloc, "naive-alloc");
+    (Naive_barrier, "naive-barrier");
+    (Naive_mark, "naive-mark");
+    (Other, "other");
+  |]
+
+let nsites = Array.length table
+let site_name s = snd table.(site_index s)
+let all_sites = Array.to_list (Array.map fst table)
 
 type counters = int array
 
@@ -31,17 +46,3 @@ let get c site = c.(site_index site)
 let total c = Array.fold_left ( + ) 0 c
 
 let reset c = Array.fill c 0 nsites 0
-
-let site_name = function
-  | Alloc_batch -> "alloc-batch"
-  | Packet_return -> "packet-return"
-  | Packet_defer -> "packet-defer"
-  | Card_snapshot -> "card-snapshot"
-  | Naive_alloc -> "naive-alloc"
-  | Naive_barrier -> "naive-barrier"
-  | Naive_mark -> "naive-mark"
-  | Other -> "other"
-
-let all_sites =
-  [ Alloc_batch; Packet_return; Packet_defer; Card_snapshot;
-    Naive_alloc; Naive_barrier; Naive_mark; Other ]

@@ -31,8 +31,11 @@ val total : counters -> int
 val reset : counters -> unit
 
 val site_name : site -> string
+(** Stable dashed name, e.g. [alloc-batch]. *)
 
 val site_index : site -> int
-(** Stable small integer per site — the payload trace events carry. *)
+(** Stable small integer per site — the payload trace events carry.
+    [docs/OBSERVABILITY.md] maps each index to its name. *)
 
 val all_sites : site list
+(** Every site, in {!site_index} order. *)

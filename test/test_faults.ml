@@ -277,6 +277,22 @@ let qcheck_chaos_plan_well_formed =
       done;
       !ok)
 
+(* FAULTS.md's two scenario tables list every scenario once, with the
+   index and name the library declares. *)
+let test_fault_table_matches () =
+  Doc_table.check ~doc:"FAULTS.md"
+    ~header:"| index | name | site | what it models |" ~columns:[ 0; 1 ]
+    (List.map (fun s -> [ string_of_int (Fault.index s); Fault.to_name s ])
+       Fault.all)
+
+let test_cluster_fault_table_matches () =
+  Doc_table.check ~doc:"FAULTS.md" ~header:"| index | name | what it models |"
+    ~columns:[ 0; 1 ]
+    (List.map
+       (fun s ->
+         [ string_of_int (Cluster_fault.index s); Cluster_fault.to_name s ])
+       Cluster_fault.all)
+
 let () =
   let scen_cases =
     List.map
@@ -306,4 +322,11 @@ let () =
         ] );
       ( "chaos-plan",
         [ QCheck_alcotest.to_alcotest qcheck_chaos_plan_well_formed ] );
+      ( "docs",
+        [
+          Alcotest.test_case "scenario tables match Fault" `Quick
+            test_fault_table_matches;
+          Alcotest.test_case "scenario tables match Cluster_fault" `Quick
+            test_cluster_fault_table_matches;
+        ] );
     ]

@@ -11,6 +11,7 @@ module Obs = Cgc_obs.Obs
 module Export = Cgc_obs.Export
 module Vm = Cgc_runtime.Vm
 module Config = Cgc_core.Config
+module Fence = Cgc_smp.Fence
 
 let check = Alcotest.check
 let cb = Alcotest.bool
@@ -322,6 +323,28 @@ let chrome_obs_matches_records_test =
         (Export.chrome_json_events ~emitted:(Obs.emitted o)
            ~dropped:(Obs.dropped o) ~cycles_per_us:550.0 (Obs.events_array o)))
 
+(* ------------------------ Documented tables ------------------------ *)
+
+(* OBSERVABILITY.md's event catalogue lists every code once, with the
+   name and category of Event's table, which is in [index] order. *)
+let test_catalogue_matches_event () =
+  check
+    Alcotest.(list int)
+    "table in index order"
+    (List.init (List.length Event.all_codes) Fun.id)
+    (List.map Event.index Event.all_codes);
+  Doc_table.check ~doc:"OBSERVABILITY.md"
+    ~header:"| name | kind | category | arg | emitted by |" ~columns:[ 0; 2 ]
+    (List.map (fun c -> [ Event.name c; Event.cat c ]) Event.all_codes)
+
+(* ...and its fence-site table decodes fence-flush's [args.v]. *)
+let test_fence_sites_match () =
+  Doc_table.check ~doc:"OBSERVABILITY.md" ~header:"| index | name | counts |"
+    ~columns:[ 0; 1 ]
+    (List.map
+       (fun s -> [ string_of_int (Fence.site_index s); Fence.site_name s ])
+       Fence.all_sites)
+
 let () =
   Alcotest.run "obs"
     [
@@ -363,5 +386,12 @@ let () =
           Alcotest.test_case "gc phases present" `Slow test_trace_has_gc_phases;
           Alcotest.test_case "zero-cost when off" `Slow
             test_untraced_run_emits_nothing;
+        ] );
+      ( "docs",
+        [
+          Alcotest.test_case "event catalogue matches Event" `Quick
+            test_catalogue_matches_event;
+          Alcotest.test_case "fence sites match Fence" `Quick
+            test_fence_sites_match;
         ] );
     ]
