@@ -48,6 +48,11 @@ let () =
     | _ -> None)
 
 let n_globals = 256
+let cache_slots = 256 (* preferred allocation-cache size: 2 KB *)
+let large_object_slots = 128 (* 1 KB: objects this big bypass the cache *)
+let gc_workers = 4 (* parallel workers for the stop-the-world phases *)
+let bg_chunk = 512 (* slots traced per background-thread scheduling chunk *)
+let evac_fraction = 1.0 /. 16.0 (* heap share evacuated per compacting cycle *)
 
 type t = {
   cfg : Config.t;
@@ -336,8 +341,7 @@ let start_cycle t =
        area than the steady-state incremental setting: the heap is nearly
        exhausted and the goal is defragmentation, not pause bounding. *)
     let fraction =
-      if t.emergency_compact then Float.max t.cfg.Config.evac_fraction 0.125
-      else t.cfg.Config.evac_fraction
+      if t.emergency_compact then 0.125 else evac_fraction
     in
     Compact.choose_area t.cp ~cycle:t.cycle_no ~fraction;
     Tracer.set_compactor t.tr t.cp
@@ -487,7 +491,7 @@ let finalize t reason =
     | Config.Cgc | Config.Gen ->
         Card_clean.start_pass t.cl ~force_fences:(fun () -> ())
     | Config.Stw -> ());
-    let workers = max 1 (min t.cfg.Config.gc_workers (Sched.ncpus t.sched)) in
+    let workers = max 1 (min gc_workers (Sched.ncpus t.sched)) in
     (match (t.cfg.Config.load_balance, t.cfg.Config.mode) with
     | Config.Stealing, Config.Stw ->
         (* Section 4.4 ablation: Endo-style work-stealing mark stacks in
@@ -561,7 +565,6 @@ let finalize t reason =
       then begin
         let moved = Compact.evacuate t.cp ~globals:t.globals in
         Machine.flush t.mach;
-        Stats.add t.st.Gstats.evac_slots (float_of_int moved);
         moved
       end
       else 0
@@ -577,7 +580,6 @@ let finalize t reason =
       /. float_of_int (max 1 (Card_clean.conc_cleaned t.cl)));
     Stats.add st.Gstats.occupancy_end
       (float_of_int live /. float_of_int (Heap.nslots t.hp));
-    Stats.add st.Gstats.float_slots (float_of_int live);
     Stats.add st.Gstats.traced_conc_slots (float_of_int marked_before_stw);
     Stats.add st.Gstats.traced_stw_slots
       (float_of_int (Tracer.marked_slots t.tr - marked_before_stw));
@@ -659,7 +661,6 @@ let force_collect t = full_collect t Forced
 let do_increment t (m : Mctx.t) ~alloc =
   if t.ph = Marking then begin
     let incr_t0 = Machine.now t.mach in
-    m.Mctx.incr_count <- m.Mctx.incr_count + 1;
     (* Card-storm injection: mass-dirty a random batch of cards, as a
        pathological write-heavy mutator would, inflating the cleaning
        backlog mid-cycle. *)
@@ -761,7 +762,7 @@ let note_black t size = if t.ph <> Idle then t.black_slots <- t.black_slots + si
 (* Refill helper that understands lazy sweeping: when the free list is
    short, try advancing the lazy-sweep cursor before declaring failure. *)
 let rec try_refill t (m : Mctx.t) ~min =
-  if Heap.refill_cache t.hp m.Mctx.cache ~min ~pref:t.cfg.Config.cache_slots
+  if Heap.refill_cache t.hp m.Mctx.cache ~min ~pref:cache_slots
   then true
   else
     match t.lazy_state with
@@ -895,7 +896,7 @@ let alloc_old t ~size =
       degrade t ~request:size ~attempt:(fun () -> Heap.alloc_raw t.hp ~size)
 
 let rec alloc t (m : Mctx.t) ~nrefs ~size =
-  if size >= t.cfg.Config.large_object_slots then begin
+  if size >= large_object_slots then begin
     Machine.flush t.mach;
     pre_alloc_hook t m ~request:size;
     match try_alloc_large t ~size ~nrefs with
@@ -930,7 +931,7 @@ let rec alloc t (m : Mctx.t) ~nrefs ~size =
            thread's objects through their allocation bits. *)
         Machine.flush t.mach;
         Heap.retire_cache t.hp m.Mctx.cache;
-        pre_alloc_hook t m ~request:t.cfg.Config.cache_slots;
+        pre_alloc_hook t m ~request:cache_slots;
         (* Gen mode: refill from the nursery first (running a minor
            collection when it is exhausted and the major is idle); the
            old-space free list is the fallback — large objects above and
@@ -959,7 +960,7 @@ let background_body t () =
      if stall > 0 then Sched.sleep stall);
     if t.ph = Marking then begin
       let session = Tracer.new_session t.tr in
-      let n = find_work t session ~budget:t.cfg.Config.bg_chunk in
+      let n = find_work t session ~budget:bg_chunk in
       Tracer.release t.tr session;
       Machine.flush t.mach;
       if n > 0 then begin

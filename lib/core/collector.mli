@@ -19,7 +19,7 @@
        allocation failure.  All caches are retired (publishing allocation
        bits), dirty cards are cleaned under the snapshot protocol, all
        stacks are rescanned, marking completes and the heap is swept —
-       all fully parallel across [gc_workers] threads.}}
+       all fully parallel across up to four threads.}}
 
     In [Stw] mode the collector is the baseline: no write barrier, no
     concurrent phase; allocation failure triggers a full parallel
@@ -52,6 +52,10 @@ exception Out_of_memory of oom_diag
     renders as {!oom_to_string}. *)
 
 val oom_to_string : oom_diag -> string
+
+val cache_slots : int
+(** Preferred allocation-cache size, in slots (2 KB).  The generational
+    front end carves nursery chunks of the same size. *)
 
 val create : Config.t -> sched:Cgc_sim.Sched.t -> heap:Cgc_heap.Heap.t -> t
 (** @raise Invalid_argument when {!Config.validate} rejects the

@@ -36,8 +36,6 @@ type t = {
   cas_per_mb : Stats.t;
   traced_conc_slots : Stats.t;
   traced_stw_slots : Stats.t;
-  float_slots : Stats.t;
-  evac_slots : Stats.t;
   mutable cycle_log : cycle_row list;
   mutable cycles : int;
   mutable premature_cycles : int;
@@ -79,8 +77,6 @@ let create () =
     cas_per_mb = Stats.create ();
     traced_conc_slots = Stats.create ();
     traced_stw_slots = Stats.create ();
-    float_slots = Stats.create ();
-    evac_slots = Stats.create ();
     cycle_log = [];
     cycles = 0;
     premature_cycles = 0;
@@ -118,8 +114,6 @@ let reset t =
   Stats.clear t.cas_per_mb;
   Stats.clear t.traced_conc_slots;
   Stats.clear t.traced_stw_slots;
-  Stats.clear t.float_slots;
-  Stats.clear t.evac_slots;
   t.cycle_log <- [];
   t.cycles <- 0;
   t.premature_cycles <- 0;

@@ -55,8 +55,6 @@ type t = {
   cas_per_mb : Stats.t;  (** CAS ops per cycle, normalised by live MB *)
   traced_conc_slots : Stats.t;  (** slots traced concurrently per cycle *)
   traced_stw_slots : Stats.t;  (** slots traced inside the pause per cycle *)
-  float_slots : Stats.t;  (** live slots at end of cycle *)
-  evac_slots : Stats.t;  (** slots evacuated per cycle *)
   mutable cycle_log : cycle_row list;  (** newest first; see {!cycle_rows} *)
   mutable cycles : int;
   mutable premature_cycles : int;  (** concurrent phase finished all work *)

@@ -5,7 +5,6 @@ type t = {
   cache : Cgc_heap.Heap.cache;
   mutable stack_scanned : bool;
   mutable alloc_slots : int;
-  mutable incr_count : int;
   mutable trace_debt : int;
 }
 
@@ -17,7 +16,6 @@ let create ~tid ~thread ~stack_slots =
     cache = Cgc_heap.Heap.new_cache ();
     stack_scanned = false;
     alloc_slots = 0;
-    incr_count = 0;
     trace_debt = 0;
   }
 

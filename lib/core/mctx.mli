@@ -13,7 +13,6 @@ type t = {
   cache : Cgc_heap.Heap.cache;
   mutable stack_scanned : bool;  (** scanned during the current cycle? *)
   mutable alloc_slots : int;  (** cumulative slots allocated (monotonic) *)
-  mutable incr_count : int;  (** tracing increments performed *)
   mutable trace_debt : int;
       (** tracing work assigned by the progress formula but not yet
           performed (packet shortage); carried into the next increment *)

@@ -1,5 +1,12 @@
 module Ewma = Cgc_util.Ewma
 
+(* Section 3's fixed metering parameters; only K0 is a setting. *)
+let kmax_factor = 2.0 (* Kmax = kmax_factor * K0; the paper uses 2 *)
+let corrective = 0.5 (* the corrective term C applied when K > K0 *)
+let ewma_alpha = 0.5 (* smoothing for the L, M and Best estimators *)
+let initial_l_fraction = 0.4 (* initial L estimate, fraction of heap *)
+let initial_m_fraction = 0.02 (* initial M estimate, fraction of heap *)
+
 type t = {
   cfg : Config.t;
   l_est : Ewma.t;
@@ -11,13 +18,9 @@ let create (cfg : Config.t) ~heap_slots =
   let h = float_of_int heap_slots in
   {
     cfg;
-    l_est =
-      Ewma.create ~alpha:cfg.ewma_alpha
-        ~init:(cfg.initial_l_fraction *. h) ();
-    m_est =
-      Ewma.create ~alpha:cfg.ewma_alpha
-        ~init:(cfg.initial_m_fraction *. h) ();
-    best = Ewma.create ~alpha:cfg.ewma_alpha ~init:0.0 ();
+    l_est = Ewma.create ~alpha:ewma_alpha ~init:(initial_l_fraction *. h) ();
+    m_est = Ewma.create ~alpha:ewma_alpha ~init:(initial_m_fraction *. h) ();
+    best = Ewma.create ~alpha:ewma_alpha ~init:0.0 ();
   }
 
 (* Meter-lowball injection scales the L+M view the meter works from, so
@@ -33,7 +36,7 @@ let increment_rate t ~traced ~free =
   let scale = fault_scale t in
   let l = scale *. Ewma.value t.l_est
   and m = scale *. Ewma.value t.m_est in
-  let kmax = t.cfg.kmax_factor *. t.cfg.k0 in
+  let kmax = kmax_factor *. t.cfg.k0 in
   let f = float_of_int (max free 1) in
   let k = (m +. l -. float_of_int traced) /. f in
   if k < 0.0 then
@@ -47,9 +50,9 @@ let increment_rate t ~traced ~free =
     let k = if k < b then 0.0 else k -. b in
     (* Corrective boost when behind schedule. *)
     let k =
-      if k > t.cfg.k0 then k +. ((k -. t.cfg.k0) *. t.cfg.corrective) else k
+      if k > t.cfg.k0 then k +. ((k -. t.cfg.k0) *. corrective) else k
     in
-    Float.min k (t.cfg.kmax_factor *. kmax)
+    Float.min k (kmax_factor *. kmax)
   end
 
 let increment_work t ~traced ~free ~alloc =

@@ -11,20 +11,22 @@
        smoothing averages over past cycles.}
     {- {e Progress}: at each increment the current rate is
        [K = (M + L - T) / F]; a negative K (under-estimated L or M) is
-       clamped to [Kmax = kmax_factor * K0].  The background threads'
-       smoothed rate [Best] is subtracted — if they are keeping up, the
+       clamped to [Kmax = 2 * K0].  The background threads' smoothed
+       rate [Best] is subtracted — if they are keeping up, the
        mutators trace nothing.  If the remaining K exceeds K0 (tracing
        behind schedule) it is boosted by the corrective term:
        [K + (K - K0) * C].}} *)
 
 type t
 (** Mutable metering state for one collector: the L, M and Best
-    exponential-smoothing estimators plus the {!Config.t} policy knobs
-    (K0, the corrective constant C, Kmax). *)
+    exponential-smoothing estimators plus the {!Config.t} it meters for.
+    K0 comes from the config; Kmax = 2 K0 (the paper's choice), the
+    corrective constant C = 0.5 and the smoothing weight 0.5 are
+    fixed. *)
 
 val create : Config.t -> heap_slots:int -> t
 (** Fresh estimators.  Before any cycle has completed, L is seeded with
-    half the heap and M with zero, so the first kickoff errs early
+    40% of the heap and M with 2%, so the first kickoff errs early
     (starting a cycle too soon is safe; too late risks an allocation
     failure). *)
 

@@ -204,12 +204,11 @@ let quick () = !quick_mode
 
 let specjbb_vm ~label ~gc ?(warehouses = 8) ?(heap_mb = 64.0)
     ?(warmup_ms = 1500.0) ?(ms = 4000.0) ?(seed = 1) ?(trace = false)
-    ?trace_ring ?(profile = false) () =
+    ?trace_ring () =
   let vm =
     Cgc_workloads.Specjbb.setup ~warehouses ~gc ~heap_mb ~seed ~trace
       ?trace_ring ()
   in
-  if profile then Vm.enable_profiler vm;
   Vm.run_measured vm ~warmup_ms ~ms;
   (collect ~label vm, vm)
 
@@ -219,12 +218,11 @@ let specjbb ~label ~gc ?warehouses ?heap_mb ?warmup_ms ?ms ?seed () =
 
 let pbob_vm ~label ~gc ~warehouses ?terminals ?(heap_mb = 96.0) ?think_mean
     ?residency_at ?(warmup_ms = 1500.0) ?(ms = 5000.0) ?(seed = 1)
-    ?(trace = false) ?trace_ring ?(profile = false) () =
+    ?(trace = false) ?trace_ring () =
   let vm =
     Cgc_workloads.Pbob.setup ~warehouses ~gc ?terminals ~heap_mb ~trace
       ?trace_ring ?think_mean ?residency_at ~seed ()
   in
-  if profile then Vm.enable_profiler vm;
   Vm.run_measured vm ~warmup_ms ~ms;
   (collect ~label vm, vm)
 

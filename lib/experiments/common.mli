@@ -132,13 +132,11 @@ val specjbb_vm :
   ?seed:int ->
   ?trace:bool ->
   ?trace_ring:int ->
-  ?profile:bool ->
   unit ->
   metrics * Cgc_runtime.Vm.t
 (** Like {!specjbb} but also returns the finished VM, and optionally
-    arms the event sink ([trace], with [trace_ring] capacity) and the
-    online {!Cgc_prof.Sampler} ([profile]) — for experiments that derive
-    extra columns from the trace. *)
+    arms the event sink ([trace], with [trace_ring] capacity) — for
+    experiments that derive extra columns from the trace. *)
 
 val pbob_vm :
   label:string ->
@@ -153,7 +151,6 @@ val pbob_vm :
   ?seed:int ->
   ?trace:bool ->
   ?trace_ring:int ->
-  ?profile:bool ->
   unit ->
   metrics * Cgc_runtime.Vm.t
 

@@ -10,6 +10,7 @@ module Config = Cgc_core.Config
 let run () =
   Common.hdr "javac (section 6.1) — uniprocessor, 1 background thread, 25 MB heap";
   let measure label gc =
+    let gc = { gc with Config.n_background = 1 } in
     let vm = Cgc_workloads.Javac.setup ~gc () in
     let ms = if Common.quick () then 2500.0 else 6000.0 in
     Vm.run_measured vm ~warmup_ms:1000.0 ~ms;

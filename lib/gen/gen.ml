@@ -15,6 +15,8 @@ module Verify = Cgc_core.Verify
 module Histogram = Cgc_util.Histogram
 module Ewma = Cgc_util.Ewma
 
+let nursery_fraction = 0.125
+
 type t = {
   coll : Collector.t;
   hp : Heap.t;
@@ -22,7 +24,6 @@ type t = {
   young : Card_table.t;  (** old->young remembered set *)
   n_lo : int;  (** first nursery slot *)
   n_hi : int;  (** one past the last nursery slot *)
-  chunk_pref : int;  (** preferred carve size (= the cache size) *)
   verify : bool;
   mutable bump : int;  (** nursery carve pointer, in [n_lo, n_hi] *)
   mutable pins_ahead : (int * int) list;
@@ -253,15 +254,15 @@ let barrier t ~parent ~value =
   if parent < t.n_lo && value >= t.n_lo then
     Card_table.dirty t.young (Arena.card_of_addr parent)
 
-(* Carve [need] slots (preferably [chunk_pref]) out of the nursery,
-   stepping over pinned extents.  [None] means no gap fits: time for a
-   minor (or the old-space fallback). *)
+(* Carve [need] slots (preferably [Collector.cache_slots]) out of the
+   nursery, stepping over pinned extents.  [None] means no gap fits:
+   time for a minor (or the old-space fallback). *)
 let rec carve t ~need =
   let gap_end =
     match t.pins_ahead with (pa, _) :: _ -> pa | [] -> t.n_hi
   in
   if t.bump + need <= gap_end then begin
-    let chunk = Stdlib.min t.chunk_pref (gap_end - t.bump) in
+    let chunk = Stdlib.min Collector.cache_slots (gap_end - t.bump) in
     let chunk = Stdlib.max chunk need in
     let base = t.bump in
     t.bump <- base + chunk;
@@ -325,7 +326,6 @@ let create coll ~nursery_slots =
       young;
       n_lo;
       n_hi;
-      chunk_pref = cfg.Config.cache_slots;
       verify = cfg.Config.verify;
       bump = n_lo;
       pins_ahead = [];

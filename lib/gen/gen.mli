@@ -47,6 +47,11 @@
 
 type t
 
+val nursery_fraction : float
+(** Fraction of the arena carved off as the nursery (1/8).  The old
+    space shrinks by the same amount, so heap budgets stay comparable
+    across the [--gc] axis. *)
+
 val create : Cgc_core.Collector.t -> nursery_slots:int -> t
 (** Carve the nursery off the top of the collector's (pristine) heap,
     create the young remembered-set card table, and install the barrier

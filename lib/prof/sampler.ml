@@ -1,21 +1,24 @@
-type probe = { every : int; fn : unit -> float; s : Series.t }
+type probe = { fn : unit -> float; s : Series.t }
 
 type t = {
   interval : int;
-  capacity : int;
   mutable probes : probe list;  (* reverse registration order *)
   mutable due : int;
   mutable nticks : int;
 }
 
-let create ~interval ?(capacity = 8192) () =
-  { interval = max 1 interval; capacity; probes = []; due = 0; nticks = 0 }
+(* Per-probe window: 8192 samples at the VM's 0.25 ms interval cover
+   the last two simulated seconds. *)
+let capacity = 8192
+
+let create ~interval () =
+  { interval = max 1 interval; probes = []; due = 0; nticks = 0 }
 
 let interval t = t.interval
 
-let add_probe t ~name ?(every = 1) fn =
-  let s = Series.create ~capacity:t.capacity ~name () in
-  t.probes <- { every = max 1 every; fn; s } :: t.probes
+let add_probe t ~name fn =
+  let s = Series.create ~capacity ~name () in
+  t.probes <- { fn; s } :: t.probes
 
 let tick t ~now =
   if now >= t.due then begin
@@ -23,11 +26,8 @@ let tick t ~now =
        a clock that jumps several intervals at once (a long pause, an
        idle stretch) does not fabricate a burst of identical samples. *)
     let ts = now / t.interval * t.interval in
-    let n = t.nticks in
-    t.nticks <- n + 1;
-    List.iter
-      (fun p -> if n mod p.every = 0 then Series.add p.s ~ts (p.fn ()))
-      (List.rev t.probes);
+    t.nticks <- t.nticks + 1;
+    List.iter (fun p -> Series.add p.s ~ts (p.fn ())) (List.rev t.probes);
     t.due <- ts + t.interval
   end
 

@@ -16,16 +16,14 @@
 
 type t
 
-val create : interval:int -> ?capacity:int -> unit -> t
-(** [interval] is the sampling period in simulated cycles; [capacity]
-    (default 8192) is the per-probe {!Series} window. *)
+val create : interval:int -> unit -> t
+(** [interval] is the sampling period in simulated cycles.  Each probe
+    keeps a {!Series} window of the newest 8192 samples. *)
 
 val interval : t -> int
 
-val add_probe : t -> name:string -> ?every:int -> (unit -> float) -> unit
-(** Register a named probe.  [every] (default 1) samples the probe only
-    on every [every]-th sampling tick — for probes whose read is
-    expensive (the card-table dirty count walks the whole table). *)
+val add_probe : t -> name:string -> (unit -> float) -> unit
+(** Register a named probe, sampled at every tick. *)
 
 val tick : t -> now:int -> unit
 (** Advance to simulated time [now]; takes at most one sample, at the

@@ -26,18 +26,15 @@ type config = {
   seed : int;
   gc : Config.t;
   wm_mode : Weakmem.mode;
-  stack_slots : int;
-  quantum : int;
   fence_policy : Heap.fence_policy;
   trace : bool;
   trace_ring : int;
 }
 
 let config ?(heap_mb = 64.0) ?(ncpus = 4) ?(seed = 1) ?(gc = Config.default)
-    ?(wm_mode = Weakmem.Sc) ?(stack_slots = 48) ?(quantum = 110_000)
-    ?(fence_policy = Heap.Batched) ?(trace = false) ?(trace_ring = 65536) () =
-  { heap_mb; ncpus; seed; gc; wm_mode; stack_slots; quantum; fence_policy;
-    trace; trace_ring }
+    ?(wm_mode = Weakmem.Sc) ?(fence_policy = Heap.Batched) ?(trace = false)
+    ?(trace_ring = 65536) () =
+  { heap_mb; ncpus; seed; gc; wm_mode; fence_policy; trace; trace_ring }
 
 type t = {
   cfg : config;
@@ -54,7 +51,7 @@ type t = {
 }
 
 let create cfg =
-  let sc = Sched.create ~quantum:cfg.quantum ~ncpus:cfg.ncpus () in
+  let sc = Sched.create ~ncpus:cfg.ncpus () in
   let rng = Prng.create cfg.seed in
   let wm = Weakmem.create ~mode:cfg.wm_mode ~rng:(Prng.split rng) () in
   let obs =
@@ -89,7 +86,7 @@ let create cfg =
     | Config.Stw | Config.Cgc -> None
     | Config.Gen ->
         let slots =
-          int_of_float (float_of_int nslots *. cfg.gc.Config.nursery_fraction)
+          int_of_float (float_of_int nslots *. Gen.nursery_fraction)
         in
         Some (Gen.create coll ~nursery_slots:slots)
   in
@@ -104,15 +101,15 @@ let machine t = Heap.machine t.hp
 let gc_stats t = Collector.stats t.coll
 let the_config t = t.cfg
 
+(* Root-array ("stack") slots per mutator. *)
+let stack_slots = 48
+
 let spawn_mutator t ~name body =
   let mrng = Prng.split t.rng in
   ignore
     (Sched.spawn t.sc ~name ~prio:Sched.Normal (fun () ->
          let thread = Sched.current t.sc in
-         let mctx =
-           Collector.register_mutator t.coll thread
-             ~stack_slots:t.cfg.stack_slots
-         in
+         let mctx = Collector.register_mutator t.coll thread ~stack_slots in
          let m =
            Mutator.make ~vm_sched:t.sc ~coll:t.coll ~mctx ~rng:mrng
              ~on_tx:(fun () -> t.txs <- t.txs + 1)
@@ -164,13 +161,18 @@ let cycles_per_us t =
 
 let profiler t = t.prof
 
-let enable_profiler ?(interval_ms = 0.25) t =
+(* Sampling period: every 0.25 simulated ms. *)
+let profiler_interval_ms = 0.25
+
+let enable_profiler t =
   match t.prof with
   | Some _ -> ()  (* idempotent: keep the existing sampler and probes *)
   | None ->
       let cost = (machine t).Machine.cost in
       let interval =
-        max 1 (int_of_float (interval_ms *. float_of_int cost.Cost.cycles_per_ms))
+        max 1
+          (int_of_float
+             (profiler_interval_ms *. float_of_int cost.Cost.cycles_per_ms))
       in
       let p = Sampler.create ~interval () in
       let fi = float_of_int in
@@ -183,7 +185,7 @@ let enable_profiler ?(interval_ms = 0.25) t =
             then incr n);
         fi !n
       in
-      let probe name ?every fn = Sampler.add_probe p ~name ?every fn in
+      let probe name fn = Sampler.add_probe p ~name fn in
       probe "mutators-running"
         (count_threads Sched.Normal [ Sched.Runnable; Sched.Running ]);
       probe "mutators-sleeping" (count_threads Sched.Normal [ Sched.Sleeping ]);

@@ -27,8 +27,6 @@ type config = {
   seed : int;
   gc : Cgc_core.Config.t;
   wm_mode : Cgc_smp.Weakmem.mode;
-  stack_slots : int;  (** root-array ("stack") slots per mutator *)
-  quantum : int;  (** scheduler preemption slice, cycles *)
   fence_policy : Cgc_heap.Heap.fence_policy;
       (** [Batched] (the paper's protocols) or [Naive] (one fence per
           object / per mark) for the fence-batching ablation *)
@@ -46,16 +44,15 @@ val config :
   ?seed:int ->
   ?gc:Cgc_core.Config.t ->
   ?wm_mode:Cgc_smp.Weakmem.mode ->
-  ?stack_slots:int ->
-  ?quantum:int ->
   ?fence_policy:Cgc_heap.Heap.fence_policy ->
   ?trace:bool ->
   ?trace_ring:int ->
   unit ->
   config
 (** Defaults: 64 MB heap, 4 CPUs, seed 1, CGC with paper parameters,
-    sequentially-consistent memory (fence costs still charged), 48 stack
-    slots, 110k-cycle (0.2 ms) quantum, tracing off, 65536-event rings. *)
+    sequentially-consistent memory (fence costs still charged), tracing
+    off, 65536-event rings.  Every VM gives each mutator 48 root-array
+    ("stack") slots and runs {!Cgc_sim.Sched.create}'s default quantum. *)
 
 val create : config -> t
 
@@ -137,15 +134,14 @@ val write_metrics : t -> string -> unit
 
 (** {2 Online profiler} *)
 
-val enable_profiler : ?interval_ms:float -> t -> unit
+val enable_profiler : t -> unit
 (** Install the {!Cgc_prof.Sampler} on this VM (idempotent).  Every
-    [interval_ms] (default 0.25) of simulated time, host-side probes
-    snapshot scheduler occupancy (running / sleeping mutators,
-    background tracers, world-stopped), packet-pool occupancy by list,
-    card-table dirty count, heap free slots, marked slots and the
-    collector phase — charging no simulated cycles.  Call before
-    {!run}; {!reset_stats} clears the collected series along with
-    everything else. *)
+    0.25 ms of simulated time, host-side probes snapshot scheduler
+    occupancy (running / sleeping mutators, background tracers,
+    world-stopped), packet-pool occupancy by list, card-table dirty
+    count, heap free slots, marked slots and the collector phase —
+    charging no simulated cycles.  Call before {!run}; {!reset_stats}
+    clears the collected series along with everything else. *)
 
 val profiler : t -> Cgc_prof.Sampler.t option
 (** The sampler installed by {!enable_profiler}, if any. *)

@@ -24,16 +24,13 @@ type cfg = {
   slo_target : float;
   throttle_hi : int;
   throttle_lo : int;
-  service : Txmix.profile;
-  resident_frac : float;
-  poll_cycles : int;
 }
 
 (* A lighter transaction than the warehouse benchmarks: ~0.1 ms of
    compute plus a short burst of transient allocation, so a handful of
    workers saturate in the thousands of requests per second and a
    stop-the-world pause is many service times long. *)
-let default_service : Txmix.profile =
+let service : Txmix.profile =
   {
     live_lists = 16;
     list_len = 400; (* rescaled by create *)
@@ -50,10 +47,15 @@ let default_service : Txmix.profile =
     junk_roots = true;
   }
 
+(* Share of the heap the workers' resident sets fill, in total. *)
+let resident_frac = 0.5
+
+(* Idle-worker queue poll interval (~36 µs). *)
+let poll_cycles = 20_000
+
 let cfg ?(arrival = Arrival.Poisson) ?(queue_cap = 256) ?(workers = 4)
     ?(timeout_ms = 0.0) ?(slo_ms = 0.0) ?(slo_target = 0.999)
-    ?(throttle_hi = 0) ?(throttle_lo = 0) ?(service = default_service)
-    ?(resident_frac = 0.5) ?(poll_cycles = 20_000) ~rate_per_s () =
+    ?(throttle_hi = 0) ?(throttle_lo = 0) ~rate_per_s () =
   if rate_per_s <= 0.0 then invalid_arg "Server.cfg: rate must be positive";
   if queue_cap < 1 then invalid_arg "Server.cfg: queue capacity < 1";
   if workers < 1 then invalid_arg "Server.cfg: workers < 1";
@@ -69,9 +71,6 @@ let cfg ?(arrival = Arrival.Poisson) ?(queue_cap = 256) ?(workers = 4)
     slo_target;
     throttle_hi;
     throttle_lo;
-    service;
-    resident_frac;
-    poll_cycles;
   }
 
 type req = {
@@ -220,7 +219,7 @@ let handle t m ~wid ~dir req ~start =
 
 let rec dispatch t m ~wid ~dir =
   match Queue.take_opt t.queue with
-  | None -> Mutator.think m t.cfg.poll_cycles
+  | None -> Mutator.think m poll_cycles
   | Some req ->
       let now = Mutator.now_cycles m in
       if
@@ -283,10 +282,10 @@ let create ?arrivals ?degrade ?(route = Span.local_route) (cfg : cfg) vm =
   in
   let nslots = Heap.nslots (Vm.heap vm) in
   let target_slots =
-    int_of_float (float_of_int nslots *. cfg.resident_frac)
+    int_of_float (float_of_int nslots *. resident_frac)
     / Stdlib.max 1 cfg.workers
   in
-  let profile = Txmix.scale_residency cfg.service ~target_slots in
+  let profile = Txmix.scale_residency service ~target_slots in
   let t =
     {
       cfg;

@@ -37,14 +37,7 @@ type cfg = {
   throttle_hi : int;
       (** queue depth arming the admission throttle; 0 = disabled *)
   throttle_lo : int;  (** depth at which the throttle disarms *)
-  service : Cgc_workloads.Txmix.profile;
-      (** per-request service work (its [list_len] is rescaled so all
-          workers' resident sets total [resident_frac] of the heap) *)
-  resident_frac : float;
-  poll_cycles : int;  (** idle-worker queue poll interval *)
 }
-
-val default_service : Cgc_workloads.Txmix.profile
 
 val cfg :
   ?arrival:Arrival.kind ->
@@ -55,15 +48,14 @@ val cfg :
   ?slo_target:float ->
   ?throttle_hi:int ->
   ?throttle_lo:int ->
-  ?service:Cgc_workloads.Txmix.profile ->
-  ?resident_frac:float ->
-  ?poll_cycles:int ->
   rate_per_s:float ->
   unit ->
   cfg
 (** Defaults: Poisson arrivals, queue of 256, 4 workers, no timeout, no
-    SLO, throttle off, {!default_service}, 50% heap residency, ~36 µs
-    poll. *)
+    SLO, throttle off.  Every server runs the same request profile: about
+    0.1 ms of work with a burst of transient allocation, its resident
+    lists rescaled so all workers' resident sets total half the heap.
+    Idle workers poll the queue every ~36 µs. *)
 
 type t
 

@@ -79,7 +79,6 @@ let rq_min rq =
 type t = {
   n_cpus : int;
   quantum : int;
-  dispatch : int;
   clock : int array;
   runq_high : runq;
   runq_normal : runq;
@@ -116,13 +115,14 @@ type t = {
 
 let low_boost_every = 64
 
-let create ?(quantum = 110_000) ?(dispatch = Cgc_smp.Cost.default.dispatch)
-    ~ncpus () =
+(* Context-switch cost charged at the end of every slice. *)
+let dispatch = Cgc_smp.Cost.default.dispatch
+
+let create ?(quantum = 110_000) ~ncpus () =
   if ncpus <= 0 then invalid_arg "Sched.create: ncpus";
   {
     n_cpus = ncpus;
     quantum;
-    dispatch;
     clock = Array.make ncpus 0;
     runq_high = runq_create ();
     runq_normal = runq_create ();
@@ -456,7 +456,7 @@ let run t ~until =
           let outcome = exec t th in
           t.cur <- dummy_thread;
           t.busy <- t.busy + t.used;
-          let fin = tm + t.used + t.dispatch in
+          let fin = tm + t.used + dispatch in
           t.clock.(c) <- fin;
           match outcome with
           | Finished ->

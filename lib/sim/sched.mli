@@ -26,11 +26,12 @@ type prio = High | Normal | Low
 type thread
 (** Handle on a simulated thread. *)
 
-val create : ?quantum:int -> ?dispatch:int -> ncpus:int -> unit -> t
+val create : ?quantum:int -> ncpus:int -> unit -> t
 (** [quantum] is the preemption slice in cycles (default 110_000 — about
     0.2 ms at 550 MHz, a compromise between OS realism and interleaving
-    granularity); [dispatch] the context-switch cost (default
-    {!Cgc_smp.Cost.default.dispatch}). *)
+    granularity).  Every VM runs the default; unit tests shrink it to
+    force interleaving.  Each slice is charged
+    {!Cgc_smp.Cost.default}'s context-switch cost. *)
 
 val ncpus : t -> int
 

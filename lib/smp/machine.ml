@@ -11,10 +11,10 @@ type t = {
   relinquish : unit -> unit;
 }
 
-let create ?(cost = Cost.default) ?(obs = Cgc_obs.Obs.null) ~wm ~now ~spend
-    ~cpu ?(relinquish = fun () -> ()) () =
-  { cost; wm; fences = Fence.create (); obs; cas_ops = 0; debt = 0; now;
-    spend; cpu; relinquish }
+let create ?(obs = Cgc_obs.Obs.null) ~wm ~now ~spend ~cpu
+    ?(relinquish = fun () -> ()) () =
+  { cost = Cost.default; wm; fences = Fence.create (); obs; cas_ops = 0;
+    debt = 0; now; spend; cpu; relinquish }
 
 let testing ?(mode = Weakmem.Sc) ?(seed = 42) () =
   let clock = ref 0 in

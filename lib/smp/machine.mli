@@ -27,7 +27,6 @@ type t = {
 }
 
 val create :
-  ?cost:Cost.t ->
   ?obs:Cgc_obs.Obs.t ->
   wm:Weakmem.t ->
   now:(unit -> int) ->
@@ -36,6 +35,7 @@ val create :
   ?relinquish:(unit -> unit) ->
   unit ->
   t
+(** A machine charging {!Cost.default}'s cycle costs. *)
 
 val testing : ?mode:Weakmem.mode -> ?seed:int -> unit -> t
 (** A machine for unit tests: manual clock (starts at 0, advanced by

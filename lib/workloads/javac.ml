@@ -41,8 +41,7 @@ let body ~unit_slots m =
   done
 
 let setup ~gc ?(heap_mb = 25.0) ?(ncpus = 1) ?(seed = 1) ?(trace = false)
-    ?trace_ring ?(n_background = 1) () =
-  let gc = { gc with Cgc_core.Config.n_background } in
+    ?trace_ring () =
   let vm =
     Vm.create (Vm.config ~heap_mb ~ncpus ~seed ~gc ~trace ?trace_ring ())
   in

@@ -43,7 +43,7 @@ let test_nursery_carved () =
   let slots = Gen.n_hi g - Gen.n_lo g in
   let want =
     int_of_float
-      (float_of_int (Heap.nslots heap) *. Config.gen.Config.nursery_fraction)
+      (float_of_int (Heap.nslots heap) *. Gen.nursery_fraction)
   in
   check cb "close to the configured fraction" true
     (slots <= want && want - slots < 1024);

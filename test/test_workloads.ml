@@ -169,7 +169,9 @@ let test_javac_runs () =
 let test_javac_uniprocessor_config () =
   let vm = Javac.setup ~gc:Config.default () in
   check ci "1 cpu" 1 (Cgc_sim.Sched.ncpus (Vm.sched vm));
-  check ci "1 background thread" 1
+  let gc = { Config.default with Config.n_background = 3 } in
+  let vm = Javac.setup ~gc () in
+  check ci "background threads as given" 3
     (Collector.config (Vm.collector vm)).Config.n_background
 
 (* javac's ring capacity reaches the VM: a tiny ring is configured as
