@@ -126,9 +126,10 @@ serve-smoke: build
 	@echo "serve smoke OK: deterministic reports, traces clean, SLO gate fires"
 
 # Sharded-cluster smoke: a 4-shard run twice at different --jobs must
-# produce byte-identical fleet reports and per-shard traces, one shard
-# trace must analyze clean, and an overloaded fleet with an SLO must
-# exit 6.
+# produce byte-identical fleet reports and per-shard traces, with and
+# without every fault scenario armed (each shard arms its own
+# injector), one shard trace must analyze clean, and an overloaded
+# fleet with an SLO must exit 6.
 cluster-smoke: build
 	mkdir -p $(ART)
 	dune exec bin/cgcsim.exe -- cluster --shards 4 --policy lqd \
@@ -144,6 +145,17 @@ cluster-smoke: build
 	done
 	dune exec bin/cgcsim.exe -- analyze \
 	  --trace $(ART)/cluster-a.shard0.json --fail-on-drops > /dev/null
+	for j in 1 4; do \
+	  dune exec bin/cgcsim.exe -- cluster --shards 4 --rate 8000 \
+	    --heap-mb 16 --ms 400 --seed 1 --inject all --jobs $$j \
+	    --json $(ART)/cluster-inject-j$$j.json \
+	    --trace-out $(ART)/cluster-inject-j$$j > /dev/null || exit 1; \
+	done
+	cmp $(ART)/cluster-inject-j1.json $(ART)/cluster-inject-j4.json
+	for k in 0 1 2 3; do \
+	  cmp $(ART)/cluster-inject-j1.shard$$k.json \
+	    $(ART)/cluster-inject-j4.shard$$k.json || exit 1; \
+	done
 	@dune exec bin/cgcsim.exe -- cluster --shards 2 -c stw --rate 40000 \
 	  --ms 600 --heap-mb 16 --seed 1 --slo-ms 5 --jobs 2 \
 	  > /dev/null 2>&1; st=$$?; \
@@ -151,7 +163,7 @@ cluster-smoke: build
 	    echo "expected fleet SLO breach (exit 6), got $$st"; \
 	    exit 1; \
 	  fi
-	@echo "cluster smoke OK: fleet report and shard traces deterministic, SLO gate fires"
+	@echo "cluster smoke OK: fleet report and shard traces deterministic, with and without fault injection; SLO gate fires"
 
 # Generational smoke: two same-seed gen-mode serve runs must produce
 # byte-identical reports and traces (minor collections included), a

@@ -17,15 +17,15 @@ let race1 ~fenced =
   let fails = ref 0 in
   let trials = 500 in
   for seed = 1 to trials do
-    let m, _clock, cpu = Machine.testing_multi ~mode:Weakmem.Relaxed ~seed () in
+    let m = Machine.testing ~mode:Weakmem.Relaxed ~seed () in
     let pl = Pool.create ~fence_on_put:fenced m ~n_packets:4 ~capacity:8 in
-    cpu := 1;
+    m.Machine.clock.tid <- 1;
     let p = Option.get (Pool.get_output pl) in
     for i = 1 to 5 do
       ignore (Pool.push pl p (100 + i))
     done;
     Pool.put pl p;
-    cpu := 2;
+    m.Machine.clock.tid <- 2;
     let q = Option.get (Pool.get_input pl) in
     let stale = ref false in
     let rec drain () =
@@ -47,9 +47,9 @@ let race3 ~force_fence =
   let fails = ref 0 in
   let trials = 500 in
   for seed = 1 to trials do
-    let m, _clock, cpu = Machine.testing_multi ~mode:Weakmem.Relaxed ~seed () in
+    let m = Machine.testing ~mode:Weakmem.Relaxed ~seed () in
     let heap = Heap.create m ~nslots:4096 in
-    cpu := 1;
+    m.Machine.clock.tid <- 1;
     let o1 = Option.get (Heap.alloc_large heap ~size:8 ~nrefs:1 ~mark_new:false) in
     let o2 = Option.get (Heap.alloc_large heap ~size:8 ~nrefs:0 ~mark_new:false) in
     Weakmem.fence m.Machine.wm ~cpu:1 ~now:(Machine.now m);
@@ -59,7 +59,7 @@ let race3 ~force_fence =
     Machine.charge m 3_000;
     Machine.flush m;
     Weakmem.commit_due m.Machine.wm ~now:(Machine.now m);
-    cpu := 2;
+    m.Machine.clock.tid <- 2;
     let registered = Card_table.snapshot (Heap.cards heap) in
     if force_fence then Weakmem.fence m.Machine.wm ~cpu:1 ~now:(Machine.now m);
     let found = ref false in

@@ -37,8 +37,10 @@ type t = {
       (** incremental compaction (section 2.3): evacuate one area per
           cycle inside the pause, with in-pointers tracked during marking *)
   faults : Cgc_fault.Fault.t;
-      (** deterministic fault injector (default {!Cgc_fault.Fault.disabled});
-          see [docs/FAULTS.md] for the scenario catalogue *)
+      (** deterministic fault injector (default {!Cgc_fault.Fault.disabled}).
+          A VM's config holds the template each VM arms its own copy
+          from; the collector's config holds that copy.  See
+          [docs/FAULTS.md] for the scenario catalogue *)
   verify : bool;
       (** run the {!Verify} heap invariant checker at every cycle
           boundary (host-side, uncharged; raises

@@ -1,4 +1,5 @@
 module Prng = Cgc_util.Prng
+module Clock = Cgc_util.Clock
 module Obs = Cgc_obs.Obs
 module Event = Cgc_obs.Event
 
@@ -55,20 +56,18 @@ let lowball_factor = 0.35
 type armed = {
   rng : Prng.t;
   the_seed : int;
-  active : bool array; (* by scenario index *)
+  active : bool array; (* by scenario index; read-only, so copies share it *)
   counts : int array;
   last_period : int array; (* last period index that fired, per site *)
-  mutable now : unit -> int;
-  mutable obs : Obs.t;
+  clock : Clock.t;
+  obs : Obs.t;
 }
 
 type t = Disabled | Armed of armed
 
 let disabled = Disabled
 
-let create ?(scenarios = all) ~seed () =
-  let active = Array.make n_scenarios false in
-  List.iter (fun s -> active.(index s) <- true) scenarios;
+let make ~active ~seed ~clock ~obs =
   Armed
     {
       rng = Prng.create (seed lxor 0x0fa317_1417);
@@ -76,21 +75,21 @@ let create ?(scenarios = all) ~seed () =
       active;
       counts = Array.make n_scenarios 0;
       last_period = Array.make n_scenarios (-1);
-      now = (fun () -> 0);
-      obs = Obs.null;
+      clock;
+      obs;
     }
 
-let attach t ~now ~obs =
+let create ?(scenarios = all) ~seed () =
+  let active = Array.make n_scenarios false in
+  List.iter (fun s -> active.(index s) <- true) scenarios;
+  make ~active ~seed ~clock:(Clock.manual ()) ~obs:Obs.null
+
+let arm t ~clock ~obs =
   match t with
-  | Disabled -> ()
-  | Armed a ->
-      a.now <- now;
-      a.obs <- obs
+  | Disabled -> Disabled
+  | Armed a -> make ~active:a.active ~seed:a.the_seed ~clock ~obs
 
 let enabled = function Disabled -> false | Armed _ -> true
-
-let is_active t s =
-  match t with Disabled -> false | Armed a -> a.active.(index s)
 
 let seed = function Disabled -> 0 | Armed a -> a.the_seed
 
@@ -115,7 +114,7 @@ let fire a s =
    entered window once, keyed by the period index. *)
 let fire_window a s ~period =
   let i = index s in
-  let w = a.now () / period in
+  let w = Clock.now a.clock / period in
   if a.last_period.(i) <> w then begin
     a.last_period.(i) <- w;
     fire a s
@@ -126,7 +125,7 @@ let starve_packets t =
   | Disabled -> false
   | Armed a when not a.active.(index Packet_starvation) -> false
   | Armed a ->
-      if a.now () mod starve_period < starve_window then begin
+      if Clock.now a.clock mod starve_period < starve_window then begin
         fire_window a Packet_starvation ~period:starve_period;
         true
       end
@@ -168,7 +167,7 @@ let card_storm t ~ncards =
   | Armed a when not a.active.(index Card_storm) -> []
   | Armed a ->
       let i = index Card_storm in
-      let w = a.now () / storm_period in
+      let w = Clock.now a.clock / storm_period in
       if a.last_period.(i) = w then []
       else begin
         a.last_period.(i) <- w;

@@ -62,17 +62,19 @@ val disabled : t
     fault".  This is the {!Cgc_core.Config.default} value. *)
 
 val create : ?scenarios:scenario list -> seed:int -> unit -> t
-(** An armed injector firing the given scenarios (default: {!all}) from a
-    deterministic PRNG stream.  Create a fresh injector per VM — it holds
-    mutable counters and the VM's clock. *)
+(** An injector firing the given scenarios (default: {!all}) from a
+    deterministic PRNG stream seeded by [seed].  It reads a clock that
+    stays at time 0 and emits nowhere until {!arm} binds a copy to a
+    VM; {!Cgc_core.Config} carries it as that copy's template. *)
 
-val attach : t -> now:(unit -> int) -> obs:Cgc_obs.Obs.t -> unit
-(** Connect the injector to a VM's simulated clock and event sink
-    ({!Cgc_runtime.Vm.create} does this).  No-op on {!disabled}. *)
+val arm : t -> clock:Cgc_util.Clock.t -> obs:Cgc_obs.Obs.t -> t
+(** A fresh injector with [t]'s scenarios and seed — its own PRNG
+    stream, zero counts — reading [clock] for its time windows and
+    emitting to [obs].  Each VM arms its own ({!Cgc_runtime.Vm.create}
+    does this), so no two VMs share injector state and [t] is never
+    mutated.  {!disabled} stays disabled. *)
 
 val enabled : t -> bool
-
-val is_active : t -> scenario -> bool
 
 val seed : t -> int
 (** The creation seed ([0] for {!disabled}) — printed by reports so a run

@@ -224,10 +224,6 @@ let chrome_json ?(emitted = 0) ?(dropped = 0) ~cycles_per_us events =
   let each f = List.iter (visit_record f) events in
   render ~emitted ~dropped ~cycles_per_us ~unordered:each ~ordered:each
 
-let chrome_json_events ?(emitted = 0) ?(dropped = 0) ~cycles_per_us events =
-  let each f = Array.iter (visit_record f) events in
-  render ~emitted ~dropped ~cycles_per_us ~unordered:each ~ordered:each
-
 let chrome_obs ~cycles_per_us o =
   let m = Obs.merged o in
   let visit f i =

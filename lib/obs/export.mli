@@ -38,17 +38,11 @@ val chrome_json :
     [dropped] (default 0) are recorded in the header so analysis of the
     file can report how much history the rings lost. *)
 
-val chrome_json_events :
-  ?emitted:int -> ?dropped:int -> cycles_per_us:float -> Event.t array -> string
-(** {!chrome_json} over the flat array {!Cgc_obs.Obs.events_array}
-    produces — identical output bytes, without building a list of the
-    whole trace first. *)
-
 val chrome_obs : cycles_per_us:float -> Obs.t -> string
 (** {!chrome_json} of every event the sink holds, with its emitted and
-    dropped counts — the same bytes {!chrome_json_events} writes for
-    {!Obs.events_array}, but written straight from the sink's sorted
-    columns ({!Obs.merged}) without building a record per event. *)
+    dropped counts — the same bytes {!chrome_json} writes for
+    {!Obs.events}, but written straight from the sink's sorted columns
+    ({!Obs.merged}) without building a record per event. *)
 
 val format_us : cycles_per_us:float -> int -> string
 (** One timestamp field as the writer prints it: exactly

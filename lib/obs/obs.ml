@@ -1,7 +1,8 @@
+module Clock = Cgc_util.Clock
+
 type armed = {
   cap : int;
-  now : unit -> int;
-  tid : unit -> int;
+  clock : Clock.t;
   rings : (int, Ring.t) Hashtbl.t;
   mutable count : int;
   mutable last : (int * Ring.t) option;
@@ -14,12 +15,11 @@ type t = Null | On of armed
 
 let null = Null
 
-let create ?(ring_capacity = 65536) ~now ~tid () =
+let create ?(ring_capacity = 65536) clock =
   On
     {
       cap = ring_capacity;
-      now;
-      tid;
+      clock;
       rings = Hashtbl.create 16;
       count = 0;
       last = None;
@@ -51,29 +51,27 @@ let emit a ~ts ~dur ~tid ~code ~arg =
 let instant t ?(arg = 0) code =
   match t with
   | Null -> ()
-  | On a -> emit a ~ts:(a.now ()) ~dur:(-1) ~tid:(a.tid ()) ~code ~arg
+  | On a ->
+      emit a ~ts:(Clock.now a.clock) ~dur:(-1) ~tid:(Clock.tid a.clock) ~code
+        ~arg
 
 let span t ?(arg = 0) ~start code =
   match t with
   | Null -> ()
   | On a ->
-      let now = a.now () in
-      emit a ~ts:start ~dur:(max 0 (now - start)) ~tid:(a.tid ()) ~code ~arg
+      let now = Clock.now a.clock in
+      emit a ~ts:start ~dur:(max 0 (now - start)) ~tid:(Clock.tid a.clock)
+        ~code ~arg
 
 let span_at t ?(arg = 0) ~ts ~dur code =
   match t with
   | Null -> ()
-  | On a -> emit a ~ts ~dur:(max 0 dur) ~tid:(a.tid ()) ~code ~arg
+  | On a -> emit a ~ts ~dur:(max 0 dur) ~tid:(Clock.tid a.clock) ~code ~arg
 
 let instant_host t ?(arg = 0) ~tid ~ts code =
   match t with
   | Null -> ()
   | On a -> emit a ~ts ~dur:(-1) ~tid ~code ~arg
-
-let span_host t ?(arg = 0) ~tid ~ts ~dur code =
-  match t with
-  | Null -> ()
-  | On a -> emit a ~ts ~dur:(max 0 dur) ~tid ~code ~arg
 
 let emitted = function Null -> 0 | On a -> a.count
 

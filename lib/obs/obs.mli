@@ -3,12 +3,11 @@
     A sink is either {!null} — every emit is a single pattern match and a
     return, so tracing is zero-cost when off — or armed, in which case
     events are appended to a bounded {!Ring} per emitting simulated
-    thread.  Timestamps come from the [now] closure (the simulated
-    per-CPU clock, never the host clock) and thread ids from the [tid]
-    closure, so an armed sink is fully deterministic: two runs with the
-    same seed produce identical event sequences, and {!events} orders
-    them by simulated time with a stable (thread id, emission order)
-    tie-break. *)
+    thread.  Timestamps and thread ids come from the VM's
+    {!Cgc_util.Clock} (simulated time, never the host clock), so an
+    armed sink is fully deterministic: two runs with the same seed
+    produce identical event sequences, and {!events} orders them by
+    simulated time with a stable (thread id, emission order) tie-break. *)
 
 type t
 
@@ -16,11 +15,12 @@ val null : t
 (** The no-op sink: {!enabled} is [false], emits do nothing, {!events}
     is empty. *)
 
-val create : ?ring_capacity:int -> now:(unit -> int) -> tid:(unit -> int) -> unit -> t
-(** An armed sink.  [ring_capacity] (default [65536]) bounds each
-    per-thread ring; overflow drops the oldest events and is reported by
-    {!dropped}.  [now] and [tid] must only be called from contexts where
-    they are valid — in practice, from inside simulated threads. *)
+val create : ?ring_capacity:int -> Cgc_util.Clock.t -> t
+(** An armed sink stamping events from the clock.  [ring_capacity]
+    (default [65536]) bounds each per-thread ring; overflow drops the
+    oldest events and is reported by {!dropped}.  {!instant}, {!span}
+    and {!span_at} attribute the event to the clock's running thread and
+    raise [Invalid_argument] when none is running. *)
 
 val enabled : t -> bool
 
@@ -37,13 +37,10 @@ val span_at : t -> ?arg:int -> ts:int -> dur:int -> Event.code -> unit
 
 val instant_host : t -> ?arg:int -> tid:int -> ts:int -> Event.code -> unit
 (** Record a point event from host-side code (e.g. an [on_advance]
-    hook), where the sink's [now]/[tid] closures are not valid: both the
-    timestamp and the emitting thread id are supplied explicitly.  A
+    hook), where no thread is running: both the timestamp and the
+    emitting thread id are supplied explicitly.  A
     synthetic [tid] (such as [-1] for the server's arrival process) gets
     its own ring, keeping per-thread ordering guarantees intact. *)
-
-val span_host : t -> ?arg:int -> tid:int -> ts:int -> dur:int -> Event.code -> unit
-(** {!span_at} with an explicit thread id, for host-side callers. *)
 
 val emitted : t -> int
 (** Total events emitted (including any later overwritten). *)

@@ -11,11 +11,10 @@ type t = {
   mc : Mctx.t;
   prng : Prng.t;
   on_tx : unit -> unit;
-  mutable txs : int;
 }
 
 let make ~vm_sched ~coll ~mctx ~rng ~on_tx =
-  { sched = vm_sched; coll; mc = mctx; prng = rng; on_tx; txs = 0 }
+  { sched = vm_sched; coll; mc = mctx; prng = rng; on_tx }
 
 let alloc t ~nrefs ~size = Collector.alloc t.coll t.mc ~nrefs ~size
 
@@ -28,11 +27,10 @@ let root_set t i v = Mctx.root_set t.mc i v
 let root_get t i = Mctx.root_get t.mc i
 let n_roots t = Array.length t.mc.Mctx.roots
 
-let work t n = Sched.consume_on t.sched n
+let work t n = Sched.consume t.sched n
 let think _t n = Sched.sleep n
 
 let tx_done t =
-  t.txs <- t.txs + 1;
   Collector.checkpoint t.coll;
   (* Fault injection at the transaction boundary: an allocation burst
      models a request suddenly building a large temporary structure (the
@@ -44,12 +42,10 @@ let tx_done t =
      ignore (alloc t ~nrefs:1 ~size:8)
    done;
    let stall = Fault.mutator_stall faults in
-   if stall > 0 then Sched.consume_on t.sched stall);
+   if stall > 0 then Sched.consume t.sched stall);
   t.on_tx ()
 
-let transactions t = t.txs
 let rng t = t.prng
 let stopped t = Sched.stop_requested t.sched
 let now_cycles t = Sched.now t.sched
 let collector t = t.coll
-let mctx t = t.mc

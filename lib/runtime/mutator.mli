@@ -45,8 +45,6 @@ val tx_done : t -> unit
 (** Mark a completed transaction: bumps the throughput counter and spends
     any accumulated cycle debt. *)
 
-val transactions : t -> int
-
 val rng : t -> Cgc_util.Prng.t
 
 val stopped : t -> bool
@@ -57,4 +55,3 @@ val now_cycles : t -> int
     measurement). *)
 
 val collector : t -> Cgc_core.Collector.t
-val mctx : t -> Cgc_core.Mctx.t

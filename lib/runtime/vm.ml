@@ -54,33 +54,30 @@ let create cfg =
   let sc = Sched.create ~ncpus:cfg.ncpus () in
   let rng = Prng.create cfg.seed in
   let wm = Weakmem.create ~mode:cfg.wm_mode ~rng:(Prng.split rng) () in
+  let clock = Sched.clock sc in
   let obs =
-    if cfg.trace then
-      Obs.create ~ring_capacity:cfg.trace_ring
-        ~now:(fun () -> Sched.now sc)
-        ~tid:(fun () -> Sched.thread_id (Sched.current sc))
-        ()
+    if cfg.trace then Obs.create ~ring_capacity:cfg.trace_ring clock
     else Obs.null
   in
-  let mach =
-    Machine.create ~wm ~obs
-      ~now:(fun () -> Sched.now sc)
-      ~spend:(Sched.consume_on sc)
-      ~cpu:(fun () -> Sched.thread_id (Sched.current sc))
-      ~relinquish:Sched.yield ()
-  in
+  let mach = Machine.create ~wm ~obs ~clock ~relinquish:Sched.yield () in
   (* In [Sc] mode the store buffers are always empty and [commit_due] is a
      no-op, so don't pay an indirect call per scheduler iteration for
      it. *)
   (match Weakmem.mode wm with
   | Sc -> ()
   | Relaxed -> Sched.on_advance sc (fun now -> Weakmem.commit_due wm ~now));
-  (* Arm the fault injector: its windows are keyed on simulated time and
-     its events go to this VM's sink.  A disabled injector ignores this. *)
-  Fault.attach cfg.gc.Config.faults ~now:(fun () -> Sched.now sc) ~obs;
+  (* This VM's own fault injector, armed from the config's scenarios and
+     seed: its windows are keyed on this VM's clock and its events go to
+     this VM's sink.  The config's injector is only a template, so VMs
+     built from one config — a fleet's shards, on any domain — share no
+     injector state. *)
+  let gc =
+    { cfg.gc with
+      Config.faults = Fault.arm cfg.gc.Config.faults ~clock ~obs }
+  in
   let nslots = int_of_float (cfg.heap_mb *. 1024.0 *. 1024.0 /. 8.0) in
   let hp = Heap.create ~fence_policy:cfg.fence_policy mach ~nslots in
-  let coll = Collector.create cfg.gc ~sched:sc ~heap:hp in
+  let coll = Collector.create gc ~sched:sc ~heap:hp in
   let gen =
     match cfg.gc.Config.mode with
     | Config.Stw | Config.Cgc -> None
@@ -299,7 +296,7 @@ let print_report t =
        compaction %d, out-of-memory %d\n"
       st.Gstats.degrade_force_finish st.Gstats.degrade_full_stw
       st.Gstats.degrade_compact st.Gstats.oom_raised;
-  let faults = t.cfg.gc.Config.faults in
+  let faults = (Collector.config t.coll).Config.faults in
   if Fault.enabled faults then begin
     Printf.printf "fault injection (seed %d):" (Fault.seed faults);
     List.iter

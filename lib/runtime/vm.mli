@@ -55,6 +55,9 @@ val config :
     ("stack") slots and runs {!Cgc_sim.Sched.create}'s default quantum. *)
 
 val create : config -> t
+(** The VM arms its own fault injector from [gc.faults]
+    ({!Cgc_fault.Fault.arm}), held by [Collector.config (collector t)];
+    VMs built from one config share no state. *)
 
 val sched : t -> Cgc_sim.Sched.t
 val collector : t -> Cgc_core.Collector.t

@@ -1,4 +1,5 @@
 module R = Cgc_util.Ringbuf
+module Clock = Cgc_util.Clock
 
 type prio = High | Normal | Low
 
@@ -24,8 +25,6 @@ type thread = {
 }
 
 type _ Effect.t +=
-  | Consume : int -> unit Effect.t
-  | Preempt : unit Effect.t
   | Sleep : int -> unit Effect.t
   | Yield : unit Effect.t
 
@@ -78,8 +77,8 @@ let rq_min rq =
 
 type t = {
   n_cpus : int;
-  quantum : int;
-  clock : int array;
+  cpu_clock : int array;
+  clock : Clock.t;  (* the running slice; shared with Machine, Obs and Fault *)
   runq_high : runq;
   runq_normal : runq;
   runq_low : runq;
@@ -93,10 +92,7 @@ type t = {
   mutable stop_at : int;
   mutable initiator : (thread * prio) option;
   mutable cur : thread; (* [dummy_thread] when no thread is running *)
-  mutable run_base : int;
-  mutable used : int;
   mutable next_id : int;
-  mutable finished : bool;
   mutable stop_flag : bool;
   mutable idle : int;
   mutable busy : int;
@@ -122,8 +118,8 @@ let create ?(quantum = 110_000) ~ncpus () =
   if ncpus <= 0 then invalid_arg "Sched.create: ncpus";
   {
     n_cpus = ncpus;
-    quantum;
-    clock = Array.make ncpus 0;
+    cpu_clock = Array.make ncpus 0;
+    clock = { Clock.base = 0; used = 0; tid = -1; quantum };
     runq_high = runq_create ();
     runq_normal = runq_create ();
     runq_low = runq_create ();
@@ -134,10 +130,7 @@ let create ?(quantum = 110_000) ~ncpus () =
     stop_at = 0;
     initiator = None;
     cur = dummy_thread;
-    run_base = 0;
-    used = 0;
     next_id = 0;
-    finished = false;
     stop_flag = false;
     idle = 0;
     busy = 0;
@@ -148,7 +141,8 @@ let create ?(quantum = 110_000) ~ncpus () =
 
 let ncpus t = t.n_cpus
 
-let now t = t.run_base + t.used
+let now t = Clock.now t.clock
+let clock t = t.clock
 
 let enqueue t th =
   match th.prio with
@@ -167,24 +161,7 @@ let spawn t ~name ~prio body =
   enqueue t th;
   th
 
-let consume n = if n > 0 then Effect.perform (Consume n)
-
-(* Direct-call twin of {!consume} for callers that hold the scheduler.
-   The simulation is cooperative and single-stacked: while a thread
-   runs, nothing else can observe scheduler state, so a charge that does
-   not cross the quantum boundary is a plain pair of field updates — no
-   continuation capture, no handler round-trip.  Only an actual
-   preemption suspends, via the [Preempt] effect, whose handler does
-   exactly what [Consume]'s over-quantum arm did. *)
-let consume_on t n =
-  if n > 0 then begin
-    let th = t.cur in
-    if th == dummy_thread then
-      invalid_arg "Sched.consume_on: no thread is running";
-    t.used <- t.used + n;
-    th.cycles <- th.cycles + n;
-    if t.used >= t.quantum then Effect.perform Preempt
-  end
+let consume t n = Clock.spend t.clock n
 
 let sleep n = if n > 0 then Effect.perform (Sleep n) else Effect.perform Yield
 let yield () = Effect.perform Yield
@@ -220,20 +197,9 @@ let restart_world t =
   t.initiator <- None;
   pause
 
-let set_prio t th p =
-  ignore t;
-  (* If the thread is queued under its old priority we would have to move
-     it; priority changes are only performed on the currently-running
-     thread (GC helpers promote themselves), so the queues stay
-     consistent: the thread is re-enqueued under the new priority when it
-     next suspends. *)
-  th.prio <- p
-
-let thread_name th = th.name
 let thread_id th = th.id
 let thread_cycles th = th.cycles
 
-let terminated t = t.finished
 let request_stop t = t.stop_flag <- true
 let stop_requested t = t.stop_flag
 
@@ -264,7 +230,7 @@ let debug_queues_clean t =
   && R.slots_clean t.runq_normal.q
   && R.slots_clean t.runq_low.q
 
-let handler t th : (unit, outcome) Effect.Deep.handler =
+let handler th : (unit, outcome) Effect.Deep.handler =
   {
     retc = (fun () -> Finished);
     exnc =
@@ -276,17 +242,7 @@ let handler t th : (unit, outcome) Effect.Deep.handler =
     effc =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
-        | Consume n ->
-            Some
-              (fun (k : (a, outcome) Effect.Deep.continuation) ->
-                t.used <- t.used + n;
-                th.cycles <- th.cycles + n;
-                if t.used < t.quantum then Effect.Deep.continue k ()
-                else begin
-                  th.k <- Some (C k);
-                  Preempted
-                end)
-        | Preempt ->
+        | Clock.Preempt ->
             Some
               (fun (k : (a, outcome) Effect.Deep.continuation) ->
                 th.k <- Some (C k);
@@ -304,7 +260,7 @@ let handler t th : (unit, outcome) Effect.Deep.handler =
         | _ -> None);
   }
 
-let exec t th =
+let exec th =
   match th.k with
   | Some (C k) ->
       th.k <- None;
@@ -313,7 +269,7 @@ let exec t th =
       match th.body with
       | Some body ->
           th.body <- None;
-          Effect.Deep.match_with body () (handler t th)
+          Effect.Deep.match_with body () (handler th)
       | None -> assert false)
 
 (* Take the first thread in the queue that is allowed to run at time
@@ -392,7 +348,7 @@ let min_ready_at t =
 let min_cpu t =
   let c = ref 0 in
   for i = 1 to t.n_cpus - 1 do
-    if t.clock.(i) < t.clock.(!c) then c := i
+    if t.cpu_clock.(i) < t.cpu_clock.(!c) then c := i
   done;
   !c
 
@@ -433,13 +389,12 @@ let wake_due t tm =
 
 let run t ~until =
   if t.cur != dummy_thread then invalid_arg "Sched.run: reentrant call";
-  t.finished <- false;
   let continue = ref true in
   while !continue do
     if t.live = 0 then continue := false
     else begin
       let c = min_cpu t in
-      let tm = t.clock.(c) in
+      let tm = t.cpu_clock.(c) in
       if tm > until then continue := false
       else begin
         if t.next_wake <= tm then wake_due t tm;
@@ -449,15 +404,20 @@ let run t ~until =
         done;
         let th = pick t tm in
         if th != dummy_thread then begin
-          t.run_base <- tm;
-          t.used <- 0;
+          let clk = t.clock in
+          clk.base <- tm;
+          clk.used <- 0;
+          clk.tid <- th.id;
           t.cur <- th;
           th.st <- Running;
-          let outcome = exec t th in
+          let outcome = exec th in
           t.cur <- dummy_thread;
-          t.busy <- t.busy + t.used;
-          let fin = tm + t.used + dispatch in
-          t.clock.(c) <- fin;
+          clk.tid <- -1;
+          let used = clk.used in
+          th.cycles <- th.cycles + used;
+          t.busy <- t.busy + used;
+          let fin = tm + used + dispatch in
+          t.cpu_clock.(c) <- fin;
           match outcome with
           | Finished ->
               th.st <- Dead;
@@ -468,7 +428,7 @@ let run t ~until =
               enqueue t th
           | Slept n ->
               th.st <- Sleeping;
-              th.wake_at <- tm + t.used + n;
+              th.wake_at <- tm + used + n;
               th.ready_at <- th.wake_at;
               Sleepq.push t.sleepers th;
               if th.wake_at < t.next_wake then t.next_wake <- th.wake_at
@@ -494,16 +454,15 @@ let run t ~until =
                    is possible. *)
                 continue := false;
                 tm)
-              else tm + t.quantum
-            else max (tm + 1) (min next (tm + t.quantum))
+              else tm + t.clock.quantum
+            else max (tm + 1) (min next (tm + t.clock.quantum))
           in
           t.idle <- t.idle + (next - tm);
-          t.clock.(c) <- next
+          t.cpu_clock.(c) <- next
         end
       end
     end
-  done;
-  (* Note: the cooperative stop flag is NOT raised here — [run] may be
-     called again to continue the same simulation (warm-up followed by a
-     measured window).  Threads parked at effect points simply resume. *)
-  t.finished <- true
+  done
+(* Note: the cooperative stop flag is NOT raised here — [run] may be
+   called again to continue the same simulation (warm-up followed by a
+   measured window).  Threads parked at effect points simply resume. *)

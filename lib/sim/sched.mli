@@ -4,9 +4,9 @@
     over [ncpus] simulated processors.  Each processor has its own clock;
     the scheduler always advances the processor that is furthest behind,
     so cross-processor interleaving happens at (at most) quantum
-    granularity.  A thread expresses the passage of time by performing
-    {!consume} (burn CPU cycles), {!sleep} (block without using a CPU —
-    think time / IO) and {!yield}.
+    granularity.  A thread expresses the passage of time by calling
+    {!consume} (burn CPU cycles on the running slice's {!clock}),
+    {!sleep} (block without using a CPU — think time / IO) and {!yield}.
 
     Three priority levels implement the paper's thread taxonomy:
     - [High]: stop-the-world GC worker threads,
@@ -33,6 +33,10 @@ val create : ?quantum:int -> ncpus:int -> unit -> t
     force interleaving.  Each slice is charged
     {!Cgc_smp.Cost.default}'s context-switch cost. *)
 
+val clock : t -> Cgc_util.Clock.t
+(** The running slice, which the VM's machine, event sink and fault
+    injector read; only the scheduler writes it. *)
+
 val ncpus : t -> int
 
 val spawn : t -> name:string -> prio:prio -> (unit -> unit) -> thread
@@ -47,16 +51,10 @@ val run : t -> until:int -> unit
 
 (** {2 Operations usable only from inside a simulated thread} *)
 
-val consume : int -> unit
-(** Burn simulated CPU cycles; may be preempted part-way. *)
-
-val consume_on : t -> int -> unit
-(** Like {!consume}, for callers that hold the scheduler: semantically
-    identical, but a charge that does not cross the quantum boundary is
-    a direct state update with no effect dispatch, so sub-quantum
-    charges — the overwhelming majority — cost a couple of stores
-    instead of a continuation capture.  Must be called from the
-    currently running thread of [t]. *)
+val consume : t -> int -> unit
+(** Burn simulated CPU cycles on the running thread of [t]
+    ({!Cgc_util.Clock.spend}): a charge inside the quantum is one field
+    update; one that uses the quantum up preempts the thread. *)
 
 val sleep : int -> unit
 (** Block for the given number of cycles without occupying a CPU. *)
@@ -80,15 +78,9 @@ val restart_world : t -> int
 
 val world_stopped : t -> bool
 
-val set_prio : t -> thread -> prio -> unit
-
-val thread_name : thread -> string
 val thread_id : thread -> int
 val thread_cycles : thread -> int
-(** Total CPU cycles this thread has consumed. *)
-
-val terminated : t -> bool
-(** True once [run] has returned: threads should wind down. *)
+(** Total CPU cycles this thread has consumed in its finished slices. *)
 
 val request_stop : t -> unit
 (** Cooperative shutdown flag for long-running threads (read it with

@@ -1,12 +1,12 @@
 (** Shared machine context threaded through the heap and the collector.
 
     Bundles the cycle {!Cost} model, the {!Weakmem} system, fence and CAS
-    accounting, and three environment closures wired up by the runtime:
-    the simulated clock, a way to charge cycles to the currently running
-    simulated thread, and the identity of the store buffer (thread) the
-    caller is executing on.  Keeping these as closures lets the heap and
-    collector libraries stay independent of the scheduler, and lets unit
-    tests drive them with a hand-rolled clock. *)
+    accounting, and the VM's {!Cgc_util.Clock}: the scheduler advances
+    it, and the machine reads the simulated time and the running thread
+    (whose id names its store buffer) from it and charges cycles to it.
+    Sharing the record rather than the scheduler keeps the heap and
+    collector libraries independent of the scheduler, and lets unit
+    tests drive them with {!Cgc_util.Clock.manual}. *)
 
 type t = {
   cost : Cost.t;
@@ -18,9 +18,9 @@ type t = {
           armed *)
   mutable cas_ops : int;
   mutable debt : int;    (** cycles charged but not yet spent *)
-  now : unit -> int;
-  spend : int -> unit;   (** consume simulated cycles on the current thread *)
-  cpu : unit -> int;     (** store-buffer id of the current thread *)
+  clock : Cgc_util.Clock.t;
+      (** the running slice: simulated time, and the running thread,
+          whose id is its store-buffer id *)
   relinquish : unit -> unit;
       (** yield the current simulated thread's processor (no-op outside a
           scheduler, e.g. in unit tests) *)
@@ -29,21 +29,16 @@ type t = {
 val create :
   ?obs:Cgc_obs.Obs.t ->
   wm:Weakmem.t ->
-  now:(unit -> int) ->
-  spend:(int -> unit) ->
-  cpu:(unit -> int) ->
+  clock:Cgc_util.Clock.t ->
   ?relinquish:(unit -> unit) ->
   unit ->
   t
 (** A machine charging {!Cost.default}'s cycle costs. *)
 
 val testing : ?mode:Weakmem.mode -> ?seed:int -> unit -> t
-(** A machine for unit tests: manual clock (starts at 0, advanced by
-    [charge]), single store buffer 0, default costs. *)
-
-val testing_multi : ?mode:Weakmem.mode -> ?seed:int -> unit -> t * int ref * int ref
-(** Like {!testing} but returns the clock cell and a mutable "current cpu"
-    cell so a test can play several processors. *)
+(** A machine for unit tests: a {!Cgc_util.Clock.manual} clock (starts
+    at 0, advanced by {!flush}, never preempts), running as store buffer
+    0, default costs.  Set [clock.tid] to play another processor. *)
 
 val fence : t -> Fence.site -> unit
 (** Count a fence at [site], charge its cost, and drain the calling
@@ -62,7 +57,12 @@ val charge : t -> int -> unit
     when the world stops (a session is never mid-object at a flush). *)
 
 val flush : t -> unit
-(** Spend the accumulated debt on the current simulated thread. *)
+(** Spend the accumulated debt on the current simulated thread
+    ({!Cgc_util.Clock.spend}). *)
 
 val now : t -> int
+(** The clock's time; pending debt is not included. *)
+
 val cpu : t -> int
+(** The running thread's store-buffer id.  Raises [Invalid_argument]
+    when no thread is running. *)

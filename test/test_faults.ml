@@ -51,22 +51,32 @@ let churn resident m =
     Mutator.tx_done m
   done
 
-(* Run a 2-mutator churn VM with the given injector armed and the
-   verifier on.  Any invariant violation raises out of Vm.run and fails
-   the test; the caller asserts on the returned vm/faults pair. *)
-let run_faulted ?(heap_mb = 4.0) ?(ms = 400.0) ?(seed = 11) ?(trace = false)
-    ~scenarios () =
+(* The VM config of a churn run with the given scenarios armed and the
+   verifier on. *)
+let faulted_config ?(heap_mb = 4.0) ?(seed = 11) ?(trace = false) ~scenarios
+    () =
   let faults = Fault.create ~scenarios ~seed () in
   let gc = { Config.default with Config.faults; verify = true } in
-  let vm = Vm.create (Vm.config ~heap_mb ~ncpus:4 ~seed ~gc ~trace ()) in
+  Vm.config ~heap_mb ~ncpus:4 ~seed ~gc ~trace ()
+
+(* Run a 2-mutator churn VM built from [cfg].  Any invariant violation
+   raises out of Vm.run and fails the test; the caller asserts on the
+   returned vm and the injector that VM armed. *)
+let run_config ?(ms = 400.0) cfg =
+  let vm = Vm.create cfg in
   let resident =
-    max 10 (int_of_float (heap_mb *. 1024.0 *. 1024.0 /. 8.0 /. 3.0) / (2 * 4 * 10))
+    max 10
+      (int_of_float (cfg.Vm.heap_mb *. 1024.0 *. 1024.0 /. 8.0 /. 3.0)
+      / (2 * 4 * 10))
   in
   for i = 1 to 2 do
     Vm.spawn_mutator vm ~name:(Printf.sprintf "w%d" i) (churn resident)
   done;
   Vm.run vm ~ms;
-  (vm, faults)
+  (vm, (Collector.config (Vm.collector vm)).Config.faults)
+
+let run_faulted ?heap_mb ?ms ?seed ?trace ~scenarios () =
+  run_config ?ms (faulted_config ?heap_mb ?seed ?trace ~scenarios ())
 
 let assert_sound vm =
   Cgc_smp.Weakmem.fence_all (Vm.machine vm).Machine.wm;
@@ -108,12 +118,11 @@ let test_all_scenarios_degrade () =
 
 (* Determinism: the injector draws from its own split PRNG and keys its
    windows on simulated time, so equal seeds + equal scenario sets give
-   byte-identical event traces. *)
-let test_same_seed_identical_traces () =
+   byte-identical event traces.  [config_of] supplies each run's
+   config. *)
+let check_identical_runs config_of =
   let trace_of () =
-    let vm, faults =
-      run_faulted ~scenarios:Fault.all ~ms:200.0 ~trace:true ()
-    in
+    let vm, faults = run_config ~ms:200.0 (config_of ()) in
     (Vm.trace_json vm, Fault.total_injections faults)
   in
   let t1, n1 = trace_of () in
@@ -121,6 +130,18 @@ let test_same_seed_identical_traces () =
   check cb "some injections happened" true (n1 > 0);
   check ci "same injection count" n1 n2;
   check cb "byte-identical traces" true (String.equal t1 t2)
+
+let test_same_seed_identical_traces () =
+  check_identical_runs (faulted_config ~scenarios:Fault.all ~trace:true)
+
+(* Each VM arms its own injector from the config's template, so two VMs
+   built one after the other from one config — as a fleet builds its
+   shards — replay the same faults, and the template never fires. *)
+let test_config_reuse_identical () =
+  let cfg = faulted_config ~scenarios:Fault.all ~trace:true () in
+  check_identical_runs (fun () -> cfg);
+  check ci "the config's template never fires" 0
+    (Fault.total_injections cfg.Vm.gc.Config.faults)
 
 (* The packet-starvation corner of the section 5.2 deferral machinery:
    an unsafe (unpublished) object is parked in a Deferred packet while
@@ -131,10 +152,13 @@ let test_same_seed_identical_traces () =
 let test_starved_defer_recovers () =
   let mach = Machine.testing () in
   let heap = Heap.create mach ~nslots:65536 in
-  let fake_now = ref 200_000 in
+  let clock = Cgc_util.Clock.manual () in
+  clock.base <- 200_000;
   (* window open iff now mod 1_100_000 < 165_000 *)
-  let faults = Fault.create ~scenarios:[ Fault.Packet_starvation ] ~seed:7 () in
-  Fault.attach faults ~now:(fun () -> !fake_now) ~obs:Cgc_obs.Obs.null;
+  let faults =
+    Fault.arm ~clock ~obs:Cgc_obs.Obs.null
+      (Fault.create ~scenarios:[ Fault.Packet_starvation ] ~seed:7 ())
+  in
   let pool = Pool.create mach ~n_packets:4 ~capacity:8 ~faults in
   let tracer = Tracer.create Config.default heap pool in
   let a =
@@ -165,7 +189,7 @@ let test_starved_defer_recovers () =
   check cb "marked though not yet scanned" true (Heap.is_marked heap unpub);
   (* 2. publish the object, then open the starvation window *)
   Alloc_bits.set (Heap.alloc_bits heap) unpub;
-  fake_now := 1_100_000;
+  clock.base <- 1_100_000;
   check cb "starvation window open" true (Fault.starve_packets faults);
   (* recycling deferred packets does not go through the starved
      get_input/get_output path, so no work is lost *)
@@ -175,7 +199,7 @@ let test_starved_defer_recovers () =
   check ci "packet still queued, not dropped" 0
     (Pool.deferred_count pool);
   (* 3. window closes: the parked work completes *)
-  fake_now := 2_400_000;
+  clock.base <- 2_400_000;
   check cb "window closed again" true (not (Fault.starve_packets faults));
   let traced = drain () in
   check cb "deferred object finally scanned" true (traced > 0);
@@ -314,6 +338,8 @@ let () =
         [
           Alcotest.test_case "same seed, identical traces" `Slow
             test_same_seed_identical_traces;
+          Alcotest.test_case "one config, two VMs, identical faults" `Slow
+            test_config_reuse_identical;
         ] );
       ( "starvation",
         [

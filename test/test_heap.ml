@@ -226,9 +226,7 @@ let test_card_snapshot_relaxed () =
      the incremental counter agreeing with a committed rescan, and the
      fast path must register the same ascending card list Sc mode
      would. *)
-  let m, clock, _cpu =
-    Machine.testing_multi ~mode:Cgc_smp.Weakmem.Relaxed ~seed:11 ()
-  in
+  let m = Machine.testing ~mode:Cgc_smp.Weakmem.Relaxed ~seed:11 () in
   let ct = Card_table.create m ~ncards:64 in
   List.iter (Card_table.dirty ct) [ 3; 40; 12; 63 ];
   check ci "counter sees committed bytes" 4 (Card_table.dirty_count ct);
@@ -240,7 +238,7 @@ let test_card_snapshot_relaxed () =
     (Card_table.recount ct) (Card_table.dirty_count ct);
   (* Commit everything; a second snapshot (fast path) must register
      every card the first one missed, in ascending order. *)
-  clock := !clock + 10_000_000;
+  Cgc_util.Clock.spend m.Machine.clock 10_000_000;
   let second = Card_table.snapshot ct in
   let all = List.sort_uniq compare (first @ second) in
   check (Alcotest.list Alcotest.int) "every card registered exactly once"

@@ -5,6 +5,7 @@
 
 module Histogram = Cgc_util.Histogram
 module Prng = Cgc_util.Prng
+module Clock = Cgc_util.Clock
 module Ring = Cgc_obs.Ring
 module Event = Cgc_obs.Event
 module Obs = Cgc_obs.Obs
@@ -126,17 +127,17 @@ let test_null_sink_emits_nothing () =
   check ci "events" 0 (List.length (Obs.events t))
 
 let test_armed_sink_orders_events () =
-  let clock = ref 0 and tid = ref 0 in
-  let t = Obs.create ~now:(fun () -> !clock) ~tid:(fun () -> !tid) () in
+  let clock = Clock.manual () in
+  let t = Obs.create clock in
   check cb "enabled" true (Obs.enabled t);
   (* interleave two threads with out-of-order arrival per thread *)
-  tid := 1;
-  clock := 30;
+  clock.tid <- 1;
+  clock.base <- 30;
   Obs.instant t Event.Packet_put;
-  tid := 0;
-  clock := 10;
+  clock.tid <- 0;
+  clock.base <- 10;
   Obs.instant t Event.Packet_get;
-  clock := 50;
+  clock.base <- 50;
   Obs.span t ~start:20 Event.Stw_pause;
   let evs = Obs.events t in
   check ci "all kept" 3 (List.length evs);
@@ -149,9 +150,10 @@ let test_armed_sink_orders_events () =
 (* ---------------------------- Export ----------------------------- *)
 
 let test_chrome_json_shape () =
-  let clock = ref 0 in
-  let t = Obs.create ~now:(fun () -> !clock) ~tid:(fun () -> 7) () in
-  clock := 1100;
+  let clock = Clock.manual () in
+  let t = Obs.create clock in
+  clock.tid <- 7;
+  clock.base <- 1100;
   Obs.span t ~start:550 ~arg:3 Event.Stw_pause;
   Obs.instant t ~arg:12 Event.Packet_steal;
   let json = Export.chrome_json ~cycles_per_us:550.0 (Obs.events t) in
@@ -249,14 +251,12 @@ let merge_order_test ~name ts_gen =
     QCheck.(small_list (pair (int_bound 3) ts_gen))
     (fun evs ->
       let cap = 8 in
-      let now = ref 0 and tid = ref 0 in
-      let o = Obs.create ~ring_capacity:cap ~now:(fun () -> !now)
-          ~tid:(fun () -> !tid) ()
-      in
+      let clock = Clock.manual () in
+      let o = Obs.create ~ring_capacity:cap clock in
       List.iteri
         (fun i (t, ts) ->
-          tid := t;
-          now := ts;
+          clock.tid <- t;
+          clock.base <- ts;
           Obs.instant o ~arg:i Event.Cycle_start)
         evs;
       let expected =
@@ -300,28 +300,26 @@ let obs_wide_ts_order_test =
 (* Writing straight from the sink's columns gives the bytes the record
    path gives. *)
 let chrome_obs_matches_records_test =
-  QCheck.Test.make ~name:"export: chrome_obs = chrome_json_events" ~count:200
+  QCheck.Test.make ~name:"export: chrome_obs = chrome_json (list)" ~count:200
     QCheck.(
       small_list
         (quad (int_bound 3) (int_bound 1_000_000) (int_range (-1) 5000)
            (int_bound (List.length Event.all_codes - 1))))
     (fun evs ->
-      let now = ref 0 and tid = ref 0 in
-      let o =
-        Obs.create ~ring_capacity:8 ~now:(fun () -> !now) ~tid:(fun () -> !tid) ()
-      in
+      let clock = Clock.manual () in
+      let o = Obs.create ~ring_capacity:8 clock in
       List.iteri
         (fun i (t, ts, dur, k) ->
-          tid := t;
-          now := ts + max 0 dur;
+          clock.tid <- t;
+          clock.base <- ts + max 0 dur;
           let code = List.nth Event.all_codes k in
           if dur < 0 then Obs.instant o ~arg:(i - 3) code
           else Obs.span o ~arg:i ~start:ts code)
         evs;
       String.equal
         (Export.chrome_obs ~cycles_per_us:550.0 o)
-        (Export.chrome_json_events ~emitted:(Obs.emitted o)
-           ~dropped:(Obs.dropped o) ~cycles_per_us:550.0 (Obs.events_array o)))
+        (Export.chrome_json ~emitted:(Obs.emitted o) ~dropped:(Obs.dropped o)
+           ~cycles_per_us:550.0 (Obs.events o)))
 
 (* ------------------------ Documented tables ------------------------ *)
 

@@ -28,15 +28,15 @@ let ci = Alcotest.int
    on CPU 2 takes it and reads the entries.  Without the producer-side
    fence the consumer can read the packet slots' stale previous contents. *)
 let packet_handoff ~fenced ~seed =
-  let m, _clock, cpu = Machine.testing_multi ~mode:Weakmem.Relaxed ~seed () in
+  let m = Machine.testing ~mode:Weakmem.Relaxed ~seed () in
   let pl = Pool.create ~fence_on_put:fenced m ~n_packets:4 ~capacity:8 in
-  cpu := 1;
+  m.Machine.clock.tid <- 1;
   let p = match Pool.get_output pl with Some p -> p | None -> assert false in
   for i = 1 to 5 do
     ignore (Pool.push pl p (100 + i))
   done;
   Pool.put pl p;
-  cpu := 2;
+  m.Machine.clock.tid <- 2;
   let q = match Pool.get_input pl with Some q -> q | None -> assert false in
   let stale = ref false in
   let rec drain () =
@@ -69,20 +69,20 @@ let test_race1_fenced_safe () =
    CPU 2 follows a reference to it.  Without the allocation-bit protocol
    the tracer reads the object's pre-allocation garbage. *)
 let trace_fresh_object ~protocol ~seed =
-  let m, _clock, cpu = Machine.testing_multi ~mode:Weakmem.Relaxed ~seed () in
+  let m = Machine.testing ~mode:Weakmem.Relaxed ~seed () in
   let heap = Heap.create m ~nslots:4096 in
   let pool = Pool.create m ~n_packets:8 ~capacity:16 in
   let cfg = { Config.default with Config.defer_protocol = protocol } in
   let tracer = Tracer.create cfg heap pool in
   (* Pre-existing garbage: CPU 2 once wrote junk over the region the new
      object will occupy (freed memory keeps old contents). *)
-  cpu := 2;
+  m.Machine.clock.tid <- 2;
   for i = 200 to 220 do
     Arena.write_slot (Heap.arena heap) i 0xDEAD
   done;
   Weakmem.fence m.Machine.wm ~cpu:2 ~now:0;
   (* CPU 1: allocate at 200 via a cache carved there, initialise it. *)
-  cpu := 1;
+  m.Machine.clock.tid <- 1;
   let parent =
     match Heap.alloc_large heap ~size:8 ~nrefs:1 ~mark_new:false with
     | Some a -> a
@@ -100,7 +100,7 @@ let trace_fresh_object ~protocol ~seed =
   Machine.flush m;
   Weakmem.commit_due m.Machine.wm ~now:(Machine.now m);
   (* CPU 2: trace the parent. *)
-  cpu := 2;
+  m.Machine.clock.tid <- 2;
   let s = Tracer.new_session tracer in
   Tracer.push_obj tracer s parent;
   let rec go () = if Tracer.trace_until tracer s ~budget:max_int > 0 then go () in
@@ -126,11 +126,11 @@ let test_race2_protected_safe () =
 let test_race2_publication_makes_traceable () =
   (* With the protocol, the deferred object is traced once its allocation
      bits are published behind the mutator's batched fence. *)
-  let m, _clock, cpu = Machine.testing_multi ~mode:Weakmem.Relaxed ~seed:7 () in
+  let m = Machine.testing ~mode:Weakmem.Relaxed ~seed:7 () in
   let heap = Heap.create m ~nslots:4096 in
   let pool = Pool.create m ~n_packets:8 ~capacity:16 in
   let tracer = Tracer.create Config.default heap pool in
-  cpu := 1;
+  m.Machine.clock.tid <- 1;
   let parent =
     match Heap.alloc_large heap ~size:8 ~nrefs:1 ~mark_new:false with
     | Some a -> a
@@ -146,7 +146,7 @@ let test_race2_publication_makes_traceable () =
   Arena.ref_set_raw (Heap.arena heap) parent 0 child;
   Weakmem.fence m.Machine.wm ~cpu:1 ~now:0;
   (* alloc bit for child is NOT yet set: cache not retired *)
-  cpu := 2;
+  m.Machine.clock.tid <- 2;
   let s = Tracer.new_session tracer in
   Tracer.push_obj tracer s parent;
   let rec go () = if Tracer.trace_until tracer s ~budget:max_int > 0 then go () in
@@ -157,12 +157,12 @@ let test_race2_publication_makes_traceable () =
   (* mutator retires its cache: fence + publish.  The allocation-bit
      stores themselves drain a little later (they are after the fence);
      let simulated time pass so they become visible. *)
-  cpu := 1;
+  m.Machine.clock.tid <- 1;
   Heap.retire_cache heap cache;
   Machine.charge m 20_000;
   Machine.flush m;
   Weakmem.commit_due m.Machine.wm ~now:(Machine.now m);
-  cpu := 2;
+  m.Machine.clock.tid <- 2;
   ignore (Pool.recycle_deferred pool);
   let s = Tracer.new_session tracer in
   let rec go () = if Tracer.trace_until tracer s ~budget:max_int > 0 then go () in
@@ -178,9 +178,9 @@ let test_race2_publication_makes_traceable () =
    before the reference store.  A cleaner that sees the dirty card, clears
    it and rescans O1 without forcing the mutator to fence misses O2. *)
 let card_cleaning ~force_fence ~seed =
-  let m, _clock, cpu = Machine.testing_multi ~mode:Weakmem.Relaxed ~seed () in
+  let m = Machine.testing ~mode:Weakmem.Relaxed ~seed () in
   let heap = Heap.create m ~nslots:4096 in
-  cpu := 1;
+  m.Machine.clock.tid <- 1;
   let o1 =
     match Heap.alloc_large heap ~size:8 ~nrefs:1 ~mark_new:false with
     | Some a -> a
@@ -201,7 +201,7 @@ let card_cleaning ~force_fence ~seed =
   Machine.flush m;
   Weakmem.commit_due m.Machine.wm ~now:(Machine.now m);
   (* CPU 2 runs a cleaning pass. *)
-  cpu := 2;
+  m.Machine.clock.tid <- 2;
   let registered = Card_table.snapshot (Heap.cards heap) in
   if force_fence then
     (* step 2 of the protocol: force the mutator to fence *)

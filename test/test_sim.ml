@@ -14,7 +14,7 @@ let test_single_thread_consumes () =
   let done_at = ref (-1) in
   ignore
     (Sched.spawn s ~name:"t" ~prio:Sched.Normal (fun () ->
-         Sched.consume 1000;
+         Sched.consume s 1000;
          done_at := Sched.now s));
   Sched.run s ~until:1_000_000;
   check ci "consumed 1000 cycles" 1000 !done_at
@@ -25,7 +25,7 @@ let test_threads_finish () =
   for _ = 1 to 10 do
     ignore
       (Sched.spawn s ~name:"w" ~prio:Sched.Normal (fun () ->
-           Sched.consume 500;
+           Sched.consume s 500;
            incr count))
   done;
   Sched.run s ~until:1_000_000;
@@ -40,7 +40,7 @@ let test_parallel_speedup () =
     for _ = 1 to 4 do
       ignore
         (Sched.spawn s ~name:"w" ~prio:Sched.Normal (fun () ->
-             Sched.consume 100_000;
+             Sched.consume s 100_000;
              if Sched.now s > !finish then finish := Sched.now s))
     done;
     Sched.run s ~until:10_000_000;
@@ -70,7 +70,7 @@ let test_sleep_frees_cpu () =
   ignore
     (Sched.spawn s ~name:"worker" ~prio:Sched.Normal (fun () ->
          for _ = 1 to 10 do
-           Sched.consume 5_000;
+           Sched.consume s 5_000;
            worked := !worked + 5_000
          done));
   Sched.run s ~until:10_000_000;
@@ -87,12 +87,12 @@ let test_low_priority_starves_under_load () =
   ignore
     (Sched.spawn s ~name:"normal" ~prio:Sched.Normal (fun () ->
          for _ = 1 to 100 do
-           Sched.consume 1000
+           Sched.consume s 1000
          done;
          normal_done := true));
   ignore
     (Sched.spawn s ~name:"low" ~prio:Sched.Low (fun () ->
-         Sched.consume 10;
+         Sched.consume s 10;
          low_ran := Sched.now s));
   Sched.run s ~until:10_000_000;
   check cb "normal finished" true !normal_done;
@@ -108,13 +108,13 @@ let test_low_priority_uses_idle () =
   ignore
     (Sched.spawn s ~name:"normal" ~prio:Sched.Normal (fun () ->
          for _ = 1 to 5 do
-           Sched.consume 1_000;
+           Sched.consume s 1_000;
            Sched.sleep 50_000
          done));
   ignore
     (Sched.spawn s ~name:"low" ~prio:Sched.Low (fun () ->
          for _ = 1 to 100 do
-           Sched.consume 1_000;
+           Sched.consume s 1_000;
            incr low_progress;
            Sched.yield ()
          done));
@@ -130,7 +130,7 @@ let test_preemption_interleaves () =
     ignore
       (Sched.spawn s ~name ~prio:Sched.Normal (fun () ->
            for _ = 1 to 50 do
-             Sched.consume 1_000
+             Sched.consume s 1_000
            done;
            if !first_done = "" then first_done := name))
   in
@@ -149,17 +149,17 @@ let test_stop_the_world () =
   ignore
     (Sched.spawn s ~name:"mutator" ~prio:Sched.Normal (fun () ->
          for _ = 1 to 1000 do
-           Sched.consume 100;
+           Sched.consume s 100;
            incr mutator_progress
          done));
   ignore
     (Sched.spawn s ~name:"gc" ~prio:Sched.Normal (fun () ->
-         Sched.consume 2_000;
+         Sched.consume s 2_000;
          Sched.stop_the_world s;
          let p0 = !mutator_progress in
          (* burn a long time; the mutator must not advance *)
          for _ = 1 to 100 do
-           Sched.consume 1_000
+           Sched.consume s 1_000
          done;
          during_stop := !mutator_progress - p0;
          let pause = Sched.restart_world s in
@@ -177,7 +177,7 @@ let test_high_prio_runs_during_stop () =
          Sched.stop_the_world s;
          ignore
            (Sched.spawn s ~name:"helper" ~prio:Sched.High (fun () ->
-                Sched.consume 100;
+                Sched.consume s 100;
                 helper_ran := true));
          (* wait for helper *)
          while not !helper_ran do
@@ -194,7 +194,7 @@ let test_parallel_join () =
   ignore
     (Sched.spawn s ~name:"main" ~prio:Sched.Normal (fun () ->
          Parallel.run s ~workers:4 (fun i ->
-             Sched.consume (1000 * (i + 1));
+             Sched.consume s (1000 * (i + 1));
              hits.(i) <- true);
          after := Array.for_all (fun x -> x) hits));
   Sched.run s ~until:10_000_000;
@@ -211,7 +211,7 @@ let test_determinism () =
            ~prio:Sched.Normal
            (fun () ->
              for _ = 1 to 10 do
-               Sched.consume (100 * i);
+               Sched.consume s (100 * i);
                Buffer.add_string log (string_of_int i)
              done))
     done;
@@ -226,7 +226,7 @@ let test_run_until_bounds () =
   ignore
     (Sched.spawn s ~name:"inf" ~prio:Sched.Normal (fun () ->
          while true do
-           Sched.consume 1_000
+           Sched.consume s 1_000
          done));
   Sched.run s ~until:50_000;
   check cb "stopped near the bound" true (Sched.now s <= 80_000);
@@ -240,7 +240,7 @@ let test_idle_accounting () =
   let s = Sched.create ~ncpus:4 ~quantum:10_000 () in
   ignore
     (Sched.spawn s ~name:"lone" ~prio:Sched.Normal (fun () ->
-         Sched.consume 100_000));
+         Sched.consume s 100_000));
   Sched.run s ~until:1_000_000;
   check cb "idle cycles recorded on the other cpus" true
     (Sched.idle_cycles s > 0)
@@ -251,7 +251,7 @@ let test_thread_cycles () =
   ignore
     (Sched.spawn s ~name:"t" ~prio:Sched.Normal (fun () ->
          th := Some (Sched.current s);
-         Sched.consume 12_345));
+         Sched.consume s 12_345));
   Sched.run s ~until:1_000_000;
   match !th with
   | Some th -> check ci "cycles attributed" 12_345 (Sched.thread_cycles th)
@@ -270,7 +270,7 @@ let test_no_thread_retention () =
     ignore
       (Sched.spawn s ~name:"ephemeral" ~prio (fun () ->
            Sched.sleep (1 + (i mod 97) * 53);
-           Sched.consume (1 + (i mod 11) * 1_000);
+           Sched.consume s (1 + (i mod 11) * 1_000);
            Sched.yield ();
            Sched.sleep (1 + (i mod 13) * 29)))
   done;
@@ -280,27 +280,6 @@ let test_no_thread_retention () =
        (fun th -> Sched.thread_state th = Sched.Dead)
        (Sched.threads s));
   check cb "no queue retains a dead thread" true (Sched.debug_queues_clean s)
-
-let test_consume_on_matches_consume () =
-  (* The allocation-free [consume_on] must be observationally identical
-     to the effect-based [consume], including preemption points. *)
-  let run use_direct =
-    let s = Sched.create ~ncpus:2 ~quantum:10_000 () in
-    let log = ref [] in
-    for t = 0 to 3 do
-      ignore
-        (Sched.spawn s ~name:"w" ~prio:Sched.Normal (fun () ->
-             for i = 0 to 20 do
-               let n = 1_000 + (397 * ((t * 21) + i) mod 9_000) in
-               if use_direct then Sched.consume_on s n else Sched.consume n;
-               log := (t, i, Sched.now s) :: !log
-             done))
-    done;
-    Sched.run s ~until:10_000_000;
-    (!log, Sched.now s, Sched.busy_cycles s, Sched.idle_cycles s)
-  in
-  let a = run true and b = run false in
-  check cb "identical schedules" true (a = b)
 
 let () =
   Alcotest.run "sim"
@@ -327,7 +306,5 @@ let () =
           Alcotest.test_case "thread cycles" `Quick test_thread_cycles;
           Alcotest.test_case "no thread retention (regression)" `Quick
             test_no_thread_retention;
-          Alcotest.test_case "consume_on matches consume" `Quick
-            test_consume_on_matches_consume;
         ] );
     ]
