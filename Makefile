@@ -6,7 +6,7 @@
 
 .PHONY: all build test doc doc-strict fmt-check verify fuzz bench \
 	bench-smoke bench-determinism serve-smoke cluster-smoke chaos-smoke \
-	perf-smoke tails-smoke gen-smoke experiment-smoke clean
+	perf-smoke tails-smoke gen-smoke experiment-smoke trace-smoke clean
 
 # Number of random configurations `make fuzz` tries.
 FUZZ_COUNT ?= 100
@@ -299,6 +299,20 @@ experiment-smoke: build
 	  cmp $(ART)/exp-$$e-j1.csv $(ART)/exp-$$e-j2.csv || exit 1; \
 	done
 	@echo "experiment smoke OK: tables and metrics CSVs identical at --jobs 1 and 2"
+
+# Trace smoke: `cgcsim run` keeps its whole trace by default, so two
+# same-seed traced runs must write byte-identical traces and the trace
+# must analyze clean under --fail-on-drops.
+trace-smoke: build
+	mkdir -p $(ART)
+	dune exec bin/cgcsim.exe -- run -w specjbb --ms 1000 \
+	  --trace-out $(ART)/trace-a.json > /dev/null
+	dune exec bin/cgcsim.exe -- run -w specjbb --ms 1000 \
+	  --trace-out $(ART)/trace-b.json > /dev/null
+	cmp $(ART)/trace-a.json $(ART)/trace-b.json
+	dune exec bin/cgcsim.exe -- analyze \
+	  --trace $(ART)/trace-a.json --fail-on-drops > /dev/null
+	@echo "trace smoke OK: run traces deterministic and lossless"
 
 clean:
 	dune clean

@@ -150,7 +150,7 @@ type vm = {
   ncpus : int;
   ms : float;
   seed : int;
-  trace_ring : int option;  (** [None]: the command has no --trace-ring *)
+  trace_ring : int;
 }
 
 (* [run]'s per-knob collector flags, applied over the --gc base. *)
@@ -174,10 +174,12 @@ let knobs =
 
 (* The VM flags.  [collector] adds --gc, the fault injector and the
    verifier (without it the collector is the default CGC at the given
-   K0), [tuning] adds [run]'s collector knobs and [ring] adds
-   --trace-ring.  The resulting collector config goes through
-   [Config.validate], so an illegal combination is a usage error. *)
-let vm_term ?(collector = true) ?(tuning = false) ?(ring = true) ~heap_mb
+   K0) and [tuning] adds [run]'s collector knobs.  [lossless] makes
+   --trace-ring default to rings that never wrap, so the trace keeps
+   every event at the memory cost of the events kept.  The resulting
+   collector config goes through [Config.validate], so an illegal
+   combination is a usage error. *)
+let vm_term ?(collector = true) ?(tuning = false) ?(lossless = false) ~heap_mb
     ~ms () =
   let only on default term = if on then term else Term.const default in
   Term.term_result'
@@ -213,9 +215,17 @@ let vm_term ?(collector = true) ?(tuning = false) ?(ring = true) ~heap_mb
      and+ ms = opt_arg Arg.float ms [ "ms" ] "Simulated milliseconds to run."
      and+ seed = opt_arg Arg.int 1 [ "seed" ] "PRNG seed."
      and+ trace_ring =
-       only ring None
-         (opt_arg Arg.(some' int) (Some (1 lsl 17)) [ "trace-ring" ]
-            "Per-thread event-ring capacity.")
+       if lossless then
+         Arg.(
+           value
+           & opt positive_int max_int
+           & info [ "trace-ring" ] ~absent:"unbounded"
+               ~doc:
+                 "Per-thread event-ring capacity.  By default the rings \
+                  never wrap and the trace keeps every event.")
+       else
+         opt_arg positive_int (1 lsl 17) [ "trace-ring" ]
+           "Per-thread event-ring capacity."
      in
      let base =
        match mode with
@@ -253,12 +263,12 @@ let run_workload w ~warehouses ~trace
       match w with
       | Specjbb ->
           Cgc_workloads.Specjbb.run ~warehouses ~gc ~heap_mb ~ncpus ~seed
-            ~trace ?trace_ring ~ms ()
+            ~trace ~trace_ring ~ms ()
       | Pbob ->
           Cgc_workloads.Pbob.run ~warehouses ~gc ~heap_mb ~ncpus ~seed ~trace
-            ?trace_ring ~ms ()
+            ~trace_ring ~ms ()
       | Javac ->
-          Cgc_workloads.Javac.run ~gc ~heap_mb ~ncpus ~seed ~trace ?trace_ring
+          Cgc_workloads.Javac.run ~gc ~heap_mb ~ncpus ~seed ~trace ~trace_ring
             ~ms ())
 
 let run_cmd =
@@ -268,7 +278,7 @@ let run_cmd =
         "Workload: specjbb, pbob or javac."
     and+ warehouses
     and+ vm =
-      vm_term ~tuning:true ~ring:false ~heap_mb:64.0 ~ms:4000.0 ()
+      vm_term ~tuning:true ~lossless:true ~heap_mb:64.0 ~ms:4000.0 ()
     and+ trace_out = trace_out ()
     and+ metrics_out = metrics_out () in
     let vm = run_workload w ~warehouses ~trace:(trace_out <> None) vm in
@@ -646,7 +656,7 @@ let serve_cmd =
     in
     let trace = trace_out <> None in
     let vm =
-      Vm.create (Vm.config ~heap_mb ~ncpus ~seed ~gc ~trace ?trace_ring ())
+      Vm.create (Vm.config ~heap_mb ~ncpus ~seed ~gc ~trace ~trace_ring ())
     in
     let srv = Server.create scfg vm in
     catching_failures (fun () ->
@@ -777,7 +787,7 @@ let cluster_cmd =
             ~workers:t.workers ~timeout_ms:t.timeout_ms ~slo_ms:t.slo_ms
             ~slo_target:t.slo_target ~throttle_hi:t.throttle_hi
             ~throttle_lo:t.throttle_lo ~service_est_ms ~bin_ms ~gc ~heap_mb
-            ~ncpus ~seed ~ms ~trace:(trace_out <> None) ?trace_ring ?chaos
+            ~ncpus ~seed ~ms ~trace:(trace_out <> None) ~trace_ring ?chaos
             ~chaos_seed:(Option.value chaos_seed ~default:seed) ?epoch_ms
             ~retries ~retry_base_ms ~hedge_margin ~fleet_throttle_frac ~give_up
             ~rate_per_s:t.rate ())

@@ -61,11 +61,13 @@ let prefixes ph =
 let span_prefix = prefixes "\"X\",\"dur\":"
 let instant_prefix = prefixes "\"i\",\"s\":\"t\",\"ts\":"
 
-(* The writer fills a string of exactly the document's length: a sizing
-   pass over the events (in any order — the total does not depend on
-   it) fixes the length, then the write pass fills it in output order.
-   No growable buffer, so no reallocation and no final copy.  Every
-   [size_*] below must count exactly the bytes its [put_*] writes. *)
+(* A writer fills a byte buffer.  For a string, the buffer is exactly
+   the document's length: a sizing pass over the events fixes the
+   length, then the write pass fills it, with no reallocation and no
+   final copy; every [size_*] below must count exactly the bytes its
+   [put_*] writes.  For a channel, the buffer is a fixed window drained to the
+   channel whenever the next token does not fit, so the document is
+   never held whole. *)
 
 let ts_sep = ",\"ts\":"
 let tid_sep = ",\"pid\":0,\"tid\":"
@@ -104,15 +106,20 @@ let size_event ~cpms ~cycles_per_us ~ts ~dur ~tid ~code ~arg =
 type writer = {
   out : Bytes.t;
   mutable pos : int;
+  drain : writer -> unit;  (** make room: empty [out] or raise *)
   cycles_per_us : float;
   cpms : int;
 }
 
+let sizing_bug _ = invalid_arg "Export: trace sizing pass disagrees"
+
 (* The build compiles with [-unsafe], so the writes below check their
    room themselves: a sizing bug must raise, never write out of bounds. *)
 let room w n =
-  if w.pos + n > Bytes.length w.out then
-    invalid_arg "Export: trace sizing pass disagrees"
+  if w.pos + n > Bytes.length w.out then begin
+    w.drain w;
+    if w.pos + n > Bytes.length w.out then sizing_bug w
+  end
 
 let put_char w c =
   room w 1;
@@ -166,6 +173,7 @@ let format_us ~cycles_per_us c =
     {
       out = Bytes.create (size_us ~cpms ~cycles_per_us c);
       pos = 0;
+      drain = sizing_bug;
       cycles_per_us;
       cpms;
     }
@@ -191,50 +199,80 @@ let put_event w ~ts ~dur ~tid ~code ~arg =
   put_int w arg;
   put_string w close
 
-(* [unordered] and [ordered] each call their argument once per event —
-   the same events, the second time in output order. *)
-let render ~emitted ~dropped ~cycles_per_us ~unordered ~ordered =
-  let header =
-    Printf.sprintf
-      "{\"displayTimeUnit\":\"ms\",\"cgcSchema\":\"%s\",\"cyclesPerUs\":%.3f,\"emitted\":%d,\"dropped\":%d,\"traceEvents\":["
-      trace_schema cycles_per_us emitted dropped
-  and footer = "\n]}\n" in
+let header ~emitted ~dropped ~cycles_per_us =
+  Printf.sprintf
+    "{\"displayTimeUnit\":\"ms\",\"cgcSchema\":\"%s\",\"cyclesPerUs\":%.3f,\"emitted\":%d,\"dropped\":%d,\"traceEvents\":["
+    trace_schema cycles_per_us emitted dropped
+
+let footer = "\n]}\n"
+
+(* The whole document; [ordered] calls its argument once per event, in
+   output order. *)
+let put_document w ~header ~ordered =
+  put_string w header;
+  let first = ref true in
+  ordered (fun ~ts ~dur ~tid ~code ~arg ->
+      if !first then first := false else put_char w ',';
+      put_event w ~ts ~dur ~tid ~code ~arg);
+  put_string w footer
+
+(* [ordered] is called twice: to size the document, then to write it. *)
+let render ~emitted ~dropped ~cycles_per_us ordered =
+  let header = header ~emitted ~dropped ~cycles_per_us in
   let cpms = exact_rate cycles_per_us in
   let n = ref 0 and size = ref 0 in
-  unordered (fun ~ts ~dur ~tid ~code ~arg ->
+  ordered (fun ~ts ~dur ~tid ~code ~arg ->
       incr n;
       size := !size + size_event ~cpms ~cycles_per_us ~ts ~dur ~tid ~code ~arg);
   let size =
     String.length header + !size + max 0 (!n - 1) + String.length footer
   in
-  let w = { out = Bytes.create size; pos = 0; cycles_per_us; cpms } in
-  put_string w header;
-  let body = w.pos in
-  ordered (fun ~ts ~dur ~tid ~code ~arg ->
-      if w.pos > body then put_char w ',';
-      put_event w ~ts ~dur ~tid ~code ~arg);
-  put_string w footer;
-  if w.pos <> size then invalid_arg "Export: trace sizing pass disagrees";
+  let w =
+    {
+      out = Bytes.create size;
+      pos = 0;
+      drain = sizing_bug;
+      cycles_per_us;
+      cpms;
+    }
+  in
+  put_document w ~header ~ordered;
+  if w.pos <> size then sizing_bug w;
   Bytes.unsafe_to_string w.out
 
 let visit_record f (e : Event.t) =
   f ~ts:e.ts ~dur:e.dur ~tid:e.tid ~code:e.code ~arg:e.arg
 
 let chrome_json ?(emitted = 0) ?(dropped = 0) ~cycles_per_us events =
-  let each f = List.iter (visit_record f) events in
-  render ~emitted ~dropped ~cycles_per_us ~unordered:each ~ordered:each
+  render ~emitted ~dropped ~cycles_per_us (fun f ->
+      List.iter (visit_record f) events)
 
 let chrome_obs ~cycles_per_us o =
-  let m = Obs.merged o in
-  let visit f i =
-    f ~ts:m.ts.(i) ~dur:m.dur.(i) ~tid:m.tid.(i) ~code:m.code.(i) ~arg:m.arg.(i)
-  in
   render ~emitted:(Obs.emitted o) ~dropped:(Obs.dropped o) ~cycles_per_us
-    ~unordered:(fun f ->
-      for i = 0 to Array.length m.order - 1 do
-        visit f i
-      done)
-    ~ordered:(fun f -> Array.iter (visit f) m.order)
+    (Obs.iter_sorted o)
+
+(* Far longer than any one token, so [room] never raises after a drain. *)
+let window = 65536
+
+let output_chrome_obs oc ~cycles_per_us o =
+  let drain w =
+    output oc w.out 0 w.pos;
+    w.pos <- 0
+  in
+  let w =
+    {
+      out = Bytes.create window;
+      pos = 0;
+      drain;
+      cycles_per_us;
+      cpms = exact_rate cycles_per_us;
+    }
+  in
+  put_document w
+    ~header:
+      (header ~emitted:(Obs.emitted o) ~dropped:(Obs.dropped o) ~cycles_per_us)
+    ~ordered:(Obs.iter_sorted o);
+  drain w
 
 (* ------------------------------------------------------------------ *)
 (* Chrome-trace re-parser.

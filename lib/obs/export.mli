@@ -41,8 +41,12 @@ val chrome_json :
 val chrome_obs : cycles_per_us:float -> Obs.t -> string
 (** {!chrome_json} of every event the sink holds, with its emitted and
     dropped counts — the same bytes {!chrome_json} writes for
-    {!Obs.events}, but written straight from the sink's sorted columns
-    ({!Obs.merged}) without building a record per event. *)
+    {!Obs.events}, but written straight from the sink's rings
+    ({!Obs.iter_sorted}) without building a record per event. *)
+
+val output_chrome_obs : out_channel -> cycles_per_us:float -> Obs.t -> unit
+(** Writes the bytes of {!chrome_obs} to the channel through a fixed
+    64 KB buffer, never holding the whole document. *)
 
 val format_us : cycles_per_us:float -> int -> string
 (** One timestamp field as the writer prints it: exactly

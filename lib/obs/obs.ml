@@ -1,5 +1,14 @@
 module Clock = Cgc_util.Clock
 
+(* The sorted handles of the sink's events as of [at] emits; a handle's
+   high bits index [ring_at], its low [slot_bits] bits are a slot. *)
+type sorted = {
+  at : int;
+  ring_at : Ring.t array;
+  slot_bits : int;
+  handles : int array;
+}
+
 type armed = {
   cap : int;
   clock : Clock.t;
@@ -9,6 +18,8 @@ type armed = {
       (* cache of the last (tid, ring) pair: consecutive events
          overwhelmingly come from the same thread, so the hot path skips
          the per-event Hashtbl lookup *)
+  mutable sorted : sorted option;
+      (* the last sort; stale once [count] has moved past its [at] *)
 }
 
 type t = Null | On of armed
@@ -23,6 +34,7 @@ let create ?(ring_capacity = 65536) clock =
       rings = Hashtbl.create 16;
       count = 0;
       last = None;
+      sorted = None;
     }
 
 let enabled = function Null -> false | On _ -> true
@@ -88,20 +100,12 @@ let dropped_by_thread = function
         a.rings []
       |> List.sort compare
 
-type merged = {
-  ts : int array;
-  dur : int array;
-  tid : int array;
-  code : Event.code array;
-  arg : int array;
-  order : int array;
-}
-
 let radix_bits = 11
 
 (* Stable LSD radix sort of non-negative [keys] on bits [lo, hi): three
    passes of 11 bits for a simulated run's timestamps, against the
-   n log n closure comparisons of a merge sort. *)
+   n log n closure comparisons of a merge sort.  Returns [keys] or its
+   one scratch array, whichever holds the result. *)
 let radix_sort keys ~lo ~hi =
   let n = Array.length keys in
   let buckets = 1 lsl radix_bits in
@@ -134,82 +138,91 @@ let radix_sort keys ~lo ~hi =
   done;
   !src
 
-(* The one sort behind every merged view: the surviving events of every
-   ring, ordered by timestamp.  Stable: equal timestamps keep the (tid,
-   emission order) order the concatenation establishes, so the listing
-   is reproducible.  Each ring's scalars are gathered with segment
-   blits, then [ts * 2^b + index] keys — already in index order — are
-   radix-sorted on their timestamp bits only, which keeps them stable.
-   No per-event record is built: the exporter writes straight from the
-   columns. *)
-let merged t =
+(* Bits needed to write [n >= 0]. *)
+let bit_width n =
+  let b = ref 0 in
+  while n lsr !b > 0 do incr b done;
+  !b
+
+(* The one sort behind every merged view: a handle per surviving event,
+   [ring lsl slot_bits lor slot], ordered by timestamp.  Handles are
+   generated ring by ring in thread-id order, oldest first, and the sort
+   is stable, so equal timestamps keep that (tid, emission order) order
+   and the listing is reproducible.  The sort key is [ts lsl hbits lor
+   handle], radix-sorted on its timestamp bits only, which keeps it
+   stable; no event is copied.  The result is cached on the sink until
+   the next emit or clear. *)
+let sort a =
   let rings =
-    match t with
-    | Null -> []
-    | On a ->
-        Hashtbl.fold (fun k _ acc -> k :: acc) a.rings []
-        |> List.sort compare
-        |> List.map (Hashtbl.find a.rings)
+    Hashtbl.fold (fun k _ acc -> k :: acc) a.rings []
+    |> List.sort compare
+    |> List.map (Hashtbl.find a.rings)
+    |> Array.of_list
   in
-  let n = List.fold_left (fun acc r -> acc + Ring.length r) 0 rings in
-  let ts = Array.make n 0
-  and dur = Array.make n 0
-  and tid = Array.make n 0
-  and arg = Array.make n 0
-  and code = Array.make n Event.Cycle_start in
-  ignore
-    (List.fold_left
-       (fun pos r -> Ring.blit_fields r ~ts ~dur ~tid ~arg ~code ~pos)
-       0 rings);
-  let bits =
-    let b = ref 1 in
-    while 1 lsl !b < n do incr b done;
-    !b
+  let n = Array.fold_left (fun acc r -> acc + Ring.length r) 0 rings in
+  let slot_bits =
+    bit_width (Array.fold_left (fun m r -> max m (Ring.length r)) 0 rings)
   in
-  let max_ts = Array.fold_left max 0 ts in
-  let order =
-    if max_ts < 1 lsl (61 - bits) && Array.fold_left min 0 ts >= 0 then begin
-      let ts_bits =
-        let b = ref 0 in
-        while max_ts lsr !b > 0 do incr b done;
-        !b
-      in
-      let key =
-        radix_sort
-          (Array.init n (fun i -> (ts.(i) lsl bits) lor i))
-          ~lo:bits ~hi:(bits + ts_bits)
-      in
-      let mask = (1 lsl bits) - 1 in
-      for j = 0 to n - 1 do
-        key.(j) <- key.(j) land mask
-      done;
-      key
-    end
-    else begin
-      (* Timestamps too large to pack (cannot happen for simulated
-         clocks, which start at zero): sort the indices directly. *)
-      let idx = Array.init n Fun.id in
-      Array.stable_sort (fun i j -> compare (ts.(i) : int) ts.(j)) idx;
-      idx
-    end
+  let hbits = slot_bits + bit_width (Array.length rings) in
+  let keys = Array.make n 0 in
+  let min_ts = ref 0 and max_ts = ref 0 in
+  let i = ref 0 in
+  Array.iteri
+    (fun k r ->
+      let base = k lsl slot_bits in
+      Ring.iter_slots r (fun s ->
+          let ts = Ring.ts r s in
+          if ts < !min_ts then min_ts := ts;
+          if ts > !max_ts then max_ts := ts;
+          (* the low [hbits] bits hold the handle even if [ts] is too
+             wide to fit above them *)
+          keys.(!i) <- (ts lsl hbits) lor base lor s;
+          incr i))
+    rings;
+  let ts_bits = bit_width !max_ts in
+  let fits = !min_ts >= 0 && hbits + ts_bits <= 62 in
+  let handles =
+    if fits then radix_sort keys ~lo:hbits ~hi:(hbits + ts_bits) else keys
   in
-  { ts; dur; tid; code; arg; order }
+  let mask = (1 lsl hbits) - 1 in
+  for j = 0 to n - 1 do
+    handles.(j) <- handles.(j) land mask
+  done;
+  let slot_mask = (1 lsl slot_bits) - 1 in
+  if not fits then begin
+    (* Timestamps too wide to pack (cannot happen for simulated clocks,
+       which start at zero): sort the handles by looking [ts] up. *)
+    let ts h = Ring.ts rings.(h lsr slot_bits) (h land slot_mask) in
+    Array.stable_sort (fun h h' -> compare (ts h : int) (ts h')) handles
+  end;
+  { at = a.count; ring_at = rings; slot_bits; handles }
+
+let sorted a =
+  match a.sorted with
+  | Some s when s.at = a.count -> s
+  | _ ->
+      let s = sort a in
+      a.sorted <- Some s;
+      s
+
+let ring s h = s.ring_at.(h lsr s.slot_bits)
+let slot s h = h land ((1 lsl s.slot_bits) - 1)
+
+let iter_sorted t f =
+  match t with
+  | Null -> ()
+  | On a ->
+      let s = sorted a in
+      Array.iter (fun h -> Ring.read (ring s h) (slot s h) f) s.handles
 
 (* Built as an array because the analysis passes are length-heavy: one
    flat array of a few hundred thousand records scans several times
    faster than a cons-cell chain. *)
-let events_array t =
-  let m = merged t in
-  Array.map
-    (fun i ->
-      {
-        Event.ts = m.ts.(i);
-        dur = m.dur.(i);
-        tid = m.tid.(i);
-        code = m.code.(i);
-        arg = m.arg.(i);
-      })
-    m.order
+let events_array = function
+  | Null -> [||]
+  | On a ->
+      let s = sorted a in
+      Array.map (fun h -> Ring.get (ring s h) (slot s h)) s.handles
 
 let events t = Array.to_list (events_array t)
 
@@ -217,4 +230,5 @@ let clear = function
   | Null -> ()
   | On a ->
       Hashtbl.iter (fun _ r -> Ring.clear r) a.rings;
-      a.count <- 0
+      a.count <- 0;
+      a.sorted <- None

@@ -18,7 +18,9 @@ val null : t
 val create : ?ring_capacity:int -> Cgc_util.Clock.t -> t
 (** An armed sink stamping events from the clock.  [ring_capacity]
     (default [65536]) bounds each per-thread ring; overflow drops the
-    oldest events and is reported by {!dropped}.  {!instant}, {!span}
+    oldest events and is reported by {!dropped}.  A ring's memory
+    follows the events it holds, not its capacity, so [max_int] makes
+    a lossless sink.  {!instant}, {!span}
     and {!span_at} attribute the event to the clock's running thread and
     raise [Invalid_argument] when none is running. *)
 
@@ -53,24 +55,16 @@ val dropped_by_thread : t -> (int * int) list
     thread id — lets reports name the lossy rings instead of only the
     total. *)
 
-type merged = private {
-  ts : int array;
-  dur : int array;
-  tid : int array;
-  code : Event.code array;
-  arg : int array;
-  order : int array;
-      (** [order.(j)] is the column index of the [j]-th event in
-          {!events} order *)
-}
-(** Every surviving event as parallel field columns (ring by ring, in
-    thread-id order) plus the permutation that sorts them.  The arrays
-    are fresh; callers must not mutate them. *)
-
-val merged : t -> merged
-(** The one sort behind every merged view: {!events_array} builds its
-    records from it, and the trace exporter writes straight from its
-    columns without building a record per event. *)
+val iter_sorted :
+  t ->
+  (ts:int -> dur:int -> tid:int -> code:Event.code -> arg:int -> unit) ->
+  unit
+(** Every surviving event's fields, in {!events} order, without building
+    a record per event: the trace exporter writes straight from the
+    rings through this.  The order is one radix sort of (ring, slot)
+    handles keyed on the timestamp; it is cached on the sink and reused
+    by {!events_array} and later calls until the next emit or {!clear}.
+    The cached order costs one int per event; the sort, one more. *)
 
 val events : t -> Event.t list
 (** Every surviving event, sorted by timestamp; ties broken by thread id

@@ -1,82 +1,80 @@
-(* Events are stored as parallel scalar arrays rather than an array of
-   Event.t records: [add_fields] is then five unboxed stores (code is a
-   constant-constructor variant, i.e. an immediate), so an armed sink
-   allocates nothing per event.  The write cursor wraps by compare
-   instead of [mod], which costs a hardware division per event and is
-   why the previous implementation wanted power-of-two capacities;
-   compare-wrap is division-free at every capacity.
+(* Events are stored in fixed-size chunks, each one int array holding
+   [chunk_events] events as five consecutive ints (ts, dur, tid, code
+   index, arg), so [add_fields] is five unboxed stores into the current
+   chunk and an armed sink allocates nothing per event once that chunk
+   exists.  A chunk is allocated only when the write cursor first
+   reaches it: rings are preallocated per simulated thread and most
+   threads emit far fewer events than the configured capacity (a pBOB
+   cell spreads a few hundred thousand events over hundreds of terminal
+   threads), so a ring costs what it holds plus at most one partly
+   filled chunk — never a capacity-sized array.
 
-   Storage is grown geometrically up to [cap] as events actually arrive:
-   rings are preallocated per simulated thread and most threads emit far
-   fewer events than the configured capacity (a pBOB cell spreads a few
-   hundred thousand events over hundreds of terminal threads), so
-   eagerly sizing every ring to capacity would cost hundreds of
-   megabytes of zeroed arrays per cell.  The cursor only wraps once
-   [total] reaches [cap], by which point the arrays are at full size, so
-   growth never moves a wrapped ring.  Records are only materialised by
-   the cold read-side ([iter]/[to_list]). *)
+   Slot [s] lives in chunk [s / chunk_events] at offset
+   [fields * (s mod chunk_events)].  The last chunk of a ring is cut to
+   [cap], so the cursor wraps when it runs off that chunk's end: the
+   slot after [cap - 1] is slot 0, by compare and never by division. *)
+
+let chunk_bits = 10
+let chunk_events = 1 lsl chunk_bits
+let fields = 5
+let codes = Array.of_list Event.all_codes
 
 type t = {
   cap : int;
-  mutable size : int; (* current physical array size, <= cap *)
-  mutable ts : int array;
-  mutable dur : int array;
-  mutable tid : int array;
-  mutable arg : int array;
-  mutable code : Event.code array;
-  mutable pos : int; (* next write slot *)
+  mutable chunks : int array array; (* the first [nchunks] are allocated *)
+  mutable nchunks : int;
+  mutable cur : int array; (* the chunk being written *)
+  mutable cur_idx : int; (* its index in [chunks]; -1 before the first *)
+  mutable off : int; (* next write offset in [cur], in ints *)
   mutable total : int; (* events ever added since the last clear *)
 }
 
-let initial_size cap = min cap 256
-
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
-  let size = initial_size capacity in
   {
     cap = capacity;
-    size;
-    ts = Array.make size 0;
-    dur = Array.make size 0;
-    tid = Array.make size 0;
-    arg = Array.make size 0;
-    code = Array.make size Event.Cycle_start;
-    pos = 0;
+    chunks = [||];
+    nchunks = 0;
+    cur = [||];
+    cur_idx = -1;
+    off = 0;
     total = 0;
   }
 
 let capacity t = t.cap
 
-let grow t =
-  (* Event volume per ring is heavy-tailed: most threads never outgrow
-     the initial arrays, and a thread that does usually goes on to fill
-     the ring.  Jump 16x on the first growth and straight to [cap] on the
-     second, so a busy ring recopies its five arrays at most twice. *)
-  let size = if t.size = initial_size t.cap then min t.cap (16 * t.size) else t.cap in
-  let g (a : int array) =
-    let b = Array.make size 0 in
-    Array.blit a 0 b 0 t.size;
-    b
-  in
-  t.ts <- g t.ts;
-  t.dur <- g t.dur;
-  t.tid <- g t.tid;
-  t.arg <- g t.arg;
-  let c = Array.make size Event.Cycle_start in
-  Array.blit t.code 0 c 0 t.size;
-  t.code <- c;
-  t.size <- size
+(* Chunks a ring of capacity [cap] can use, without overflowing. *)
+let max_chunks cap =
+  (cap / chunk_events) + if cap mod chunk_events = 0 then 0 else 1
+
+(* Move the cursor to the next chunk, wrapping to chunk 0 past [cap] and
+   allocating the chunk on first use. *)
+let next_chunk t =
+  let i = t.cur_idx + 1 in
+  let i = if i >= max_chunks t.cap then 0 else i in
+  if i = t.nchunks then begin
+    if i = Array.length t.chunks then begin
+      let table = Array.make (min (max_chunks t.cap) (max 4 (2 * i))) [||] in
+      Array.blit t.chunks 0 table 0 i;
+      t.chunks <- table
+    end;
+    let len = min chunk_events (t.cap - (i * chunk_events)) in
+    t.chunks.(i) <- Array.make (fields * len) 0;
+    t.nchunks <- i + 1
+  end;
+  t.cur <- t.chunks.(i);
+  t.cur_idx <- i;
+  t.off <- 0
 
 let add_fields t ~ts ~dur ~tid ~code ~arg =
-  let p = t.pos in
-  if p >= t.size then grow t;
-  t.ts.(p) <- ts;
-  t.dur.(p) <- dur;
-  t.tid.(p) <- tid;
-  t.arg.(p) <- arg;
-  t.code.(p) <- code;
-  let p1 = p + 1 in
-  t.pos <- (if p1 = t.cap then 0 else p1);
+  if t.off >= Array.length t.cur then next_chunk t;
+  let c = t.cur and o = t.off in
+  c.(o) <- ts;
+  c.(o + 1) <- dur;
+  c.(o + 2) <- tid;
+  c.(o + 3) <- Event.index code;
+  c.(o + 4) <- arg;
+  t.off <- o + fields;
   t.total <- t.total + 1
 
 let add t (e : Event.t) =
@@ -86,50 +84,42 @@ let add t (e : Event.t) =
 let length t = if t.total < t.cap then t.total else t.cap
 let dropped t = if t.total > t.cap then t.total - t.cap else 0
 
-let iter t f =
+let iter_slots t f =
   let len = length t in
   (* oldest surviving event: slot 0 until the ring wraps, then the next
      slot to be overwritten *)
-  let start = if t.total <= t.cap then 0 else t.pos in
+  let start =
+    if t.total <= t.cap then 0
+    else
+      let next = (t.cur_idx lsl chunk_bits) + (t.off / fields) in
+      if next = t.cap then 0 else next
+  in
   for i = 0 to len - 1 do
     let j = start + i in
-    let j = if j >= t.cap then j - t.cap else j in
-    f
-      {
-        Event.ts = t.ts.(j);
-        dur = t.dur.(j);
-        tid = t.tid.(j);
-        code = t.code.(j);
-        arg = t.arg.(j);
-      }
+    f (if j >= t.cap then j - t.cap else j)
   done
+
+let ts t s =
+  t.chunks.(s lsr chunk_bits).(fields * (s land (chunk_events - 1)))
+
+let read t s f =
+  let c = t.chunks.(s lsr chunk_bits) in
+  let o = fields * (s land (chunk_events - 1)) in
+  f ~ts:c.(o) ~dur:c.(o + 1) ~tid:c.(o + 2) ~code:codes.(c.(o + 3))
+    ~arg:c.(o + 4)
+
+let record ~ts ~dur ~tid ~code ~arg = { Event.ts; dur; tid; code; arg }
+let get t s = read t s record
+let iter t f = iter_slots t (fun s -> f (get t s))
 
 let to_list t =
   let out = ref [] in
   iter t (fun e -> out := e :: !out);
   List.rev !out
 
-(* Copy the surviving events, oldest first, into parallel destination
-   arrays starting at [pos]; returns the next free index.  Two segment
-   blits instead of a per-event record materialisation — this is how the
-   merged trace view assembles a few hundred thousand events without
-   boxing any of them. *)
-let blit_fields t ~ts ~dur ~tid ~arg ~code ~pos =
-  let len = length t in
-  let start = if t.total <= t.cap then 0 else t.pos in
-  let seg1 = min len (t.cap - start) in
-  let copy (src : int array) (dst : int array) =
-    Array.blit src start dst pos seg1;
-    if len > seg1 then Array.blit src 0 dst (pos + seg1) (len - seg1)
-  in
-  copy t.ts ts;
-  copy t.dur dur;
-  copy t.tid tid;
-  copy t.arg arg;
-  Array.blit t.code start code pos seg1;
-  if len > seg1 then Array.blit t.code 0 code (pos + seg1) (len - seg1);
-  pos + len
-
+(* The chunks stay allocated and are overwritten as events arrive again. *)
 let clear t =
-  t.pos <- 0;
+  t.cur <- [||];
+  t.cur_idx <- -1;
+  t.off <- 0;
   t.total <- 0

@@ -219,7 +219,12 @@ let enable_profiler t =
       t.prof <- Some p
 
 let trace_json t = Export.chrome_obs ~cycles_per_us:(cycles_per_us t) (obs t)
-let write_trace t path = Export.write_file path (trace_json t)
+let write_trace t path =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      Export.output_chrome_obs oc ~cycles_per_us:(cycles_per_us t) (obs t))
 
 let cycles_schema = "cgcsim-cycles-v1"
 
@@ -316,8 +321,8 @@ let print_report t =
           "WARNING: ring overflow truncated the trace; lossy rings:";
         List.iter (fun (tid, n) -> Printf.printf " tid%d=%d" tid n) per_tid;
         Printf.printf
-          "\n  (raise the ring capacity — Vm.config ~trace_ring — or \
-           shorten the traced window)\n"
+          "\n  (raise the ring capacity — --trace-ring — or shorten the \
+           traced window)\n"
   end;
   match t.prof with
   | None -> ()

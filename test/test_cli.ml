@@ -190,6 +190,7 @@ let option_labels =
         "--packets=VAL (absent=1000)";
         "--seed=VAL (absent=1)";
         "--trace-out=FILE";
+        "--trace-ring=VAL (absent=unbounded)";
         "--tracing-rate=VAL, --k0=VAL (absent=8.)";
         "--verify";
         "-w VAL, --workload=VAL (absent=specjbb)";
@@ -334,6 +335,8 @@ let test_bad_flags_exit_usage () =
       "cluster --jobs 0";
       "run --gc bogus";
       "serve --burst 1,2";
+      "serve --trace-ring 0";
+      "run --trace-ring -1";
       "run --gc gen --compaction";
       "run --compaction --lazy-sweep";
       "";

@@ -202,6 +202,55 @@ let test_trace_has_gc_phases () =
   check cb "concurrent-mark span" true (has {|"name":"concurrent-mark"|});
   check cb "sweep events" true (has {|"name":"sweep-chunk"|})
 
+(* [Vm.write_trace] streams the export through a fixed buffer; the file
+   must hold exactly [Vm.trace_json]'s bytes.  The configurations are
+   test_golden's: one traced SPECjbb-like VM per kernel path. *)
+let test_write_trace_streams_json () =
+  let module Heap = Cgc_heap.Heap in
+  let module Weakmem = Cgc_smp.Weakmem in
+  let module Txmix = Cgc_workloads.Txmix in
+  let run ?(wm_mode = Weakmem.Sc) ?(fence_policy = Heap.Batched)
+      ?(ms = 150.0) gc =
+    let vm =
+      Vm.create
+        (Vm.config ~heap_mb:12.0 ~ncpus:4 ~seed:3 ~gc ~wm_mode ~fence_policy
+           ~trace:true ())
+    in
+    let profile =
+      Txmix.scale_residency Cgc_workloads.Specjbb.base_profile
+        ~target_slots:
+          (int_of_float (float_of_int (Heap.nslots (Vm.heap vm)) *. 0.6) / 4)
+    in
+    for w = 1 to 4 do
+      Vm.spawn_mutator vm ~name:(Printf.sprintf "w%d" w) (Txmix.body profile)
+    done;
+    Vm.run vm ~ms;
+    vm
+  in
+  let cgc = Config.default in
+  List.iter
+    (fun (name, vm) ->
+      let path = Filename.temp_file "cgcsim-trace" ".json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Vm.write_trace vm path;
+          let written = In_channel.with_open_bin path In_channel.input_all in
+          check cb (name ^ ": longer than one buffer") true
+            (String.length written > 65536);
+          check cb (name ^ ": file = trace_json") true
+            (String.equal written (Vm.trace_json vm))))
+    [
+      ("cgc", run cgc);
+      ("compaction", run { cgc with Config.compaction = true });
+      ("lazy sweep", run { cgc with Config.lazy_sweep = true });
+      ( "stealing",
+        run { Config.stw with Config.load_balance = Config.Stealing } );
+      ("naive fences", run ~fence_policy:Heap.Naive cgc);
+      ("relaxed memory", run ~wm_mode:Weakmem.Relaxed cgc);
+      ("gen", run ~ms:400.0 Config.gen);
+    ]
+
 let test_untraced_run_emits_nothing () =
   let vm =
     Cgc_workloads.Specjbb.run ~warehouses:2 ~gc:Config.default ~heap_mb:16.0
@@ -209,48 +258,120 @@ let test_untraced_run_emits_nothing () =
   in
   check ci "no events" 0 (Obs.emitted (Vm.obs vm))
 
-(* ---------------- Ring blits and the merged event view ---------------- *)
+(* ---------------- Chunked rings and the merged event view ---------------- *)
 
-let ring_blit_matches_iter_test =
-  QCheck.Test.make ~name:"ring: blit_fields agrees with iter" ~count:300
-    QCheck.(pair (int_range 1 20) (small_list small_nat))
-    (fun (cap, tss) ->
+(* Events per storage chunk, as [Ring] allocates them. *)
+let chunk = 1024
+
+(* A chunked ring against the obvious model: every event since the last
+   clear, of which the newest [cap] survive.  Capacities straddle the
+   chunk size, where the cursor's chunk hops and wraps live. *)
+let ring_model_test =
+  QCheck.Test.make ~name:"ring: chunked storage = drop-oldest list model"
+    ~count:150
+    QCheck.(
+      pair
+        (oneof
+           [
+             oneofl [ 1; chunk - 1; chunk; chunk + 1 ];
+             int_range 1 (3 * chunk);
+           ])
+        (list_of_size
+           Gen.(int_range 0 (5 * chunk))
+           (make
+              Gen.(
+                frequency [ (1, return (-1)); (400, int_bound 1_000_000) ]))))
+    (fun (cap, ops) ->
       let r = Ring.create ~capacity:cap in
-      List.iteri
-        (fun i ts ->
-          Ring.add_fields r ~ts ~dur:i ~tid:(i mod 3)
-            ~code:(if i mod 2 = 0 then Event.Cycle_start else Event.Fence_flush)
-            ~arg:(i * 7))
-        tss;
-      let n = Ring.length r in
-      let ts = Array.make (n + 1) (-1)
-      and dur = Array.make (n + 1) (-1)
-      and tid = Array.make (n + 1) (-1)
-      and arg = Array.make (n + 1) (-1) in
-      let code = Array.make (n + 1) Event.Cycle_start in
-      let stop = Ring.blit_fields r ~ts ~dur ~tid ~arg ~code ~pos:0 in
-      if stop <> n then QCheck.Test.fail_reportf "end index %d, want %d" stop n;
-      let i = ref 0 in
-      Ring.iter r (fun e ->
-          if
-            e.Event.ts <> ts.(!i)
-            || e.dur <> dur.(!i)
-            || e.tid <> tid.(!i)
-            || e.arg <> arg.(!i)
-            || e.code <> code.(!i)
-          then QCheck.Test.fail_reportf "field mismatch at %d" !i;
-          incr i);
-      !i = n)
+      let ncodes = List.length Event.all_codes in
+      let since_clear = ref [] in
+      let agrees () =
+        let all = List.rev !since_clear in
+        let n = List.length all in
+        let kept = List.filteri (fun i _ -> i >= n - cap) all in
+        Ring.length r = List.length kept
+        && Ring.dropped r = max 0 (n - cap)
+        && Ring.to_list r = kept
+      in
+      List.for_all Fun.id
+        (List.mapi
+           (fun i op ->
+             if op < 0 then begin
+               let ok = agrees () in
+               Ring.clear r;
+               since_clear := [];
+               ok
+             end
+             else begin
+               let e =
+                 {
+                   Event.ts = op;
+                   dur = (i mod 5) - 1;
+                   tid = i;
+                   code = List.nth Event.all_codes (i mod ncodes);
+                   arg = -i;
+                 }
+               in
+               Ring.add r e;
+               since_clear := e :: !since_clear;
+               true
+             end)
+           ops)
+      && agrees ())
+
+(* The same model at every count around each wrap, where the oldest
+   event sits at a chunk's edge or at slot 0. *)
+let test_ring_wrap_boundaries () =
+  List.iter
+    (fun cap ->
+      List.iter
+        (fun n ->
+          let r = Ring.create ~capacity:cap in
+          for i = 1 to n do
+            Ring.add r (ev i)
+          done;
+          let want = List.init (min n cap) (fun i -> max 0 (n - cap) + i + 1) in
+          check (Alcotest.list ci)
+            (Printf.sprintf "cap %d, %d events" cap n)
+            want
+            (List.map (fun e -> e.Event.ts) (Ring.to_list r));
+          check ci "dropped" (max 0 (n - cap)) (Ring.dropped r))
+        [ cap - 1; cap; cap + 1; (2 * cap) - 1; 2 * cap; (2 * cap) + 1; 3 * cap ])
+    [ 1; 2; chunk - 1; chunk; chunk + 1; 2 * chunk; (2 * chunk) + 3 ]
+
+(* Appending allocates the chunks the events land in and nothing per
+   event: N events cost at most 5N words plus one chunk, far below a
+   capacity-sized array. *)
+let test_ring_allocation_bound () =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let n = 100_000 in
+  let r = Ring.create ~capacity:(1 lsl 17) in
+  (* A major cycle left in flight by earlier tests inflates the counters
+     of the next allocations; start from a finished one. *)
+  Gc.full_major ();
+  let before = words () in
+  for i = 1 to n do
+    Ring.add_fields r ~ts:i ~dur:(-1) ~tid:0 ~code:Event.Packet_get ~arg:i
+  done;
+  let used = words () -. before in
+  check cb
+    (Printf.sprintf "%.0f words for %d events" used n)
+    true
+    (used <= float_of_int ((5 * n) + (5 * chunk) + 1))
 
 (* The merged view must be the stable ts-sort of the per-thread streams
    concatenated in tid order, drops included — exactly what the
-   list-based implementation produced.  The packed-key radix sort inside
-   [Obs.merged] is an implementation detail this pins down. *)
-let merge_order_test ~name ts_gen =
-  QCheck.Test.make ~name ~count:300
-    QCheck.(small_list (pair (int_bound 3) ts_gen))
-    (fun evs ->
-      let cap = 8 in
+   list-based implementation produced.  The packed-key radix sort of
+   (ring, slot) handles inside [Obs] is an implementation detail this
+   pins down. *)
+let merge_order_test ?(count = 300) ?(cap = QCheck.Gen.return 8)
+    ?(events = QCheck.small_list) ~name ts_gen =
+  QCheck.Test.make ~name ~count
+    QCheck.(pair (make cap) (events (pair (int_bound 3) ts_gen)))
+    (fun (cap, evs) ->
       let clock = Clock.manual () in
       let o = Obs.create ~ring_capacity:cap clock in
       List.iteri
@@ -297,7 +418,48 @@ let obs_wide_ts_order_test =
         (fun (a, b) -> (1 lsl a) lor (1 lsl b))
         (pair (int_bound 40) (int_bound 40)))
 
-(* Writing straight from the sink's columns gives the bytes the record
+(* Rings that wrap, several chunks deep, with the capacities around the
+   chunk size. *)
+let obs_wrapped_rings_order_test =
+  merge_order_test ~count:40 ~name:"obs: merge of wrapped chunked rings"
+    ~cap:QCheck.Gen.(oneofl [ chunk - 1; chunk; chunk + 1; 700 ])
+    ~events:QCheck.(list_of_size Gen.(int_range 0 (6 * chunk)))
+    (QCheck.int_bound 2000)
+
+(* The sort is cached on the sink: an emit or a clear after an export
+   must not let a later read reuse the stale order. *)
+let test_sorted_cache_invalidated () =
+  let emit clock o (tid, ts) =
+    clock.Clock.tid <- tid;
+    clock.Clock.base <- ts;
+    Obs.instant o ~arg:ts Event.Cycle_start
+  in
+  let first = [ (0, 50); (1, 10); (0, 70) ]
+  and later = [ (2, 5); (1, 60); (0, 80) ] in
+  let fresh evs =
+    let clock = Clock.manual () in
+    let o = Obs.create clock in
+    List.iter (emit clock o) evs;
+    o
+  in
+  let clock = Clock.manual () in
+  let o = Obs.create clock in
+  List.iter (emit clock o) first;
+  ignore (Export.chrome_obs ~cycles_per_us:550.0 o);
+  List.iter (emit clock o) later;
+  let whole = fresh (first @ later) in
+  check cb "events after an emit" true (Obs.events o = Obs.events whole);
+  check Alcotest.string "export after an emit"
+    (Export.chrome_obs ~cycles_per_us:550.0 whole)
+    (Export.chrome_obs ~cycles_per_us:550.0 o);
+  (* Clear, then as many emits as before: the count matches the cached
+     one, the events do not. *)
+  Obs.clear o;
+  let again = [ (3, 1); (3, 2); (1, 3); (0, 4); (2, 0); (1, 9) ] in
+  List.iter (emit clock o) again;
+  check cb "events after a clear" true (Obs.events o = Obs.events (fresh again))
+
+(* Writing straight from the sink's rings gives the bytes the record
    path gives. *)
 let chrome_obs_matches_records_test =
   QCheck.Test.make ~name:"export: chrome_obs = chrome_json (list)" ~count:200
@@ -360,7 +522,10 @@ let () =
             test_ring_keeps_newest;
           Alcotest.test_case "no overflow below capacity" `Quick
             test_ring_no_overflow;
-          QCheck_alcotest.to_alcotest ring_blit_matches_iter_test;
+          QCheck_alcotest.to_alcotest ring_model_test;
+          Alcotest.test_case "wrap boundaries" `Quick test_ring_wrap_boundaries;
+          Alcotest.test_case "appends allocate only their chunks" `Quick
+            test_ring_allocation_bound;
         ] );
       ( "sink",
         [
@@ -370,6 +535,9 @@ let () =
             test_armed_sink_orders_events;
           QCheck_alcotest.to_alcotest obs_events_array_order_test;
           QCheck_alcotest.to_alcotest obs_wide_ts_order_test;
+          QCheck_alcotest.to_alcotest obs_wrapped_rings_order_test;
+          Alcotest.test_case "sort cache invalidated by emit and clear" `Quick
+            test_sorted_cache_invalidated;
         ] );
       ( "export",
         [
@@ -382,6 +550,8 @@ let () =
           Alcotest.test_case "byte-identical traces" `Slow
             test_trace_deterministic;
           Alcotest.test_case "gc phases present" `Slow test_trace_has_gc_phases;
+          Alcotest.test_case "write_trace streams trace_json's bytes" `Slow
+            test_write_trace_streams_json;
           Alcotest.test_case "zero-cost when off" `Slow
             test_untraced_run_emits_nothing;
         ] );
