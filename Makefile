@@ -4,7 +4,7 @@
 # installed (odoc / ocamlformat are not part of the minimal toolchain);
 # when present they are part of the tier-1 bar.
 
-.PHONY: all build test doc doc-strict fmt-check verify fuzz bench \
+.PHONY: all build test doc doc-strict fmt-check inline-check verify fuzz bench \
 	bench-smoke bench-determinism serve-smoke cluster-smoke chaos-smoke \
 	perf-smoke tails-smoke gen-smoke experiment-smoke trace-smoke clean
 
@@ -56,7 +56,36 @@ fmt-check:
 	  echo "ocamlformat not installed — skipping dune fmt --check"; \
 	fi
 
-verify: build test doc fmt-check
+# Cross-module inlining gate (docs/ARCHITECTURE.md, "The hot path"):
+# dune-workspace selects the release profile, whose library modules
+# compile without -opaque, so the hot path inlines across libraries.
+# Fail, naming the unit, if a hot-path unit's compile rule passes
+# -opaque (as under DUNE_PROFILE=dev) or if it has no ocamlopt rule.
+inline-check:
+	@for u in lib/core/.cgc_core.objs/native/cgc_core__Tracer.cmx \
+	    lib/core/.cgc_core.objs/native/cgc_core__Sweep.cmx \
+	    lib/core/.cgc_core.objs/native/cgc_core__Card_clean.cmx \
+	    lib/smp/.cgc_smp.objs/native/cgc_smp__Machine.cmx \
+	    lib/sim/.cgc_sim.objs/native/cgc_sim__Sched.cmx \
+	    lib/heap/.cgc_heap.objs/native/cgc_heap__Heap.cmx \
+	    lib/heap/.cgc_heap.objs/native/cgc_heap__Arena.cmx \
+	    lib/heap/.cgc_heap.objs/native/cgc_heap__Card_table.cmx \
+	    lib/packets/.cgc_packets.objs/native/cgc_packets__Pool.cmx \
+	    lib/util/.cgc_util.objs/native/cgc_util__Bitvec.cmx \
+	    lib/util/.cgc_util.objs/native/cgc_util__Clock.cmx; do \
+	  rule=$$(dune rules $$u) || exit 1; \
+	  case "$$rule" in \
+	    *ocamlopt*) ;; \
+	    *) echo "inline-check: no ocamlopt rule for $$u"; exit 1 ;; \
+	  esac; \
+	  if printf '%s\n' "$$rule" | grep -q -- '-opaque'; then \
+	    echo "inline-check: $$u is compiled with -opaque, so the hot path cannot inline across libraries; build in the release profile (dune-workspace), not --profile dev"; \
+	    exit 1; \
+	  fi; \
+	done
+	@echo "inline check OK: hot-path units compile without -opaque"
+
+verify: inline-check build test doc fmt-check
 
 # Longer-running configuration fuzz (random collector configs + fault
 # scenarios under the heap verifier).  On failure QCheck prints the
