@@ -61,29 +61,48 @@ fmt-check:
 # compile without -opaque, so the hot path inlines across libraries.
 # Fail, naming the unit, if a hot-path unit's compile rule passes
 # -opaque (as under DUNE_PROFILE=dev) or if it has no ocamlopt rule.
+# Then build each unit's object file and fail, naming the unit, if its
+# code calls polymorphic comparison: Stdlib's min/max (not inlined
+# without flambda; each call goes through compare_val) or a
+# caml_compare/caml_greaterequal-style primitive.  Use Int.min/Int.max
+# and typed comparisons on the hot path.
 inline-check:
-	@for u in lib/core/.cgc_core.objs/native/cgc_core__Tracer.cmx \
-	    lib/core/.cgc_core.objs/native/cgc_core__Sweep.cmx \
-	    lib/core/.cgc_core.objs/native/cgc_core__Card_clean.cmx \
-	    lib/smp/.cgc_smp.objs/native/cgc_smp__Machine.cmx \
-	    lib/sim/.cgc_sim.objs/native/cgc_sim__Sched.cmx \
-	    lib/heap/.cgc_heap.objs/native/cgc_heap__Heap.cmx \
-	    lib/heap/.cgc_heap.objs/native/cgc_heap__Arena.cmx \
-	    lib/heap/.cgc_heap.objs/native/cgc_heap__Card_table.cmx \
-	    lib/packets/.cgc_packets.objs/native/cgc_packets__Pool.cmx \
-	    lib/util/.cgc_util.objs/native/cgc_util__Bitvec.cmx \
-	    lib/util/.cgc_util.objs/native/cgc_util__Clock.cmx; do \
-	  rule=$$(dune rules $$u) || exit 1; \
+	@for u in lib/core/.cgc_core.objs/native/cgc_core__Tracer \
+	    lib/core/.cgc_core.objs/native/cgc_core__Sweep \
+	    lib/core/.cgc_core.objs/native/cgc_core__Card_clean \
+	    lib/core/.cgc_core.objs/native/cgc_core__Collector \
+	    lib/core/.cgc_core.objs/native/cgc_core__Metering \
+	    lib/smp/.cgc_smp.objs/native/cgc_smp__Machine \
+	    lib/sim/.cgc_sim.objs/native/cgc_sim__Sched \
+	    lib/heap/.cgc_heap.objs/native/cgc_heap__Heap \
+	    lib/heap/.cgc_heap.objs/native/cgc_heap__Arena \
+	    lib/heap/.cgc_heap.objs/native/cgc_heap__Card_table \
+	    lib/heap/.cgc_heap.objs/native/cgc_heap__Freelist \
+	    lib/heap/.cgc_heap.objs/native/cgc_heap__Alloc_bits \
+	    lib/packets/.cgc_packets.objs/native/cgc_packets__Pool \
+	    lib/packets/.cgc_packets.objs/native/cgc_packets__Packet \
+	    lib/util/.cgc_util.objs/native/cgc_util__Bitvec \
+	    lib/util/.cgc_util.objs/native/cgc_util__Clock \
+	    lib/runtime/.cgc_runtime.objs/native/cgc_runtime__Mutator \
+	    lib/workloads/.cgc_workloads.objs/native/cgc_workloads__Txmix \
+	    lib/gen/.cgc_gen.objs/native/cgc_gen__Gen; do \
+	  rule=$$(dune rules $$u.cmx) || exit 1; \
 	  case "$$rule" in \
 	    *ocamlopt*) ;; \
-	    *) echo "inline-check: no ocamlopt rule for $$u"; exit 1 ;; \
+	    *) echo "inline-check: no ocamlopt rule for $$u.cmx"; exit 1 ;; \
 	  esac; \
 	  if printf '%s\n' "$$rule" | grep -q -- '-opaque'; then \
-	    echo "inline-check: $$u is compiled with -opaque, so the hot path cannot inline across libraries; build in the release profile (dune-workspace), not --profile dev"; \
+	    echo "inline-check: $$u.cmx is compiled with -opaque, so the hot path cannot inline across libraries; build in the release profile (dune-workspace), not --profile dev"; \
+	    exit 1; \
+	  fi; \
+	  dune build ./$$u.o || exit 1; \
+	  calls=$$(objdump -dr _build/default/$$u.o | grep -oE 'camlStdlib\.(min|max)_[0-9]+|caml_(compare|greaterequal|lessequal|lessthan|greaterthan)\b' | sort -u | tr '\n' ' '); \
+	  if [ -n "$$calls" ]; then \
+	    echo "inline-check: $$u.o calls polymorphic comparison ($$calls); use Int.min/Int.max or a typed comparison"; \
 	    exit 1; \
 	  fi; \
 	done
-	@echo "inline check OK: hot-path units compile without -opaque"
+	@echo "inline check OK: hot-path units compile without -opaque and call no polymorphic comparison"
 
 verify: inline-check build test doc fmt-check
 

@@ -491,7 +491,7 @@ let finalize t reason =
     | Config.Cgc | Config.Gen ->
         Card_clean.start_pass t.cl ~force_fences:(fun () -> ())
     | Config.Stw -> ());
-    let workers = max 1 (min gc_workers (Sched.ncpus t.sched)) in
+    let workers = Int.max 1 (Int.min gc_workers (Sched.ncpus t.sched)) in
     (match (t.cfg.Config.load_balance, t.cfg.Config.mode) with
     | Config.Stealing, Config.Stw ->
         (* Section 4.4 ablation: Endo-style work-stealing mark stacks in
@@ -577,7 +577,7 @@ let finalize t reason =
     Stats.add st.Gstats.conc_cards (float_of_int (Card_clean.conc_cleaned t.cl));
     Stats.add st.Gstats.cc_ratio
       (float_of_int (Card_clean.stw_cleaned t.cl)
-      /. float_of_int (max 1 (Card_clean.conc_cleaned t.cl)));
+      /. float_of_int (Int.max 1 (Card_clean.conc_cleaned t.cl)));
     Stats.add st.Gstats.occupancy_end
       (float_of_int live /. float_of_int (Heap.nslots t.hp));
     Stats.add st.Gstats.traced_conc_slots (float_of_int marked_before_stw);
@@ -591,7 +591,7 @@ let finalize t reason =
         (float_of_int (t.mach.Machine.cas_ops - t.cas_at_start) /. live_mb);
     st.Gstats.overflow_events <- Tracer.overflow_events t.tr;
     st.Gstats.max_deferred_packets <-
-      max st.Gstats.max_deferred_packets (Pool.max_deferred t.pl);
+      Int.max st.Gstats.max_deferred_packets (Pool.max_deferred t.pl);
     st.Gstats.cycles <- st.Gstats.cycles + 1;
     (* Metering feedback. *)
     Metering.end_cycle t.meter ~l_observed:(live_estimate t)
@@ -717,7 +717,7 @@ let do_increment t (m : Mctx.t) ~alloc =
     done;
     (* Unfulfilled work is not forgiven: it carries into this mutator's
        next increment so the cycle's total assignment stays on pace. *)
-    m.Mctx.trace_debt <- max 0 (work - !traced);
+    m.Mctx.trace_debt <- Int.max 0 (work - !traced);
     Tracer.release t.tr !session;
     Machine.flush t.mach;
     let complete = trace_complete t in

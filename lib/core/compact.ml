@@ -46,11 +46,11 @@ let create heap =
 
 let choose_area t ~cycle ~fraction =
   let n = Heap.nslots t.heap in
-  let areas = max 1 (int_of_float (1.0 /. fraction)) in
+  let areas = Int.max 1 (int_of_float (1.0 /. fraction)) in
   let span = n / areas in
   let which = cycle mod areas in
-  t.lo <- max 1 (which * span);
-  t.hi <- min n (t.lo + span);
+  t.lo <- Int.max 1 (which * span);
+  t.hi <- Int.min n (t.lo + span);
   t.is_active <- true;
   t.rn <- 0;
   Hashtbl.reset t.fwd;
@@ -149,7 +149,7 @@ let evacuate t ~globals =
             t.evac_slots <- t.evac_slots + size;
             moved_slots := !moved_slots + size
       end;
-      a := Bitvec.next_set_below mark (max (addr + size) (addr + 1)) t.hi
+      a := Bitvec.next_set_below mark (Int.max (addr + size) (addr + 1)) t.hi
     done;
     Machine.flush t.mach;
     (* 2. Fix up the remembered slots.  A recorded parent may itself have

@@ -37,7 +37,7 @@ let increment_rate t ~traced ~free =
   let l = scale *. Ewma.value t.l_est
   and m = scale *. Ewma.value t.m_est in
   let kmax = kmax_factor *. t.cfg.k0 in
-  let f = float_of_int (max free 1) in
+  let f = float_of_int (Int.max free 1) in
   let k = (m +. l -. float_of_int traced) /. f in
   if k < 0.0 then
     (* L or M was underestimated: trace flat out at Kmax (section 3.1). *)

@@ -113,7 +113,7 @@ let try_steal t ~worker =
   else begin
     t.nsteals <- t.nsteals + 1;
     let q = t.public.(!victim) in
-    let take = max 1 (min batch q.n) in
+    let take = Int.max 1 (Int.min batch q.n) in
     for _ = 1 to take do
       match stack_pop q with
       | Some v ->

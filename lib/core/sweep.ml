@@ -22,6 +22,17 @@ let charge_scan heap ~lo ~hi =
   let words = ((hi - lo) / 62) + 1 in
   Machine.charge mach (words * mach.Machine.cost.Cost.sweep_word)
 
+(* The first head at or past [cur_end], the end of the object at [head].
+   The search starts at [head + 1], which does not depend on the header
+   load that gave [cur_end]: the host CPU runs ahead to the next head and
+   its header load while that one is in flight, so consecutive heads'
+   loads overlap instead of each waiting for the last.  Only a mark bit
+   inside the object's own extent (set through a stale or corrupt
+   reference) sends the search on from [cur_end]. *)
+let next_head mark ~head ~cur_end hi =
+  let m = Bitvec.next_set_below mark (head + 1) hi in
+  if m < cur_end then Bitvec.next_set_below mark cur_end hi else m
+
 let sweep_region heap ~lo ~hi =
   let mach = Heap.machine heap in
   let t0 = Machine.now mach in
@@ -34,10 +45,8 @@ let sweep_region heap ~lo ~hi =
   let arena = Heap.arena heap in
   charge_scan heap ~lo ~hi;
   (* Gap enumeration over the mark bits: every set bit in [lo, hi) at or
-     past the end of the last accepted object is an object head.  After
-     a head the scan resumes at that object's end, so the mark bits
-     inside a live object's extent are never visited and the scan never
-     reads a word past [hi]. *)
+     past the end of the last accepted object is an object head.  The
+     scan never reads a word past [hi]. *)
   let cur_end = ref (-1) in
   let m = ref (Bitvec.next_set_below mark lo hi) in
   while !m < hi do
@@ -48,7 +57,7 @@ let sweep_region heap ~lo ~hi =
     let size = Arena.size_of arena head in
     r.live <- r.live + size;
     cur_end := head + size;
-    m := Bitvec.next_set_below mark (max (head + 1) !cur_end) hi
+    m := next_head mark ~head ~cur_end:!cur_end hi
   done;
   if r.first_mark <> max_int then r.last_end <- !cur_end;
   Machine.flush mach;
@@ -77,7 +86,7 @@ let merge ?limit heap regions =
           (fun (addr, size) -> add_free heap ~addr ~size)
           (List.rev r.gaps);
         live := !live + r.live;
-        prev_end := max !prev_end r.last_end
+        prev_end := Int.max !prev_end r.last_end
       end)
     regions;
   let n = match limit with Some l -> l | None -> Heap.nslots heap in
@@ -86,11 +95,11 @@ let merge ?limit heap regions =
   !live
 
 let regions ~nslots ~workers =
-  let workers = max 1 workers in
+  let workers = Int.max 1 workers in
   let span = (nslots - 1 + workers - 1) / workers in
   Array.init workers (fun i ->
       let lo = 1 + (i * span) in
-      let hi = min nslots (lo + span) in
+      let hi = Int.min nslots (lo + span) in
       (lo, hi))
 
 type lazy_t = {
@@ -109,7 +118,7 @@ let lazy_step heap lz ~max_slots =
   else begin
     let n = Heap.nslots heap in
     let pos0 = lz.pos in
-    let hi = min n (lz.pos + max_slots) in
+    let hi = Int.min n (lz.pos + max_slots) in
     let mark = Heap.mark_bits heap in
     let arena = Heap.arena heap in
     charge_scan heap ~lo:lz.pos ~hi;
@@ -118,7 +127,7 @@ let lazy_step heap lz ~max_slots =
        [crossed] records that the last object ran past the window edge —
        in that case the cursor parks at its end and no partial run is
        emitted, matching the cursor-based formulation exactly. *)
-    let start = max lz.pos lz.prev_end in
+    let start = Int.max lz.pos lz.prev_end in
     let crossed = ref false in
     let m = ref (Bitvec.next_set_below mark start hi) in
     while !m < hi do
@@ -130,7 +139,7 @@ let lazy_step heap lz ~max_slots =
       lz.prev_end <- head + size;
       lz.pos <- head + size;
       if lz.pos >= hi then crossed := true;
-      m := Bitvec.next_set_below mark (max (head + 1) lz.prev_end) hi
+      m := next_head mark ~head ~cur_end:lz.prev_end hi
     done;
     if not !crossed then begin
       (* Emit the partial free run up to the window edge.  This may
@@ -139,7 +148,7 @@ let lazy_step heap lz ~max_slots =
          sweep. *)
       if hi > lz.prev_end then
         add_free heap ~addr:lz.prev_end ~size:(hi - lz.prev_end);
-      lz.prev_end <- max lz.prev_end hi;
+      lz.prev_end <- Int.max lz.prev_end hi;
       lz.pos <- hi;
       if hi >= n then lz.fin <- true
     end;

@@ -354,7 +354,14 @@ let scan_object t s ~retrace addr =
 
 let is_input s p = match s.input with Some q -> q == p | None -> false
 
+(* How many entries below the one being popped the drain loop prefetches:
+   the header of entry [count - prefetch_distance] is on its way into the
+   host cache while the entries above it are scanned.  On jbb (2-vCPU
+   Xeon VM) 8 beat 4 by 13% and 16 measured alike with 8. *)
+let prefetch_distance = 8
+
 let trace_until t s ~budget =
+  let arena = Heap.arena t.heap in
   let traced = ref 0 in
   let continue = ref true in
   while !continue && !traced < budget do
@@ -371,6 +378,16 @@ let trace_until t s ~budget =
              iteration did. *)
           let draining = ref true in
           while !draining do
+            (* Packets know what is traced next, unlike a mark stack's
+               top: start the header load of a later entry now, so its
+               scan does not stall on a cache miss.  A hint only — the
+               committed entry may be stale or junk under Relaxed, hence
+               the [in_heap] guard; it reads no simulated state. *)
+            let ahead = Packet.count p - prefetch_distance in
+            if ahead >= 0 then begin
+              let a = Packet.get_sc p ahead in
+              if Arena.in_heap arena a then Arena.prefetch arena a
+            end;
             let addr = Pool.pop_raw t.pl p in
             if addr = Pool.no_entry then draining := false
             else begin

@@ -210,7 +210,7 @@ let minor t ~used =
      the pins).  Stale nursery mark bits are harmless — the next major
      cycle begins by clearing every mark bit. *)
   let pins =
-    List.sort compare
+    List.sort (fun (a, _) (b, _) -> Int.compare a b)
       (Hashtbl.fold
          (fun a () acc -> (a, Arena.size_of_sc arena a) :: acc)
          t.pinned [])
@@ -262,8 +262,8 @@ let rec carve t ~need =
     match t.pins_ahead with (pa, _) :: _ -> pa | [] -> t.n_hi
   in
   if t.bump + need <= gap_end then begin
-    let chunk = Stdlib.min Collector.cache_slots (gap_end - t.bump) in
-    let chunk = Stdlib.max chunk need in
+    let chunk = Int.min Collector.cache_slots (gap_end - t.bump) in
+    let chunk = Int.max chunk need in
     let base = t.bump in
     t.bump <- base + chunk;
     Some (base, t.bump)

@@ -78,3 +78,9 @@ let ref_get t addr i = read_slot t (addr + 1 + i)
 let ref_set_raw t addr i v = write_slot t (addr + 1 + i) v
 
 let in_heap t addr = addr > 0 && addr < t.n
+
+external prefetch_slot : int array -> (int[@untagged]) -> unit
+  = "cgc_arena_prefetch_byte" "cgc_arena_prefetch"
+[@@noalloc]
+
+let prefetch t addr = prefetch_slot t.data addr

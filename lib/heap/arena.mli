@@ -95,3 +95,10 @@ val ref_set_raw : t -> int -> int -> int -> unit
 val in_heap : t -> int -> bool
 (** Whether [addr] is a plausible object address (within bounds, not the
     reserved slot). *)
+
+val prefetch : t -> int -> unit
+(** [prefetch t addr] hints the host CPU to start loading slot [addr]
+    into its cache: one prefetch instruction (a C stub declared
+    [[@@noalloc]], called directly).  It reads no simulated state and
+    draws nothing from the weak-memory PRNG, so it changes no output,
+    only host time.  [addr] must satisfy {!in_heap}. *)

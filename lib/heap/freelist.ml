@@ -21,7 +21,7 @@ let clear t =
 let bin_of_size size =
   (* floor(log2 size), clamped *)
   let rec go s i = if s <= 1 then i else go (s lsr 1) (i + 1) in
-  min (nbins - 1) (go size 0)
+  Int.min (nbins - 1) (go size 0)
 
 let add t ~addr ~size =
   if size < min_chunk then t.dark <- t.dark + size

@@ -9,7 +9,11 @@ type cache = {
   mutable base : int;
   mutable cur : int;
   mutable limit : int;
-  mutable objs : int list; (* pending allocation-bit publication *)
+  mutable pending : int array;
+      (* objects whose allocation bits await publication, oldest first;
+         a reusable buffer, grown by doubling, so an allocation writes an
+         int instead of consing a list cell (and paying [caml_modify]) *)
+  mutable npending : int;
 }
 
 type t = {
@@ -54,17 +58,32 @@ let mark_test_and_set t addr = Bitvec.test_and_set t.mark addr
 let is_marked t addr = Bitvec.get t.mark addr
 let clear_marks t = Bitvec.clear_all t.mark
 
-let new_cache () = { base = 0; cur = 0; limit = 0; objs = [] }
+let new_cache () =
+  { base = 0; cur = 0; limit = 0; pending = [||]; npending = 0 }
+
+let add_pending cache addr =
+  let n = cache.npending in
+  if n = Array.length cache.pending then begin
+    let grown = Array.make (Int.max 16 (2 * n)) 0 in
+    Array.blit cache.pending 0 grown 0 n;
+    cache.pending <- grown
+  end;
+  cache.pending.(n) <- addr;
+  cache.npending <- n + 1
 
 let publish t cache =
-  (match cache.objs with
-  | [] -> ()
-  | objs ->
-      (match t.policy with
-      | Batched -> Machine.fence t.mach Fence.Alloc_batch
-      | Naive -> () (* already fenced per object *));
-      List.iter (fun addr -> Alloc_bits.set t.abits addr) objs;
-      cache.objs <- [])
+  let n = cache.npending in
+  if n > 0 then begin
+    (match t.policy with
+    | Batched -> Machine.fence t.mach Fence.Alloc_batch
+    | Naive -> () (* already fenced per object *));
+    (* Newest first: under Relaxed each [Alloc_bits.set] draws a drain
+       deadline from the weak-memory PRNG, so the order is observable. *)
+    for i = n - 1 downto 0 do
+      Alloc_bits.set t.abits cache.pending.(i)
+    done;
+    cache.npending <- 0
+  end
 
 let no_addr = -1
 
@@ -79,7 +98,7 @@ let cache_alloc_addr t cache ~size ~nrefs ~mark_new =
     Arena.clear_fields t.arena addr ~size ~nrefs;
     if mark_new then Bitvec.set t.mark addr;
     (match t.policy with
-    | Batched -> cache.objs <- addr :: cache.objs
+    | Batched -> add_pending cache addr
     | Naive ->
         Machine.fence t.mach Fence.Naive_alloc;
         Alloc_bits.set t.abits addr);
@@ -182,7 +201,7 @@ let object_overlapping t slot =
 
 let iter_marked_on_card t card f =
   let lo = card * Arena.slots_per_card in
-  let hi = min t.n (lo + Arena.slots_per_card) in
+  let hi = Int.min t.n (lo + Arena.slots_per_card) in
   (* A marked object starting before the card may span into it. *)
   (match Bitvec.prev_set t.mark (lo - 1) with
   | -1 -> ()
@@ -197,7 +216,7 @@ let iter_marked_on_card t card f =
 
 let iter_objects_on_card t card f =
   let lo = card * Arena.slots_per_card in
-  let hi = min t.n (lo + Arena.slots_per_card) in
+  let hi = Int.min t.n (lo + Arena.slots_per_card) in
   (* Object spanning the card start. *)
   let first_inside = Alloc_bits.next_set_below t.abits lo hi in
   (match object_overlapping t lo with

@@ -72,13 +72,13 @@ let span t ?(arg = 0) ~start code =
   | Null -> ()
   | On a ->
       let now = Clock.now a.clock in
-      emit a ~ts:start ~dur:(max 0 (now - start)) ~tid:(Clock.tid a.clock)
+      emit a ~ts:start ~dur:(Int.max 0 (now - start)) ~tid:(Clock.tid a.clock)
         ~code ~arg
 
 let span_at t ?(arg = 0) ~ts ~dur code =
   match t with
   | Null -> ()
-  | On a -> emit a ~ts ~dur:(max 0 dur) ~tid:(Clock.tid a.clock) ~code ~arg
+  | On a -> emit a ~ts ~dur:(Int.max 0 dur) ~tid:(Clock.tid a.clock) ~code ~arg
 
 let instant_host t ?(arg = 0) ~tid ~ts code =
   match t with
@@ -161,7 +161,7 @@ let sort a =
   in
   let n = Array.fold_left (fun acc r -> acc + Ring.length r) 0 rings in
   let slot_bits =
-    bit_width (Array.fold_left (fun m r -> max m (Ring.length r)) 0 rings)
+    bit_width (Array.fold_left (fun m r -> Int.max m (Ring.length r)) 0 rings)
   in
   let hbits = slot_bits + bit_width (Array.length rings) in
   let keys = Array.make n 0 in

@@ -57,8 +57,6 @@ let pop t =
     Some (read t t.n)
   end
 
-let peek t = if t.n = 0 then None else Some (read t (t.n - 1))
-
 let get_sc t i = t.data.(i)
 
 let reverse t =

@@ -35,14 +35,15 @@ val pop_raw : t -> int
     packet is empty.  The tracer drains packets one entry per simulated
     object scan, so the [Some] box per {!pop} was measurable. *)
 
-val peek : t -> int option
-(** The entry {!pop} would return, without removing it — work packets let
-    the tracer prefetch the next object because, unlike a mark stack's
-    top, it is always known. *)
-
 val get_sc : t -> int -> int
 (** [get_sc p i]: committed entry [i] ([0] oldest), bypassing
-    store-buffer masking. *)
+    store-buffer masking.  Unlike a mark stack, whose next entries are
+    only known once the top is scanned, a packet holds the tracer's next
+    objects in order: [Tracer.trace_until] reads entry
+    [count p - prefetch_distance] here to prefetch that object's header
+    while the entries above it are popped.  Under Relaxed memory the
+    committed entry may differ from what {!pop} will observe, which only
+    wastes the hint. *)
 
 val reverse : t -> unit
 (** Reverse the entries in place: the order that popping every entry and

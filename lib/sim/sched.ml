@@ -342,8 +342,8 @@ let min_ready_at t =
   let best = rq_min t.runq_high in
   if t.stopped then best
   else
-    let best = min best (rq_min t.runq_normal) in
-    min best (rq_min t.runq_low)
+    let best = Int.min best (rq_min t.runq_normal) in
+    Int.min best (rq_min t.runq_low)
 
 let min_cpu t =
   let c = ref 0 in
@@ -441,7 +441,7 @@ let run t ~until =
           purge_stale t;
           let next_queued = min_ready_at t in
           let next_sleep = t.next_wake in
-          let next = min next_queued next_sleep in
+          let next = Int.min next_queued next_sleep in
           let next =
             if next = max_int then
               if
@@ -455,7 +455,7 @@ let run t ~until =
                 continue := false;
                 tm)
               else tm + t.clock.quantum
-            else max (tm + 1) (min next (tm + t.clock.quantum))
+            else Int.max (tm + 1) (Int.min next (tm + t.clock.quantum))
           in
           t.idle <- t.idle + (next - tm);
           t.cpu_clock.(c) <- next

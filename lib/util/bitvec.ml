@@ -203,7 +203,7 @@ let iter_words t f = Array.iteri f t.words
 let count_range t pos len =
   if len <= 0 || pos >= t.len then 0
   else begin
-    let last = min (pos + len) t.len - 1 in
+    let last = Int.min (pos + len) t.len - 1 in
     let w0 = pos / bits_per_word and w1 = last / bits_per_word in
     let lo_mask = full_word lsl (pos mod bits_per_word) land full_word in
     let hi_mask = full_word lsr (bits_per_word - 1 - (last mod bits_per_word)) in
@@ -218,11 +218,11 @@ let count_range t pos len =
   end
 
 let fold_set_ranges t ~lo ~hi ~init ~f =
-  let hi = min hi t.len in
+  let hi = Int.min hi t.len in
   let acc = ref init in
   let i = ref (if lo >= hi then hi else next_set t lo) in
   while !i < hi do
-    let e = min hi (next_clear t (!i + 1)) in
+    let e = Int.min hi (next_clear t (!i + 1)) in
     acc := f !acc !i (e - !i);
     i := if e >= hi then hi else next_set t e
   done;

@@ -24,8 +24,8 @@ let resident_slots p =
   (p.live_lists * p.list_len * node_group_slots p) + p.live_lists + 1
 
 let scale_residency p ~target_slots =
-  let per_list = max 1 (p.live_lists * node_group_slots p) in
-  let len = max 1 (target_slots / per_list) in
+  let per_list = Int.max 1 (p.live_lists * node_group_slots p) in
+  let len = Int.max 1 (target_slots / per_list) in
   { p with list_len = len }
 
 (* Root-slot conventions inside a transaction:
@@ -43,7 +43,7 @@ let scale_residency p ~target_slots =
 let build_node p m ~next =
   let node =
     Mutator.alloc m ~nrefs:(1 + p.leaf_fanout)
-      ~size:(max p.node_slots (2 + p.leaf_fanout))
+      ~size:(Int.max p.node_slots (2 + p.leaf_fanout))
   in
   if next <> 0 then Mutator.set_ref m node 0 next;
   Mutator.root_set m 6 node;

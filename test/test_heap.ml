@@ -272,6 +272,86 @@ let test_cache_alloc_publishes_lazily () =
   check cb "one batched fence" true
     (Cgc_smp.Fence.get m.Machine.fences Cgc_smp.Fence.Alloc_batch >= 1)
 
+(* Under Relaxed memory each [Alloc_bits.set] draws its drain deadline
+   from the weak-memory PRNG, so the order in which a retired cache
+   publishes its objects' bits decides when each bit becomes visible to
+   another processor -- and so the trace.  The cache publishes newest
+   first.  The model replays the same stores by hand (headers, nulled
+   fields, one batch fence, then the bits in a given order); the cache's
+   visibility profile must equal the newest-first model's and differ from
+   the oldest-first one.  The second publication's fence drains the first
+   one's bits, so the order shows in the second: its 40 objects reuse the
+   pending buffer and grow it twice. *)
+let test_publication_order_relaxed () =
+  let objs = List.init 45 (fun i -> (i, 2 + (i mod 5))) in
+  let first, second = List.partition (fun (i, _) -> i < 5) objs in
+  let nrefs size = size - 1 in
+  let profile h addrs =
+    let m = Heap.machine h in
+    (* Drop the unspent allocation charges (which the model does not
+       make), so both sides watch from the same simulated times. *)
+    m.Machine.debt <- 0;
+    m.Machine.clock.Cgc_util.Clock.tid <- 1;
+    let seen = Array.make (List.length addrs) (-1) in
+    for step = 0 to 130 do
+      Cgc_smp.Weakmem.commit_due m.Machine.wm ~now:(Machine.now m);
+      List.iteri
+        (fun k a ->
+          if seen.(k) < 0 && Alloc_bits.is_set (Heap.alloc_bits h) a then
+            seen.(k) <- step)
+        addrs;
+      Machine.charge m 50;
+      Machine.flush m
+    done;
+    Array.to_list seen
+  in
+  let mk () =
+    Heap.create (Machine.testing ~mode:Cgc_smp.Weakmem.Relaxed ~seed:7 ())
+      ~nslots:4096
+  in
+  (* the cache path *)
+  let h = mk () in
+  let c = Heap.new_cache () in
+  let alloc objs =
+    List.map
+      (fun (_, size) ->
+        let a =
+          Heap.cache_alloc_addr h c ~size ~nrefs:(nrefs size) ~mark_new:false
+        in
+        if a = Heap.no_addr then Alcotest.fail "cache exhausted";
+        a)
+      objs
+  in
+  check cb "refill" true (Heap.refill_cache h c ~min:8 ~pref:512);
+  let a1 = alloc first in
+  check cb "second refill" true (Heap.refill_cache h c ~min:8 ~pref:512);
+  let a2 = alloc second in
+  Heap.retire_cache h c;
+  let addrs = a1 @ a2 in
+  let got = profile h addrs in
+  (* the model: the same stores, the bits published in [order] *)
+  let model order =
+    let h = mk () in
+    let arena = Heap.arena h and m = Heap.machine h in
+    let c = Heap.new_cache () in
+    let batch addrs objs =
+      List.iter2
+        (fun a (_, size) ->
+          Arena.write_header arena a ~size ~nrefs:(nrefs size);
+          Arena.clear_fields arena a ~size ~nrefs:(nrefs size))
+        addrs objs;
+      Machine.fence m Cgc_smp.Fence.Alloc_batch;
+      List.iter (Alloc_bits.set (Heap.alloc_bits h)) (order addrs)
+    in
+    ignore (Heap.refill_cache h c ~min:8 ~pref:512);
+    batch a1 first;
+    ignore (Heap.refill_cache h c ~min:8 ~pref:512);
+    batch a2 second;
+    profile h addrs
+  in
+  check (Alcotest.list ci) "newest-first publication" (model List.rev) got;
+  check cb "the order is observable" true (model Fun.id <> got)
+
 let test_cache_alloc_naive_policy () =
   let h = mk_heap ~fence_policy:Heap.Naive () in
   let c = Heap.new_cache () in
@@ -425,6 +505,8 @@ let () =
             test_cache_alloc_publishes_lazily;
           Alcotest.test_case "naive fence policy" `Quick
             test_cache_alloc_naive_policy;
+          Alcotest.test_case "publication order under relaxed memory" `Quick
+            test_publication_order_relaxed;
           Alcotest.test_case "cache exhaustion" `Quick test_cache_exhaustion;
           Alcotest.test_case "allocate black" `Quick test_mark_new;
           Alcotest.test_case "large objects" `Quick test_alloc_large;

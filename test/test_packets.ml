@@ -22,7 +22,8 @@ let test_packet_lifo () =
   let p = Packet.make m ~id:0 ~capacity:4 in
   check cb "push 1" true (Packet.push p 11);
   check cb "push 2" true (Packet.push p 22);
-  check (Alcotest.option ci) "peek newest" (Some 22) (Packet.peek p);
+  check ci "newest is known before the pop" 22
+    (Packet.get_sc p (Packet.count p - 1));
   check (Alcotest.option ci) "pop newest" (Some 22) (Packet.pop p);
   check (Alcotest.option ci) "pop next" (Some 11) (Packet.pop p);
   check (Alcotest.option ci) "pop empty" None (Packet.pop p)

@@ -238,6 +238,35 @@ let test_lazy_incremental_allocation () =
   | Some _ -> ()
   | None -> Alcotest.fail "could not allocate from partial sweep"
 
+(* A mark bit inside a live object's extent (a stale or corrupt
+   reference can set one) is not a head.  The walk looks for the next
+   head from the head's successor, finds that bit inside the object, and
+   searches again from the object's end.  Gaps and live volume must be
+   what a walk resuming at the object's end gives: heads 10, 30 and 40,
+   with the bits at 13, 41 and 45 (the object's last slot) skipped. *)
+let interior_objs = [ (10, 8); (30, 4); (40, 6); (200, 3) ]
+let interior_marks = [ 10; 13; 30; 40; 41; 45 ]
+
+let test_interior_mark_region () =
+  let h = build 4096 interior_objs interior_marks in
+  let r = Sweep.sweep_region h ~lo:1 ~hi:4096 in
+  check
+    (Alcotest.list (Alcotest.pair ci ci))
+    "gaps" [ (18, 12); (34, 6) ] (Sweep.gaps r);
+  check ci "live" 18 (Sweep.live r)
+
+let test_interior_mark_lazy () =
+  let h = build 4096 interior_objs interior_marks in
+  let lz = Sweep.lazy_begin h in
+  (* The first window ends inside the object at 40, below its interior
+     bit at 45; the second starts at that object's end. *)
+  ignore (Sweep.lazy_step h lz ~max_slots:43);
+  check ci "cursor parked at the object end" 46 (Sweep.lazy_pos lz);
+  check ci "free so far" (9 + 12 + 6) (Freelist.free_slots (Heap.freelist h));
+  Sweep.lazy_finish h lz;
+  check ci "live" 18 (Sweep.lazy_live lz);
+  check ci "free" (4095 - 18) (Freelist.free_slots (Heap.freelist h))
+
 (* Property: sweep (eager, any worker count) frees exactly the unmarked
    space and preserves exactly the marked objects. *)
 let sweep_model =
@@ -318,6 +347,8 @@ let () =
           Alcotest.test_case "single live" `Quick test_single_live_object;
           Alcotest.test_case "dead reclaimed" `Quick test_dead_object_reclaimed;
           Alcotest.test_case "adjacent live" `Quick test_adjacent_live_objects;
+          Alcotest.test_case "interior mark skipped" `Quick
+            test_interior_mark_region;
           Alcotest.test_case "parallel = serial" `Quick
             test_parallel_matches_serial;
           Alcotest.test_case "spans region boundary" `Quick
@@ -344,5 +375,7 @@ let () =
           Alcotest.test_case "empty leading windows" `Quick
             test_lazy_empty_leading_windows;
           Alcotest.test_case "single window" `Quick test_lazy_single_window;
+          Alcotest.test_case "interior mark skipped" `Quick
+            test_interior_mark_lazy;
         ] );
     ]
