@@ -83,7 +83,13 @@ inline-check:
 	    lib/packets/.cgc_packets.objs/native/cgc_packets__Packet \
 	    lib/util/.cgc_util.objs/native/cgc_util__Bitvec \
 	    lib/util/.cgc_util.objs/native/cgc_util__Clock \
+	    lib/util/.cgc_util.objs/native/cgc_util__Intheap \
 	    lib/runtime/.cgc_runtime.objs/native/cgc_runtime__Mutator \
+	    lib/server/.cgc_server.objs/native/cgc_server__Server \
+	    lib/server/.cgc_server.objs/native/cgc_server__Span \
+	    lib/server/.cgc_server.objs/native/cgc_server__Latency \
+	    lib/cluster/.cgc_cluster.objs/native/cgc_cluster__Shard \
+	    lib/cluster/.cgc_cluster.objs/native/cgc_cluster__Balancer \
 	    lib/workloads/.cgc_workloads.objs/native/cgc_workloads__Txmix \
 	    lib/gen/.cgc_gen.objs/native/cgc_gen__Gen; do \
 	  rule=$$(dune rules $$u.cmx) || exit 1; \

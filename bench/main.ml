@@ -128,7 +128,7 @@ let profile_cmd =
     (let+ workload =
        opt_arg
          (Arg.enum (List.map (fun (w, _) -> (w, w)) Profile.workloads))
-         "jbb" [ "workload" ] "Workload: jbb or serve."
+         "jbb" [ "workload" ] "Workload: jbb, serve or fleet."
      and+ ms =
        opt_arg positive_float 2000.0 [ "ms" ]
          "Simulated milliseconds sampled after the warm-up."

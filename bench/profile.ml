@@ -5,12 +5,21 @@
 
    A SIGPROF timer interrupts the process every millisecond of CPU time
    (the kernel may round the period up to its tick) and the handler
-   records the OCaml call stack ([Printexc.get_callstack]).  The report
-   gives each source line's share of the samples it was on top of the
-   stack for ({e self}) and each function's share of the samples it
-   appeared anywhere in ({e inclusive}).  External profilers are no
-   substitute here: gprofng crashes on the scheduler's effect-handler
-   stacks.
+   records the OCaml call stack ([Printexc.get_callstack]) as it is: a
+   raw array of return addresses.  Only after the window are the stacks
+   resolved to source lines and function names, each distinct address
+   once, so the handler does as little as it can while the window runs:
+   on jbb it takes 8-9 us a sample, where resolving and hashing the
+   stack in the handler took 35-41 us.  The report gives each source
+   line's share of the samples it was on top of the stack for
+   ({e self}) and each function's share of the samples it appeared
+   anywhere in ({e inclusive}).  External profilers are no substitute
+   here: gprofng crashes on the scheduler's effect-handler stacks.
+
+   A sample taken inside a simulated thread sees that thread's stack
+   only, up to its effect handler, so on the server workloads the
+   inclusive shares of the driver's own functions stay well below
+   100%.
 
    OCaml runs a signal handler only at its next poll point (an
    allocation, a function prologue or a loop back-edge), so a sample
@@ -34,6 +43,7 @@
 
 module Vm = Cgc_runtime.Vm
 module Config = Cgc_core.Config
+module Cluster = Cgc_cluster.Cluster
 
 let period_s = 0.001
 let top = 25
@@ -56,42 +66,37 @@ let file_of slot =
 (* The handler's own frames sit on top of every stack; drop them. *)
 let own_file = __FILE__
 
-let sample acc =
-  match Printexc.backtrace_slots (Printexc.get_callstack 512) with
-  | None -> ()
-  | Some slots ->
-      let n = Array.length slots in
-      let i = ref 0 in
-      while !i < n && file_of slots.(!i) = own_file do
-        incr i
-      done;
-      if !i < n then begin
-        acc.samples <- acc.samples + 1;
-        let s = slots.(!i) in
-        let name = Option.value ~default:"?" (Printexc.Slot.name s) in
-        (match Printexc.Slot.location s with
-        | Some l ->
-            bump acc.self
-              (Printf.sprintf "%s:%d %s" l.Printexc.filename
-                 l.Printexc.line_number name)
-        | None -> bump acc.self name);
-        Hashtbl.reset acc.seen;
-        for j = !i to n - 1 do
-          match Printexc.Slot.name slots.(j) with
-          | Some f when not (Hashtbl.mem acc.seen f) ->
-              Hashtbl.add acc.seen f ();
-              bump acc.incl f
-          | _ -> ()
-        done
-      end
+let count acc slots =
+  let n = Array.length slots in
+  let i = ref 0 in
+  while !i < n && file_of slots.(!i) = own_file do
+    incr i
+  done;
+  if !i < n then begin
+    acc.samples <- acc.samples + 1;
+    let s = slots.(!i) in
+    let name = Option.value ~default:"?" (Printexc.Slot.name s) in
+    (match Printexc.Slot.location s with
+    | Some l ->
+        bump acc.self
+          (Printf.sprintf "%s:%d %s" l.Printexc.filename
+             l.Printexc.line_number name)
+    | None -> bump acc.self name);
+    Hashtbl.reset acc.seen;
+    for j = !i to n - 1 do
+      match Printexc.Slot.name slots.(j) with
+      | Some f when not (Hashtbl.mem acc.seen f) ->
+          Hashtbl.add acc.seen f ();
+          bump acc.incl f
+      | _ -> ()
+    done
+  end
 
-let set_timer period =
-  ignore
-    (Unix.setitimer Unix.ITIMER_PROF
-       { Unix.it_interval = period; it_value = period })
-
-(* Run [f] with the sampler armed. *)
-let sampled f =
+(* Resolve the raw stacks, oldest sample first, each distinct return
+   address once.  An address expands to several slots when calls were
+   inlined into it, and to none when it has no debug information, as in
+   [Printexc.backtrace_slots] of the whole stack. *)
+let resolve stacks =
   let acc =
     {
       self = Hashtbl.create 256;
@@ -100,14 +105,43 @@ let sampled f =
       samples = 0;
     }
   in
-  Sys.set_signal Sys.sigprof (Sys.Signal_handle (fun _ -> sample acc));
+  let cache = Hashtbl.create 1024 in
+  let slots_of (e : Printexc.raw_backtrace_entry) =
+    let k = (e :> int) in
+    match Hashtbl.find_opt cache k with
+    | Some slots -> slots
+    | None ->
+        let slots =
+          Option.value ~default:[||] (Printexc.backtrace_slots_of_raw_entry e)
+        in
+        Hashtbl.add cache k slots;
+        slots
+  in
+  List.iter
+    (fun bt ->
+      Printexc.raw_backtrace_entries bt
+      |> Array.map slots_of |> Array.to_list |> Array.concat |> count acc)
+    (List.rev stacks);
+  acc
+
+let set_timer period =
+  ignore
+    (Unix.setitimer Unix.ITIMER_PROF
+       { Unix.it_interval = period; it_value = period })
+
+(* Run [f] with the sampler armed; the raw stacks, newest first. *)
+let sampled f =
+  let stacks = ref [] in
+  Sys.set_signal Sys.sigprof
+    (Sys.Signal_handle
+       (fun _ -> stacks := Printexc.get_callstack 512 :: !stacks));
   set_timer period_s;
   Fun.protect
     ~finally:(fun () ->
       set_timer 0.0;
       Sys.set_signal Sys.sigprof Sys.Signal_default)
     f;
-  acc
+  !stacks
 
 let print_shares title h samples =
   let rows = Hashtbl.fold (fun k v l -> (k, v) :: l) h [] in
@@ -121,19 +155,23 @@ let print_shares title h samples =
           k)
     rows
 
-(* The workloads are perfbench's jbb and serve-gen set-ups: their warm-up
-   runs unsampled, then [ms] simulated milliseconds are sampled. *)
+(* The workloads are perfbench's jbb, serve-gen and fleet set-ups.  Each
+   builds its VMs and runs their warm-up unsampled, then returns the
+   window: [ms] simulated milliseconds.  The fleet has no warm-up (as in
+   perfbench, Cluster.run offers no seam before its first cycle), so its
+   window is the whole run. *)
 let workloads =
   [
     ( "jbb",
-      fun () ->
+      fun ~ms ->
         let vm =
           Cgc_workloads.Specjbb.setup ~warehouses:8 ~gc:Config.default
             ~heap_mb:48.0 ~ncpus:4 ~seed:1 ()
         in
-        (vm, 500.0) );
+        Vm.run vm ~ms:500.0;
+        fun () -> Vm.run vm ~ms );
     ( "serve",
-      fun () ->
+      fun ~ms ->
         let vm =
           Vm.create
             (Vm.config ~heap_mb:24.0 ~ncpus:4 ~seed:1 ~gc:Config.gen ())
@@ -143,20 +181,32 @@ let workloads =
              (Cgc_server.Server.cfg ~rate_per_s:20_000.0 ~queue_cap:256
                 ~workers:4 ~slo_ms:50.0 ())
              vm);
-        (vm, 1000.0) );
+        Vm.run vm ~ms:1000.0;
+        fun () -> Vm.run vm ~ms );
+    ( "fleet",
+      fun ~ms ->
+        let cfg =
+          Cluster.cfg ~shards:4 ~policy:Cgc_cluster.Balancer.Round_robin
+            ~gc:Config.default ~heap_mb:16.0 ~slo_ms:50.0 ~ms ~seed:1
+            ~chaos:Cgc_fault.Cluster_fault.Shard_brownout ~chaos_seed:1
+            ~rate_per_s:16_000.0 ()
+        in
+        fun () -> ignore (Cluster.run cfg) );
   ]
 
 let run ~workload:name ~ms =
   Cgc_experiments.Common.hdr
     (Printf.sprintf "Host profile: %s, %.0f simulated ms" name ms);
-  let vm, warmup_ms = List.assoc name workloads () in
-  Vm.run vm ~ms:warmup_ms;
+  let window = (List.assoc name workloads) ~ms in
   let cpu0 = Sys.time () in
-  let acc = sampled (fun () -> Vm.run vm ~ms) in
+  let stacks = sampled window in
+  let cpu1 = Sys.time () in
+  let acc = resolve stacks in
   Printf.printf
-    "%d samples over %.2f s of CPU time; each lands on the OCaml poll point \
-     after the interrupted instruction.\n"
-    acc.samples
-    (Sys.time () -. cpu0);
+    "%d samples over %.2f s of CPU time (resolved in %.2f s after the \
+     window); each lands on the OCaml poll point after the interrupted \
+     instruction.\n"
+    acc.samples (cpu1 -. cpu0)
+    (Sys.time () -. cpu1);
   print_shares "self (source line, function)" acc.self acc.samples;
   print_shares "inclusive (function)" acc.incl acc.samples

@@ -47,7 +47,11 @@ let ring_points ~nshards ~live =
       done
   done;
   let ring = Array.of_list !pts in
-  Array.sort compare ring;
+  Array.sort
+    (fun (ha, sa) (hb, sb) ->
+      let c = Int64.compare ha hb in
+      if c <> 0 then c else Int.compare sa sb)
+    ring;
   ring
 
 (* Index of the first ring point with hash >= h, wrapping past the top. *)
@@ -56,7 +60,7 @@ let ring_index ring h =
   let lo = ref 0 and hi = ref npoints in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if fst ring.(mid) < h then lo := mid + 1 else hi := mid
+    if Int64.compare (fst ring.(mid)) h < 0 then lo := mid + 1 else hi := mid
   done;
   if !lo = npoints then 0 else !lo
 

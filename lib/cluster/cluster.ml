@@ -183,10 +183,10 @@ let route_chaos (cfg : cfg) ~plan ~cycles_per_ms ~key_rng ts =
   let nshards = cfg.shards in
   let horizon = int_of_float (cfg.ms *. float_of_int cycles_per_ms) in
   let epoch_cycles =
-    Stdlib.max 1 (int_of_float (cfg.epoch_ms *. float_of_int cycles_per_ms))
+    Int.max 1 (int_of_float (cfg.epoch_ms *. float_of_int cycles_per_ms))
   in
   let nepochs =
-    Stdlib.max 1
+    Int.max 1
       (int_of_float (Float.ceil (cfg.ms /. cfg.epoch_ms)))
   in
   let router =
@@ -208,7 +208,7 @@ let route_chaos (cfg : cfg) ~plan ~cycles_per_ms ~key_rng ts =
     cur_epoch := e
   in
   let advance_to t =
-    let e = Stdlib.min (nepochs - 1) (t / epoch_cycles) in
+    let e = Int.min (nepochs - 1) (t / epoch_cycles) in
     while !cur_epoch < e do
       enter_epoch (!cur_epoch + 1)
     done
@@ -373,7 +373,7 @@ let time_to_recover ~plan ~live_epochs ~epoch_ms ~shards ~cycles_per_ms =
       let onset_ms = float_of_int onset /. float_of_int cycles_per_ms in
       let last_degraded = ref (-1) in
       Array.iteri
-        (fun e l -> if l < shards then last_degraded := e)
+        (fun e (l : int) -> if l < shards then last_degraded := e)
         live_epochs;
       if !last_degraded >= 0 then
         if !last_degraded = Array.length live_epochs - 1 then None
@@ -463,7 +463,7 @@ let run ?pool (cfg : cfg) =
             delays.(pos) <- pre;
             routes.(pos) <- route)
           order;
-        let run_cycles = Stdlib.min inc.stop horizon - inc.start in
+        let run_cycles = Int.min inc.stop horizon - inc.start in
         let start_ms =
           float_of_int inc.start /. float_of_int cycles_per_ms
         in
@@ -472,8 +472,8 @@ let run ?pool (cfg : cfg) =
           match Cluster_fault.brownout plan ~shard:k with
           | None -> None
           | Some (b0, b1, f) ->
-              let l0 = Stdlib.max 0 (b0 - inc.start) in
-              let l1 = Stdlib.min run_cycles (b1 - inc.start) in
+              let l0 = Int.max 0 (b0 - inc.start) in
+              let l1 = Int.min run_cycles (b1 - inc.start) in
               if l1 > l0 then Some (l0, l1, f) else None
         in
         let marks =
@@ -482,7 +482,7 @@ let run ?pool (cfg : cfg) =
           @
           match Cluster_fault.brownout plan ~shard:k with
           | Some (b0, b1, _) when b0 < inc.stop && b1 > inc.start ->
-              [ (Stdlib.max 0 (b0 - inc.start), scenario_idx) ]
+              [ (Int.max 0 (b0 - inc.start), scenario_idx) ]
           | _ -> []
         in
         let scfg : Shard.cfg =
@@ -520,9 +520,9 @@ let run ?pool (cfg : cfg) =
      ones at their (possibly backed-off) placement stamp. *)
   let nbins = Shard.nbins ~ms:cfg.ms ~bin_ms:cfg.bin_ms in
   let bin_cycles =
-    Stdlib.max 1 (int_of_float (cfg.bin_ms *. float_of_int cycles_per_ms))
+    Int.max 1 (int_of_float (cfg.bin_ms *. float_of_int cycles_per_ms))
   in
-  let bin t = Stdlib.min (nbins - 1) (Stdlib.max 0 (t / bin_cycles)) in
+  let bin t = Int.min (nbins - 1) (Int.max 0 (t / bin_cycles)) in
   let bins =
     {
       placed = Array.make nbins 0;
@@ -557,7 +557,7 @@ let fleet_totals (r : result) =
         timed_out = acc.Server.timed_out + t.Server.timed_out;
         completed = acc.Server.completed + t.Server.completed;
         slo_violations = acc.Server.slo_violations + t.Server.slo_violations;
-        max_depth = Stdlib.max acc.Server.max_depth t.Server.max_depth;
+        max_depth = Int.max acc.Server.max_depth t.Server.max_depth;
         lat = Latency.merge acc.Server.lat t.Server.lat;
         spans = Span.merge acc.Server.spans t.Server.spans;
       })

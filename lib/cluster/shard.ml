@@ -54,7 +54,7 @@ type result = {
 
 let nbins ~ms ~bin_ms =
   if bin_ms <= 0.0 then invalid_arg "Shard.nbins: bin_ms must be positive";
-  Stdlib.max 1 (int_of_float (Float.ceil (ms /. bin_ms)))
+  Int.max 1 (int_of_float (Float.ceil (ms /. bin_ms)))
 
 (* The timeline sampler: an [on_advance] hook registered after the
    server's, so by the time it runs at timestamp [now] the server has
@@ -69,23 +69,25 @@ let nbins ~ms ~bin_ms =
 let install_sampler vm srv ~bin_cycles ~start_cycles ~stopped ~sheds
     ~depth_max =
   let last = Array.length stopped - 1 in
-  let bin t = Stdlib.min last ((start_cycles + t) / bin_cycles) in
+  let bin t = Int.min last ((start_cycles + t) / bin_cycles) in
+  let sched = Vm.sched vm in
   let prev_now = ref 0 in
   let prev_stopped = ref false in
   let prev_shed = ref 0 in
-  Sched.on_advance (Vm.sched vm) (fun now ->
-      if !prev_stopped then
-        stopped.(bin !prev_now) <-
-          stopped.(bin !prev_now) + (now - !prev_now);
+  Sched.on_advance sched (fun now ->
+      if !prev_stopped then begin
+        let b = bin !prev_now in
+        stopped.(b) <- stopped.(b) + (now - !prev_now)
+      end;
       prev_now := now;
-      prev_stopped := Sched.world_stopped (Vm.sched vm);
+      prev_stopped := Sched.world_stopped sched;
+      let b = bin now in
       let s = Server.shed_now srv in
       if s <> !prev_shed then begin
-        sheds.(bin now) <- sheds.(bin now) + (s - !prev_shed);
+        sheds.(b) <- sheds.(b) + (s - !prev_shed);
         prev_shed := s
       end;
       let d = Server.queue_depth srv in
-      let b = bin now in
       if d > depth_max.(b) then depth_max.(b) <- d)
 
 let run (cfg : cfg) ~arrivals ?delays ?routes () =
@@ -110,7 +112,7 @@ let run (cfg : cfg) ~arrivals ?delays ?routes () =
   let cycles_per_ms = mach.Machine.cost.Cost.cycles_per_ms in
   let nb = nbins ~ms:cfg.fleet_ms ~bin_ms:cfg.bin_ms in
   let bin_cycles =
-    Stdlib.max 1 (int_of_float (cfg.bin_ms *. float_of_int cycles_per_ms))
+    Int.max 1 (int_of_float (cfg.bin_ms *. float_of_int cycles_per_ms))
   in
   let start_cycles =
     int_of_float (cfg.start_ms *. float_of_int cycles_per_ms)

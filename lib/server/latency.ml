@@ -14,8 +14,8 @@ let decompose ~cycles_per_ms ~arrival ~start ~finish ~s_arr ~s_start ~s_fin =
   let e2e_ms = queueing_ms +. service_ms in
   (* Clamp each stopped-world overlap to the interval it can inflate,
      mirroring the integer-exact split in {!Span.blame_of}. *)
-  let gc_q = min (start - arrival) (max 0 (s_start - s_arr)) in
-  let gc_s = min (finish - start) (max 0 (s_fin - s_start)) in
+  let gc_q = Int.min (start - arrival) (Int.max 0 (s_start - s_arr)) in
+  let gc_s = Int.min (finish - start) (Int.max 0 (s_fin - s_start)) in
   let gc_ms = ms (gc_q + gc_s) in
   { queueing_ms; service_ms; e2e_ms; gc_ms }
 

@@ -115,6 +115,9 @@ type t = {
   mutable prev_now : int;
   mutable prev_stopped : bool;
   mutable probes_attached : bool;
+  (* An idle worker's poll predicate, host state only (Sched.poll):
+     work is queued, or the run is stopping. *)
+  work_or_stop : unit -> bool;
 }
 
 let the_cfg t = t.cfg
@@ -219,7 +222,7 @@ let handle t m ~wid ~dir req ~start =
 
 let rec dispatch t m ~wid ~dir =
   match Queue.take_opt t.queue with
-  | None -> Mutator.think m poll_cycles
+  | None -> Sched.poll poll_cycles ~ready:t.work_or_stop
   | Some req ->
       let now = Mutator.now_cycles m in
       if
@@ -283,9 +286,11 @@ let create ?arrivals ?degrade ?(route = Span.local_route) (cfg : cfg) vm =
   let nslots = Heap.nslots (Vm.heap vm) in
   let target_slots =
     int_of_float (float_of_int nslots *. resident_frac)
-    / Stdlib.max 1 cfg.workers
+    / Int.max 1 cfg.workers
   in
   let profile = Txmix.scale_residency service ~target_slots in
+  let queue = Queue.create () in
+  let sched = Vm.sched vm in
   let t =
     {
       cfg;
@@ -293,7 +298,7 @@ let create ?arrivals ?degrade ?(route = Span.local_route) (cfg : cfg) vm =
       cycles_per_ms = float_of_int cycles_per_ms;
       obs = Vm.obs vm;
       profile;
-      queue = Queue.create ();
+      queue;
       lats = Array.init cfg.workers (fun _ -> Latency.create ());
       spans =
         Span.create
@@ -317,6 +322,8 @@ let create ?arrivals ?degrade ?(route = Span.local_route) (cfg : cfg) vm =
       prev_now = 0;
       prev_stopped = false;
       probes_attached = false;
+      work_or_stop =
+        (fun () -> (not (Queue.is_empty queue)) || Sched.stop_requested sched);
     }
   in
   t.next_arrival <- Arrival.next t.arr;
@@ -326,7 +333,7 @@ let create ?arrivals ?degrade ?(route = Span.local_route) (cfg : cfg) vm =
       ~name:(Printf.sprintf "server-worker-%d" wid)
       (worker t ~wid)
   done;
-  Sched.on_advance (Vm.sched vm) (fun now -> on_tick t now);
+  Sched.on_advance sched (fun now -> on_tick t now);
   Vm.on_reset vm (fun () -> reset t);
   attach_probes t;
   t

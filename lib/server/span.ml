@@ -81,8 +81,8 @@ let add_blame a b =
 let blame_of ~pre ~enqueue ~start ~finish ~s_enq ~s_start ~s_fin =
   let wait = start - enqueue in
   let serve = finish - start in
-  let gc_queue = Stdlib.min wait (Stdlib.max 0 (s_start - s_enq)) in
-  let gc_service = Stdlib.min serve (Stdlib.max 0 (s_fin - s_start)) in
+  let gc_queue = Int.min wait (Int.max 0 (s_start - s_enq)) in
+  let gc_service = Int.min serve (Int.max 0 (s_fin - s_start)) in
   {
     fleet_queue = 0;
     backoff = pre;
@@ -116,7 +116,7 @@ let decade_of ~cycles_per_ms s =
     if ms <= 0.0 then 0
     else
       let d = int_of_float (Float.floor (Float.log10 ms)) + 2 in
-      Stdlib.max 0 (Stdlib.min (decades - 1) d)
+      Int.max 0 (Int.min (decades - 1) d)
 
 type summary = {
   count : int;
@@ -145,6 +145,9 @@ type collector = {
   mutable sum_e2e : int;
   mutable worst : t list; (* sorted by [worse], length <= worst_k *)
   mutable nworst : int;
+  mutable cutoff : t option;
+      (* the last entry of [worst] once it holds [worst_k] spans: a new
+         span enters the list only if it is worse than this one *)
   seen : int array; (* arrivals per decade, drives the reservoir *)
   slots : t option array array; (* decades x exemplars_r *)
 }
@@ -158,6 +161,7 @@ let create ~cycles_per_ms ~seed =
     sum_e2e = 0;
     worst = [];
     nworst = 0;
+    cutoff = None;
     seen = Array.make decades 0;
     slots = Array.init decades (fun _ -> Array.make exemplars_r None);
   }
@@ -168,6 +172,7 @@ let clear c =
   c.sum_e2e <- 0;
   c.worst <- [];
   c.nworst <- 0;
+  c.cutoff <- None;
   Array.fill c.seen 0 decades 0;
   Array.iter (fun row -> Array.fill row 0 exemplars_r None) c.slots
 
@@ -183,13 +188,17 @@ let record c s =
   c.count <- c.count + 1;
   c.sum <- add_blame c.sum s.blame;
   c.sum_e2e <- c.sum_e2e + e2e_cycles s;
-  (if c.nworst < worst_k then begin
-     c.worst <- insert_worst s c.worst;
-     c.nworst <- c.nworst + 1
-   end
-   else
-     let last = List.nth c.worst (worst_k - 1) in
-     if worse s last < 0 then c.worst <- drop_last (insert_worst s c.worst));
+  (match c.cutoff with
+  | None ->
+      c.worst <- insert_worst s c.worst;
+      c.nworst <- c.nworst + 1;
+      if c.nworst = worst_k then
+        c.cutoff <- Some (List.nth c.worst (worst_k - 1))
+  | Some last ->
+      if worse s last < 0 then begin
+        c.worst <- drop_last (insert_worst s c.worst);
+        c.cutoff <- Some (List.nth c.worst (worst_k - 1))
+      end);
   (* Deterministic single-pass reservoir per latency decade: the first
      [exemplars_r] spans of a decade fill the slots, after which each
      newcomer replaces a uniformly drawn slot with probability r/seen. *)

@@ -1,11 +1,13 @@
-module R = Cgc_util.Ringbuf
 module Clock = Cgc_util.Clock
+module Sleepq = Cgc_util.Intheap
 
 type prio = High | Normal | Low
 
-type outcome = Finished | Preempted | Slept of int | Yielded
+type outcome = Finished | Preempted | Slept | Yielded
 
-type cont = C : (unit, outcome) Effect.Deep.continuation -> cont
+(* One block per context switch: the continuation's [C] box.  [No_k] is
+   a constant, so clearing it allocates nothing. *)
+type cont = C : (unit, outcome) Effect.Deep.continuation -> cont | No_k
 
 type state = Runnable | Running | Sleeping | Dead
 
@@ -19,58 +21,88 @@ type thread = {
       (* a thread may not be dispatched before this time: it is the end of
          its previous quantum, so a thread can never run on a lagging CPU
          "before" work it has already done on another *)
-  mutable k : cont option;
+  mutable k : cont;
   mutable body : (unit -> unit) option;
   mutable cycles : int;
+  mutable nap : int;
+      (* length of the sleep or poll interval the thread last asked for;
+         read by [run] when it files the thread in the sleep queue, so
+         the [Slept] outcome carries no argument *)
+  mutable poll : unit -> bool;  (* the pending poll's predicate, or [no_poll] *)
 }
 
 type _ Effect.t +=
   | Sleep : int -> unit Effect.t
   | Yield : unit Effect.t
+  | Poll : int * (unit -> bool) -> unit Effect.t
+
+let no_poll () = true
 
 let dummy_thread =
   { id = -1; name = "<dummy>"; prio = Low; st = Dead; wake_at = 0;
-    ready_at = 0; k = None; body = None; cycles = 0 }
+    ready_at = 0; k = No_k; body = None; cycles = 0; nap = 0;
+    poll = no_poll }
 
-(* Min-heap of sleeping threads keyed by wake time (shared kernel, see
-   Cgc_util.Minheap for the slot-hygiene contract). *)
-module Sleepq = Cgc_util.Minheap.Make (struct
-  type elt = thread
-
-  let key th = th.wake_at
-  let dummy = dummy_thread
-end)
-
-(* One priority level's runqueue: an index-based ring (no per-push cell
-   allocation, unlike the Queue it replaced) plus a cached lower bound on
-   the queued threads' ready times.  [ready_at] is immutable while a
-   thread is queued, so the cache is exact whenever [dirty] is false: it
-   is refreshed eagerly on push and invalidated only when a thread is
-   actually removed.  The in-place rotation [take_ready] performs leaves
-   the contents unchanged, so it does not touch the cache. *)
+(* One priority level's runqueue: a ring of thread ids with a parallel
+   ring of their ready times, plus a cached lower bound on those times.
+   Both rings hold ints, so no push, pop or rotation stores a pointer
+   (and none pays the write barrier), and the ready-time scans read no
+   thread record.  [ready_at] is immutable while a thread is queued, so
+   the cache is exact whenever [dirty] is false: it is refreshed eagerly
+   on push and invalidated only when a thread is actually removed.  The
+   in-place rotation [take_ready] performs leaves the contents unchanged,
+   so it does not touch the cache. *)
 type runq = {
-  q : thread R.t;
+  mutable ids : int array;
+  mutable rdy : int array;  (* ready_at of the thread in the same slot *)
+  mutable head : int;
+  mutable len : int;
   mutable cached_min : int; (* min ready_at of queued threads; exact unless dirty *)
   mutable dirty : bool;
 }
 
 let runq_create () =
-  { q = R.create ~capacity:32 dummy_thread; cached_min = max_int; dirty = false }
+  { ids = Array.make 32 0; rdy = Array.make 32 0; head = 0; len = 0;
+    cached_min = max_int; dirty = false }
 
-let rq_push rq th =
-  R.push_back rq.q th;
-  if (not rq.dirty) && th.ready_at < rq.cached_min then
-    rq.cached_min <- th.ready_at
+(* Physical slot of logical position [i] (0 = front). *)
+let rq_slot rq i =
+  let j = rq.head + i in
+  let cap = Array.length rq.ids in
+  if j >= cap then j - cap else j
 
-let rec rq_min_scan q i n acc =
+let rq_grow rq =
+  let cap = Array.length rq.ids in
+  let ids = Array.make (2 * cap) 0 and rdy = Array.make (2 * cap) 0 in
+  for i = 0 to rq.len - 1 do
+    let j = rq_slot rq i in
+    ids.(i) <- rq.ids.(j);
+    rdy.(i) <- rq.rdy.(j)
+  done;
+  rq.ids <- ids;
+  rq.rdy <- rdy;
+  rq.head <- 0
+
+let rq_append rq id ready_at =
+  if rq.len = Array.length rq.ids then rq_grow rq;
+  let j = rq_slot rq rq.len in
+  rq.ids.(j) <- id;
+  rq.rdy.(j) <- ready_at;
+  rq.len <- rq.len + 1
+
+let rq_push rq id ready_at =
+  rq_append rq id ready_at;
+  if (not rq.dirty) && ready_at < rq.cached_min then rq.cached_min <- ready_at
+
+let rec rq_min_scan rq i n acc =
   if i >= n then acc
   else
-    let th = R.get q i in
-    rq_min_scan q (i + 1) n (if th.ready_at < acc then th.ready_at else acc)
+    let r = rq.rdy.(rq_slot rq i) in
+    rq_min_scan rq (i + 1) n (if r < acc then r else acc)
 
 let rq_min rq =
   if rq.dirty then begin
-    rq.cached_min <- rq_min_scan rq.q 0 (R.length rq.q) max_int;
+    rq.cached_min <- rq_min_scan rq 0 rq.len max_int;
     rq.dirty <- false
   end;
   rq.cached_min
@@ -82,7 +114,7 @@ type t = {
   runq_high : runq;
   runq_normal : runq;
   runq_low : runq;
-  sleepers : Sleepq.t;
+  sleepers : Sleepq.t;  (* thread ids keyed by wake time *)
   mutable next_wake : int;
       (* mirror of [Sleepq.min_key t.sleepers], so the per-iteration
          "anything due?" test is one field compare.  Updated on every
@@ -91,7 +123,7 @@ type t = {
   mutable stopped : bool;
   mutable stop_at : int;
   mutable initiator : (thread * prio) option;
-  mutable cur : thread; (* [dummy_thread] when no thread is running *)
+  mutable cur : int; (* id of the running thread; -1 when none is *)
   mutable next_id : int;
   mutable stop_flag : bool;
   mutable idle : int;
@@ -106,7 +138,9 @@ type t = {
   mutable hooks : (int -> unit) array;
       (* advance hooks, in installation order; an array so the per-
          dispatch walk is a plain indexed loop with no closure allocation *)
-  mutable all_threads : thread list;  (* every spawned thread, newest first *)
+  mutable tab : thread array;
+      (* every spawned thread, indexed by id; [dummy_thread] from
+         [next_id] up *)
 }
 
 let low_boost_every = 64
@@ -129,14 +163,14 @@ let create ?(quantum = 110_000) ~ncpus () =
     stopped = false;
     stop_at = 0;
     initiator = None;
-    cur = dummy_thread;
+    cur = -1;
     next_id = 0;
     stop_flag = false;
     idle = 0;
     busy = 0;
     low_skips = 0;
     hooks = [||];
-    all_threads = [];
+    tab = Array.make 16 dummy_thread;
   }
 
 let ncpus t = t.n_cpus
@@ -146,18 +180,24 @@ let clock t = t.clock
 
 let enqueue t th =
   match th.prio with
-  | High -> rq_push t.runq_high th
-  | Normal -> rq_push t.runq_normal th
-  | Low -> rq_push t.runq_low th
+  | High -> rq_push t.runq_high th.id th.ready_at
+  | Normal -> rq_push t.runq_normal th.id th.ready_at
+  | Low -> rq_push t.runq_low th.id th.ready_at
 
 let spawn t ~name ~prio body =
+  let id = t.next_id in
   let th =
-    { id = t.next_id; name; prio; st = Runnable; wake_at = 0;
-      ready_at = now t; k = None; body = Some body; cycles = 0 }
+    { id; name; prio; st = Runnable; wake_at = 0; ready_at = now t;
+      k = No_k; body = Some body; cycles = 0; nap = 0; poll = no_poll }
   in
-  t.next_id <- t.next_id + 1;
+  if id = Array.length t.tab then begin
+    let bigger = Array.make (2 * id) dummy_thread in
+    Array.blit t.tab 0 bigger 0 id;
+    t.tab <- bigger
+  end;
+  t.tab.(id) <- th;
+  t.next_id <- id + 1;
   t.live <- t.live + 1;
-  t.all_threads <- th :: t.all_threads;
   enqueue t th;
   th
 
@@ -166,10 +206,13 @@ let consume t n = Clock.spend t.clock n
 let sleep n = if n > 0 then Effect.perform (Sleep n) else Effect.perform Yield
 let yield () = Effect.perform Yield
 
+let poll n ~ready =
+  if n <= 0 then invalid_arg "Sched.poll: interval must be positive";
+  Effect.perform (Poll (n, ready))
+
 let current t =
-  if t.cur == dummy_thread then
-    invalid_arg "Sched.current: no thread is running"
-  else t.cur
+  if t.cur < 0 then invalid_arg "Sched.current: no thread is running"
+  else t.tab.(t.cur)
 
 let world_stopped t = t.stopped
 
@@ -180,9 +223,9 @@ let stop_the_world t =
   (* The initiating thread must remain schedulable while the world is
      stopped: it drives the collection.  Boost it to High for the
      duration. *)
-  let th = t.cur in
-  if th == dummy_thread then t.initiator <- None
+  if t.cur < 0 then t.initiator <- None
   else begin
+    let th = t.tab.(t.cur) in
     t.initiator <- Some (th, th.prio);
     th.prio <- High
   end
@@ -218,17 +261,33 @@ let thread_state th =
   | Dead -> Dead
 
 let thread_prio th = th.prio
-let threads t = List.rev t.all_threads
-let iter_threads t f = List.iter f t.all_threads
+let threads t = List.init t.next_id (Array.get t.tab)
 
-(* The no-retention invariant the PR 9 bugfixes enforce: every vacated
-   slot in the sleep queue and the three runqueue rings holds the dummy.
-   Test hook — O(capacity), never called on the hot path. *)
+let iter_threads t f =
+  for i = 0 to t.next_id - 1 do
+    f t.tab.(i)
+  done
+
+(* The no-retention invariant: no queue holds a dead thread's id, and no
+   dead thread keeps a continuation or a poll predicate (the memory a
+   finished thread could otherwise pin).  Test hook — O(threads + queue
+   lengths), never called on the hot path. *)
 let debug_queues_clean t =
-  Sleepq.slots_clean t.sleepers
-  && R.slots_clean t.runq_high.q
-  && R.slots_clean t.runq_normal.q
-  && R.slots_clean t.runq_low.q
+  let dead id = t.tab.(id).st = Dead in
+  let rq_clean rq =
+    let ok = ref true in
+    for i = 0 to rq.len - 1 do
+      if dead rq.ids.(rq_slot rq i) then ok := false
+    done;
+    !ok
+  in
+  let released = ref true in
+  iter_threads t (fun th ->
+      if th.st = Dead && (th.k != No_k || th.poll != no_poll) then
+        released := false);
+  !released
+  && (not (Sleepq.exists t.sleepers dead))
+  && rq_clean t.runq_high && rq_clean t.runq_normal && rq_clean t.runq_low
 
 let handler th : (unit, outcome) Effect.Deep.handler =
   {
@@ -245,27 +304,35 @@ let handler th : (unit, outcome) Effect.Deep.handler =
         | Clock.Preempt ->
             Some
               (fun (k : (a, outcome) Effect.Deep.continuation) ->
-                th.k <- Some (C k);
+                th.k <- C k;
                 Preempted)
         | Sleep n ->
             Some
               (fun (k : (a, outcome) Effect.Deep.continuation) ->
-                th.k <- Some (C k);
-                Slept n)
+                th.k <- C k;
+                th.nap <- n;
+                Slept)
+        | Poll (n, ready) ->
+            Some
+              (fun (k : (a, outcome) Effect.Deep.continuation) ->
+                th.k <- C k;
+                th.nap <- n;
+                th.poll <- ready;
+                Slept)
         | Yield ->
             Some
               (fun (k : (a, outcome) Effect.Deep.continuation) ->
-                th.k <- Some (C k);
+                th.k <- C k;
                 Yielded)
         | _ -> None);
   }
 
 let exec th =
   match th.k with
-  | Some (C k) ->
-      th.k <- None;
+  | C k ->
+      th.k <- No_k;
       Effect.Deep.continue k ()
-  | None -> (
+  | No_k -> (
       match th.body with
       | Some body ->
           th.body <- None;
@@ -273,62 +340,61 @@ let exec th =
       | None -> assert false)
 
 (* Take the first thread in the queue that is allowed to run at time
-   [tm]; threads inspected before it keep their relative order (they are
-   rotated to the tail, exactly as the Queue pop/push of the previous
-   implementation did — the rotation is semantically observable, so it
-   is preserved).  Returns [dummy_thread] when nothing is ready; written
-   as top-level tail recursion so the scan allocates nothing. *)
+   [tm]; threads inspected before it keep their relative order and are
+   rotated to the tail (the rotation is semantically observable, so it
+   is preserved).  Returns the thread's id, or -1 when nothing is ready;
+   written as top-level tail recursion so the scan allocates nothing. *)
 let rec take_ready_loop rq tm i n =
-  if i >= n then dummy_thread
-  else
-    let th = R.pop_front rq.q in
-    if th.ready_at <= tm then begin
+  if i >= n then -1
+  else begin
+    let h = rq.head in
+    let id = rq.ids.(h) and r = rq.rdy.(h) in
+    let h = h + 1 in
+    rq.head <- (if h = Array.length rq.ids then 0 else h);
+    rq.len <- rq.len - 1;
+    if r <= tm then begin
       (* A thread actually left the queue: the cached bound may now be
          stale.  An empty queue resets to a clean max_int. *)
-      if R.is_empty rq.q then begin
+      if rq.len = 0 then begin
         rq.dirty <- false;
         rq.cached_min <- max_int
       end
       else rq.dirty <- true;
-      th
+      id
     end
     else begin
-      R.push_back rq.q th;
+      rq_append rq id r;
       take_ready_loop rq tm (i + 1) n
     end
+  end
 
 (* A fully failed scan pops and re-pushes every element, which restores
    the original order — so when the cached bound proves no queued thread
    is ready yet, skipping the scan entirely is indistinguishable from
    running it.  Idle processors poll the queues every advance; this
    makes that poll O(1). *)
-let take_ready rq tm =
-  if rq_min rq > tm then dummy_thread
-  else take_ready_loop rq tm 0 (R.length rq.q)
+let take_ready rq tm = if rq_min rq > tm then -1 else take_ready_loop rq tm 0 rq.len
 
 let pick t tm =
   if t.stopped then take_ready t.runq_high tm
   else begin
-    let th = take_ready t.runq_high tm in
-    if th != dummy_thread then th
+    let id = take_ready t.runq_high tm in
+    if id >= 0 then id
     else begin
-      let boost =
-        t.low_skips >= low_boost_every && not (R.is_empty t.runq_low.q)
-      in
+      let boost = t.low_skips >= low_boost_every && t.runq_low.len > 0 in
       if boost then begin
-        let th = take_ready t.runq_low tm in
-        if th != dummy_thread then begin
+        let id = take_ready t.runq_low tm in
+        if id >= 0 then begin
           t.low_skips <- 0;
-          th
+          id
         end
         else take_ready t.runq_normal tm
       end
       else begin
-        let th = take_ready t.runq_normal tm in
-        if th != dummy_thread then begin
-          if not (R.is_empty t.runq_low.q) then
-            t.low_skips <- t.low_skips + 1;
-          th
+        let id = take_ready t.runq_normal tm in
+        if id >= 0 then begin
+          if t.runq_low.len > 0 then t.low_skips <- t.low_skips + 1;
+          id
         end
         else take_ready t.runq_low tm
       end
@@ -357,21 +423,15 @@ let min_cpu t =
    advance on a wake time that no longer means anything.  In the current
    scheduler every queued entry is Sleeping by construction; this is the
    defensive companion to the [st = Sleeping] check in [wake_due]. *)
-let rec purge_stale_loop t =
-  if
-    (not (Sleepq.is_empty t.sleepers))
-    && (Sleepq.top t.sleepers).st <> Sleeping
-  then begin
-    ignore (Sleepq.pop t.sleepers);
-    purge_stale_loop t
-  end
+let stale_top t =
+  (not (Sleepq.is_empty t.sleepers))
+  && t.tab.(Sleepq.top t.sleepers).st <> Sleeping
 
 let purge_stale t =
-  if
-    (not (Sleepq.is_empty t.sleepers))
-    && (Sleepq.top t.sleepers).st <> Sleeping
-  then begin
-    purge_stale_loop t;
+  if stale_top t then begin
+    while stale_top t do
+      ignore (Sleepq.pop t.sleepers)
+    done;
     t.next_wake <- Sleepq.min_key t.sleepers
   end
 
@@ -379,7 +439,7 @@ let purge_stale t =
    field compare and no call. *)
 let wake_due t tm =
   while Sleepq.min_key t.sleepers <= tm do
-    let th = Sleepq.pop t.sleepers in
+    let th = t.tab.(Sleepq.pop t.sleepers) in
     if th.st = Sleeping then begin
       th.st <- Runnable;
       enqueue t th
@@ -387,8 +447,15 @@ let wake_due t tm =
   done;
   t.next_wake <- Sleepq.min_key t.sleepers
 
+let sleep_until t th at =
+  th.st <- Sleeping;
+  th.wake_at <- at;
+  th.ready_at <- at;
+  Sleepq.push t.sleepers ~key:at th.id;
+  if at < t.next_wake then t.next_wake <- at
+
 let run t ~until =
-  if t.cur != dummy_thread then invalid_arg "Sched.run: reentrant call";
+  if t.cur >= 0 then invalid_arg "Sched.run: reentrant call";
   let continue = ref true in
   while !continue do
     if t.live = 0 then continue := false
@@ -402,36 +469,42 @@ let run t ~until =
         for i = 0 to Array.length hooks - 1 do
           hooks.(i) tm
         done;
-        let th = pick t tm in
-        if th != dummy_thread then begin
+        let id = pick t tm in
+        if id >= 0 then begin
+          let th = t.tab.(id) in
           let clk = t.clock in
           clk.base <- tm;
           clk.used <- 0;
-          clk.tid <- th.id;
-          t.cur <- th;
-          th.st <- Running;
-          let outcome = exec th in
-          t.cur <- dummy_thread;
-          clk.tid <- -1;
-          let used = clk.used in
-          th.cycles <- th.cycles + used;
-          t.busy <- t.busy + used;
-          let fin = tm + used + dispatch in
-          t.cpu_clock.(c) <- fin;
-          match outcome with
-          | Finished ->
-              th.st <- Dead;
-              t.live <- t.live - 1
-          | Preempted | Yielded ->
-              th.st <- Runnable;
-              th.ready_at <- fin;
-              enqueue t th
-          | Slept n ->
-              th.st <- Sleeping;
-              th.wake_at <- tm + used + n;
-              th.ready_at <- th.wake_at;
-              Sleepq.push t.sleepers th;
-              if th.wake_at < t.next_wake then t.next_wake <- th.wake_at
+          if th.poll != no_poll && not (th.poll ()) then begin
+            (* A poller woken to an unready predicate would look and
+               sleep again at once, using no cycles: record exactly that
+               slice without resuming it. *)
+            t.cpu_clock.(c) <- tm + dispatch;
+            sleep_until t th (tm + th.nap)
+          end
+          else begin
+            th.poll <- no_poll;
+            clk.tid <- id;
+            t.cur <- id;
+            th.st <- Running;
+            let outcome = exec th in
+            t.cur <- -1;
+            clk.tid <- -1;
+            let used = clk.used in
+            th.cycles <- th.cycles + used;
+            t.busy <- t.busy + used;
+            let fin = tm + used + dispatch in
+            t.cpu_clock.(c) <- fin;
+            match outcome with
+            | Finished ->
+                th.st <- Dead;
+                t.live <- t.live - 1
+            | Preempted | Yielded ->
+                th.st <- Runnable;
+                th.ready_at <- fin;
+                enqueue t th
+            | Slept -> sleep_until t th (tm + used + th.nap)
+          end
         end
         else begin
           (* This CPU is idle.  Advance it to the next time anything can
@@ -445,9 +518,8 @@ let run t ~until =
           let next =
             if next = max_int then
               if
-                R.is_empty t.runq_high.q
-                && R.is_empty t.runq_normal.q
-                && R.is_empty t.runq_low.q
+                t.runq_high.len = 0 && t.runq_normal.len = 0
+                && t.runq_low.len = 0
                 && Sleepq.is_empty t.sleepers
               then (
                 (* Nothing runnable and nothing will wake: no progress

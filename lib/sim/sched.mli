@@ -6,7 +6,12 @@
     so cross-processor interleaving happens at (at most) quantum
     granularity.  A thread expresses the passage of time by calling
     {!consume} (burn CPU cycles on the running slice's {!clock}),
-    {!sleep} (block without using a CPU — think time / IO) and {!yield}.
+    {!sleep} (block without using a CPU — think time / IO), {!poll}
+    (sleep until a host-side condition holds at a wake-up) and {!yield}.
+
+    Threads are kept in a table indexed by id, and every queue (the
+    three runqueues, the sleep queue) holds ids and times in int arrays,
+    so no queue operation stores a pointer.
 
     Three priority levels implement the paper's thread taxonomy:
     - [High]: stop-the-world GC worker threads,
@@ -61,6 +66,24 @@ val sleep : int -> unit
 
 val yield : unit -> unit
 (** Relinquish the CPU; the thread stays runnable. *)
+
+val poll : int -> ready:(unit -> bool) -> unit
+(** [poll n ~ready] sleeps [n] cycles, repeatedly, until [ready ()]
+    holds at a wake-up, then returns.  It is the loop
+    [while not (ready ()) do sleep n done] entered after one [sleep n],
+    with its wake-ups resolved by {!run} itself: at each wake-up the
+    scheduler dispatches the thread as usual and evaluates [ready]; when
+    it is false it records exactly what the resumed loop would record (a
+    slice of no cycles, the CPU clock advanced by the context-switch
+    cost, the next wake-up [n] cycles after the dispatch, the same
+    sleep-queue push), without resuming the thread.  Every scheduler
+    iteration and every {!on_advance} hook call still happens.
+
+    The contract that makes the two equal: [ready] reads host state only
+    (a server's request queue, {!stop_requested}).  It charges no cycles,
+    draws no PRNG value, reads no simulated memory, emits no event and
+    does not call {!current} or perform an effect.  [Invalid_argument]
+    if [n <= 0]. *)
 
 val now : t -> int
 (** Current simulated time in cycles (usable from inside or outside). *)
@@ -117,8 +140,9 @@ val thread_state : thread -> tstate
 val thread_prio : thread -> prio
 
 val debug_queues_clean : t -> bool
-(** Test hook for the PR 9 retention bugfixes: [true] iff every vacated
-    slot in the sleep queue and the three runqueue rings holds the dummy
-    thread — i.e. the scheduler retains no reference to a thread that is
-    not actually queued.  O(queue capacity); never used on the hot
-    path. *)
+(** Test hook for the scheduler's retention invariant: [true] iff no
+    runqueue or sleep-queue entry holds a dead thread's id, and no dead
+    thread keeps a continuation or a poll predicate — i.e. a finished
+    thread pins none of the memory its stack or its predicate's closure
+    reaches, and can never be re-dispatched.  O(threads + queue
+    lengths); never used on the hot path. *)

@@ -1,8 +1,8 @@
 (** Array-backed binary min-heap, functorized over an integer key.
 
-    One kernel serves both event-core priority queues: the scheduler's
-    sleep queue (threads keyed by wake time) and the weak-memory store
-    buffer's drain queue (entries keyed by deadline).  The sift loops are
+    It is the weak-memory store buffer's drain queue (entries keyed by
+    deadline); the scheduler's sleep queue is {!Intheap}, which makes
+    the same comparisons over int pairs.  The sift loops are
     byte-for-byte the comparison sequences the two hand-rolled heaps of
     PR 0 used, so pop order — and therefore every trace — is unchanged.
 
@@ -45,8 +45,8 @@ module Make (O : ORDERED) : sig
       on an empty heap. *)
 
   val min_key : t -> int
-  (** [O.key (top t)], or [max_int] when empty — the allocation-free
-      peek the scheduler's idle-advance uses. *)
+  (** [O.key (top t)], or [max_int] when empty — an allocation-free
+      peek. *)
 
   val pop : t -> O.elt
   (** Remove and return the minimum-key element, clearing the vacated

@@ -6,6 +6,8 @@
     deque stores elements in a flat array indexed by a head cursor and a
     length, so {!push_back}/{!pop_front} are a handful of loads and
     stores and allocate nothing (the array doubles only when full).
+    The weak-memory store buffers use it; the scheduler's runqueues are
+    int rings of their own.
 
     A [dummy] element is supplied at creation and used for two hygiene
     guarantees that the heap-retention bugfixes of PR 9 established:

@@ -434,6 +434,56 @@ let test_worst_spans_ordered () =
   in
   check cb "worst-first, rid tie-break" true (desc sp.Span.worst)
 
+(* The worst-N list as [Span.record] kept it before it cached its
+   cutoff: walk to the [worst_k]-th entry on every span once full. *)
+let reference_worst spans =
+  let rec insert s = function
+    | [] -> [ s ]
+    | x :: rest as l -> if Span.worse s x < 0 then s :: l else x :: insert s rest
+  in
+  let rec drop_last = function
+    | [] | [ _ ] -> []
+    | x :: rest -> x :: drop_last rest
+  in
+  List.fold_left
+    (fun worst s ->
+      if List.length worst < Span.worst_k then insert s worst
+      else if Span.worse s (List.nth worst (Span.worst_k - 1)) < 0 then
+        drop_last (insert s worst)
+      else worst)
+    [] spans
+
+let span_of ~rid ~e2e =
+  {
+    Span.route = Span.local_route rid;
+    enqueue = 0;
+    start = 0;
+    finish = e2e;
+    blame = { Span.zero_blame with Span.service = e2e };
+  }
+
+let worst_cutoff_test =
+  QCheck.Test.make ~name:"worst list with a cached cutoff == list walk"
+    ~count:200
+    QCheck.(
+      pair (int_range 1 40)
+        (list_of_size (Gen.int_range 0 300) (pair (int_range 0 1000) small_nat)))
+    (fun (spread, draws) ->
+      (* Few distinct end-to-end times, so ties are common; request ids
+         are unique but drawn out of order. *)
+      let spans =
+        List.mapi
+          (fun i (perm, e) -> span_of ~rid:((perm * 1000) + i) ~e2e:(e mod spread))
+          draws
+      in
+      let c = Span.create ~cycles_per_ms:1000.0 ~seed:1 in
+      (* A cleared collector must start over, cutoff included. *)
+      List.iter (Span.record c) spans;
+      Span.clear c;
+      List.iter (Span.record c) spans;
+      let rids l = List.map (fun s -> s.Span.route.Span.rid) l in
+      rids (Span.summary c).Span.worst = rids (reference_worst spans))
+
 let test_exemplar_reservoir_bounds () =
   let _, srv, _ = serve ~rate:8000.0 ~ms:800.0 () in
   let sp = (Server.totals srv).Server.spans in
@@ -564,6 +614,7 @@ let () =
             test_blame_conservation;
           Alcotest.test_case "worst spans ordered" `Quick
             test_worst_spans_ordered;
+          QCheck_alcotest.to_alcotest worst_cutoff_test;
           Alcotest.test_case "exemplar reservoir bounds" `Quick
             test_exemplar_reservoir_bounds;
           Alcotest.test_case "merge keeps the identity" `Quick

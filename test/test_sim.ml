@@ -260,9 +260,13 @@ let test_thread_cycles () =
 let test_no_thread_retention () =
   (* Regression for the PR 9 vacated-slot leaks: thousands of short-lived
      sleepers churn the sleep queue and all three runqueue rings through
-     growth and wrap; afterwards no queue may retain a reference to any
-     dead thread. *)
+     growth and wrap; afterwards no queue may hold any dead thread, and
+     no dead thread may keep a continuation or a poll predicate. *)
   let s = Sched.create ~ncpus:4 ~quantum:10_000 () in
+  (* Every tenth thread also polls until the scheduler has iterated [i]
+     times, so some threads die after a poll. *)
+  let iterations = ref 0 in
+  Sched.on_advance s (fun _ -> incr iterations);
   for i = 0 to 2_999 do
     let prio =
       match i mod 3 with 0 -> Sched.High | 1 -> Sched.Normal | _ -> Sched.Low
@@ -272,6 +276,8 @@ let test_no_thread_retention () =
            Sched.sleep (1 + (i mod 97) * 53);
            Sched.consume s (1 + (i mod 11) * 1_000);
            Sched.yield ();
+           if i mod 10 = 0 then
+             Sched.poll (1 + (i mod 37)) ~ready:(fun () -> !iterations >= i);
            Sched.sleep (1 + (i mod 13) * 29)))
   done;
   Sched.run s ~until:100_000_000;
@@ -280,6 +286,169 @@ let test_no_thread_retention () =
        (fun th -> Sched.thread_state th = Sched.Dead)
        (Sched.threads s));
   check cb "no queue retains a dead thread" true (Sched.debug_queues_clean s)
+
+(* ---------------------------- Sched.poll ---------------------------- *)
+(* [Sched.poll n ~ready] must be indistinguishable from the loop it
+   replaces: sleep [n], wake, look, sleep again.  One scenario runs both
+   ways: pollers take units of host work that an [on_advance] hook feeds
+   in at scripted times, beside scripted threads of every priority and
+   an optional stop-the-world thread; the hook raises the stop flag at a
+   scripted time, on which the pollers exit. *)
+
+type poll_scenario = {
+  ncpus : int;
+  quantum : int;
+  pollers : int;
+  interval : int;
+  poller_prio : Sched.prio;
+  feeds : int list; (* host times at which one unit of work arrives *)
+  stop_at : int option;
+  stw : bool;
+  others : (Sched.prio * (int * int) list) list; (* (op, amount) scripts *)
+}
+
+let horizon = 300_000
+
+let simulate ~use_poll sc =
+  let s = Sched.create ~quantum:sc.quantum ~ncpus:sc.ncpus () in
+  let work = ref 0 in
+  let feeds = ref sc.feeds in
+  let hook_times = ref [] in
+  let log = ref [] in
+  Sched.on_advance s (fun now ->
+      hook_times := now :: !hook_times;
+      let rec feed () =
+        match !feeds with
+        | t :: rest when t <= now ->
+            incr work;
+            feeds := rest;
+            feed ()
+        | _ -> ()
+      in
+      feed ();
+      match sc.stop_at with
+      | Some t when t <= now -> Sched.request_stop s
+      | _ -> ());
+  let ready () = !work > 0 || Sched.stop_requested s in
+  for p = 0 to sc.pollers - 1 do
+    ignore
+      (Sched.spawn s ~name:"poller" ~prio:sc.poller_prio (fun () ->
+           while not (Sched.stop_requested s) do
+             if !work = 0 then begin
+               if use_poll then Sched.poll sc.interval ~ready
+               else begin
+                 Sched.sleep sc.interval;
+                 while not (ready ()) do
+                   Sched.sleep sc.interval
+                 done
+               end;
+               log := (p, `Woke, Sched.now s) :: !log
+             end
+             else begin
+               decr work;
+               log := (p, `Took, Sched.now s) :: !log;
+               Sched.consume s (1_000 + (p * 337))
+             end
+           done;
+           log := (p, `Exit, Sched.now s) :: !log))
+  done;
+  List.iter
+    (fun (prio, ops) ->
+      ignore
+        (Sched.spawn s ~name:"other" ~prio (fun () ->
+             List.iter
+               (fun (op, n) ->
+                 match op with
+                 | 0 -> Sched.consume s n
+                 | 1 -> Sched.sleep n
+                 | _ -> Sched.yield ())
+               ops)))
+    sc.others;
+  if sc.stw then
+    ignore
+      (Sched.spawn s ~name:"stw" ~prio:Sched.High (fun () ->
+           while not (Sched.stop_requested s) do
+             Sched.sleep 20_000;
+             Sched.stop_the_world s;
+             Sched.consume s 3_000;
+             ignore (Sched.restart_world s)
+           done));
+  Sched.run s ~until:horizon;
+  ( List.rev !hook_times,
+    List.rev !log,
+    List.map
+      (fun th -> (Sched.thread_cycles th, Sched.thread_state th))
+      (Sched.threads s),
+    Sched.idle_cycles s,
+    Sched.busy_cycles s,
+    Sched.now s )
+
+let poll_scenario_gen =
+  let open QCheck.Gen in
+  let prio = oneofl [ Sched.High; Sched.Normal; Sched.Low ] in
+  let op = pair (int_bound 2) (int_range 1 8_000) in
+  let* ncpus = int_range 1 4 in
+  let* quantum = oneofl [ 700; 3_000; 20_000; 110_000 ] in
+  let* pollers = int_range 1 3 in
+  let* interval = int_range 100 6_000 in
+  let* poller_prio = oneofl [ Sched.Normal; Sched.Low ] in
+  let* feeds = list_size (int_bound 40) (int_bound horizon) in
+  let* stop_at = opt (int_bound horizon) in
+  let* stw = bool in
+  let+ others = list_size (int_bound 4) (pair prio (list_size (int_bound 10) op)) in
+  {
+    ncpus;
+    quantum;
+    pollers;
+    interval;
+    poller_prio;
+    feeds = List.sort compare feeds;
+    stop_at;
+    stw;
+    others;
+  }
+
+let poll_equals_sleep_loop_test =
+  QCheck.Test.make ~name:"Sched.poll == explicit sleep loop" ~count:300
+    (QCheck.make poll_scenario_gen)
+    (fun sc -> simulate ~use_poll:true sc = simulate ~use_poll:false sc)
+
+let test_poll_exits_on_stop () =
+  (* With no work ever fed, a poller returns only on the stop flag: at
+     its first wake-up at or after the flag goes up. *)
+  let sc =
+    {
+      ncpus = 2;
+      quantum = 110_000;
+      pollers = 2;
+      interval = 5_000;
+      poller_prio = Sched.Normal;
+      feeds = [];
+      stop_at = Some 42_000;
+      stw = false;
+      others = [];
+    }
+  in
+  let ((_, log, states, _, _, _) as polled) = simulate ~use_poll:true sc in
+  check cb "same as the sleep loop" true (polled = simulate ~use_poll:false sc);
+  check cb "both pollers exited" true
+    (List.for_all (fun (_, st) -> st = Sched.Dead) states);
+  List.iter
+    (fun (_, ev, t) ->
+      match ev with
+      | `Took -> Alcotest.fail "no work was fed"
+      | `Woke | `Exit -> check ci "first wake-up after the stop" 45_000 t)
+    log
+
+let test_poll_rejects_nonpositive () =
+  let s = Sched.create ~ncpus:1 () in
+  let raised = ref false in
+  ignore
+    (Sched.spawn s ~name:"p" ~prio:Sched.Normal (fun () ->
+         try Sched.poll 0 ~ready:(fun () -> true)
+         with Invalid_argument _ -> raised := true));
+  Sched.run s ~until:1_000;
+  check cb "poll 0 raises" true !raised
 
 let () =
   Alcotest.run "sim"
@@ -304,6 +473,10 @@ let () =
           Alcotest.test_case "run until bound" `Quick test_run_until_bounds;
           Alcotest.test_case "idle accounting" `Quick test_idle_accounting;
           Alcotest.test_case "thread cycles" `Quick test_thread_cycles;
+          Alcotest.test_case "poll exits on stop" `Quick test_poll_exits_on_stop;
+          Alcotest.test_case "poll rejects a non-positive interval" `Quick
+            test_poll_rejects_nonpositive;
+          QCheck_alcotest.to_alcotest poll_equals_sleep_loop_test;
           Alcotest.test_case "no thread retention (regression)" `Quick
             test_no_thread_retention;
         ] );

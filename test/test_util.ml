@@ -519,10 +519,10 @@ let test_table_formats () =
   check Alcotest.string "f3" "0.045" (Table.f3 0.0449)
 
 (* ------------------------ Ringbuf / Minheap ------------------------ *)
-(* The scheduler's runqueues and the sleep/store-buffer heaps are built
-   on these two kernels; the properties below pin the PR 9 retention
-   contract (a vacated slot always holds the dummy) alongside plain
-   functional correctness against model implementations. *)
+(* The weak-memory store buffers are built on these two kernels; the
+   properties below pin their retention contract (a vacated slot always
+   holds the dummy) alongside plain functional correctness against
+   model implementations. *)
 
 module Ringbuf = Cgc_util.Ringbuf
 
@@ -652,6 +652,45 @@ let minheap_model_test =
         ops;
       true)
 
+(* The scheduler's sleep queue moved from [Minheap] over threads to
+   [Intheap] over ids; every trace depends on the two popping equal wake
+   times in the same order. *)
+module Intheap = Cgc_util.Intheap
+
+let intheap_vs_minheap_test =
+  QCheck.Test.make ~name:"intheap pops in Minheap's order, ties included"
+    ~count:500
+    QCheck.(list (pair bool (int_bound 8)))
+    (fun ops ->
+      let ih = Intheap.create ~capacity:2 () in
+      let mh = Minheap_int.create ~capacity:2 () in
+      List.iteri
+        (fun id (push, key) ->
+          if push || Intheap.is_empty ih then begin
+            Intheap.push ih ~key id;
+            Minheap_int.push mh (key, string_of_int id)
+          end
+          else begin
+            let top = Intheap.top ih in
+            let _, v = Minheap_int.pop mh in
+            if Intheap.pop ih <> int_of_string v || top <> int_of_string v then
+              QCheck.Test.fail_reportf "popped %d, Minheap popped %s" top v
+          end;
+          if Intheap.min_key ih <> Minheap_int.min_key mh then
+            QCheck.Test.fail_report "min_key mismatch";
+          if Intheap.length ih <> Minheap_int.length mh then
+            QCheck.Test.fail_report "length mismatch")
+        ops;
+      true)
+
+let test_intheap_empty_pop () =
+  let h = Intheap.create () in
+  Alcotest.check_raises "pop" (Invalid_argument "Intheap.pop: empty")
+    (fun () -> ignore (Intheap.pop h));
+  Alcotest.check_raises "top" (Invalid_argument "Intheap.top: empty")
+    (fun () -> ignore (Intheap.top h));
+  check ci "min_key of empty" max_int (Intheap.min_key h)
+
 let () =
   Alcotest.run "util"
     [
@@ -723,6 +762,11 @@ let () =
           Alcotest.test_case "no slot retention (regression)" `Quick
             test_minheap_retention;
           QCheck_alcotest.to_alcotest minheap_model_test;
+        ] );
+      ( "intheap",
+        [
+          Alcotest.test_case "empty pop raises" `Quick test_intheap_empty_pop;
+          QCheck_alcotest.to_alcotest intheap_vs_minheap_test;
         ] );
       ( "table",
         [
