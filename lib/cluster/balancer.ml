@@ -170,7 +170,6 @@ let set_live r live =
     r.ring <- ring_points ~nshards:r.nshards ~live:r.live
 
 let nlive r = r.nlive
-let is_live r s = r.live.(s)
 
 let drain_to r t =
   for s = 0 to r.nshards - 1 do

@@ -103,8 +103,6 @@ val set_live : router -> bool array -> unit
 
 val nlive : router -> int
 
-val is_live : router -> int -> bool
-
 val pick : router -> now:int -> key:int64 -> avoid:bool array -> int option
 (** Place one arrival at cycle [now]: the next live non-avoided shard
     (round-robin), the shallowest modelled queue (least-queue), or the

@@ -56,16 +56,18 @@ let nbins ~ms ~bin_ms =
   if bin_ms <= 0.0 then invalid_arg "Shard.nbins: bin_ms must be positive";
   Int.max 1 (int_of_float (Float.ceil (ms /. bin_ms)))
 
-(* The timeline sampler: an [on_advance] hook registered after the
+(* The timeline sampler: an advance hook registered after the
    server's, so by the time it runs at timestamp [now] the server has
    already admitted/shed every arrival up to [now].  It integrates
    stopped-world time the same way [Server.on_tick] does (previous
    stopped flag times the elapsed interval) and differences the
    monotone shed counter; both land in the bin of the interval start,
    which is exact to within one scheduler tick — far finer than a
-   bin.  [start_cycles] offsets an incarnation's local clock into the
-   fleet timeline, so every incarnation of every shard bins onto the
-   same fleet-wide axis. *)
+   bin.  It is due at the next bin boundary: the stopped time and the
+   queue-depth maxima between two calls fall in one bin.  [start_cycles]
+   offsets an incarnation's local clock into the fleet timeline, so
+   every incarnation of every shard bins onto the same fleet-wide
+   axis. *)
 let install_sampler vm srv ~bin_cycles ~start_cycles ~stopped ~sheds
     ~depth_max =
   let last = Array.length stopped - 1 in
@@ -74,7 +76,7 @@ let install_sampler vm srv ~bin_cycles ~start_cycles ~stopped ~sheds
   let prev_now = ref 0 in
   let prev_stopped = ref false in
   let prev_shed = ref 0 in
-  Sched.on_advance sched (fun now ->
+  Sched.on_advance_due sched (fun now ->
       if !prev_stopped then begin
         let b = bin !prev_now in
         stopped.(b) <- stopped.(b) + (now - !prev_now)
@@ -88,7 +90,8 @@ let install_sampler vm srv ~bin_cycles ~start_cycles ~stopped ~sheds
         prev_shed := s
       end;
       let d = Server.queue_depth srv in
-      if d > depth_max.(b) then depth_max.(b) <- d)
+      if d > depth_max.(b) then depth_max.(b) <- d;
+      if b = last then max_int else ((b + 1) * bin_cycles) - start_cycles)
 
 let run (cfg : cfg) ~arrivals ?delays ?routes () =
   let vm =

@@ -57,8 +57,6 @@ let choose_area t ~cycle ~fraction =
   Hashtbl.reset t.dests;
   Hashtbl.reset t.pins
 
-let deactivate t = t.is_active <- false
-
 let active t = t.is_active
 
 let area t = if t.is_active then (t.lo, t.hi) else (0, 0)

@@ -31,8 +31,6 @@ val choose_area : t -> cycle:int -> fraction:float -> unit
     heap is divided into [1/fraction] areas; [cycle] rotates through
     them) and clear the remembered set, forwarding and pin tables. *)
 
-val deactivate : t -> unit
-
 val active : t -> bool
 
 val area : t -> int * int

@@ -65,7 +65,6 @@ let observe_background t ~bg_traced ~mutator_alloc =
 
 let best t = Ewma.value t.best
 let l_estimate t = Ewma.value t.l_est
-let m_estimate t = Ewma.value t.m_est
 
 let end_cycle t ~l_observed ~m_observed =
   Ewma.observe t.l_est (float_of_int l_observed);

@@ -54,8 +54,5 @@ val best : t -> float
 val l_estimate : t -> float
 (** Predicted live (to-be-traced) volume for the current cycle, slots. *)
 
-val m_estimate : t -> float
-(** Predicted dirty-card rescan volume for the current cycle, slots. *)
-
 val end_cycle : t -> l_observed:int -> m_observed:int -> unit
 (** Update the L and M estimators with this cycle's actual values. *)

@@ -31,6 +31,7 @@ let tick t ~now =
     t.due <- ts + t.interval
   end
 
+let due t = t.due
 let ticks t = t.nticks
 let series t = List.rev_map (fun p -> p.s) t.probes
 let find t name = List.find_opt (fun s -> Series.name s = name) (series t)

@@ -4,8 +4,9 @@
     the sampler records what the system {e looks like} at a fixed cadence:
     how many mutators are runnable, how full the packet pool is, how many
     cards are dirty.  The VM wires {!tick} into the scheduler's
-    [on_advance] hook, so sampling happens host-side between simulated
-    instructions and charges no simulated cycles.
+    [on_advance_due] hook, so sampling happens host-side between simulated
+    instructions and charges no simulated cycles.  It is due at
+    {!due}: a tick before then does nothing.
 
     Timestamps are aligned to multiples of the sampling interval
     regardless of when the clock actually advances past a deadline, so
@@ -28,7 +29,11 @@ val add_probe : t -> name:string -> (unit -> float) -> unit
 val tick : t -> now:int -> unit
 (** Advance to simulated time [now]; takes at most one sample, at the
     latest interval boundary [<= now] not yet sampled.  Intended as a
-    {!Cgc_sim.Sched.on_advance} hook. *)
+    {!Cgc_sim.Sched.on_advance_due} hook due at {!due}. *)
+
+val due : t -> int
+(** The earliest time at which {!tick} takes its next sample; {!tick}
+    at any earlier time does nothing. *)
 
 val ticks : t -> int
 (** Sampling points taken so far. *)

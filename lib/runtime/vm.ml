@@ -215,7 +215,9 @@ let enable_profiler t =
       | Some g ->
           probe "nursery-occupancy" (fun () -> Gen.nursery_used g);
           probe "promotion-rate" (fun () -> Gen.promotion_rate g));
-      Sched.on_advance t.sc (fun now -> Sampler.tick p ~now);
+      Sched.on_advance_due t.sc (fun now ->
+          Sampler.tick p ~now;
+          Sampler.due p);
       t.prof <- Some p
 
 let trace_json t = Export.chrome_obs ~cycles_per_us:(cycles_per_us t) (obs t)

@@ -109,7 +109,7 @@ type t = {
   mutable timed_out : int;
   mutable max_depth : int;
   (* Dispatch-granularity integral of stopped-world simulated time,
-     maintained by the on_advance hook; requests sample it at enqueue
+     maintained by the advance hook; requests sample it at enqueue
      and completion, the difference being the pause overlap. *)
   mutable stopped_cycles : int;
   mutable prev_now : int;
@@ -169,6 +169,9 @@ let arrive ?(pre = 0) t ~ts =
     Obs.instant_host t.obs ~arg:depth ~tid:server_tid ~ts Event.Req_arrive
   end
 
+(* Due at the next arrival.  Between two calls the stopped-time pieces
+   add up, and the stopped flag changes only while a thread runs, after
+   which the scheduler calls this again. *)
 let on_tick t now =
   if t.prev_stopped then
     t.stopped_cycles <- t.stopped_cycles + (now - t.prev_now);
@@ -178,7 +181,8 @@ let on_tick t now =
     arrive t ~ts:t.next_arrival ~pre:t.next_pre;
     t.next_arrival <- Arrival.next t.arr;
     t.next_pre <- Arrival.last_delay t.arr
-  done
+  done;
+  t.next_arrival
 
 (* ------------------------------------------------------------------ *)
 (* Workers (simulated mutator threads)                                 *)
@@ -333,7 +337,7 @@ let create ?arrivals ?degrade ?(route = Span.local_route) (cfg : cfg) vm =
       ~name:(Printf.sprintf "server-worker-%d" wid)
       (worker t ~wid)
   done;
-  Sched.on_advance sched (fun now -> on_tick t now);
+  Sched.on_advance_due sched (fun now -> on_tick t now);
   Vm.on_reset vm (fun () -> reset t);
   attach_probes t;
   t

@@ -135,9 +135,17 @@ type t = {
          starve the background GC threads *absolutely* — unlike a real
          OS — and a preempted background thread could sit on work packets
          for a whole cycle, blocking termination detection. *)
-  mutable hooks : (int -> unit) array;
-      (* advance hooks, in installation order; an array so the per-
-         dispatch walk is a plain indexed loop with no closure allocation *)
+  mutable hooks : (int -> int) array;
+      (* advance hooks, in installation order, each returning the time it
+         is next due; an array so a walk is a plain indexed loop with no
+         closure allocation *)
+  mutable hook_due : int;
+      (* the smallest due time the last walk returned; [min_int] forces
+         a walk at the next iteration (a [run] starts, a hook is
+         installed, a thread has resumed) *)
+  mutable unwalked : int;
+      (* time of the last iteration, if it skipped the walk; [min_int]
+         once a walk has run *)
   mutable tab : thread array;
       (* every spawned thread, indexed by id; [dummy_thread] from
          [next_id] up *)
@@ -170,6 +178,8 @@ let create ?(quantum = 110_000) ~ncpus () =
     busy = 0;
     low_skips = 0;
     hooks = [||];
+    hook_due = min_int;
+    unwalked = min_int;
     tab = Array.make 16 dummy_thread;
   }
 
@@ -249,7 +259,14 @@ let stop_requested t = t.stop_flag
 let idle_cycles t = t.idle
 let busy_cycles t = t.busy
 
-let on_advance t f = t.hooks <- Array.append t.hooks [| f |]
+let on_advance_due t f =
+  t.hooks <- Array.append t.hooks [| f |];
+  t.hook_due <- min_int
+
+let on_advance t f =
+  on_advance_due t (fun tm ->
+      f tm;
+      min_int)
 
 type tstate = Runnable | Running | Sleeping | Dead
 
@@ -267,6 +284,8 @@ let iter_threads t f =
   for i = 0 to t.next_id - 1 do
     f t.tab.(i)
   done
+
+let debug_cpu_clocks t = Array.copy t.cpu_clock
 
 (* The no-retention invariant: no queue holds a dead thread's id, and no
    dead thread keeps a continuation or a poll predicate (the memory a
@@ -454,35 +473,105 @@ let sleep_until t th at =
   Sleepq.push t.sleepers ~key:at th.id;
   if at < t.next_wake then t.next_wake <- at
 
+(* Call every advance hook at [tm], in installation order, and keep the
+   smallest time any of them is next due.  A hook installed by a hook
+   leaves the next iteration due. *)
+let walk t tm =
+  let hooks = t.hooks in
+  let due = ref max_int in
+  for i = 0 to Array.length hooks - 1 do
+    let d = hooks.(i) tm in
+    if d < !due then due := d
+  done;
+  t.unwalked <- min_int;
+  t.hook_due <- (if t.hooks == hooks then !due else min_int)
+
+(* An unready poller's wake-up on CPU [c]: the slice of no cycles a
+   resumed thread that looks and sleeps again would record. *)
+let[@inline] requeue_poller t c tm th =
+  let clk = t.clock in
+  clk.base <- tm;
+  clk.used <- 0;
+  t.cpu_clock.(c) <- tm + dispatch;
+  sleep_until t th (tm + th.nap)
+
+(* Advance idle CPU [c] from [tm] towards [next], the next time anything
+   can change: by at least a cycle and at most a quantum, so a stopped
+   world is re-polled cheaply. *)
+let[@inline] idle_advance t c tm next =
+  let next = Int.max (tm + 1) (Int.min next (tm + t.clock.quantum)) in
+  t.idle <- t.idle + (next - tm);
+  t.cpu_clock.(c) <- next
+
+(* A quiet stretch: no thread has resumed since the last walk, the world
+   runs and every runqueue is empty, so until the hooks are due an
+   iteration can only advance an idle CPU or find one lone Normal
+   poller's predicate false.  Each turn is the full iteration's work for
+   that case, in the same order: [wake_due]'s pop, a [pick] that finds
+   the poller alone (it leaves [low_skips] alone, as no Low thread is
+   queued), and the idle advance with [min_ready_at] at [max_int] and no
+   stale sleeper, the scheduler making none.  Anything else — a tie in
+   wake time, a Low or High poller, a ready predicate, nothing asleep —
+   leaves for the full iteration. *)
+let quiet t ~until =
+  let continue = ref true in
+  while !continue do
+    let c = min_cpu t in
+    let tm = t.cpu_clock.(c) in
+    if tm > until || tm >= t.hook_due then continue := false
+    else if t.next_wake > tm then begin
+      if t.next_wake = max_int then continue := false
+      else begin
+        idle_advance t c tm t.next_wake;
+        t.unwalked <- tm
+      end
+    end
+    else if Sleepq.second_key t.sleepers <= tm then continue := false
+    else begin
+      let th = t.tab.(Sleepq.top t.sleepers) in
+      if
+        th.st = Sleeping && th.prio = Normal && th.poll != no_poll
+        && not (th.poll ())
+      then begin
+        ignore (Sleepq.pop t.sleepers);
+        t.next_wake <- Sleepq.min_key t.sleepers;
+        requeue_poller t c tm th;
+        t.unwalked <- tm
+      end
+      else continue := false
+    end
+  done
+
 let run t ~until =
   if t.cur >= 0 then invalid_arg "Sched.run: reentrant call";
+  t.hook_due <- min_int;
+  t.unwalked <- min_int;
   let continue = ref true in
   while !continue do
     if t.live = 0 then continue := false
     else begin
+      if
+        (not t.stopped) && t.runq_high.len = 0 && t.runq_normal.len = 0
+        && t.runq_low.len = 0
+      then quiet t ~until;
       let c = min_cpu t in
       let tm = t.cpu_clock.(c) in
       if tm > until then continue := false
       else begin
         if t.next_wake <= tm then wake_due t tm;
-        let hooks = t.hooks in
-        for i = 0 to Array.length hooks - 1 do
-          hooks.(i) tm
-        done;
+        let walked = tm >= t.hook_due in
+        if walked then walk t tm else t.unwalked <- tm;
         let id = pick t tm in
         if id >= 0 then begin
           let th = t.tab.(id) in
-          let clk = t.clock in
-          clk.base <- tm;
-          clk.used <- 0;
-          if th.poll != no_poll && not (th.poll ()) then begin
-            (* A poller woken to an unready predicate would look and
-               sleep again at once, using no cycles: record exactly that
-               slice without resuming it. *)
-            t.cpu_clock.(c) <- tm + dispatch;
-            sleep_until t th (tm + th.nap)
-          end
+          if th.poll != no_poll && not (th.poll ()) then
+            requeue_poller t c tm th
           else begin
+            (* A resumed thread reads what the hooks maintain. *)
+            if not walked then walk t tm;
+            let clk = t.clock in
+            clk.base <- tm;
+            clk.used <- 0;
             th.poll <- no_poll;
             clk.tid <- id;
             t.cur <- id;
@@ -490,6 +579,7 @@ let run t ~until =
             let outcome = exec th in
             t.cur <- -1;
             clk.tid <- -1;
+            t.hook_due <- min_int;
             let used = clk.used in
             th.cycles <- th.cycles + used;
             t.busy <- t.busy + used;
@@ -507,34 +597,26 @@ let run t ~until =
           end
         end
         else begin
-          (* This CPU is idle.  Advance it to the next time anything can
-             change: the earliest queued thread's ready time, the
-             earliest sleeper wake-up, bounded above by a quantum so a
-             stopped world is re-polled cheaply. *)
+          (* This CPU is idle: advance it towards the earliest queued
+             thread's ready time or sleeper wake-up. *)
           purge_stale t;
-          let next_queued = min_ready_at t in
-          let next_sleep = t.next_wake in
-          let next = Int.min next_queued next_sleep in
-          let next =
-            if next = max_int then
-              if
-                t.runq_high.len = 0 && t.runq_normal.len = 0
-                && t.runq_low.len = 0
-                && Sleepq.is_empty t.sleepers
-              then (
-                (* Nothing runnable and nothing will wake: no progress
-                   is possible. *)
-                continue := false;
-                tm)
-              else tm + t.clock.quantum
-            else Int.max (tm + 1) (Int.min next (tm + t.clock.quantum))
-          in
-          t.idle <- t.idle + (next - tm);
-          t.cpu_clock.(c) <- next
+          let next = Int.min (min_ready_at t) t.next_wake in
+          if
+            next = max_int && t.runq_high.len = 0 && t.runq_normal.len = 0
+            && t.runq_low.len = 0
+            && Sleepq.is_empty t.sleepers
+          then
+            (* Nothing runnable and nothing will wake: no progress is
+               possible. *)
+            continue := false
+          else idle_advance t c tm next
         end
       end
     end
-  done
+  done;
+  (* The last iteration's walk, if it was skipped: whatever the hooks
+     maintain is then as the caller would have found it. *)
+  if t.unwalked > min_int then walk t t.unwalked
 (* Note: the cooperative stop flag is NOT raised here — [run] may be
    called again to continue the same simulation (warm-up followed by a
    measured window).  Threads parked at effect points simply resume. *)

@@ -52,7 +52,17 @@ val spawn : t -> name:string -> prio:prio -> (unit -> unit) -> thread
 val run : t -> until:int -> unit
 (** Drive the simulation until the clock passes [until] cycles or no
     thread remains alive or runnable.  Must not be called from inside a
-    simulated thread. *)
+    simulated thread.
+
+    Each iteration takes the processor whose clock [tm] is furthest
+    behind and either resumes a thread on it, resolves an unready
+    {!poll} or advances it while idle.  A quiet stretch — no thread
+    resumed since the last hook walk (see {!on_advance_due}), the world
+    not stopped, every runqueue empty — is run by a tight loop that makes
+    the same iterations, in the same order and with the same effects,
+    while no hook is due: idle advances, and wake-ups of a lone
+    [Normal]-priority poller whose predicate is false.  Every other
+    iteration goes through the full loop. *)
 
 (** {2 Operations usable only from inside a simulated thread} *)
 
@@ -77,7 +87,8 @@ val poll : int -> ready:(unit -> bool) -> unit
     slice of no cycles, the CPU clock advanced by the context-switch
     cost, the next wake-up [n] cycles after the dispatch, the same
     sleep-queue push), without resuming the thread.  Every scheduler
-    iteration and every {!on_advance} hook call still happens.
+    iteration still happens, and every advance hook is called when it
+    would have been (see {!on_advance_due}).
 
     The contract that makes the two equal: [ready] reads host state only
     (a server's request queue, {!stop_requested}).  It charges no cycles,
@@ -117,12 +128,36 @@ val idle_cycles : t -> int
 val busy_cycles : t -> int
 (** Total cycles consumed by threads (all CPUs). *)
 
+val on_advance_due : t -> (int -> int) -> unit
+(** [on_advance_due t f] installs an advance hook: [f tm] is called with
+    the current time [tm] at scheduler iterations, on the host side
+    (outside any simulated thread), and returns the earliest time at
+    which it must be called again.  Hooks accumulate; {!run} calls all
+    of them, in installation order (a walk), at an iteration when
+    - (a) it is the first of a {!run} call, or the first since a hook
+      was installed;
+    - (b) a thread has been resumed since the last walk;
+    - (c) [tm] has reached the smallest time the last walk returned;
+    - (d) it is about to resume a thread: a walk skipped at the
+      iteration's start is made after the thread is picked and before
+      it runs;
+    and, when the last iteration of a {!run} call skipped its walk, once
+    more at that iteration's time before {!run} returns.
+
+    The contract: a call skipped at an iteration where none of (a) to
+    (d) holds must change nothing.  That holds when the hook reads only
+    host state that threads change or that changes only at its own due
+    times, changes what a {!poll} predicate or a later hook reads only
+    at its due times, and reads no runqueue (a late walk runs after the
+    pick).  Integrals over time qualify when the sum of the skipped
+    pieces lands where the pieces would have.  A hook must not consume
+    simulated time or call {!current}. *)
+
 val on_advance : t -> (int -> unit) -> unit
-(** Install a hook called with the current time each time a processor is
-    dispatched — used to drain due weak-memory stores and to tick the
-    profiler's online sampler.  Hooks accumulate and run in installation
-    order; they execute on the host side (outside any simulated thread),
-    so they must not consume simulated time or call {!current}. *)
+(** [on_advance t f] installs a hook that is due at every iteration, so
+    it is called at each one, as {!on_advance_due} describes: used to
+    drain due weak-memory stores and by host-time instrumentation.  A
+    scheduler with such a hook never runs a quiet stretch. *)
 
 (** {2 Thread introspection (for the profiler's sampler)} *)
 
@@ -138,6 +173,9 @@ val iter_threads : t -> (thread -> unit) -> unit
 
 val thread_state : thread -> tstate
 val thread_prio : thread -> prio
+
+val debug_cpu_clocks : t -> int array
+(** Test hook: a copy of every processor's clock, by processor. *)
 
 val debug_queues_clean : t -> bool
 (** Test hook for the scheduler's retention invariant: [true] iff no

@@ -47,6 +47,12 @@ let push h ~key v =
 
 let min_key h = if h.n = 0 then max_int else h.keys.(0)
 
+(* The second-smallest key is at a child of the root. *)
+let second_key h =
+  if h.n < 2 then max_int
+  else if h.n = 2 then h.keys.(1)
+  else Int.min h.keys.(1) h.keys.(2)
+
 let top h =
   if h.n = 0 then invalid_arg "Intheap.top: empty";
   h.vals.(0)

@@ -20,6 +20,11 @@ val push : t -> key:int -> int -> unit
 val min_key : t -> int
 (** The smallest key, or [max_int] when empty. *)
 
+val second_key : t -> int
+(** The key {!pop} would leave as {!min_key}: the second-smallest key
+    (equal to [min_key] when two keys tie), or [max_int] when fewer than
+    two pairs are queued. *)
+
 val top : t -> int
 (** The value under the smallest key, without removing it.
     [Invalid_argument] on an empty heap. *)

@@ -1,17 +1,29 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives in 8 bytes rather than a mutable int64
+   field: reading and writing it through the bytes primitives keeps it
+   unboxed, so a draw allocates nothing and stores no pointer. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
 
-let next t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let create seed = of_state (Int64.of_int seed)
+
+(* Inlined into every draw, so its int64 result is never boxed. *)
+let[@inline] next t =
+  let z = Int64.add (get_state t 0) golden in
+  set_state t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = { state = next t }
+let split t = of_state (next t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";

@@ -450,6 +450,208 @@ let test_poll_rejects_nonpositive () =
   Sched.run s ~until:1_000;
   check cb "poll 0 raises" true !raised
 
+(* ------------------------ Due-driven hooks ------------------------- *)
+(* A run with due-driven hooks and quiet stretches must equal the same
+   run with an extra every-iteration [on_advance] hook, which forces a
+   walk at every iteration and keeps the quiet loop off.  The scenario's
+   due-driven hook admits scripted arrivals into a queue that pollers of
+   every priority drain, keeps a world-stopped integral that threads
+   sample, raises the stop flag at a scripted time and is due at its
+   next arrival or stop; a second one, a periodic sampler, is installed
+   between two [run] calls.  Sleeps and intervals sit on a coarse grid,
+   so wake times often tie. *)
+
+type due_scenario = {
+  d_ncpus : int;
+  d_quantum : int;
+  d_pollers : (Sched.prio * int) list; (* priority, interval *)
+  arrivals : int list;
+  d_stop_at : int option;
+  d_stw : int option; (* the stop-the-world thread's nap *)
+  d_others : (Sched.prio * (int * int) list) list;
+  splits : int list; (* [run ~until] points before the horizon *)
+  sampler : (int * int) option; (* installed after this many runs; period *)
+}
+
+let due_horizon = 400_000
+
+let simulate_due ~force sc =
+  let s = Sched.create ~quantum:sc.d_quantum ~ncpus:sc.d_ncpus () in
+  let work = ref 0 in
+  let arrivals = ref sc.arrivals in
+  let integral = ref 0 in
+  let prev_now = ref 0 in
+  let prev_stopped = ref false in
+  let admitted = ref [] in
+  let log = ref [] in
+  Sched.on_advance_due s (fun now ->
+      if !prev_stopped then integral := !integral + (now - !prev_now);
+      prev_now := now;
+      prev_stopped := Sched.world_stopped s;
+      let rec admit () =
+        match !arrivals with
+        | t :: rest when t <= now ->
+            incr work;
+            arrivals := rest;
+            admitted := (t, now, !integral) :: !admitted;
+            admit ()
+        | _ -> ()
+      in
+      admit ();
+      let next = match !arrivals with t :: _ -> t | [] -> max_int in
+      match sc.d_stop_at with
+      | Some t when t <= now ->
+          Sched.request_stop s;
+          next
+      | Some t -> Int.min next t
+      | None -> next);
+  if force then Sched.on_advance s (fun _ -> ());
+  let ready () = !work > 0 || Sched.stop_requested s in
+  List.iteri
+    (fun p (prio, interval) ->
+      ignore
+        (Sched.spawn s ~name:"poller" ~prio (fun () ->
+             while not (Sched.stop_requested s) do
+               if !work = 0 then begin
+                 Sched.poll interval ~ready;
+                 log := (p, `Woke, Sched.now s, !integral) :: !log
+               end
+               else begin
+                 decr work;
+                 log := (p, `Took, Sched.now s, !integral) :: !log;
+                 Sched.consume s (1_000 + (p * 337))
+               end
+             done;
+             log := (p, `Exit, Sched.now s, !integral) :: !log)))
+    sc.d_pollers;
+  List.iter
+    (fun (prio, ops) ->
+      ignore
+        (Sched.spawn s ~name:"other" ~prio (fun () ->
+             List.iter
+               (fun (op, n) ->
+                 match op with
+                 | 0 -> Sched.consume s n
+                 | 1 -> Sched.sleep n
+                 | _ -> Sched.yield ())
+               ops)))
+    sc.d_others;
+  Option.iter
+    (fun nap ->
+      ignore
+        (Sched.spawn s ~name:"stw" ~prio:Sched.High (fun () ->
+             while not (Sched.stop_requested s) do
+               Sched.sleep nap;
+               Sched.stop_the_world s;
+               log := (-1, `Stopped, Sched.now s, !integral) :: !log;
+               Sched.consume s 3_000;
+               log := (-1, `Restart, Sched.now s, !integral) :: !log;
+               ignore (Sched.restart_world s)
+             done)))
+    sc.d_stw;
+  let samples = ref [] in
+  let install_sampler period =
+    let due = ref 0 in
+    Sched.on_advance_due s (fun now ->
+        if now >= !due then begin
+          samples := (now, !work, !integral) :: !samples;
+          due := ((now / period) + 1) * period
+        end;
+        !due)
+  in
+  List.iteri
+    (fun i until ->
+      (match sc.sampler with
+      | Some (k, period) when k = i -> install_sampler period
+      | _ -> ());
+      Sched.run s ~until)
+    (sc.splits @ [ due_horizon ]);
+  ( (List.rev !admitted, List.rev !log, List.rev !samples, !integral),
+    List.map
+      (fun th -> (Sched.thread_cycles th, Sched.thread_state th))
+      (Sched.threads s),
+    (Sched.idle_cycles s, Sched.busy_cycles s, Sched.debug_cpu_clocks s) )
+
+let due_scenario_gen =
+  let open QCheck.Gen in
+  let prio = oneofl [ Sched.High; Sched.Normal; Sched.Low ] in
+  let grid = map (fun k -> 500 * k) (int_range 1 12) in
+  let op =
+    let* kind = int_bound 2 in
+    let+ n = if kind = 1 then grid else int_range 1 8_000 in
+    (kind, n)
+  in
+  let* d_ncpus = int_range 1 4 in
+  let* d_quantum = oneofl [ 700; 3_000; 20_000; 110_000 ] in
+  let* d_pollers =
+    list_size (int_range 1 4)
+      (pair (frequencyl [ (3, Sched.Normal); (1, Sched.Low); (1, Sched.High) ]) grid)
+  in
+  let* arrivals = list_size (int_bound 40) (int_bound due_horizon) in
+  let* d_stop_at = opt (int_range 1 due_horizon) in
+  let* d_stw = opt (oneofl [ 5_000; 20_000; 60_000 ]) in
+  let* d_others =
+    list_size (int_bound 4) (pair prio (list_size (int_bound 10) op))
+  in
+  let* splits = list_size (int_bound 3) (int_bound due_horizon) in
+  let+ sampler = opt (pair (int_bound 3) (oneofl [ 7_000; 25_000 ])) in
+  {
+    d_ncpus;
+    d_quantum;
+    d_pollers;
+    arrivals = List.sort compare arrivals;
+    d_stop_at;
+    d_stw;
+    d_others;
+    splits = List.sort compare splits;
+    sampler;
+  }
+
+let due_hooks_equal_every_walk_test =
+  QCheck.Test.make
+    ~name:"due-driven hooks and quiet stretches == a walk at every iteration"
+    ~count:400
+    (QCheck.make due_scenario_gen)
+    (fun sc -> simulate_due ~force:false sc = simulate_due ~force:true sc)
+
+let test_quiet_stretch_skips_walks () =
+  (* One poller with nothing to take: every wake-up and idle advance
+     between two arrivals is quiet, so the due-driven hook runs at the
+     arrivals (and the wake-ups that take them), not at every
+     iteration. *)
+  let count ~force =
+    let s = Sched.create ~ncpus:2 () in
+    let calls = ref 0 and iterations = ref 0 in
+    let arrivals = ref [ 100_000; 200_000 ] in
+    let work = ref 0 in
+    Sched.on_advance_due s (fun now ->
+        incr calls;
+        (match !arrivals with
+        | t :: rest when t <= now ->
+            incr work;
+            arrivals := rest
+        | _ -> ());
+        match !arrivals with t :: _ -> t | [] -> max_int);
+    if force then Sched.on_advance s (fun _ -> incr iterations);
+    ignore
+      (Sched.spawn s ~name:"poller" ~prio:Sched.Normal (fun () ->
+           while true do
+             if !work = 0 then Sched.poll 1_000 ~ready:(fun () -> !work > 0)
+             else begin
+               decr work;
+               Sched.consume s 500
+             end
+           done));
+    Sched.run s ~until:300_000;
+    (!calls, !iterations, Sched.idle_cycles s)
+  in
+  let quiet_calls, _, quiet_idle = count ~force:false in
+  let forced_calls, iterations, forced_idle = count ~force:true in
+  check ci "same idle cycles" forced_idle quiet_idle;
+  check ci "forced: a walk per iteration" iterations forced_calls;
+  check cb "quiet: a handful of walks" true
+    (quiet_calls < 20 && iterations > 500)
+
 let () =
   Alcotest.run "sim"
     [
@@ -479,5 +681,8 @@ let () =
           QCheck_alcotest.to_alcotest poll_equals_sleep_loop_test;
           Alcotest.test_case "no thread retention (regression)" `Quick
             test_no_thread_retention;
+          Alcotest.test_case "quiet stretch skips walks" `Quick
+            test_quiet_stretch_skips_walks;
+          QCheck_alcotest.to_alcotest due_hooks_equal_every_walk_test;
         ] );
     ]

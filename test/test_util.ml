@@ -131,6 +131,75 @@ let prng_split_independent_test =
       in
       outputs ~burn = outputs ~burn:0)
 
+(* The generator as it was when its state was a boxed [int64] field: the
+   unboxed state must give the same stream, draw for draw. *)
+module Prng_ref = struct
+  type t = { mutable state : int64 }
+
+  let golden = 0x9E3779B97F4A7C15L
+  let create seed = { state = Int64.of_int seed }
+
+  let next t =
+    t.state <- Int64.add t.state golden;
+    let z = t.state in
+    let z =
+      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
+    in
+    let z =
+      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
+    in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let split t = { state = next t }
+  let int t bound = (Int64.to_int (next t) land max_int) mod bound
+
+  let float t x =
+    let bits = Int64.to_int (Int64.shift_right_logical (next t) 11) in
+    Float.of_int bits /. 9007199254740992.0 *. x
+
+  let bool t = Int64.logand (next t) 1L = 1L
+
+  let exponential t mean =
+    let u = float t 1.0 in
+    let u = if u <= 0.0 then 1e-12 else u in
+    -.mean *. Float.log u
+end
+
+let prng_matches_reference_test =
+  QCheck.Test.make ~name:"prng: every draw equals the boxed-state reference"
+    ~count:300
+    QCheck.(pair int (list (pair (int_bound 5) (int_range 1 1_000_000))))
+    (fun (seed, ops) ->
+      let a = ref (Prng.create seed) and b = ref (Prng_ref.create seed) in
+      List.for_all
+        (fun (op, n) ->
+          match op with
+          | 0 -> Prng.next !a = Prng_ref.next !b
+          | 1 -> Prng.int !a n = Prng_ref.int !b n
+          | 2 -> Prng.float !a 3.5 = Prng_ref.float !b 3.5
+          | 3 -> Prng.bool !a = Prng_ref.bool !b
+          | 4 -> Prng.exponential !a 7.0 = Prng_ref.exponential !b 7.0
+          | _ ->
+              a := Prng.split !a;
+              b := Prng_ref.split !b;
+              Prng.next !a = Prng_ref.next !b)
+        ops)
+
+let draws r n =
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Prng.int r 1000))
+  done
+
+let test_prng_int_allocates_nothing () =
+  let r = Prng.create 31 in
+  draws r 10;
+  (* What reading the counter itself costs, measured the same way. *)
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  draws r 10_000;
+  let w2 = Gc.minor_words () in
+  check cf "minor words for 10^4 Prng.int" (w1 -. w0) (w2 -. w1)
+
 (* ------------------------------ EWMA ------------------------------ *)
 
 let test_ewma_init () =
@@ -691,6 +760,30 @@ let test_intheap_empty_pop () =
     (fun () -> ignore (Intheap.top h));
   check ci "min_key of empty" max_int (Intheap.min_key h)
 
+let intheap_second_key_test =
+  QCheck.Test.make ~name:"intheap second_key matches a sorted model"
+    ~count:500
+    QCheck.(list (pair bool (int_bound 20)))
+    (fun ops ->
+      let h = Intheap.create ~capacity:2 () in
+      let model = ref [] in
+      List.iteri
+        (fun id (push, key) ->
+          if push || !model = [] then begin
+            Intheap.push h ~key id;
+            model := List.merge compare [ key ] !model
+          end
+          else begin
+            ignore (Intheap.pop h);
+            model := List.tl !model
+          end;
+          let want = match !model with _ :: k :: _ -> k | _ -> max_int in
+          if Intheap.second_key h <> want then
+            QCheck.Test.fail_reportf "second_key %d, model %d"
+              (Intheap.second_key h) want)
+        ops;
+      true)
+
 let () =
   Alcotest.run "util"
     [
@@ -710,6 +803,9 @@ let () =
             test_prng_shuffle_permutation;
           QCheck_alcotest.to_alcotest prng_same_seed_same_sequence_test;
           QCheck_alcotest.to_alcotest prng_split_independent_test;
+          QCheck_alcotest.to_alcotest prng_matches_reference_test;
+          Alcotest.test_case "int allocates nothing" `Quick
+            test_prng_int_allocates_nothing;
         ] );
       ( "ewma",
         [
@@ -767,6 +863,7 @@ let () =
         [
           Alcotest.test_case "empty pop raises" `Quick test_intheap_empty_pop;
           QCheck_alcotest.to_alcotest intheap_vs_minheap_test;
+          QCheck_alcotest.to_alcotest intheap_second_key_test;
         ] );
       ( "table",
         [
