@@ -26,7 +26,7 @@ let micro_tests () =
   let mach = Cgc_smp.Machine.testing () in
   let heap = Cgc_heap.Heap.create mach ~nslots:(1 lsl 20) in
   let pool = Cgc_packets.Pool.create mach ~n_packets:64 ~capacity:493 in
-  let packet = Cgc_packets.Packet.make mach ~id:999 ~capacity:493 in
+  let packet = Cgc_packets.Packet.make mach ~capacity:493 in
   let bits = Cgc_util.Bitvec.create (1 lsl 20) in
   (* a published object with refs to already-marked children, so scanning
      it repeatedly is a net no-op *)

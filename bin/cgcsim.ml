@@ -476,15 +476,14 @@ let analyze_cmd =
     | None, Some file, None, None, None ->
         let contents = read_input file in
         let t = parsed file (Tails.of_report contents) in
-        (* Exact-span reports get the full round-trip validation,
-           including the blame conservation identity. *)
-        if t.Tails.exact then
-          ignore
-            (parsed file
-               ((if t.Tails.source = Server_report.schema then
-                   Server_report.validate
-                 else Cluster_report.validate)
-                  contents));
+        (* Full round-trip validation, including the blame conservation
+           identity. *)
+        ignore
+          (parsed file
+             ((if t.Tails.source = Server_report.schema then
+                 Server_report.validate
+               else Cluster_report.validate)
+                contents));
         if lbo then begin
           let row = parsed file (Tails.lbo_of_report contents) in
           print_string (Tails.lbo_text [ row ]);

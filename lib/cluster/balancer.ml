@@ -1,5 +1,3 @@
-module Prng = Cgc_util.Prng
-
 type policy = Round_robin | Least_queue | Consistent_hash
 
 let policy_name = function
@@ -66,66 +64,9 @@ let ring_index ring h =
 
 let ring_lookup ring h = snd ring.(ring_index ring h)
 
-let route policy ~nshards ~workers ~service_est_ms ~cycles_per_ms ~rng ts =
-  if nshards < 1 then invalid_arg "Balancer.route: nshards < 1";
-  let n = Array.length ts in
-  match policy with
-  | Round_robin -> Array.init n (fun i -> i mod nshards)
-  | Least_queue ->
-      (* Fluid backlog model: shard [s] drains [drain] requests per
-         cycle; each arrival joins the shallowest modelled queue. *)
-      let drain =
-        float_of_int workers
-        /. (service_est_ms *. float_of_int cycles_per_ms)
-      in
-      let depth = Array.make nshards 0.0 in
-      let last = Array.make nshards 0 in
-      let rr = ref 0 in
-      let assign = Array.make n 0 in
-      (* Explicit loop: the model is stateful, so arrivals must be
-         routed strictly in timestamp order. *)
-      for i = 0 to n - 1 do
-        let t = ts.(i) in
-        let dmin = ref infinity in
-        for s = 0 to nshards - 1 do
-          depth.(s) <-
-            Float.max 0.0
-              (depth.(s) -. (float_of_int (t - last.(s)) *. drain));
-          last.(s) <- t;
-          if depth.(s) < !dmin then dmin := depth.(s)
-        done;
-        (* Ties break round-robin, not lowest-id: at low load every
-           modelled queue drains to zero between arrivals, and a fixed
-           tie-break would herd the whole fleet onto shard 0. *)
-        let best = ref !rr in
-        let found = ref false in
-        for k = 0 to nshards - 1 do
-          let s = (!rr + k) mod nshards in
-          if (not !found) && depth.(s) <= !dmin +. 1e-9 then begin
-            best := s;
-            found := true
-          end
-        done;
-        rr := (!best + 1) mod nshards;
-        depth.(!best) <- depth.(!best) +. 1.0;
-        assign.(i) <- !best
-      done;
-      assign
-  | Consistent_hash ->
-      (* [vnodes] ring points per shard; requests carry a session key
-         drawn from the balancer's stream. *)
-      let ring = ring_points ~nshards ~live:(Array.make nshards true) in
-      let assign = Array.make n 0 in
-      (* Explicit loop: session keys must be drawn in arrival order. *)
-      for i = 0 to n - 1 do
-        assign.(i) <- ring_lookup ring (mix64 (Prng.next rng))
-      done;
-      assign
-
 (* {2 Epoch router}
 
-   The stateful flavour of [route] used by the chaos-aware cluster: the
-   front end feeds it the balancer-visible live set at each epoch
+   The front end feeds it the balancer-visible live set at each epoch
    boundary and then asks it to place arrivals one at a time, so a
    request can be re-placed (retry) or double-placed (hedge) without
    disturbing the scripted per-shard replay.  The fluid backlog model is
@@ -179,7 +120,9 @@ let drain_to r t =
   done
 
 (* Min-depth candidate among [ok] shards, ties breaking from the
-   round-robin cursor (shared rationale with [route]). *)
+   round-robin cursor, not lowest-id: at low load every modelled queue
+   drains to zero between arrivals, and a fixed tie-break would herd the
+   whole fleet onto shard 0. *)
 let min_depth_from r ok =
   let dmin = ref infinity in
   for s = 0 to r.nshards - 1 do

@@ -21,7 +21,7 @@
        breaking round-robin (a fixed tie-break would herd the whole
        fleet onto shard 0 whenever the modelled queues are empty).
        This is join-shortest-queue as seen from the front end;}
-    {- {e consistent-hash} — shards own [vnodes] points each on a hash
+    {- {e consistent-hash} — shards own 64 points each on a hash
        ring; every arrival draws a session key from the balancer's PRNG
        stream and goes to the first shard point clockwise of the key's
        hash.  Keyed routing concentrates hot sessions, so expect worse
@@ -39,23 +39,6 @@ val policy_of_name : string -> policy option
 
 val all_policies : policy list
 
-val route :
-  policy ->
-  nshards:int ->
-  workers:int ->
-  service_est_ms:float ->
-  cycles_per_ms:int ->
-  rng:Cgc_util.Prng.t ->
-  int array ->
-  int array
-(** [route p ~nshards ... ts] maps each arrival timestamp in [ts]
-    (non-decreasing, cycles) to a shard id in [0, nshards).
-    [workers] and [service_est_ms] parameterise the least-queue fluid
-    model (ignored by the other policies); [rng] draws consistent-hash
-    session keys (ignored by the other policies — callers pass a
-    dedicated split stream so policies stay comparable under one
-    seed). *)
-
 (** {2 Hash ring over a live set}
 
     Exposed so tests can check the failover contract directly: a shard's
@@ -66,9 +49,6 @@ val route :
 val mix64 : int64 -> int64
 (** The SplitMix64 finalizer used for ring points and session keys. *)
 
-val vnodes : int
-(** Ring points per shard. *)
-
 val ring_points : nshards:int -> live:bool array -> (int64 * int) array
 (** The sorted [(point, shard)] ring restricted to live shards. *)
 
@@ -77,14 +57,13 @@ val ring_lookup : (int64 * int) array -> int64 -> int
 
 (** {2 Epoch router}
 
-    The stateful flavour of {!route} used by the chaos-aware cluster
-    front end.  The balancer-visible live set is updated only at epoch
-    boundaries ({!set_live}); between boundaries {!pick} places arrivals
-    one at a time, supporting per-request retry (grow [avoid]) and
-    hedging ({!hedge_better}).  The least-queue fluid backlog model is
-    maintained for every policy — it is the hedging signal even when
-    placement ignores it.  All state is deterministic: same inputs, same
-    placements, at any [--jobs]. *)
+    How the cluster front end places arrivals.  The balancer-visible
+    live set is updated only at epoch boundaries ({!set_live}); between
+    boundaries {!pick} places arrivals one at a time, supporting
+    per-request retry (grow [avoid]) and hedging ({!hedge_better}).  The
+    least-queue fluid backlog model is maintained for every policy — it
+    is the hedging signal even when placement ignores it.  All state is
+    deterministic: same inputs, same placements, at any [--jobs]. *)
 
 type router
 

@@ -107,10 +107,6 @@ val shard_seed : cfg -> int -> int
 (** The derived VM seed for shard [k] — exposed so a single shard can
     be re-run standalone (e.g. to re-trace one shard of a campaign). *)
 
-val incarnation_seed : cfg -> int -> int -> int
-(** [incarnation_seed cfg k inc]: a cold rejoin is a new process, so
-    incarnation [inc > 0] of shard [k] shifts {!shard_seed} again. *)
-
 type chaos_info = {
   plan : Cgc_fault.Cluster_fault.plan;
   drawn : int;  (** fleet arrivals drawn up to the horizon *)

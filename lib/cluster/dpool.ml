@@ -29,8 +29,6 @@ type t = {
    batch inline instead of deadlocking on the single batch slot. *)
 let inside_pool : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
-let size t = t.nworkers
-
 let work b ~wid =
   let nw = Array.length b.deques in
   let steal () =
@@ -180,8 +178,6 @@ let global () =
       let p = create ~domains:!global_size_ref in
       the_global := Some p;
       p
-
-let global_size () = !global_size_ref
 
 let set_size n =
   let n = Stdlib.max 1 n in

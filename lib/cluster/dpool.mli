@@ -1,16 +1,16 @@
 (** A persistent pool of OCaml 5 domains with work-stealing deques.
 
-    [Common.par_map] used to spawn and join fresh domains on every
-    call; a 16-shard cluster campaign (or a bench matrix fanning out
-    dozens of cells) wants the domains spawned {e once} and fed batches
-    of jobs.  A pool keeps [domains - 1] worker domains parked on a
-    condition variable between batches; {!run} distributes a batch's
-    job indices round-robin over per-worker {!Deque}s, wakes everyone,
-    and participates from the calling domain.  A worker that drains its
-    own deque steals from its peers' heads (the ebsl
-    [spmc_queue]/[scheduler] idiom), so a batch of uneven jobs — say,
-    shards whose GC cycles diverge — finishes at the speed of the
-    slowest {e job}, not the slowest {e worker share}.
+    The domains are spawned {e once} and fed batches of jobs, so a
+    16-shard cluster campaign (or a bench matrix fanning out dozens of
+    cells) pays for domain creation once, not per call.  A pool keeps
+    [domains - 1] worker domains parked on a condition variable between
+    batches; {!run} distributes a batch's job indices round-robin over
+    per-worker {!Deque}s, wakes everyone, and participates from the
+    calling domain.  A worker that drains its own deque steals from its
+    peers' heads (the ebsl [spmc_queue]/[scheduler] idiom), so a batch
+    of uneven jobs — say, shards whose GC cycles diverge — finishes at
+    the speed of the slowest {e job}, not the slowest {e worker
+    share}.
 
     Host-side parallelism only: jobs must not share mutable simulation
     state (every simulation in this repo is a self-contained value), and
@@ -28,9 +28,6 @@ val create : domains:int -> t
 (** A pool that runs batches on [max 1 domains] domains: the caller of
     {!run} plus [domains - 1] spawned workers (so [domains = 1] spawns
     nothing and {!run} degenerates to a serial loop). *)
-
-val size : t -> int
-(** The domain count {!create} was given (clamped to at least 1). *)
 
 val shutdown : t -> unit
 (** Park, wake and join the worker domains.  Idempotent.  Calling
@@ -55,8 +52,6 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
 val set_size : int -> unit
 (** Resize the global pool (joining the old workers if the size
     changes).  Clamped to at least 1; the initial size is 1. *)
-
-val global_size : unit -> int
 
 val global : unit -> t
 (** The global pool at its current size. *)

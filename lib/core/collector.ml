@@ -164,13 +164,11 @@ let globals_array t = t.globals
 
 let config t = t.cfg
 let heap t = t.hp
-let machine t = t.mach
 let stats t = t.st
 let tracer t = t.tr
 let pool t = t.pl
 let cleaner t = t.cl
 let phase t = t.ph
-let cycles t = t.cycle_no
 
 let register_mutator t thread ~stack_slots =
   let m = Mctx.create ~tid:(Sched.thread_id thread) ~thread ~stack_slots in

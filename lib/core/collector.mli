@@ -63,14 +63,12 @@ val create : Config.t -> sched:Cgc_sim.Sched.t -> heap:Cgc_heap.Heap.t -> t
 
 val config : t -> Config.t
 val heap : t -> Cgc_heap.Heap.t
-val machine : t -> Cgc_smp.Machine.t
 val stats : t -> Gstats.t
 val tracer : t -> Tracer.t
 val pool : t -> Cgc_packets.Pool.t
 val cleaner : t -> Card_clean.t
 val compactor : t -> Compact.t
 val phase : t -> phase
-val cycles : t -> int
 
 val register_mutator : t -> Cgc_sim.Sched.thread -> stack_slots:int -> Mctx.t
 (** Must be called from inside the thread being registered (the mutator's

@@ -79,7 +79,6 @@ let record_ref t ~parent ~idx ~child =
 
 let pin t addr = if in_area t addr then pin_addr t addr
 
-let remset_size t = t.rn
 let pinned_count t = Hashtbl.length t.pins
 
 let forward t addr =
@@ -184,5 +183,4 @@ let evacuate t ~globals =
   end
 
 let evacuated_objects t = t.evac_objs
-let evacuated_slots t = t.evac_slots
 let fixups t = t.nfixups

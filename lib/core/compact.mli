@@ -48,7 +48,6 @@ val pin : t -> int -> unit
 (** Pin an area object referenced from a conservatively-scanned stack:
     it must not move. *)
 
-val remset_size : t -> int
 val pinned_count : t -> int
 
 val evacuate : t -> globals:int array -> int
@@ -60,7 +59,6 @@ val evacuate : t -> globals:int array -> int
 val evacuated_objects : t -> int
 (** Cumulative count across cycles. *)
 
-val evacuated_slots : t -> int
 val fixups : t -> int
 (** Cumulative remembered-slot rewrites. *)
 

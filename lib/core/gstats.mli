@@ -55,7 +55,7 @@ type t = {
   cas_per_mb : Stats.t;  (** CAS ops per cycle, normalised by live MB *)
   traced_conc_slots : Stats.t;  (** slots traced concurrently per cycle *)
   traced_stw_slots : Stats.t;  (** slots traced inside the pause per cycle *)
-  mutable cycle_log : cycle_row list;  (** newest first; see {!cycle_rows} *)
+  mutable cycle_log : cycle_row list;  (** newest first *)
   mutable cycles : int;
   mutable premature_cycles : int;  (** concurrent phase finished all work *)
   mutable halted_cycles : int;  (** concurrent phase halted by alloc failure *)
@@ -104,16 +104,14 @@ val note_cycle : t -> cycle_row -> unit
     feeds the four latency histograms.  The collector calls this exactly
     once per cycle, after the world restarts. *)
 
-val cycle_rows : t -> cycle_row list
-(** The per-cycle log in chronological order. *)
-
 val csv_header : string list
 (** Column names of the per-cycle metrics CSV, aligned with
     {!csv_rows}. *)
 
 val csv_rows : t -> string list list
-(** {!cycle_rows} rendered for {!Cgc_obs.Export.csv}: fixed-precision
-    decimal formatting, so equal-seed runs serialise identically. *)
+(** The per-cycle log, oldest first, rendered for
+    {!Cgc_obs.Export.csv}: fixed-precision decimal formatting, so
+    equal-seed runs serialise identically. *)
 
 val utilization : t -> float
 (** Concurrent-phase allocation rate over pre-concurrent allocation rate

@@ -9,8 +9,6 @@ module Obs = Cgc_obs.Obs
 module Obs_event = Cgc_obs.Event
 
 type region = {
-  lo : int;
-  hi : int;
   mutable gaps : (int * int) list; (* reversed (addr, len) *)
   mutable first_mark : int; (* max_int when the region has no marks *)
   mutable last_end : int; (* end of last live object; -1 when no marks *)
@@ -40,7 +38,7 @@ let sweep_region heap ~lo ~hi =
     Obs.span mach.Machine.obs ~arg:r.live ~start:t0 Obs_event.Sweep_chunk;
     r
   in
-  let r = { lo; hi; gaps = []; first_mark = max_int; last_end = -1; live = 0 } in
+  let r = { gaps = []; first_mark = max_int; last_end = -1; live = 0 } in
   let mark = Heap.mark_bits heap in
   let arena = Heap.arena heap in
   charge_scan heap ~lo ~hi;

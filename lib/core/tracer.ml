@@ -58,8 +58,6 @@ let create cfg heap pl =
     scratch_unsafe = [||];
   }
 
-let pool t = t.pl
-
 let set_compactor t c = t.compact <- Some c
 
 let new_session t =

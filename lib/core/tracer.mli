@@ -30,8 +30,6 @@ val set_compactor : t -> Compact.t -> unit
     into the evacuation area, and conservative root scanning pins area
     objects (section 2.3). *)
 
-val pool : t -> Cgc_packets.Pool.t
-
 val new_session : t -> session
 
 val release : t -> session -> unit

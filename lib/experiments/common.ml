@@ -80,7 +80,6 @@ let reset_recorded () = recorded_rev := []
 module Dpool = Cgc_cluster.Dpool
 
 let set_jobs n = Dpool.set_size n
-let jobs () = Dpool.global_size ()
 
 let par_map (type a b) ?progress (items : a list) (f : a -> b) : b list =
   let items = Array.of_list items in

@@ -49,11 +49,6 @@ val recorded : unit -> metrics list
 
 val reset_recorded : unit -> unit
 
-val metrics_csv_header : string list
-(** Column names for {!metrics_csv_row} / {!write_metrics_csv}. *)
-
-val metrics_csv_row : metrics -> string list
-
 val runs_schema : string
 (** The [#schema=] tag on experiment CSV dumps: ["cgcsim-runs-v1"]. *)
 
@@ -76,9 +71,6 @@ val set_jobs : int -> unit
     matrix and the cluster layer all draw from (clamped to at least 1;
     default 1).  Host-side parallelism only — the simulated results of
     every experiment are identical at every job count. *)
-
-val jobs : unit -> int
-(** The current {!set_jobs} value. *)
 
 val par_map : ?progress:(int -> 'a -> unit) -> 'a list -> ('a -> 'b) -> 'b list
 (** [par_map items f] maps [f] over [items] on the persistent

@@ -59,13 +59,6 @@ val create : Cgc_core.Collector.t -> nursery_slots:int -> t
     collector must have been created in [Config.Gen] mode and nothing
     may have been allocated yet. *)
 
-val minor : t -> used:int -> unit
-(** Run one minor collection from inside a simulated mutator thread.
-    [used] is the nursery occupancy (slots) at the trigger, reported in
-    the [Minor_start] event and fed to the survival-rate estimator.
-    Normally invoked by the refill hook on nursery exhaustion; exposed
-    for tests and forced collections. *)
-
 (** {2 Probes and report feeds} *)
 
 val n_lo : t -> int

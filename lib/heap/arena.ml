@@ -17,9 +17,6 @@ let create mach ~nslots =
   { mach; data = Array.make nslots 0; n = nslots; wm_base;
     sc = Weakmem.mode mach.Machine.wm = Weakmem.Sc }
 
-let machine t = t.mach
-let nslots t = t.n
-let ncards t = (t.n + slots_per_card - 1) / slots_per_card
 let card_of_addr addr = addr / slots_per_card
 
 let read_slot t i =

@@ -18,13 +18,8 @@ val create : Cgc_smp.Machine.t -> nslots:int -> t
 (** A heap of [nslots] slots ([8 * nslots] simulated bytes).  Slot 0 is
     reserved so that address 0 can mean null. *)
 
-val machine : t -> Cgc_smp.Machine.t
-val nslots : t -> int
-
 val slots_per_card : int
 (** 64 slots = the paper's 512-byte cards. *)
-
-val ncards : t -> int
 
 val card_of_addr : int -> int
 
@@ -40,9 +35,6 @@ val read_slot_sc : t -> int -> int
     Only for tests and diagnostics. *)
 
 (** {2 Object model} *)
-
-val max_size : int
-(** Largest encodable object size in slots. *)
 
 val write_header : t -> int -> size:int -> nrefs:int -> unit
 (** Store the header at [addr]; does {e not} clear the field slots. *)

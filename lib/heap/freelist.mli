@@ -3,13 +3,10 @@
     Bitwise sweep rebuilds this list every collection cycle from the runs
     of unmarked memory it finds in the mark bit vector, so the list never
     needs incremental coalescing.  Chunks are binned by floor(log2 size)
-    for near-O(1) allocation.  Remainders below {!min_chunk} are abandoned
+    for near-O(1) allocation.  Remainders below 4 slots are abandoned
     ("dark matter") — the next sweep re-coalesces them. *)
 
 type t
-
-val min_chunk : int
-(** Smallest chunk worth keeping on the list, in slots. *)
 
 val create : unit -> t
 
@@ -17,7 +14,7 @@ val clear : t -> unit
 (** Empty the list (start of a sweep rebuild). *)
 
 val add : t -> addr:int -> size:int -> unit
-(** Insert a free chunk.  Chunks smaller than {!min_chunk} are dropped
+(** Insert a free chunk.  Chunks smaller than 4 slots are dropped
     (counted as dark matter). *)
 
 val alloc : t -> int -> int option
@@ -34,7 +31,7 @@ val free_slots : t -> int
 
 val dark_matter : t -> int
 (** Slots dropped since the last {!clear} because they were below
-    {!min_chunk}. *)
+    4 slots. *)
 
 val chunk_count : t -> int
 

@@ -133,8 +133,6 @@ let refill_cache t cache ~min ~pref =
       t.cum_alloc <- t.cum_alloc + size;
       true
 
-let cache_slack cache = cache.limit - cache.cur
-
 let alloc_large t ~size ~nrefs ~mark_new =
   Machine.charge t.mach t.mach.Machine.cost.Cost.cache_refill;
   match Freelist.alloc t.free size with

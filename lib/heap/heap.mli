@@ -79,9 +79,6 @@ val retire_cache : t -> cache -> unit
 (** Publish and drop the cache without refilling (done to every mutator
     when the world stops, so all objects become "safe" for tracing). *)
 
-val cache_slack : cache -> int
-(** Unused slots remaining in the cache (diagnostics). *)
-
 val alloc_large : t -> size:int -> nrefs:int -> mark_new:bool -> int option
 (** Allocate a large object straight from the free list; publishes its
     allocation bit immediately behind its own fence. *)

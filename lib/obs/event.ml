@@ -43,8 +43,6 @@ type code =
 
 type t = { ts : int; dur : int; tid : int; code : code; arg : int }
 
-let instant e = e.dur < 0
-
 (* The one map from code to integer: compiler-checked, so every code has
    an index, and flat per-code arrays need no hash. *)
 let index = function

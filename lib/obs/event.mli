@@ -125,8 +125,6 @@ type t = {
   arg : int;
 }
 
-val instant : t -> bool
-
 val name : code -> string
 (** Stable lowercase-dashed name, e.g. [stw-pause] — the [name] field
     of the Chrome trace event. *)

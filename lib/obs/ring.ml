@@ -41,8 +41,6 @@ let create ~capacity =
     total = 0;
   }
 
-let capacity t = t.cap
-
 (* Chunks a ring of capacity [cap] can use, without overflowing. *)
 let max_chunks cap =
   (cap / chunk_events) + if cap mod chunk_events = 0 then 0 else 1

@@ -4,7 +4,7 @@
     capacity is fixed at creation; once full, the {e oldest} event is
     overwritten so that the tail of a run — where the interesting
     behaviour usually is — survives, and a drop counter records how much
-    history was lost.  {!iter} yields the surviving events oldest-first.
+    history was lost.  {!iter_slots} yields the surviving events oldest-first.
 
     Storage grows with the events held, not with the capacity: events
     live in chunks of 1024 (five ints, 40 bytes, per event), each
@@ -19,8 +19,6 @@ type t
 val create : capacity:int -> t
 (** [Invalid_argument] unless [capacity > 0].  Allocates no chunk. *)
 
-val capacity : t -> int
-
 val add : t -> Event.t -> unit
 
 val add_fields :
@@ -34,9 +32,6 @@ val length : t -> int
 val dropped : t -> int
 (** Events overwritten since creation (or the last {!clear}). *)
 
-val iter : t -> (Event.t -> unit) -> unit
-(** Oldest surviving event first. *)
-
 val to_list : t -> Event.t list
 
 (** {2 Slots}
@@ -46,7 +41,7 @@ val to_list : t -> Event.t list
     slots instead of copying events. *)
 
 val iter_slots : t -> (int -> unit) -> unit
-(** The surviving events' slots, oldest first (the order of {!iter}). *)
+(** The surviving events' slots, oldest first. *)
 
 val ts : t -> int -> int
 (** The timestamp of the event at a slot. *)

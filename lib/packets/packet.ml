@@ -3,20 +3,17 @@ module Weakmem = Cgc_smp.Weakmem
 
 type t = {
   mach : Machine.t;
-  pid : int;
   data : int array;
   mutable n : int;
   wm_base : int;
   sc : bool; (* [Weakmem.mode] never changes, so it is resolved here once *)
 }
 
-let make mach ~id ~capacity =
+let make mach ~capacity =
   let wm_base = Weakmem.register mach.Machine.wm capacity in
-  { mach; pid = id; data = Array.make capacity 0; n = 0; wm_base;
+  { mach; data = Array.make capacity 0; n = 0; wm_base;
     sc = Weakmem.mode mach.Machine.wm = Weakmem.Sc }
 
-let id t = t.pid
-let capacity t = Array.length t.data
 let count t = t.n
 let is_empty t = t.n = 0
 let is_full t = t.n = Array.length t.data
@@ -75,17 +72,3 @@ let iter t f =
   for i = 0 to t.n - 1 do
     f (read t i)
   done
-
-let transfer_all src dst =
-  let moved = ref 0 in
-  let continue = ref true in
-  while !continue do
-    if is_empty src || is_full dst then continue := false
-    else
-      match pop src with
-      | Some v ->
-          ignore (push dst v);
-          incr moved
-      | None -> continue := false
-  done;
-  !moved

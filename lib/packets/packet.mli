@@ -9,10 +9,8 @@
 
 type t
 
-val make : Cgc_smp.Machine.t -> id:int -> capacity:int -> t
+val make : Cgc_smp.Machine.t -> capacity:int -> t
 
-val id : t -> int
-val capacity : t -> int
 val count : t -> int
 
 val is_empty : t -> bool
@@ -53,7 +51,3 @@ val reverse : t -> unit
 
 val iter : t -> (int -> unit) -> unit
 (** Iterate current entries (weak-memory aware reads), newest last. *)
-
-val transfer_all : t -> t -> int
-(** [transfer_all src dst] moves as many entries as fit; returns how many
-    moved. *)

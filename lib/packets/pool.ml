@@ -36,7 +36,7 @@ let create ?(fence_on_put = true) ?(naive_mark_fence = false)
     ?(faults = Fault.disabled) mach ~n_packets ~capacity =
   if n_packets < 2 then invalid_arg "Pool.create: need at least 2 packets";
   let packets =
-    Array.init n_packets (fun id -> Packet.make mach ~id ~capacity)
+    Array.init n_packets (fun _ -> Packet.make mach ~capacity)
   in
   let t =
     {
@@ -61,7 +61,6 @@ let create ?(fence_on_put = true) ?(naive_mark_fence = false)
 let machine t = t.mach
 let naive_mark_fence t = t.naive_mark_fence
 let total t = Array.length t.packets
-let capacity t = t.cap
 
 let classify t p =
   let n = Packet.count p in

@@ -44,7 +44,6 @@ val naive_mark_fence : t -> bool
 (** Whether every push fences (the ablation [create] option). *)
 
 val total : t -> int
-val capacity : t -> int
 
 val get_input : t -> Packet.t option
 (** A packet with tracing work, from the fullest available sub-pool. *)

@@ -93,9 +93,6 @@ type t = {
   mmu : mmu_point list;  (** one point per requested window size *)
 }
 
-val default_mmu_windows_ms : float list
-(** [[1.0; 5.0; 20.0; 50.0]] — the window sizes reported by default. *)
-
 val analyse :
   ?mmu_windows_ms:float list ->
   cycles_per_us:float ->

@@ -1,12 +1,9 @@
 (* Tail forensics and LBO cost distillation over serialised reports.
 
-   [of_report] accepts every latency-bearing artefact the CLI writes —
-   cgcsim-server-v1/v2 and cgcsim-cluster-v2/v3 — and normalises it
-   into one view: the fleet-wide blame decomposition plus the worst-N
-   causal chains.  v2-server / v3-cluster reports carry exact
-   integer-cycle spans; the legacy schemas degrade gracefully to a
-   histogram-mean decomposition with a note that per-request chains are
-   unavailable.
+   [of_report] accepts the latency-bearing artefacts the CLI writes —
+   cgcsim-server-v2 and cgcsim-cluster-v3 — and normalises them into one
+   view: the fleet-wide blame decomposition plus the worst-N causal
+   chains, from the exact integer-cycle spans both schemas carry.
 
    [lbo_of_bench] implements the "Distilling the Real Cost of
    Production Garbage Collectors" methodology on a cgcsim-bench-v1
@@ -66,7 +63,6 @@ type tail = {
 
 type t = {
   source : string;  (* the source artefact's schema tag *)
-  exact : bool;  (* per-request spans present *)
   count : int;  (* completed requests *)
   cycles_per_ms : float;
   mean_ms : (string * float) list;  (* component -> mean ms *)
@@ -97,8 +93,8 @@ let tail_of_json s =
     gc_service = get_int "gcServiceCycles" b;
   }
 
-(* Exact mode: a report object carrying blame/tails/exemplars blocks
-   (a cgcsim-server-v2 report, or a cgcsim-cluster-v3 fleet block). *)
+(* A report object carrying blame/tails/exemplars blocks (a
+   cgcsim-server-v2 report, or a cgcsim-cluster-v3 fleet block). *)
 let of_spans ~source ~dropped body =
   let blame = match mem "blame" body with Some b -> b | None -> Json.Obj [] in
   let count = get_int "count" blame in
@@ -114,7 +110,6 @@ let of_spans ~source ~dropped body =
   let exemplars_json = arr "exemplars" in
   {
     source;
-    exact = true;
     count;
     cycles_per_ms = cpm;
     mean_ms =
@@ -135,29 +130,6 @@ let of_spans ~source ~dropped body =
     dropped;
   }
 
-(* Legacy mode: only histogram means are available; the decomposition
-   is queueing/service/gcInflation and no per-request chains exist. *)
-let of_hists ~source ~count ~dropped lat =
-  let m k = match mem k lat with Some h -> get_float "mean" h | None -> 0.0 in
-  {
-    source;
-    exact = false;
-    count;
-    cycles_per_ms = 0.0;
-    mean_ms =
-      [
-        ("e2e", m "e2e");
-        ("queueing", m "queueing");
-        ("service", m "service");
-        ("gcInflation", m "gcInflation");
-      ];
-    tails = [];
-    exemplars = [];
-    tails_json = [];
-    exemplars_json = [];
-    dropped;
-  }
-
 let shard_drops j =
   match mem "perShard" j with
   | Some (Json.Arr shards) ->
@@ -172,34 +144,11 @@ let of_json j =
       match mem "fleet" j with
       | Some fleet -> Ok (of_spans ~source ~dropped:(shard_drops j) fleet)
       | None -> Error "cgcsim-cluster-v3 report has no fleet block")
-  | Some (Json.Str ("cgcsim-server-v1" as source)) ->
-      let count =
-        match mem "counts" j with Some c -> get_int "completed" c | None -> 0
-      in
-      let lat =
-        match mem "latencyMs" j with Some l -> l | None -> Json.Obj []
-      in
-      Ok (of_hists ~source ~count ~dropped:0 lat)
-  | Some (Json.Str ("cgcsim-cluster-v2" as source)) -> (
-      match mem "fleet" j with
-      | Some fleet ->
-          let count =
-            match mem "counts" fleet with
-            | Some c -> get_int "completed" c
-            | None -> 0
-          in
-          let lat =
-            match mem "latencyMs" fleet with
-            | Some l -> l
-            | None -> Json.Obj []
-          in
-          Ok (of_hists ~source ~count ~dropped:(shard_drops j) lat)
-      | None -> Error "cgcsim-cluster-v2 report has no fleet block")
   | Some (Json.Str v) ->
       Error
         (Printf.sprintf
-           "unsupported report schema %s (want cgcsim-server-v1/v2 or \
-            cgcsim-cluster-v2/v3)"
+           "unsupported report schema %s (want cgcsim-server-v2 or \
+            cgcsim-cluster-v3)"
            v)
   | _ -> Error "missing schema tag"
 
@@ -219,38 +168,31 @@ let text ?(n = 16) t =
       pf "  %-12s %10.4f %6.1f%%\n" k v
         (if e2e > 0.0 then 100.0 *. v /. e2e else 0.0))
     t.mean_ms;
-  if not t.exact then
-    pf
-      "  (legacy %s: per-request spans unavailable — histogram means only; \
-       re-run with the current binary for exact blame)\n"
-      t.source
-  else begin
-    let shown = take n t.tails in
-    pf "  worst %d of %d retained spans:\n" (List.length shown)
-      (List.length t.tails);
-    List.iteri
-      (fun i tl ->
-        let ms c =
-          if t.cycles_per_ms > 0.0 then
-            float_of_int c /. t.cycles_per_ms
-          else 0.0
-        in
-        pf
-          "  #%-3d rid %-8d %9.3f ms  shard %d (first %d, epoch %d, %d \
-           retries%s)\n"
-          (i + 1) tl.rid tl.e2e_ms tl.shard tl.first tl.epoch tl.attempts
-          (if tl.hedge_win then ", hedge won"
-           else if tl.hedged then ", hedged"
-           else "");
-        pf
-          "       = fleet-q %.3f + backoff %.3f + queue %.3f + gc-queue %.3f \
-           + service %.3f + gc-service %.3f\n"
-          (ms tl.fleet_queue) (ms tl.backoff) (ms tl.queue) (ms tl.gc_queue)
-          (ms tl.service) (ms tl.gc_service))
-      shown;
-    pf "  exemplars: %d spans across latency decades\n"
-      (List.length t.exemplars)
-  end;
+  let shown = take n t.tails in
+  pf "  worst %d of %d retained spans:\n" (List.length shown)
+    (List.length t.tails);
+  List.iteri
+    (fun i tl ->
+      let ms c =
+        if t.cycles_per_ms > 0.0 then
+          float_of_int c /. t.cycles_per_ms
+        else 0.0
+      in
+      pf
+        "  #%-3d rid %-8d %9.3f ms  shard %d (first %d, epoch %d, %d \
+         retries%s)\n"
+        (i + 1) tl.rid tl.e2e_ms tl.shard tl.first tl.epoch tl.attempts
+        (if tl.hedge_win then ", hedge won"
+         else if tl.hedged then ", hedged"
+         else "");
+      pf
+        "       = fleet-q %.3f + backoff %.3f + queue %.3f + gc-queue %.3f \
+         + service %.3f + gc-service %.3f\n"
+        (ms tl.fleet_queue) (ms tl.backoff) (ms tl.queue) (ms tl.gc_queue)
+        (ms tl.service) (ms tl.gc_service))
+    shown;
+  pf "  exemplars: %d spans across latency decades\n"
+    (List.length t.exemplars);
   Buffer.contents b
 
 let to_json ?(n = 16) t =
@@ -258,7 +200,7 @@ let to_json ?(n = 16) t =
     [
       ("schema", Json.Str schema);
       ("source", Json.Str t.source);
-      ("exact", Json.Bool t.exact);
+      ("exact", Json.Bool true);
       ("count", Json.Int t.count);
       ("cyclesPerMs", Json.Float t.cycles_per_ms);
       ("droppedEvents", Json.Int t.dropped);
@@ -399,14 +341,10 @@ let lbo_of_report s =
   | Ok t ->
       let e2e = match t.mean_ms with (_, e) :: _ -> e | [] -> 0.0 in
       let gc =
-        if t.exact then
-          List.fold_left
-            (fun acc (k, v) ->
-              if k = "gcQueue" || k = "gcService" then acc +. v else acc)
-            0.0 t.mean_ms
-        else List.fold_left
-            (fun acc (k, v) -> if k = "gcInflation" then acc +. v else acc)
-            0.0 t.mean_ms
+        List.fold_left
+          (fun acc (k, v) ->
+            if k = "gcQueue" || k = "gcService" then acc +. v else acc)
+          0.0 t.mean_ms
       in
       let base = e2e -. gc in
       Ok

@@ -1,13 +1,11 @@
 (** Tail forensics and LBO-distilled GC cost over serialised reports.
 
     The [cgcsim analyze --tails/--lbo] back end.  {!of_report} accepts
-    every latency-bearing artefact the CLI writes — [cgcsim-server-v1]
-    / [v2] and [cgcsim-cluster-v2] / [v3] — and normalises it into one
-    view: the fleet-wide blame decomposition plus the worst-N causal
-    chains.  Reports carrying exact spans (server v2, cluster v3)
-    render per-request chains whose six blame components sum exactly to
-    the request's end-to-end cycles; the legacy schemas degrade to a
-    histogram-mean decomposition with an explicit note.
+    the latency-bearing artefacts the CLI writes — [cgcsim-server-v2]
+    and [cgcsim-cluster-v3] — and normalises them into one view: the
+    fleet-wide blame decomposition plus the worst-N causal chains.  Both
+    schemas carry exact spans, so every chain's six blame components sum
+    exactly to the request's end-to-end cycles.
 
     {!lbo_of_bench} implements the lower-bound-overhead methodology of
     "Distilling the Real Cost of Production Garbage Collectors" on a
@@ -19,12 +17,6 @@
     All output is derived serially from already-merged artefacts and
     every float is printed with a fixed format, so both the text and
     JSON renderings are byte-identical at any [--jobs]. *)
-
-val schema : string
-(** ["cgcsim-tails-v1"]. *)
-
-val lbo_schema : string
-(** ["cgcsim-lbo-v1"]. *)
 
 val bench_schema : string
 (** ["cgcsim-bench-v1"]: the benchmark matrix document [bench/main.exe]
@@ -50,7 +42,6 @@ type tail = {
 
 type t = {
   source : string;  (** the source artefact's schema tag *)
-  exact : bool;  (** per-request spans present (v2 server / v3 cluster) *)
   count : int;  (** completed requests *)
   cycles_per_ms : float;
   mean_ms : (string * float) list;  (** component -> mean ms, e2e first *)
@@ -62,9 +53,10 @@ type t = {
   dropped : int;  (** ring-dropped events summed over shards *)
 }
 
-val of_json : Json.t -> (t, string) result
 val of_report : string -> (t, string) result
-(** Parse a serialised report and dispatch on its schema tag. *)
+(** Parse a serialised report and dispatch on its schema tag;
+    any tag but [cgcsim-server-v2] and [cgcsim-cluster-v3] is an
+    error. *)
 
 val text : ?n:int -> t -> string
 (** Blame decomposition table plus the worst-[n] (default 16) causal
@@ -73,7 +65,8 @@ val text : ?n:int -> t -> string
 
 val to_json : ?n:int -> t -> Json.t
 (** [cgcsim-tails-v1]: blame means, the worst-[n] raw span objects and
-    the exemplar reservoir, copied verbatim from the source report. *)
+    the exemplar reservoir, copied verbatim from the source report.  Its
+    ["exact"] key is always [true]. *)
 
 type lbo_row = {
   label : string;  (** bench-cell label, reconstructed from its fields *)

@@ -127,13 +127,10 @@ val write_trace : t -> string -> unit
 val cycles_schema : string
 (** The [#schema=] tag on per-cycle CSV dumps: ["cgcsim-cycles-v1"]. *)
 
-val metrics_csv : t -> string
-(** Per-GC-cycle metrics (pause / mark / sweep / compact ms, cards,
-    traced slots, occupancy) as CSV, one row per cycle, tagged with the
-    [cgcsim-cycles-v1] schema line. *)
-
 val write_metrics : t -> string -> unit
-(** [write_metrics t path] writes {!metrics_csv} to [path]. *)
+(** [write_metrics t path] writes the per-GC-cycle metrics (pause,
+    mark, sweep and compact ms, cards, traced slots, occupancy) to [path]
+    as CSV, one row per cycle, tagged with the {!cycles_schema} line. *)
 
 (** {2 Online profiler} *)
 

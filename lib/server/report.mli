@@ -13,10 +13,6 @@ val hist_json : Cgc_util.Histogram.t -> Cgc_prof.Json.t
     ([count]/[mean]/[min]/[p50]/[p95]/[p99]/[p999]/[max]) — exposed so
     the cluster report renders fleet-merged histograms identically. *)
 
-val span_json : cycles_per_ms:float -> Span.t -> Cgc_prof.Json.t
-(** One causal span: route fields, cycle stamps, [e2eCycles] and its
-    integer-cycle [blame] object (components sum to [e2eCycles]). *)
-
 val spans_json : Span.summary -> (string * Cgc_prof.Json.t) list
 (** The [blame] / [tails] / [exemplars] members appended to the report
     object — exposed so the cluster report emits the fleet-merged

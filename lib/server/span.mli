@@ -36,7 +36,6 @@ val blame_total : blame -> int
 (** Sum of all six components — exactly the e2e latency in cycles. *)
 
 val zero_blame : blame
-val add_blame : blame -> blame -> blame
 
 val blame_of :
   pre:int ->
@@ -73,22 +72,13 @@ val worse : t -> t -> int
 val worst_k : int
 (** Worst spans retained per summary (32). *)
 
-val exemplars_r : int
-(** Exemplar spans retained per latency decade (4). *)
-
-val decades : int
-(** Number of latency decades (6: <0.1 ms ... >=1 s). *)
-
-val decade_of : cycles_per_ms:float -> t -> int
-(** Latency decade index of a span, in [0, decades). *)
-
 type summary = {
   count : int;  (** completed requests folded in *)
   sum : blame;  (** componentwise blame totals *)
   sum_e2e : int;  (** total e2e cycles; equals [blame_total sum] *)
   worst : t list;  (** worst spans under {!worse}, at most {!worst_k} *)
   exemplars : (int * t) list;
-      (** (decade, span) exemplars, at most {!exemplars_r} per decade,
+      (** (decade, span) exemplars, at most 4 per decade,
           ordered by decade then request id *)
   cycles_per_ms : float;  (** conversion used for decades and reports *)
 }
@@ -103,7 +93,7 @@ val merge : summary -> summary -> summary
 type collector
 (** Mutable per-VM span collector.  Aggregates exactly, retains the
     worst {!worst_k} spans, and keeps a deterministic seed-derived
-    reservoir of {!exemplars_r} exemplars per latency decade so memory
+    reservoir of 4 exemplars per latency decade so memory
     stays bounded no matter how many requests complete. *)
 
 val create : cycles_per_ms:float -> seed:int -> collector

@@ -16,7 +16,6 @@ type thread = {
   name : string;
   mutable prio : prio;
   mutable st : state;
-  mutable wake_at : int;
   mutable ready_at : int;
       (* a thread may not be dispatched before this time: it is the end of
          its previous quantum, so a thread can never run on a lagging CPU
@@ -39,7 +38,7 @@ type _ Effect.t +=
 let no_poll () = true
 
 let dummy_thread =
-  { id = -1; name = "<dummy>"; prio = Low; st = Dead; wake_at = 0;
+  { id = -1; name = "<dummy>"; prio = Low; st = Dead;
     ready_at = 0; k = No_k; body = None; cycles = 0; nap = 0;
     poll = no_poll }
 
@@ -197,7 +196,7 @@ let enqueue t th =
 let spawn t ~name ~prio body =
   let id = t.next_id in
   let th =
-    { id; name; prio; st = Runnable; wake_at = 0; ready_at = now t;
+    { id; name; prio; st = Runnable; ready_at = now t;
       k = No_k; body = Some body; cycles = 0; nap = 0; poll = no_poll }
   in
   if id = Array.length t.tab then begin
@@ -468,7 +467,6 @@ let wake_due t tm =
 
 let sleep_until t th at =
   th.st <- Sleeping;
-  th.wake_at <- at;
   th.ready_at <- at;
   Sleepq.push t.sleepers ~key:at th.id;
   if at < t.next_wake then t.next_wake <- at

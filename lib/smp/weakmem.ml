@@ -24,11 +24,9 @@ end)
 
 (* Per-location state: the still-pending stores in coherence (issue)
    order, plus the last deadline handed out for this location so drain
-   deadlines stay monotone per key.  The deque replaces the [!l @ [e]]
-   list append the previous implementation paid on every store (O(n) in
-   the pending-store count, with a fresh list each time) and the
-   [List.nth entries (length - 1)] double traversal every read paid to
-   find the newest entry: front/back are now O(1) slot reads. *)
+   deadlines stay monotone per key.  A store appends at the back and a
+   read finds the newest entry there, both in O(1) without
+   allocating. *)
 type kq = {
   buf : entry R.t;
   mutable last_deadline : int;

@@ -60,7 +60,7 @@ val pending_count : t -> int
 (** Number of still-masked stores (diagnostics / tests). *)
 
 val debug_heap_clean : t -> bool
-(** Test hook for the PR 9 retention bugfixes: [true] iff every vacated
+(** Test hook for the retention invariant: [true] iff every vacated
     slot of the internal drain heap holds the dummy entry — i.e. no
     committed store entry is retained above the heap's length.
     O(heap capacity); never used on the hot path. *)

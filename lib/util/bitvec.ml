@@ -9,8 +9,6 @@ let create n =
   if n < 0 then invalid_arg "Bitvec.create";
   { words = Array.make ((n + bits_per_word - 1) / bits_per_word + 1) 0; len = n }
 
-let length t = t.len
-
 let get t i = t.words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
 
 let set t i =
@@ -197,25 +195,6 @@ let prev_set t i =
   end
 
 let count t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
-
-let iter_words t f = Array.iteri f t.words
-
-let count_range t pos len =
-  if len <= 0 || pos >= t.len then 0
-  else begin
-    let last = Int.min (pos + len) t.len - 1 in
-    let w0 = pos / bits_per_word and w1 = last / bits_per_word in
-    let lo_mask = full_word lsl (pos mod bits_per_word) land full_word in
-    let hi_mask = full_word lsr (bits_per_word - 1 - (last mod bits_per_word)) in
-    if w0 = w1 then popcount (t.words.(w0) land lo_mask land hi_mask)
-    else begin
-      let acc = ref (popcount (t.words.(w0) land lo_mask)) in
-      for w = w0 + 1 to w1 - 1 do
-        acc := !acc + popcount t.words.(w)
-      done;
-      !acc + popcount (t.words.(w1) land hi_mask)
-    end
-  end
 
 let fold_set_ranges t ~lo ~hi ~init ~f =
   let hi = Int.min hi t.len in

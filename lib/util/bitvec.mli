@@ -12,8 +12,6 @@ type t
 val create : int -> t
 (** [create n] is an all-clear vector of [n] bits. *)
 
-val length : t -> int
-
 val get : t -> int -> bool
 val set : t -> int -> unit
 val clear : t -> int -> unit
@@ -32,17 +30,17 @@ val clear_range : t -> int -> int -> unit
 
 val next_set : t -> int -> int
 (** [next_set t i] is the index of the first set bit at or after [i], or
-    [length t] if none. *)
+    the vector's length if none. *)
 
 val next_set_below : t -> int -> int -> int
 (** [next_set_below t i hi] is the index of the first set bit in
-    [\[i, hi)], or [hi] if none, with [hi] clamped to [length t].  It
-    never reads a word past the one holding bit [hi - 1], so a scan of a
-    short window costs the window, not the distance to the next set bit
-    beyond it. *)
+    [\[i, hi)], or [hi] if none, with [hi] clamped to the vector's
+    length.  It never reads a word past the one holding bit [hi - 1], so
+    a scan of a short window costs the window, not the distance to the
+    next set bit beyond it. *)
 
 val next_clear : t -> int -> int
-(** First clear bit at or after [i], or [length t]. *)
+(** First clear bit at or after [i], or the vector's length. *)
 
 val prev_set : t -> int -> int
 (** [prev_set t i] is the index of the last set bit at or before [i], or
@@ -52,27 +50,11 @@ val prev_set : t -> int -> int
 val count : t -> int
 (** Population count of the whole vector. *)
 
-val count_range : t -> int -> int -> int
-(** [count_range t pos len] is the population count of [\[pos, pos+len)],
-    computed word-at-a-time with masked popcounts. *)
-
 (** {2 Word-level kernels}
 
     The hot paths of the simulator (bitwise sweep, card snapshot, the
     profiler's dirty-card probe) operate on whole 62-bit words rather
     than individual bits; these entry points expose that granularity. *)
-
-val bits_per_word : int
-(** Bits packed per backing word (62, so indices stay immediate). *)
-
-val popcount : int -> int
-(** Population count of one backing word (byte-table kernel). *)
-
-val iter_words : t -> (int -> int -> unit) -> unit
-(** [iter_words t f] calls [f i w] for every backing word in index
-    order, including the all-zero sentinel word past the end.  Bits at
-    or beyond [length t] are never set by any operation, so [f] may
-    popcount or scan [w] without masking. *)
 
 val fold_set_ranges : t -> lo:int -> hi:int -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
 (** [fold_set_ranges t ~lo ~hi ~init ~f] folds [f acc pos len] over the

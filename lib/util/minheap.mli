@@ -2,22 +2,16 @@
 
     It is the weak-memory store buffer's drain queue (entries keyed by
     deadline); the scheduler's sleep queue is {!Intheap}, which makes
-    the same comparisons over int pairs.  The sift loops are
-    byte-for-byte the comparison sequences the two hand-rolled heaps of
-    PR 0 used, so pop order — and therefore every trace — is unchanged.
+    the same comparisons over int pairs.  Pop order is part of every
+    trace: sifting up moves an element past a strictly greater parent,
+    and sifting down swaps an element with the smallest of itself and
+    its two children, a tie going to the first of parent, left child and
+    right child.
 
-    What {e is} new is slot hygiene, fixing two retention bugs the
-    originals shared:
-    - [pop] used to leave a live reference to the removed element in
-      [a.(n)] after decrementing, retaining dead threads and committed
-      store entries for the life of the run; vacated slots are now
-      cleared to the dummy.
-    - [push]'s grow path used to fill the doubled array with [a.(0)] — a
-      live element — instead of the dummy.
-
-    [pop]/[top] on an empty heap now raise [Invalid_argument] instead of
-    silently returning the dummy (or a stale slot) as the unguarded
-    [a.(0)] read used to. *)
+    Slot hygiene: the heap never retains an element it no longer holds.
+    Every slot at or above [length] holds the dummy, both after a [pop]
+    and in the fresh half of a grown array.  [pop] and [top] on an empty
+    heap raise [Invalid_argument]. *)
 
 module type ORDERED = sig
   type elt
@@ -54,5 +48,5 @@ module Make (O : ORDERED) : sig
 
   val slots_clean : t -> bool
   (** [true] iff every slot at or above [length t] is physically the
-      dummy — the no-retention invariant the PR 9 bugfixes enforce. *)
+      dummy: the no-retention invariant. *)
 end

@@ -32,10 +32,6 @@ let int t bound =
   let x = Int64.to_int (next t) land max_int in
   x mod bound
 
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Prng.int_in: empty range";
-  lo + int t (hi - lo + 1)
-
 let float t x =
   (* 53 high bits give a uniform double in [0,1). *)
   let bits = Int64.to_int (Int64.shift_right_logical (next t) 11) in
@@ -49,12 +45,3 @@ let exponential t mean =
   let u = float t 1.0 in
   let u = if u <= 0.0 then 1e-12 else u in
   -.mean *. Float.log u
-
-let shuffle t a =
-  let n = Array.length a in
-  for i = n - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -21,9 +21,6 @@ val next : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. *)
-
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)
 
@@ -36,7 +33,3 @@ val chance : t -> float -> bool
 val exponential : t -> float -> float
 (** [exponential t mean] samples an exponential distribution with the given
     mean; used for think times and object lifetimes. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle; used by the store-buffer drain to model
-    weak-ordering write reordering. *)

@@ -44,10 +44,6 @@ let pop_front t =
   if t.len = 0 then t.head <- 0;
   x
 
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Ringbuf.get: out of range";
-  t.a.(idx t i)
-
 let front t =
   if t.len = 0 then invalid_arg "Ringbuf.front: empty";
   t.a.(t.head)
@@ -55,25 +51,6 @@ let front t =
 let back t =
   if t.len = 0 then invalid_arg "Ringbuf.back: empty";
   t.a.(idx t (t.len - 1))
-
-let iter t f =
-  for i = 0 to t.len - 1 do
-    f t.a.(idx t i)
-  done
-
-let fold t ~init ~f =
-  let acc = ref init in
-  for i = 0 to t.len - 1 do
-    acc := f !acc t.a.(idx t i)
-  done;
-  !acc
-
-let clear t =
-  for i = 0 to t.len - 1 do
-    t.a.(idx t i) <- t.dummy
-  done;
-  t.head <- 0;
-  t.len <- 0
 
 let slots_clean t =
   let cap = Array.length t.a in

@@ -61,12 +61,6 @@ let percentile t p =
 
 let samples t = Array.sub t.data 0 t.n
 
-let merge a b =
-  let t = create () in
-  Array.iter (add t) (samples a);
-  Array.iter (add t) (samples b);
-  t
-
 let clear t =
   t.n <- 0;
   t.sum <- 0.0;

@@ -48,7 +48,4 @@ val percentile : t -> float -> float
 val samples : t -> float array
 (** A copy of the samples in insertion order. *)
 
-val merge : t -> t -> t
-(** Combined statistics over both sample sets. *)
-
 val clear : t -> unit

@@ -5,8 +5,6 @@
     idle — the conditions under which the background tracing threads do
     real work and thousands of threads compete for work packets. *)
 
-val base_profile : Txmix.profile
-
 val setup :
   warehouses:int ->
   gc:Cgc_core.Config.t ->

@@ -211,9 +211,22 @@ let test_pool_nested_runs_inline () =
 
 (* ----------------------------- balancer ----------------------------- *)
 
+(* Place each arrival of [ts] through a fresh router with every shard
+   live, as the cluster front end does; consistent-hash session keys come
+   from [rng]. *)
 let route policy ?(nshards = 4) ?(rng = Prng.create 9) ts =
-  Balancer.route policy ~nshards ~workers:4 ~service_est_ms:0.12
-    ~cycles_per_ms:cpm ~rng ts
+  let r =
+    Balancer.router policy ~nshards ~workers:4 ~service_est_ms:0.12
+      ~cycles_per_ms:cpm
+  in
+  let avoid = Array.make nshards false in
+  Array.map
+    (fun now ->
+      let key = Balancer.mix64 (Prng.next rng) in
+      let s = Option.get (Balancer.pick r ~now ~key ~avoid) in
+      Balancer.note_routed r s;
+      s)
+    ts
 
 let test_balancer_round_robin () =
   let ts = Array.init 10 (fun i -> i * cpm) in

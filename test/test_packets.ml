@@ -19,7 +19,7 @@ let mk_pool ?(n = 8) ?(capacity = 10) ?fence_on_put ?naive_mark_fence () =
 
 let test_packet_lifo () =
   let m = Machine.testing () in
-  let p = Packet.make m ~id:0 ~capacity:4 in
+  let p = Packet.make m ~capacity:4 in
   check cb "push 1" true (Packet.push p 11);
   check cb "push 2" true (Packet.push p 22);
   check ci "newest is known before the pop" 22
@@ -30,7 +30,7 @@ let test_packet_lifo () =
 
 let test_packet_capacity () =
   let m = Machine.testing () in
-  let p = Packet.make m ~id:0 ~capacity:3 in
+  let p = Packet.make m ~capacity:3 in
   for i = 1 to 3 do
     check cb "push fits" true (Packet.push p i)
   done;
@@ -38,20 +38,9 @@ let test_packet_capacity () =
   check cb "is_full" true (Packet.is_full p);
   check ci "count" 3 (Packet.count p)
 
-let test_packet_transfer () =
-  let m = Machine.testing () in
-  let a = Packet.make m ~id:0 ~capacity:10 in
-  let b = Packet.make m ~id:1 ~capacity:4 in
-  for i = 1 to 8 do
-    ignore (Packet.push a i)
-  done;
-  let moved = Packet.transfer_all a b in
-  check ci "moved up to dst capacity" 4 moved;
-  check ci "src keeps the rest" 4 (Packet.count a)
-
 let test_packet_iter () =
   let m = Machine.testing () in
-  let p = Packet.make m ~id:0 ~capacity:8 in
+  let p = Packet.make m ~capacity:8 in
   List.iter (fun v -> ignore (Packet.push p v)) [ 1; 2; 3 ];
   let acc = ref [] in
   Packet.iter p (fun v -> acc := v :: !acc);
@@ -283,7 +272,6 @@ let () =
         [
           Alcotest.test_case "lifo" `Quick test_packet_lifo;
           Alcotest.test_case "capacity" `Quick test_packet_capacity;
-          Alcotest.test_case "transfer" `Quick test_packet_transfer;
           Alcotest.test_case "iter" `Quick test_packet_iter;
         ] );
       ( "pool",

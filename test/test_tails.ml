@@ -1,9 +1,9 @@
 (* Tests for the tail-forensics / LBO analyzer (Cgc_prof.Tails) and the
    fleet timeline: exact-span parsing of freshly generated
-   cgcsim-server-v2 and cgcsim-cluster-v3 reports, graceful legacy
-   (v1/v2) degradation, the LBO distillation arithmetic on a synthetic
-   bench document, and byte-identical tails / LBO / timeline artefacts
-   at every pool size. *)
+   cgcsim-server-v2 and cgcsim-cluster-v3 reports, rejection of every
+   other schema, the LBO distillation arithmetic on a synthetic bench
+   document, and byte-identical tails / LBO / timeline artefacts at every
+   pool size. *)
 
 module Json = Cgc_prof.Json
 module Tails = Cgc_prof.Tails
@@ -53,7 +53,8 @@ let test_server_v2_end_to_end () =
   match Tails.of_report s with
   | Error e -> Alcotest.failf "server v2 rejected: %s" e
   | Ok t ->
-      check cb "exact spans" true t.Tails.exact;
+      check cb "exact spans" true
+        (Json.member "exact" (Tails.to_json t) = Some (Json.Bool true));
       check Alcotest.string "source tag" "cgcsim-server-v2" t.Tails.source;
       check cb "requests counted" true (t.Tails.count > 0);
       check cb "tails retained" true (t.Tails.tails <> []);
@@ -76,10 +77,11 @@ let test_server_v2_end_to_end () =
 
 let test_cluster_v3_end_to_end () =
   let s = cluster_report_string ~chaos:Cluster_fault.Shard_restart () in
-  match Tails.of_report s with
+  (match Tails.of_report s with
   | Error e -> Alcotest.failf "cluster v3 rejected: %s" e
   | Ok t ->
-      check cb "exact spans" true t.Tails.exact;
+      check cb "exact spans" true
+        (Json.member "exact" (Tails.to_json t) = Some (Json.Bool true));
       check Alcotest.string "source tag" "cgcsim-cluster-v3" t.Tails.source;
       check cb "requests counted" true (t.Tails.count > 0);
       check cb "tails retained" true (t.Tails.tails <> []);
@@ -87,47 +89,33 @@ let test_cluster_v3_end_to_end () =
         (fun (tl : Tails.tail) ->
           check ci "parsed blame sums to e2e" tl.Tails.e2e_cycles
             (tail_sums tl))
-        (t.Tails.tails @ List.map snd t.Tails.exemplars)
-
-(* --------------------------- legacy schemas -------------------------- *)
-
-let legacy_server_v1 =
-  {|{"schema": "cgcsim-server-v1",
-     "counts": {"completed": 10},
-     "latencyMs": {"e2e": {"mean": 2.0}, "queueing": {"mean": 0.5},
-                   "service": {"mean": 1.5}, "gcInflation": {"mean": 0.25}}}|}
-
-let legacy_cluster_v2 =
-  {|{"schema": "cgcsim-cluster-v2",
-     "perShard": [{"droppedEvents": 3}, {"droppedEvents": 0}],
-     "fleet": {"counts": {"completed": 42},
-               "latencyMs": {"e2e": {"mean": 4.0}, "queueing": {"mean": 1.0},
-                             "service": {"mean": 3.0},
-                             "gcInflation": {"mean": 0.5}}}}|}
-
-let test_legacy_reports_degrade () =
-  (match Tails.of_report legacy_server_v1 with
-  | Error e -> Alcotest.failf "server v1 rejected: %s" e
-  | Ok t ->
-      check cb "summary only" false t.Tails.exact;
-      check ci "count from counts block" 10 t.Tails.count;
-      check cf "e2e mean from histogram" 2.0
-        (List.assoc "e2e" t.Tails.mean_ms);
-      check cb "no chains" true (t.Tails.tails = []);
-      check cb "text notes the degradation" true
-        (let txt = Tails.text t in
-         String.length txt > 0));
-  match Tails.of_report legacy_cluster_v2 with
-  | Error e -> Alcotest.failf "cluster v2 rejected: %s" e
-  | Ok t ->
-      check cb "summary only" false t.Tails.exact;
-      check ci "count from fleet block" 42 t.Tails.count;
-      check ci "shard drops summed" 3 t.Tails.dropped
+        (t.Tails.tails @ List.map snd t.Tails.exemplars));
+  (* Ring drops are summed over the shards. *)
+  match
+    Tails.of_report
+      {|{"schema": "cgcsim-cluster-v3", "fleet": {},
+         "perShard": [{"droppedEvents": 3}, {"droppedEvents": 0}]}|}
+  with
+  | Error e -> Alcotest.failf "cluster v3 rejected: %s" e
+  | Ok t -> check ci "shard drops summed" 3 t.Tails.dropped
 
 let test_rejects_foreign_schema () =
   (match Tails.of_report "{\"schema\": \"cgcsim-bench-v1\"}" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted a bench document as a report");
+  (* The retired pre-span schemas are foreign too. *)
+  List.iter
+    (fun tag ->
+      match Tails.of_report (Printf.sprintf "{\"schema\": \"%s\"}" tag) with
+      | Error e ->
+          check Alcotest.string "message names the accepted schemas"
+            (Printf.sprintf
+               "unsupported report schema %s (want cgcsim-server-v2 or \
+                cgcsim-cluster-v3)"
+               tag)
+            e
+      | Ok _ -> Alcotest.failf "accepted a %s report" tag)
+    [ "cgcsim-server-v1"; "cgcsim-cluster-v2" ];
   (match Tails.of_report "{}" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted a schema-less document");
@@ -234,8 +222,6 @@ let () =
             test_server_v2_end_to_end;
           Alcotest.test_case "cluster v3 end-to-end" `Quick
             test_cluster_v3_end_to_end;
-          Alcotest.test_case "legacy reports degrade" `Quick
-            test_legacy_reports_degrade;
           Alcotest.test_case "rejects foreign schemas" `Quick
             test_rejects_foreign_schema;
         ] );

@@ -42,13 +42,6 @@ let test_prng_int_covers_range () =
   done;
   Array.iteri (fun i s -> check cb (Printf.sprintf "bucket %d hit" i) true s) seen
 
-let test_prng_int_in () =
-  let r = Prng.create 5 in
-  for _ = 1 to 10_000 do
-    let x = Prng.int_in r 5 9 in
-    if x < 5 || x > 9 then Alcotest.failf "int_in out of range: %d" x
-  done
-
 let test_prng_float_range () =
   let r = Prng.create 11 in
   for _ = 1 to 10_000 do
@@ -82,15 +75,6 @@ let test_prng_split_independent () =
   let a = Prng.split root in
   let b = Prng.split root in
   check cb "split streams differ" true (Prng.next a <> Prng.next b)
-
-let test_prng_shuffle_permutation () =
-  let r = Prng.create 29 in
-  let a = Array.init 100 (fun i -> i) in
-  Prng.shuffle r a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  check cb "shuffle is a permutation" true (sorted = Array.init 100 (fun i -> i));
-  check cb "shuffle moved something" true (a <> Array.init 100 (fun i -> i))
 
 (* Same seed ⇒ the whole derived tree of streams replays identically —
    this is what makes every simulator run reproducible bit-for-bit. *)
@@ -309,14 +293,6 @@ let test_stats_growth () =
   check ci "count" 10_000 (Stats.count s);
   check cf "mean" 5000.5 (Stats.mean s)
 
-let test_stats_merge () =
-  let a = Stats.create () and b = Stats.create () in
-  List.iter (Stats.add a) [ 1.0; 2.0 ];
-  List.iter (Stats.add b) [ 3.0; 4.0 ];
-  let m = Stats.merge a b in
-  check ci "merged count" 4 (Stats.count m);
-  check cf "merged mean" 2.5 (Stats.mean m)
-
 let test_stats_clear () =
   let s = Stats.create () in
   Stats.add s 7.0;
@@ -420,14 +396,6 @@ let test_bitvec_prev_set () =
   check ci "prev_set from 130" 130 (Bitvec.prev_set v 130);
   check ci "prev_set from 129" 5 (Bitvec.prev_set v 129);
   check ci "prev_set from 4 = -1" (-1) (Bitvec.prev_set v 4)
-
-let test_bitvec_count_range () =
-  let v = Bitvec.create 400 in
-  Bitvec.set v 10;
-  Bitvec.set v 20;
-  Bitvec.set v 390;
-  check ci "count_range middle" 2 (Bitvec.count_range v 5 20);
-  check ci "count_range all" 3 (Bitvec.count_range v 0 400)
 
 let test_bitvec_fold_set_ranges () =
   let v = Bitvec.create 200 in
@@ -794,13 +762,10 @@ let () =
           Alcotest.test_case "int nonnegative (regression)" `Quick
             test_prng_int_nonnegative;
           Alcotest.test_case "int covers range" `Quick test_prng_int_covers_range;
-          Alcotest.test_case "int_in range" `Quick test_prng_int_in;
           Alcotest.test_case "float range" `Quick test_prng_float_range;
           Alcotest.test_case "chance extremes" `Quick test_prng_chance_extremes;
           Alcotest.test_case "exponential mean" `Quick test_prng_exponential_mean;
           Alcotest.test_case "split independent" `Quick test_prng_split_independent;
-          Alcotest.test_case "shuffle permutation" `Quick
-            test_prng_shuffle_permutation;
           QCheck_alcotest.to_alcotest prng_same_seed_same_sequence_test;
           QCheck_alcotest.to_alcotest prng_split_independent_test;
           QCheck_alcotest.to_alcotest prng_matches_reference_test;
@@ -824,7 +789,6 @@ let () =
             test_stats_percentile_nan;
           Alcotest.test_case "nearest_rank rule" `Quick test_stats_nearest_rank;
           Alcotest.test_case "growth" `Quick test_stats_growth;
-          Alcotest.test_case "merge" `Quick test_stats_merge;
           Alcotest.test_case "clear" `Quick test_stats_clear;
           QCheck_alcotest.to_alcotest hist_vs_stats_percentile_test;
         ] );
@@ -837,7 +801,6 @@ let () =
           Alcotest.test_case "next_set_below" `Quick test_bitvec_next_set_below;
           Alcotest.test_case "next_clear" `Quick test_bitvec_next_clear;
           Alcotest.test_case "prev_set" `Quick test_bitvec_prev_set;
-          Alcotest.test_case "count_range" `Quick test_bitvec_count_range;
           Alcotest.test_case "fold_set_ranges" `Quick
             test_bitvec_fold_set_ranges;
           QCheck_alcotest.to_alcotest bitvec_model_test;
