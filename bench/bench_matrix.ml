@@ -285,11 +285,9 @@ let run ~out ?trace_out ~jobs ~fast () =
     (if fast then "smoke" else "full")
     jobs
     (if jobs = 1 then "" else "s");
-  Cgc_experiments.Common.set_jobs jobs;
+  Cgc_cluster.Dpool.set_size jobs;
   let results =
     Cgc_experiments.Common.par_map
-      ~progress:(fun _ (i, c) ->
-        Printf.printf "[%d/%d] %s...\n%!" (i + 1) ncells (cell_label c))
       (List.mapi (fun i c -> (i, c)) cells)
       (fun (i, c) ->
         let label = cell_label c in

@@ -902,7 +902,7 @@ let experiment_cmd =
          CSV) are identical at every job count."
     and+ fast in
     E.Common.set_quick fast;
-    E.Common.set_jobs jobs;
+    Dpool.set_size jobs;
     E.Common.reset_recorded ();
     List.assoc which experiments ();
     output

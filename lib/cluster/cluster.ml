@@ -384,8 +384,7 @@ let time_to_recover ~plan ~live_epochs ~epoch_ms ~shards ~cycles_per_ms =
         | Some r ->
             Some ((float_of_int r /. float_of_int cycles_per_ms) -. onset_ms))
 
-let run ?pool (cfg : cfg) =
-  let pool = match pool with Some p -> p | None -> Dpool.global () in
+let run (cfg : cfg) =
   let cycles_per_ms = Cost.default.Cost.cycles_per_ms in
   let horizon = int_of_float (cfg.ms *. float_of_int cycles_per_ms) in
   (* An own PRNG root, offset from the fleet seed; one split stream for
@@ -397,7 +396,7 @@ let run ?pool (cfg : cfg) =
   let ts = fleet_arrivals cfg ~cycles_per_ms ~rng:arr_rng in
   let plan =
     match cfg.chaos with
-    | None -> Cluster_fault.none ~shards:cfg.shards ~horizon
+    | None -> Cluster_fault.none ~horizon
     | Some scenario ->
         Cluster_fault.make ~scenario ~seed:cfg.chaos_seed ~shards:cfg.shards
           ~horizon
@@ -510,7 +509,7 @@ let run ?pool (cfg : cfg) =
   done;
   let jobs = Array.of_list !jobs in
   let results =
-    Dpool.map pool
+    Dpool.map
       (fun (scfg, arrivals, delays, routes) ->
         Shard.run scfg ~arrivals ~delays ~routes ())
       jobs

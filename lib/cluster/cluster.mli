@@ -1,5 +1,5 @@
 (** The sharded multi-VM cluster: N shard simulations behind a
-    front-end load balancer, executed on the persistent domain pool.
+    front-end load balancer, the shards run on host domains ({!Dpool}).
 
     A run has three phases:
 
@@ -26,7 +26,7 @@
     Because phase 1 is serial and a pure function of [(cfg, plan)], and
     phase 2's simulations share no state, every per-shard trace and
     report — and therefore the fleet report — is byte-identical at any
-    pool size, under every chaos scenario. *)
+    [--jobs], under every chaos scenario. *)
 
 type cfg = {
   shards : int;
@@ -158,10 +158,10 @@ exception Fleet_unavailable of unavailable
 
 val unavailable_to_string : unavailable -> string
 
-val run : ?pool:Dpool.t -> cfg -> result
-(** Execute the three phases.  [pool] defaults to {!Dpool.global} (so
-    [--jobs] controls shard parallelism); a shard that raises is
-    re-raised here after the remaining shards finish.  Raises
+val run : cfg -> result
+(** Execute the three phases, the shards on {!Dpool} (so [--jobs]
+    controls shard parallelism); a shard that raises is re-raised here
+    after the remaining shards finish.  Raises
     {!Fleet_unavailable} from the serial front end when the ladder
     bottoms out. *)
 

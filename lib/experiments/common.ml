@@ -70,38 +70,20 @@ let reset_recorded () = recorded_rev := []
    Prng, Sched, Obs) is a self-contained value, so distinct items can
    run in distinct domains without sharing any mutable simulation state.
    The simulated results are identical at every job count; only host
-   wall-clock changes.
+   wall-clock changes.  The domains are {!Cgc_cluster.Dpool}'s, sized
+   by --jobs. *)
 
-   Since the cluster PR the domains come from the persistent
-   work-stealing pool ({!Cgc_cluster.Dpool}) shared with the cluster
-   layer and the bench matrix: --jobs resizes one process-wide pool
-   instead of every par_map spawning and joining its own domains. *)
-
-module Dpool = Cgc_cluster.Dpool
-
-let set_jobs n = Dpool.set_size n
-
-let par_map (type a b) ?progress (items : a list) (f : a -> b) : b list =
+let par_map (type a b) (items : a list) (f : a -> b) : b list =
   let items = Array.of_list items in
   let n = Array.length items in
   let results : b option array = Array.make n None in
   let records : metrics list array = Array.make n [] in
-  let mu = Mutex.create () in
-  Dpool.run (Dpool.global ()) ~n (fun i ->
-      (match progress with
-      | None -> ()
-      | Some p ->
-          Mutex.lock mu;
-          (try p i items.(i)
-           with e ->
-             Mutex.unlock mu;
-             raise e);
-          Mutex.unlock mu);
+  Cgc_cluster.Dpool.run ~n (fun i ->
       (* Divert this item's metrics records to a private sink so the
          global registry sees them in item order, not in domain
          completion order.  The previous sink is restored on the way
-         out, so a nested par_map (which the pool runs inline) splices
-         its records into the enclosing item's sink. *)
+         out, so a nested par_map (which runs inline) splices its
+         records into the enclosing item's sink. *)
       let sink = ref [] in
       let saved = Domain.DLS.get sink_key in
       Domain.DLS.set sink_key (Some sink);

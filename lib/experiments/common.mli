@@ -65,27 +65,17 @@ val set_quick : bool -> unit
 val quick : unit -> bool
 (** The current {!set_quick} value. *)
 
-val set_jobs : int -> unit
-(** Resize the process-wide persistent domain pool
-    ({!Cgc_cluster.Dpool.set_size}) that {!par_map}, the benchmark
-    matrix and the cluster layer all draw from (clamped to at least 1;
-    default 1).  Host-side parallelism only — the simulated results of
-    every experiment are identical at every job count. *)
-
-val par_map : ?progress:(int -> 'a -> unit) -> 'a list -> ('a -> 'b) -> 'b list
-(** [par_map items f] maps [f] over [items] on the persistent
-    work-stealing domain pool ({!Cgc_cluster.Dpool}, sized by
-    {!set_jobs}), returning results in item order regardless of
-    completion order.  Each simulation owns its state (VM, machine,
-    PRNG, event sink), so items never share mutable simulation state;
-    metrics records made by {!collect} inside [f] are diverted to a
-    per-item domain-local sink and spliced into the {!recorded}
+val par_map : 'a list -> ('a -> 'b) -> 'b list
+(** [par_map items f] maps [f] over [items] on {!Cgc_cluster.Dpool}'s
+    domains (sized by [--jobs]), returning results in item order
+    regardless of completion order.  Each simulation owns its state (VM,
+    machine, PRNG, event sink), so items never share mutable simulation
+    state; metrics records made by {!collect} inside [f] are diverted to
+    a per-item domain-local sink and spliced into the {!recorded}
     registry in item order, making the registry byte-identical to a
-    serial run.  [progress], if given, is called with [(index, item)]
-    under a mutex when a domain picks the item up.  A nested [par_map]
-    (called from inside an item) runs inline on the calling domain.
-    If any [f] raises, every remaining item still runs and the first
-    exception (in completion order) is re-raised. *)
+    serial run.  A nested [par_map] (called from inside an item) runs
+    inline on the calling domain.  If any [f] raises, every remaining
+    item still runs and the first exception is re-raised. *)
 
 val specjbb :
   label:string ->

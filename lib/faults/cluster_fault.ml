@@ -36,18 +36,16 @@ type incarnation = { index : int; start : int; stop : int; crashed : bool }
 type plan = {
   scenario : scenario option;
   seed : int;
-  shards : int;
   horizon : int;
   victim : int;
   dark : (int * int) array; (* victim dark windows, half-open, sorted *)
   brown : (int * int * float) option; (* victim slowdown window *)
 }
 
-let none ~shards ~horizon =
+let none ~horizon =
   {
     scenario = None;
     seed = 0;
-    shards;
     horizon;
     victim = -1;
     dark = [||];
@@ -82,7 +80,7 @@ let make ~scenario ~seed ~shards ~horizon =
         done;
         (Array.of_list (List.rev !ws), None)
   in
-  { scenario = Some scenario; seed; shards; horizon; victim; dark; brown }
+  { scenario = Some scenario; seed; horizon; victim; dark; brown }
 
 let scenario p = p.scenario
 let seed p = p.seed

@@ -50,7 +50,7 @@ type incarnation = {
   crashed : bool;  (** true when [stop] is a crash, not the horizon *)
 }
 
-val none : shards:int -> horizon:int -> plan
+val none : horizon:int -> plan
 (** The inert plan: every shard lives [0, horizon), no victim. *)
 
 val make : scenario:scenario -> seed:int -> shards:int -> horizon:int -> plan

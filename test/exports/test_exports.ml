@@ -13,11 +13,6 @@ let allowlist =
       "test seam: the hash ring's failover contract" );
     ( "Cgc_cluster.Balancer.ring_lookup",
       "test seam: the hash ring's failover contract" );
-    ("Cgc_cluster.Deque.length", "test seam: a drained deque holds no job");
-    ( "Cgc_cluster.Dpool.create",
-      "test seam: private pools for the any-pool-size determinism tests" );
-    ( "Cgc_cluster.Dpool.shutdown",
-      "test seam: joins the private pools of Dpool.create" );
     ( "Cgc_core.Collector.force_collect",
       "test seam: a full collection on demand" );
     ( "Cgc_core.Collector.old_limit",

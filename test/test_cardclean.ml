@@ -19,7 +19,6 @@ let ci = Alcotest.int
 
 type env = {
   heap : Heap.t;
-  pool : Pool.t;
   tracer : Tracer.t;
   cleaner : Card_clean.t;
 }
@@ -29,7 +28,7 @@ let mk () =
   let heap = Heap.create mach ~nslots:65536 in
   let pool = Pool.create mach ~n_packets:16 ~capacity:16 in
   let tracer = Tracer.create Config.default heap pool in
-  { heap; pool; tracer; cleaner = Card_clean.create heap }
+  { heap; tracer; cleaner = Card_clean.create heap }
 
 let obj env ~nrefs ~size =
   match Heap.alloc_large env.heap ~size ~nrefs ~mark_new:false with

@@ -1,7 +1,6 @@
-(* Tests for the cluster layer (cgc_cluster): the SPMC work deque under
-   concurrent consumers, the persistent domain pool (exactly-once,
-   order-identical results at every size, exception propagation at
-   every pool size, the par_map registry splicing), the three routing
+(* Tests for the cluster layer (cgc_cluster): the domain batches
+   (exactly-once, order-identical results at every size, exception
+   propagation at every size, the par_map registry splicing), the three routing
    policies and the hash ring's failover monotonicity, shard/fleet
    determinism across pool sizes (byte-identical traces and report,
    chaos scenarios included), the fleet degradation ladder's exact
@@ -10,7 +9,6 @@
    cgcsim-cluster-v3 schema round-trip. *)
 
 module Json = Cgc_prof.Json
-module Deque = Cgc_cluster.Deque
 module Dpool = Cgc_cluster.Dpool
 module Balancer = Cgc_cluster.Balancer
 module Cluster = Cgc_cluster.Cluster
@@ -28,57 +26,18 @@ let cb = Alcotest.bool
 let ci = Alcotest.int
 let cpm = 550_000 (* Cost.default.cycles_per_ms *)
 
-(* ------------------------------ deque ------------------------------ *)
-
-let test_deque_fifo () =
-  let d = Deque.create ~capacity:16 in
-  for i = 0 to 9 do
-    Deque.push d i
-  done;
-  check ci "length" 10 (Deque.length d);
-  for i = 0 to 9 do
-    check (Alcotest.option ci) "fifo order" (Some i) (Deque.take d)
-  done;
-  check (Alcotest.option ci) "empty" None (Deque.take d)
-
-let test_deque_concurrent_take_once () =
-  (* 4 consumer domains race on one deque; every job must be taken
-     exactly once. *)
-  let n = 10_000 in
-  let d = Deque.create ~capacity:(1 lsl 14) in
-  for i = 0 to n - 1 do
-    Deque.push d i
-  done;
-  let seen = Array.init n (fun _ -> Atomic.make 0) in
-  let taker () =
-    let rec go () =
-      match Deque.take d with
-      | Some job ->
-          Atomic.incr seen.(job);
-          go ()
-      | None -> ()
-    in
-    go ()
-  in
-  let doms = List.init 4 (fun _ -> Domain.spawn taker) in
-  List.iter Domain.join doms;
-  check ci "deque drained" 0 (Deque.length d);
-  Array.iteri
-    (fun i c ->
-      if Atomic.get c <> 1 then
-        Alcotest.failf "job %d taken %d times" i (Atomic.get c))
-    seen
-
 (* ------------------------------ dpool ------------------------------ *)
 
+(* Run [f] with batches at [domains] domains, back to 1 afterwards. *)
+let with_size domains f =
+  Dpool.set_size domains;
+  Fun.protect ~finally:(fun () -> Dpool.set_size 1) f
+
 let test_pool_exactly_once () =
-  let pool = Dpool.create ~domains:4 in
-  Fun.protect
-    ~finally:(fun () -> Dpool.shutdown pool)
-    (fun () ->
+  with_size 4 (fun () ->
       let n = 1000 in
       let hits = Array.init n (fun _ -> Atomic.make 0) in
-      Dpool.run pool ~n (fun i -> Atomic.incr hits.(i));
+      Dpool.run ~n (fun i -> Atomic.incr hits.(i));
       Array.iteri
         (fun i c ->
           if Atomic.get c <> 1 then
@@ -86,13 +45,10 @@ let test_pool_exactly_once () =
         hits)
 
 let test_pool_exception () =
-  let pool = Dpool.create ~domains:3 in
-  Fun.protect
-    ~finally:(fun () -> Dpool.shutdown pool)
-    (fun () ->
+  with_size 3 (fun () ->
       let ran = Array.init 20 (fun _ -> Atomic.make 0) in
       (match
-         Dpool.run pool ~n:20 (fun i ->
+         Dpool.run ~n:20 (fun i ->
              Atomic.incr ran.(i);
              if i = 7 then failwith "job 7")
        with
@@ -100,6 +56,55 @@ let test_pool_exception () =
       | exception Failure msg -> check Alcotest.string "message" "job 7" msg);
       (* every other job still ran *)
       Array.iter (fun c -> check ci "ran once" 1 (Atomic.get c)) ran)
+
+exception Job_failed of int
+
+let qcheck_pool_contract =
+  (* Jobs of uneven cost, some failing, at every size: each job runs
+     exactly once, map is Array.map, and the re-raised exception is a
+     failing job's — the lowest failing index's on a serial batch. *)
+  let job =
+    QCheck.(
+      pair (int_range 0 5000)
+        (make ~print:string_of_bool Gen.(frequencyl [ (7, false); (1, true) ])))
+  in
+  QCheck.Test.make
+    ~name:"dpool: exactly once, map order, exception contract at any size"
+    ~count:100
+    QCheck.(pair (int_range 1 8) (list_of_size Gen.(0 -- 64) job))
+    (fun (domains, jobs) ->
+      let jobs = Array.of_list jobs in
+      let n = Array.length jobs in
+      let spin i =
+        let r = ref i in
+        for k = 1 to fst jobs.(i) do
+          r := (!r * 31) + k
+        done;
+        Sys.opaque_identity !r
+      in
+      let failing =
+        List.filter (fun i -> snd jobs.(i)) (List.init n Fun.id)
+      in
+      let ran = Array.init n (fun _ -> Atomic.make 0) in
+      with_size domains (fun () ->
+          let raised =
+            match
+              Dpool.run ~n (fun i ->
+                  Atomic.incr ran.(i);
+                  ignore (spin i);
+                  if snd jobs.(i) then raise (Job_failed i))
+            with
+            | () -> None
+            | exception Job_failed i -> Some i
+          in
+          let idx = Array.init n Fun.id in
+          Array.for_all (fun c -> Atomic.get c = 1) ran
+          && (match (raised, failing) with
+             | None, [] -> true
+             | Some i, lowest :: _ ->
+                 List.mem i failing && (domains > 1 || i = lowest)
+             | _ -> false)
+          && Dpool.map spin idx = Array.map spin idx))
 
 let qcheck_pool_map_matches_serial =
   QCheck.Test.make
@@ -109,40 +114,25 @@ let qcheck_pool_map_matches_serial =
     (fun (domains, n, salt) ->
       let items = Array.init n (fun i -> i + salt) in
       let f x = (x * x) + (x lxor 0x55) in
-      let pool = Dpool.create ~domains in
-      let got =
-        Fun.protect
-          ~finally:(fun () -> Dpool.shutdown pool)
-          (fun () -> Dpool.map pool f items)
-      in
-      got = Array.map f items)
+      with_size domains (fun () -> Dpool.map f items) = Array.map f items)
 
 let qcheck_par_map_matches_serial =
-  (* Common.par_map rides the global pool; output order (and therefore
-     every experiment table) must not depend on the pool size. *)
+  (* Common.par_map runs on Dpool; output order (and therefore every
+     experiment table) must not depend on the batch size. *)
   QCheck.Test.make
     ~name:"par_map: order-identical to List.map at any --jobs" ~count:40
     QCheck.(pair (int_range 1 8) (list_of_size Gen.(0 -- 40) small_int))
     (fun (jobs, items) ->
-      Common.set_jobs jobs;
       let f x = (x * 3) + 1 in
-      let got =
-        Fun.protect
-          ~finally:(fun () -> Common.set_jobs 1)
-          (fun () -> Common.par_map items f)
-      in
-      got = List.map f items)
+      with_size jobs (fun () -> Common.par_map items f) = List.map f items)
 
 let test_pool_serial_exception_first_in_index_order () =
   (* The serial path must match the parallel contract: every job runs,
      the first exception (index order) is the one re-raised. *)
-  let pool = Dpool.create ~domains:1 in
-  Fun.protect
-    ~finally:(fun () -> Dpool.shutdown pool)
-    (fun () ->
+  with_size 1 (fun () ->
       let ran = Array.make 10 false in
       (match
-         Dpool.run pool ~n:10 (fun i ->
+         Dpool.run ~n:10 (fun i ->
              ran.(i) <- true;
              if i = 3 then failwith "job 3";
              if i = 7 then failwith "job 7")
@@ -158,35 +148,25 @@ let test_pool_serial_exception_first_in_index_order () =
 let test_pool_usable_after_exception () =
   List.iter
     (fun domains ->
-      let pool = Dpool.create ~domains in
-      Fun.protect
-        ~finally:(fun () -> Dpool.shutdown pool)
-        (fun () ->
-          (match
-             Dpool.run pool ~n:4 (fun i -> if i = 2 then failwith "boom")
-           with
+      with_size domains (fun () ->
+          (match Dpool.run ~n:4 (fun i -> if i = 2 then failwith "boom") with
           | () -> Alcotest.fail "expected an exception"
           | exception Failure _ -> ());
-          let got = Dpool.map pool (fun x -> x * 2) [| 1; 2; 3 |] in
+          let got = Dpool.map (fun x -> x * 2) [| 1; 2; 3 |] in
           check (Alcotest.array ci)
-            (Printf.sprintf "pool of %d reusable after exception" domains)
+            (Printf.sprintf "size %d reusable after exception" domains)
             [| 2; 4; 6 |] got))
     [ 1; 4 ]
 
 let test_pool_nested_inline_after_exception () =
-  let pool = Dpool.create ~domains:4 in
-  Fun.protect
-    ~finally:(fun () -> Dpool.shutdown pool)
-    (fun () ->
-      (match
-         Dpool.run pool ~n:8 (fun i -> if i = 0 then failwith "boom")
-       with
+  with_size 4 (fun () ->
+      (match Dpool.run ~n:8 (fun i -> if i = 0 then failwith "boom") with
       | () -> Alcotest.fail "expected an exception"
       | exception Failure _ -> ());
       let outer =
-        Dpool.map pool
+        Dpool.map
           (fun i ->
-            let inner = Dpool.map pool (fun j -> i * j) [| 1; 2 |] in
+            let inner = Dpool.map (fun j -> i * j) [| 1; 2 |] in
             inner.(0) + inner.(1))
           [| 3; 4 |]
       in
@@ -194,16 +174,13 @@ let test_pool_nested_inline_after_exception () =
         [| 9; 12 |] outer)
 
 let test_pool_nested_runs_inline () =
-  let pool = Dpool.create ~domains:4 in
-  Fun.protect
-    ~finally:(fun () -> Dpool.shutdown pool)
-    (fun () ->
-      (* An inner map issued from inside a pool job must complete (not
-         deadlock) and produce the same values. *)
+  with_size 4 (fun () ->
+      (* An inner map issued from inside a batch job must complete and
+         produce the same values. *)
       let outer =
-        Dpool.map pool
+        Dpool.map
           (fun i ->
-            let inner = Dpool.map pool (fun j -> i + j) [| 1; 2; 3 |] in
+            let inner = Dpool.map (fun j -> i + j) [| 1; 2; 3 |] in
             Array.fold_left ( + ) 0 inner)
           [| 10; 20 |]
       in
@@ -308,10 +285,7 @@ let small_cfg ?(trace = false) () =
 
 let test_cluster_determinism_across_pool_sizes () =
   let run domains =
-    let pool = Dpool.create ~domains in
-    Fun.protect
-      ~finally:(fun () -> Dpool.shutdown pool)
-      (fun () -> Cluster.run ~pool (small_cfg ~trace:true ()))
+    with_size domains (fun () -> Cluster.run (small_cfg ~trace:true ()))
   in
   let r1 = run 1 and r8 = run 8 in
   check Alcotest.string "fleet report byte-identical at 1 vs 8 domains"
@@ -377,10 +351,8 @@ let test_chaos_determinism_across_pool_sizes () =
     (fun sc ->
       let name = Cluster_fault.to_name sc in
       let run domains =
-        let pool = Dpool.create ~domains in
-        Fun.protect
-          ~finally:(fun () -> Dpool.shutdown pool)
-          (fun () -> Cluster.run ~pool (chaos_cfg ~trace:true ~chaos:sc ()))
+        with_size domains (fun () ->
+            Cluster.run (chaos_cfg ~trace:true ~chaos:sc ()))
       in
       let r1 = run 1 and r8 = run 8 in
       check Alcotest.string
@@ -620,12 +592,6 @@ let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "cluster"
     [
-      ( "deque",
-        [
-          Alcotest.test_case "fifo" `Quick test_deque_fifo;
-          Alcotest.test_case "concurrent take exactly once" `Quick
-            test_deque_concurrent_take_once;
-        ] );
       ( "dpool",
         [
           Alcotest.test_case "exactly once" `Quick test_pool_exactly_once;
@@ -639,6 +605,7 @@ let () =
             test_pool_nested_inline_after_exception;
           Alcotest.test_case "nested runs inline" `Quick
             test_pool_nested_runs_inline;
+          q qcheck_pool_contract;
           q qcheck_pool_map_matches_serial;
           q qcheck_par_map_matches_serial;
         ] );

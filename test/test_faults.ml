@@ -292,7 +292,7 @@ let qcheck_chaos_plan_well_formed =
       | _, None ->
           (* restart/brownout windows sit well inside the horizon *)
           ok := false);
-      let inert = Cluster_fault.none ~shards ~horizon in
+      let inert = Cluster_fault.none ~horizon in
       if Cluster_fault.victim inert <> -1 then ok := false;
       if Cluster_fault.first_onset inert <> None then ok := false;
       for k = 0 to shards - 1 do

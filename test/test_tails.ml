@@ -35,12 +35,12 @@ let cluster_cfg ?chaos () =
     ~slo_ms:50.0 ~heap_mb:16.0 ~ms:300.0 ?chaos ()
 
 let cluster_report_string ?chaos ?(domains = 1) () =
-  let pool = Dpool.create ~domains in
+  Dpool.set_size domains;
   Fun.protect
-    ~finally:(fun () -> Dpool.shutdown pool)
+    ~finally:(fun () -> Dpool.set_size 1)
     (fun () ->
       Json.to_string ~pretty:true
-        (Cluster_report.to_json (Cluster.run ~pool (cluster_cfg ?chaos ()))))
+        (Cluster_report.to_json (Cluster.run (cluster_cfg ?chaos ()))))
 
 (* ------------------------- exact-span parsing ------------------------ *)
 
@@ -181,12 +181,12 @@ let test_lbo_of_single_report () =
 
 let test_tails_byte_identical_across_pool_sizes () =
   let artefacts domains =
-    let pool = Dpool.create ~domains in
+    Dpool.set_size domains;
     Fun.protect
-      ~finally:(fun () -> Dpool.shutdown pool)
+      ~finally:(fun () -> Dpool.set_size 1)
       (fun () ->
         let r =
-          Cluster.run ~pool (cluster_cfg ~chaos:Cluster_fault.Shard_restart ())
+          Cluster.run (cluster_cfg ~chaos:Cluster_fault.Shard_restart ())
         in
         let report = Json.to_string ~pretty:true (Cluster_report.to_json r) in
         let t =
