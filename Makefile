@@ -337,13 +337,14 @@ tails-smoke: build
 	  --lbo --json $(ART)/lbo.json
 	@echo "tails smoke OK: forensics byte-identical at --jobs 1 vs 4, LBO distils"
 
-# Experiment smoke: two paper experiments in fast mode, each at --jobs 1
+# Experiment smoke: three paper experiments in fast mode, each at --jobs 1
 # and --jobs 2, must print the same tables and write byte-identical
 # --metrics-out CSVs (the CSV is renamed after each run, so both stdouts
-# name the same path).
+# name the same path).  serverlat's sweep runs through Common.par_map,
+# so it covers the parallel path.
 experiment-smoke: build
 	mkdir -p $(ART)
-	for e in javac ablation-steal; do \
+	for e in javac ablation-steal serverlat; do \
 	  for j in 1 2; do \
 	    dune exec bin/cgcsim.exe -- experiment $$e --fast --jobs $$j \
 	      --metrics-out $(ART)/exp-$$e.csv > $(ART)/exp-$$e-j$$j.txt \

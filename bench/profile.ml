@@ -42,8 +42,7 @@
    report or any other deterministic output. *)
 
 module Vm = Cgc_runtime.Vm
-module Config = Cgc_core.Config
-module Cluster = Cgc_cluster.Cluster
+module P = Perfbench
 
 let period_s = 0.001
 let top = 25
@@ -155,49 +154,30 @@ let print_shares title h samples =
           k)
     rows
 
-(* The workloads are perfbench's jbb, serve-gen and fleet set-ups.  Each
-   builds its VMs and runs their warm-up unsampled, then returns the
-   window: [ms] simulated milliseconds.  The fleet has no warm-up (as in
-   perfbench, Cluster.run offers no seam before its first cycle), so its
-   window is the whole run. *)
-let workloads =
-  [
-    ( "jbb",
-      fun ~ms ->
-        let vm =
-          Cgc_workloads.Specjbb.setup ~warehouses:8 ~gc:Config.default
-            ~heap_mb:48.0 ~ncpus:4 ~seed:1 ()
-        in
-        Vm.run vm ~ms:500.0;
-        fun () -> Vm.run vm ~ms );
-    ( "serve",
-      fun ~ms ->
-        let vm =
-          Vm.create
-            (Vm.config ~heap_mb:24.0 ~ncpus:4 ~seed:1 ~gc:Config.gen ())
-        in
-        ignore
-          (Cgc_server.Server.create
-             (Cgc_server.Server.cfg ~rate_per_s:20_000.0 ~queue_cap:256
-                ~workers:4 ~slo_ms:50.0 ())
-             vm);
-        Vm.run vm ~ms:1000.0;
-        fun () -> Vm.run vm ~ms );
-    ( "fleet",
-      fun ~ms ->
-        let cfg =
-          Cluster.cfg ~shards:4 ~policy:Cgc_cluster.Balancer.Round_robin
-            ~gc:Config.default ~heap_mb:16.0 ~slo_ms:50.0 ~ms ~seed:1
-            ~chaos:Cgc_fault.Cluster_fault.Shard_brownout ~chaos_seed:1
-            ~rate_per_s:16_000.0 ()
-        in
-        fun () -> ignore (Cluster.run cfg) );
-  ]
+(* The workloads are perfbench's jbb, serve-gen and fleet, untraced at
+   seed 1.  Each builds its VMs and runs perfbench's warm-up unsampled,
+   then returns the window: [ms] simulated milliseconds.  The fleet has
+   no warm-up (Cluster.run offers no seam before its first cycle), so
+   its window is the whole run. *)
+let workloads = [ ("jbb", P.Jbb); ("serve", P.Serve_gen); ("fleet", P.Fleet) ]
+
+let prepare w ~ms =
+  let gc = P.gc_of w and seed = 1 and trace = false in
+  let warmed vm =
+    Vm.run vm ~ms:(P.default_windows w).P.warmup_ms;
+    fun () -> Vm.run vm ~ms
+  in
+  match w with
+  | P.Jbb -> warmed (P.jbb_vm ~gc ~seed ~trace (Cgc_util.Stats.create ()))
+  | P.Serve_gen -> warmed (fst (P.serve_vm ~gc ~seed ~trace))
+  | P.Fleet ->
+      let cfg = P.fleet_cfg ~gc ~seed ~trace ~ms in
+      fun () -> ignore (Cgc_cluster.Cluster.run cfg)
 
 let run ~workload:name ~ms =
   Cgc_experiments.Common.hdr
     (Printf.sprintf "Host profile: %s, %.0f simulated ms" name ms);
-  let window = (List.assoc name workloads) ~ms in
+  let window = prepare (List.assoc name workloads) ~ms in
   let cpu0 = Sys.time () in
   let stacks = sampled window in
   let cpu1 = Sys.time () in

@@ -260,16 +260,20 @@ let warehouses = opt_arg Arg.int 8 [ "warehouses" ] "Warehouse count."
 let run_workload w ~warehouses ~trace
     { gc; heap_mb; ncpus; ms; seed; trace_ring } =
   catching_failures (fun () ->
-      match w with
-      | Specjbb ->
-          Cgc_workloads.Specjbb.run ~warehouses ~gc ~heap_mb ~ncpus ~seed
-            ~trace ~trace_ring ~ms ()
-      | Pbob ->
-          Cgc_workloads.Pbob.run ~warehouses ~gc ~heap_mb ~ncpus ~seed ~trace
-            ~trace_ring ~ms ()
-      | Javac ->
-          Cgc_workloads.Javac.run ~gc ~heap_mb ~ncpus ~seed ~trace ~trace_ring
-            ~ms ())
+      let vm =
+        match w with
+        | Specjbb ->
+            Cgc_workloads.Specjbb.setup ~warehouses ~gc ~heap_mb ~ncpus ~seed
+              ~trace ~trace_ring ()
+        | Pbob ->
+            Cgc_workloads.Pbob.setup ~warehouses ~gc ~heap_mb ~ncpus ~seed
+              ~trace ~trace_ring ()
+        | Javac ->
+            Cgc_workloads.Javac.setup ~gc ~heap_mb ~ncpus ~seed ~trace
+              ~trace_ring ()
+      in
+      Vm.run vm ~ms;
+      vm)
 
 let run_cmd =
   let term =
@@ -683,8 +687,8 @@ let serve_cmd =
    The balancer draws the fleet arrival stream once, routes every
    arrival (round-robin, least-queue-depth or consistent-hash) through
    the epoch router, and each shard incarnation — a complete VM +
-   collector + server — replays its slice on the persistent domain pool
-   (--jobs).  Prints the fleet SLO report and optionally writes it as
+   collector + server — replays its slice in a parallel batch on the
+   --jobs domains.  Prints the fleet SLO report and optionally writes it as
    Cluster_report.schema JSON, plus the merged fleet timeline
    (--timeline-out) as Chrome counter tracks.
 
@@ -827,8 +831,8 @@ let cluster_cmd =
   in
   cmd "cluster"
     ~doc:
-      "Run N shard VMs behind a front-end load balancer on the persistent \
-       domain pool and print the fleet SLO report.  The VM and traffic flags \
+      "Run N shard VMs behind a front-end load balancer on the $(b,--jobs) \
+       domains and print the fleet SLO report.  The VM and traffic flags \
        apply to every shard; shard seeds derive from $(b,--seed)."
     term
 
@@ -850,36 +854,37 @@ let exit_codes_cmd =
 
 let experiment_cmd =
   let module E = Cgc_experiments in
-  let tables () = ignore (E.Tables123.run ()) in
+  let tables = E.Tables123.run and serve = E.Server_latency.run in
   let experiments =
     [
-      ("fig1", fun () -> ignore (E.Fig1_specjbb.run ()));
-      ("fig2", fun () -> ignore (E.Fig2_pbob.run ()));
+      ("fig1", E.Fig1_specjbb.run);
+      ("fig2", E.Fig2_pbob.run);
       ("table1", tables);
       ("table2", tables);
       ("table3", tables);
-      ("table4", fun () -> ignore (E.Table4_load_balance.run ()));
-      ("javac", fun () -> ignore (E.Javac_exp.run ()));
-      ("packetmem", fun () -> ignore (E.Packet_memory.run ()));
-      ("serverlat", fun () -> ignore (E.Server_latency.run ()));
-      ("genlat", fun () -> ignore (E.Genlat.run ()));
-      ("clusterlat", fun () -> ignore (E.Clusterlat.run ()));
-      ("clusterchaos", fun () -> ignore (E.Clusterchaos.run ()));
-      ("ablation-fence", fun () -> ignore (E.Ablations.fence_batching ()));
-      ("ablation-cardpass", fun () -> ignore (E.Ablations.card_passes ()));
-      ("ablation-lazysweep", fun () -> ignore (E.Ablations.lazy_sweep ()));
-      ("ablation-steal", fun () -> ignore (E.Ablations.stealing ()));
-      ("ablation-compact", fun () -> ignore (E.Ablations.compaction ()));
-      ("itanium", fun () -> ignore (E.Ablations.itanium ()));
+      ("table4", E.Table4_load_balance.run);
+      ("javac", E.Javac_exp.run);
+      ("packetmem", E.Packet_memory.run);
+      ("serverlat", serve);
+      ("genlat", serve);
+      ("clusterlat", E.Clusterlat.run);
+      ("clusterchaos", E.Clusterchaos.run);
+      ("ablation-fence", E.Ablations.fence_batching);
+      ("ablation-cardpass", E.Ablations.card_passes);
+      ("ablation-lazysweep", E.Ablations.lazy_sweep);
+      ("ablation-steal", E.Ablations.stealing);
+      ("ablation-compact", E.Ablations.compaction);
+      ("itanium", E.Ablations.itanium);
     ]
   in
-  (* [all] runs each distinct entry once, so Tables 1-3 share a sweep. *)
-  let all () =
-    ignore
-      (List.fold_left
-         (fun ran (_, f) -> if List.memq f ran then ran else (f (); f :: ran))
-         [] experiments)
+  (* [all] runs each distinct entry once, so Tables 1-3 share a sweep,
+     and so do serverlat and genlat. *)
+  let distinct =
+    List.fold_left
+      (fun ran (_, f) -> if List.memq f ran then ran else f :: ran)
+      [] experiments
   in
+  let all () = List.concat_map (fun f -> f ()) (List.rev distinct) in
   let experiments = experiments @ [ ("all", all) ] in
   let names = List.map fst experiments in
   let term =
@@ -903,12 +908,11 @@ let experiment_cmd =
     and+ fast in
     E.Common.set_quick fast;
     Dpool.set_size jobs;
-    E.Common.reset_recorded ();
-    List.assoc which experiments ();
+    let metrics = List.assoc which experiments () in
     output
-      (Printf.sprintf "metrics of %d runs"
-         (List.length (E.Common.recorded ())))
-      E.Common.write_metrics_csv metrics_out
+      (Printf.sprintf "metrics of %d runs" (List.length metrics))
+      (E.Common.write_metrics_csv metrics)
+      metrics_out
   in
   cmd "experiment"
     ~doc:

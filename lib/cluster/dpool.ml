@@ -6,8 +6,8 @@
 let size = ref 1
 let set_size n = size := Int.max 1 n
 
-(* Set while a domain runs batch jobs: a job that calls [run] or [map]
-   again runs the inner batch serially on its own domain. *)
+(* Set while a domain runs batch jobs: a job that calls [map] again
+   runs the inner batch serially on its own domain. *)
 let inside : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 (* Every job runs and the first exception in index order is re-raised,

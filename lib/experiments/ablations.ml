@@ -17,23 +17,21 @@ module Machine = Cgc_smp.Machine
 
 let ms () = if Common.quick () then 2000.0 else 4000.0
 
-(* SPECjbb with a specific heap fence policy (the Vm config knob the
-   preset does not expose). *)
-let run_policy label fence_policy =
-  let cfg = Vm.config ~heap_mb:64.0 ~ncpus:4 ~gc:Config.default ~fence_policy () in
+(* SPECjbb's 8 warehouses on a VM built from [cfg], for the Vm config
+   knobs Specjbb.setup does not expose. *)
+let specjbb_on cfg ~warmup_ms ~ms =
   let vm = Vm.create cfg in
-  let nslots = Cgc_heap.Heap.nslots (Vm.heap vm) in
-  let target = int_of_float (float_of_int nslots *. 0.6) / 8 in
-  let profile =
-    Cgc_workloads.Txmix.scale_residency Cgc_workloads.Specjbb.base_profile
-      ~target_slots:target
+  Cgc_workloads.Specjbb.spawn_warehouses vm ~warehouses:8
+    ~residency_at:(8, 0.6);
+  Vm.run_measured vm ~warmup_ms ~ms;
+  vm
+
+let run_policy label fence_policy =
+  let vm =
+    specjbb_on
+      (Vm.config ~heap_mb:64.0 ~ncpus:4 ~gc:Config.default ~fence_policy ())
+      ~warmup_ms:1000.0 ~ms:(ms ())
   in
-  for w = 1 to 8 do
-    Vm.spawn_mutator vm
-      ~name:(Printf.sprintf "warehouse-%d" w)
-      (Cgc_workloads.Txmix.body profile)
-  done;
-  Vm.run_measured vm ~warmup_ms:1000.0 ~ms:(ms ());
   (Common.collect ~label vm, Vm.machine vm)
 
 let fence_batching () =
@@ -72,14 +70,14 @@ let fence_batching () =
     (100.0
     *. ((batched.Common.throughput /. Float.max 1.0 naive.Common.throughput)
        -. 1.0));
-  (batched, naive)
+  [ batched; naive ]
 
 let card_passes () =
   Common.hdr
     "Ablation — second concurrent card-cleaning pass (section 2.1, footnote 2)";
   let run label passes =
     let gc = { Config.default with Config.card_passes = passes } in
-    Common.specjbb ~label ~gc ~ms:(ms ()) ()
+    fst (Common.specjbb ~label ~gc ~ms:(ms ()) ())
   in
   let one = run "1 pass" 1 in
   let two = run "2 passes" 2 in
@@ -102,13 +100,13 @@ let card_passes () =
   Printf.printf
     "Paper (footnote 2): a second pass further reduces pause time without a\n\
      noticeable throughput impact.\n";
-  (one, two)
+  [ one; two ]
 
 let lazy_sweep () =
   Common.hdr "Ablation — lazy sweep (section 7 future work)";
   let run label lazy_sweep =
     let gc = { Config.default with Config.lazy_sweep } in
-    Common.specjbb ~label ~gc ~ms:(ms ()) ()
+    fst (Common.specjbb ~label ~gc ~ms:(ms ()) ())
   in
   let eager = run "in-pause sweep" false in
   let lzy = run "lazy sweep" true in
@@ -129,14 +127,14 @@ let lazy_sweep () =
   Printf.printf
     "The paper projects that deferring sweep out of the pause brings the pause\n\
      close to the mark component alone (section 6.1 / section 7).\n";
-  (eager, lzy)
+  [ eager; lzy ]
 
 let stealing () =
   Common.hdr
     "Ablation — work packets vs work-stealing mark stacks for the STW mark (section 4.4)";
   let run label load_balance =
     let gc = { Config.stw with Config.load_balance } in
-    Common.specjbb ~label ~gc ~ms:(ms ()) ()
+    fst (Common.specjbb ~label ~gc ~ms:(ms ()) ())
   in
   let packets = run "work packets" Config.Packets in
   let steal = run "work stealing" Config.Stealing in
@@ -161,22 +159,18 @@ let stealing () =
      work and in-flight counters — the trade-off sections 4.4 and 7 discuss.\n\
      Packets' real advantage is the incremental phase, where the set of tracing\n\
      participants is large and dynamic.\n";
-  (packets, steal)
+  [ packets; steal ]
 
 let compaction () =
   Common.hdr
     "Ablation — incremental compaction (section 2.3): evacuating one area per cycle";
   let run label compaction =
     let gc = { Config.default with Config.compaction } in
-    let vm =
-      Cgc_workloads.Specjbb.setup ~warehouses:8 ~gc ~heap_mb:64.0 ()
-    in
-    Vm.run_measured vm ~warmup_ms:1000.0 ~ms:(ms ());
-    (Common.collect ~label vm, Vm.collector vm)
+    Common.specjbb ~label ~gc ~warmup_ms:1000.0 ~ms:(ms ()) ()
   in
   let off, _ = run "no compaction" false in
-  let on_, coll = run "evacuation on" true in
-  let cp = Cgc_core.Collector.compactor coll in
+  let on_, vm = run "evacuation on" true in
+  let cp = Cgc_core.Collector.compactor (Vm.collector vm) in
   let t =
     Table.create ~title:""
       ~header:
@@ -199,7 +193,7 @@ let compaction () =
     "Evacuating 1/16 of the heap per cycle defragments continuously for a small,
      bounded addition to the pause (the companion ISMM 2002 paper's design).
 ";
-  (off, on_)
+  [ off; on_ ]
 
 let itanium () =
   Common.hdr
@@ -209,23 +203,13 @@ let itanium () =
      buffers actually reordering (Relaxed mode) instead of only charging
      fence costs.  Smaller heap: relaxed simulation is host-expensive. *)
   let run label gc =
-    let cfg =
-      Vm.config ~heap_mb:24.0 ~ncpus:4 ~gc ~wm_mode:Cgc_smp.Weakmem.Relaxed ()
+    let vm =
+      specjbb_on
+        (Vm.config ~heap_mb:24.0 ~ncpus:4 ~gc
+           ~wm_mode:Cgc_smp.Weakmem.Relaxed ())
+        ~warmup_ms:1500.0
+        ~ms:(if Common.quick () then 1500.0 else 3000.0)
     in
-    let vm = Vm.create cfg in
-    let nslots = Cgc_heap.Heap.nslots (Vm.heap vm) in
-    let target = int_of_float (float_of_int nslots *. 0.6) / 8 in
-    let profile =
-      Cgc_workloads.Txmix.scale_residency Cgc_workloads.Specjbb.base_profile
-        ~target_slots:target
-    in
-    for w = 1 to 8 do
-      Vm.spawn_mutator vm
-        ~name:(Printf.sprintf "warehouse-%d" w)
-        (Cgc_workloads.Txmix.body profile)
-    done;
-    let msv = if Common.quick () then 1500.0 else 3000.0 in
-    Vm.run_measured vm ~warmup_ms:1500.0 ~ms:msv;
     (* Quiesce the store buffers before the host-side verification: the
        committed view mid-run legitimately lags in-flight stores. *)
     Cgc_smp.Weakmem.fence_all (Vm.machine vm).Cgc_smp.Machine.wm;
@@ -258,4 +242,4 @@ let itanium () =
   print_endline
     "Paper: 'both the reduction in pause times and the reduction in the overall";
   print_endline "SPECjbb throughput score are similar' on the 4-way Itanium.";
-  (stw, cgc)
+  [ stw; cgc ]

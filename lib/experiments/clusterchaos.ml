@@ -99,4 +99,4 @@ let run () =
         lq.Cluster.chaos.Cluster.redirected
         (Stdlib.min (Cluster.availability ch) (Cluster.availability lq))
   | _ -> ());
-  results
+  []

@@ -104,4 +104,4 @@ let run () =
         (Cluster.fleet_totals rr).Server.arrived
         (p ch 99.9) (p rr 99.9)
   | _ -> ());
-  results
+  []

@@ -44,26 +44,6 @@ type metrics = {
 let safe_max s = if Stats.count s = 0 then 0.0 else Stats.max s
 let safe_hmax h = if Hist.count h = 0 then 0.0 else Hist.max h
 
-(* Every metrics record extracted by [collect] is also appended here, so
-   the driver can dump a whole experiment's results as CSV afterwards
-   (cgcsim experiment NAME --metrics-out FILE).  Only the main domain
-   touches this list directly: workers spawned by [par_map] divert their
-   records into a per-item domain-local sink (below), and [par_map]
-   splices the sinks back in item order, so the registry's contents are
-   independent of how many domains ran the experiment. *)
-let recorded_rev : metrics list ref = ref []
-
-let sink_key : metrics list ref option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let record m =
-  match Domain.DLS.get sink_key with
-  | Some sink -> sink := m :: !sink
-  | None -> recorded_rev := m :: !recorded_rev
-
-let recorded () = List.rev !recorded_rev
-let reset_recorded () = recorded_rev := []
-
 (* ----------------------- domain-parallel runs ----------------------- *)
 
 (* Host-side parallelism only: every simulation (a VM and its Machine,
@@ -72,57 +52,50 @@ let reset_recorded () = recorded_rev := []
    The simulated results are identical at every job count; only host
    wall-clock changes.  The domains are {!Cgc_cluster.Dpool}'s, sized
    by --jobs. *)
+let par_map items f =
+  Array.to_list (Cgc_cluster.Dpool.map f (Array.of_list items))
 
-let par_map (type a b) (items : a list) (f : a -> b) : b list =
-  let items = Array.of_list items in
-  let n = Array.length items in
-  let results : b option array = Array.make n None in
-  let records : metrics list array = Array.make n [] in
-  Cgc_cluster.Dpool.run ~n (fun i ->
-      (* Divert this item's metrics records to a private sink so the
-         global registry sees them in item order, not in domain
-         completion order.  The previous sink is restored on the way
-         out, so a nested par_map (which runs inline) splices its
-         records into the enclosing item's sink. *)
-      let sink = ref [] in
-      let saved = Domain.DLS.get sink_key in
-      Domain.DLS.set sink_key (Some sink);
-      let r =
-        Fun.protect
-          ~finally:(fun () -> Domain.DLS.set sink_key saved)
-          (fun () -> f items.(i))
-      in
-      results.(i) <- Some r;
-      records.(i) <- List.rev !sink);
-  Array.iter (fun rs -> List.iter record rs) records;
-  Array.to_list
-    (Array.map (function Some r -> r | None -> assert false) results)
-
-let metrics_csv_header =
-  [ "label"; "throughput"; "avg_pause_ms"; "max_pause_ms"; "avg_mark_ms";
-    "max_mark_ms"; "avg_sweep_ms"; "max_sweep_ms"; "occupancy"; "conc_cards";
-    "stw_cards"; "cycles"; "premature"; "halted"; "cc_fail_pct";
-    "free_fail_pct"; "cards_left_pct"; "avg_cards_left"; "pre_rate_kb_ms";
-    "conc_rate_kb_ms"; "utilization"; "tracing_factor"; "fairness";
-    "cas_avg"; "cas_max"; "fences_total"; "pkt_in_use_hw"; "pkt_entries_hw";
-    "heap_slots"; "idle_frac" ]
-
-let metrics_csv_row m =
-  let f x = Printf.sprintf "%.4f" x and i = string_of_int in
-  [ m.label; f m.throughput; f m.avg_pause; f m.max_pause; f m.avg_mark;
-    f m.max_mark; f m.avg_sweep; f m.max_sweep; f m.occupancy; f m.conc_cards;
-    f m.stw_cards; i m.cycles; i m.premature; i m.halted; f m.cc_fail_pct;
-    f m.free_fail_pct; f m.cards_left_pct; f m.avg_cards_left; f m.pre_rate;
-    f m.conc_rate; f m.utilization; f m.tracing_factor; f m.fairness;
-    f m.cas_avg; f m.cas_max; i m.fences_total; i m.pkt_in_use_hw;
-    i m.pkt_entries_hw; i m.heap_slots; f m.idle_frac ]
+(* The cgcsim-runs-v1 columns, each with the formatter of its cell. *)
+let columns =
+  let f get m = Printf.sprintf "%.4f" (get m)
+  and i get m = string_of_int (get m) in
+  [ ("label", fun m -> m.label);
+    ("throughput", f (fun m -> m.throughput));
+    ("avg_pause_ms", f (fun m -> m.avg_pause));
+    ("max_pause_ms", f (fun m -> m.max_pause));
+    ("avg_mark_ms", f (fun m -> m.avg_mark));
+    ("max_mark_ms", f (fun m -> m.max_mark));
+    ("avg_sweep_ms", f (fun m -> m.avg_sweep));
+    ("max_sweep_ms", f (fun m -> m.max_sweep));
+    ("occupancy", f (fun m -> m.occupancy));
+    ("conc_cards", f (fun m -> m.conc_cards));
+    ("stw_cards", f (fun m -> m.stw_cards));
+    ("cycles", i (fun m -> m.cycles));
+    ("premature", i (fun m -> m.premature));
+    ("halted", i (fun m -> m.halted));
+    ("cc_fail_pct", f (fun m -> m.cc_fail_pct));
+    ("free_fail_pct", f (fun m -> m.free_fail_pct));
+    ("cards_left_pct", f (fun m -> m.cards_left_pct));
+    ("avg_cards_left", f (fun m -> m.avg_cards_left));
+    ("pre_rate_kb_ms", f (fun m -> m.pre_rate));
+    ("conc_rate_kb_ms", f (fun m -> m.conc_rate));
+    ("utilization", f (fun m -> m.utilization));
+    ("tracing_factor", f (fun m -> m.tracing_factor));
+    ("fairness", f (fun m -> m.fairness));
+    ("cas_avg", f (fun m -> m.cas_avg));
+    ("cas_max", f (fun m -> m.cas_max));
+    ("fences_total", i (fun m -> m.fences_total));
+    ("pkt_in_use_hw", i (fun m -> m.pkt_in_use_hw));
+    ("pkt_entries_hw", i (fun m -> m.pkt_entries_hw));
+    ("heap_slots", i (fun m -> m.heap_slots));
+    ("idle_frac", f (fun m -> m.idle_frac)) ]
 
 let runs_schema = "cgcsim-runs-v1"
 
-let write_metrics_csv path =
-  let rows = List.map metrics_csv_row (recorded ()) in
+let write_metrics_csv ms path =
   Cgc_obs.Export.write_file path
-    (Cgc_obs.Export.csv ~schema:runs_schema ~header:metrics_csv_header rows)
+    (Cgc_obs.Export.csv ~schema:runs_schema ~header:(List.map fst columns)
+       (List.map (fun m -> List.map (fun (_, cell) -> cell m) columns) ms))
 
 let pct_over samples threshold total =
   if total = 0 then 0.0
@@ -132,7 +105,6 @@ let pct_over samples threshold total =
 
 let collect ~label vm =
   let st = Vm.gc_stats vm in
-  let m =
   let mach = Vm.machine vm in
   let cost = mach.Machine.cost in
   let pl = Collector.pool (Vm.collector vm) in
@@ -171,50 +143,34 @@ let collect ~label vm =
     pkt_in_use_hw = Pool.max_in_use pl;
     pkt_entries_hw = Pool.max_entries pl;
     heap_slots = Cgc_heap.Heap.nslots (Vm.heap vm);
-      idle_frac =
-        (if idle + busy = 0 then 0.0
-         else float_of_int idle /. float_of_int (idle + busy));
-    }
-  in
-  record m;
-  m
+    idle_frac =
+      (if idle + busy = 0 then 0.0
+       else float_of_int idle /. float_of_int (idle + busy));
+  }
 
 let quick_mode = ref false
 let set_quick b = quick_mode := b
 let quick () = !quick_mode
 
-let specjbb_vm ~label ~gc ?(warehouses = 8) ?(heap_mb = 64.0)
-    ?(warmup_ms = 1500.0) ?(ms = 4000.0) ?(seed = 1) ?(trace = false)
-    ?trace_ring () =
+let specjbb ~label ~gc ?(warehouses = 8) ?(warmup_ms = 1500.0)
+    ?(ms = 4000.0) ?(trace = false) ?trace_ring () =
   let vm =
-    Cgc_workloads.Specjbb.setup ~warehouses ~gc ~heap_mb ~seed ~trace
-      ?trace_ring ()
+    Cgc_workloads.Specjbb.setup ~warehouses ~gc ~trace ?trace_ring ()
   in
   Vm.run_measured vm ~warmup_ms ~ms;
   (collect ~label vm, vm)
 
-let specjbb ~label ~gc ?warehouses ?heap_mb ?warmup_ms ?ms ?seed () =
-  fst
-    (specjbb_vm ~label ~gc ?warehouses ?heap_mb ?warmup_ms ?ms ?seed ())
-
-let pbob_vm ~label ~gc ~warehouses ?terminals ?(heap_mb = 96.0) ?think_mean
-    ?residency_at ?(warmup_ms = 1500.0) ?(ms = 5000.0) ?(seed = 1)
-    ?(trace = false) ?trace_ring () =
+let pbob ~label ~gc ~warehouses ?(heap_mb = 96.0) ?think_mean ?residency_at
+    ?(warmup_ms = 1500.0) ?(ms = 5000.0) ?(trace = false) ?trace_ring () =
   let vm =
-    Cgc_workloads.Pbob.setup ~warehouses ~gc ?terminals ~heap_mb ~trace
-      ?trace_ring ?think_mean ?residency_at ~seed ()
+    Cgc_workloads.Pbob.setup ~warehouses ~gc ~heap_mb ~trace ?trace_ring
+      ?think_mean ?residency_at ()
   in
   Vm.run_measured vm ~warmup_ms ~ms;
   (collect ~label vm, vm)
 
-let pbob ~label ~gc ~warehouses ?terminals ?heap_mb ?think_mean ?residency_at
-    ?warmup_ms ?ms ?seed () =
-  fst
-    (pbob_vm ~label ~gc ~warehouses ?terminals ?heap_mb ?think_mean
-       ?residency_at ?warmup_ms ?ms ?seed ())
-
-let analyse_trace ?mmu_windows_ms vm =
-  Cgc_prof.Analysis.analyse_events ?mmu_windows_ms
+let analyse_trace vm =
+  Cgc_prof.Analysis.analyse_events
     ~cycles_per_us:(Vm.cycles_per_us vm)
     (Cgc_obs.Obs.events_array (Vm.obs vm))
 

@@ -2,8 +2,9 @@
 
     Every experiment runs one or more VMs with a warm-up window (so the
     L/M/Best estimators have converged, as the paper's steady-state
-    measurements assume), extracts a {!metrics} record, and renders the
-    paper's tables/figures as text tables. *)
+    measurements assume), extracts a {!metrics} record per run, renders
+    the paper's tables/figures as text tables, and returns its records
+    in the order it collected them. *)
 
 type metrics = {
   label : string;
@@ -39,24 +40,16 @@ type metrics = {
 }
 
 val collect : label:string -> Cgc_runtime.Vm.t -> metrics
-(** Extract a {!metrics} record from a finished VM run.  Every record is
-    also appended to the session registry (see {!recorded}), so the CLI
-    driver can dump everything an experiment measured as CSV. *)
-
-val recorded : unit -> metrics list
-(** All metrics collected since start-up (or {!reset_recorded}), in
-    collection order. *)
-
-val reset_recorded : unit -> unit
+(** Extract a {!metrics} record from a finished VM run. *)
 
 val runs_schema : string
 (** The [#schema=] tag on experiment CSV dumps: ["cgcsim-runs-v1"]. *)
 
-val write_metrics_csv : string -> unit
-(** Write every recorded metrics record to [path] as CSV, first line
-    [#schema=cgcsim-runs-v1], so consumers can reject incompatible
-    column sets (implements [cgcsim experiment NAME --metrics-out
-    FILE]). *)
+val write_metrics_csv : metrics list -> string -> unit
+(** [write_metrics_csv ms path] writes [ms] to [path] as CSV, one row
+    per record, first line [#schema=cgcsim-runs-v1], so consumers can
+    reject incompatible column sets (implements [cgcsim experiment NAME
+    --metrics-out FILE]). *)
 
 val set_quick : bool -> unit
 (** Shrink every experiment's sweep for a fast smoke run (the [--fast]
@@ -66,78 +59,46 @@ val quick : unit -> bool
 (** The current {!set_quick} value. *)
 
 val par_map : 'a list -> ('a -> 'b) -> 'b list
-(** [par_map items f] maps [f] over [items] on {!Cgc_cluster.Dpool}'s
-    domains (sized by [--jobs]), returning results in item order
-    regardless of completion order.  Each simulation owns its state (VM,
-    machine, PRNG, event sink), so items never share mutable simulation
-    state; metrics records made by {!collect} inside [f] are diverted to
-    a per-item domain-local sink and spliced into the {!recorded}
-    registry in item order, making the registry byte-identical to a
-    serial run.  A nested [par_map] (called from inside an item) runs
-    inline on the calling domain.  If any [f] raises, every remaining
-    item still runs and the first exception is re-raised. *)
+(** [par_map items f] is [List.map f items] run by
+    {!Cgc_cluster.Dpool.map} on the [--jobs] domains, so results come
+    back in item order whichever domain ran what.  Each simulation owns
+    its state (VM, machine, PRNG, event sink), so items never share
+    mutable simulation state. *)
 
 val specjbb :
   label:string ->
   gc:Cgc_core.Config.t ->
   ?warehouses:int ->
-  ?heap_mb:float ->
   ?warmup_ms:float ->
   ?ms:float ->
-  ?seed:int ->
+  ?trace:bool ->
+  ?trace_ring:int ->
   unit ->
-  metrics
-(** Warm up and measure a SPECjbb-like run (defaults: 8 warehouses, 64 MB,
-    1500 ms warm-up, 4000 ms measured). *)
+  metrics * Cgc_runtime.Vm.t
+(** Warm up and measure a SPECjbb-like run on
+    {!Cgc_workloads.Specjbb.setup}'s 64 MB heap (defaults: 8 warehouses,
+    1500 ms warm-up, 4000 ms measured), returning its record and the
+    finished VM.  [trace] arms
+    the event sink, with [trace_ring] capacity, for experiments that
+    derive extra columns from the trace. *)
 
 val pbob :
   label:string ->
   gc:Cgc_core.Config.t ->
   warehouses:int ->
-  ?terminals:int ->
   ?heap_mb:float ->
   ?think_mean:int ->
   ?residency_at:int * float ->
   ?warmup_ms:float ->
   ?ms:float ->
-  ?seed:int ->
-  unit ->
-  metrics
-
-val specjbb_vm :
-  label:string ->
-  gc:Cgc_core.Config.t ->
-  ?warehouses:int ->
-  ?heap_mb:float ->
-  ?warmup_ms:float ->
-  ?ms:float ->
-  ?seed:int ->
   ?trace:bool ->
   ?trace_ring:int ->
   unit ->
   metrics * Cgc_runtime.Vm.t
-(** Like {!specjbb} but also returns the finished VM, and optionally
-    arms the event sink ([trace], with [trace_ring] capacity) — for
-    experiments that derive extra columns from the trace. *)
+(** Like {!specjbb} for {!Cgc_workloads.Pbob.setup} (defaults: 96 MB,
+    1500 ms warm-up, 5000 ms measured). *)
 
-val pbob_vm :
-  label:string ->
-  gc:Cgc_core.Config.t ->
-  warehouses:int ->
-  ?terminals:int ->
-  ?heap_mb:float ->
-  ?think_mean:int ->
-  ?residency_at:int * float ->
-  ?warmup_ms:float ->
-  ?ms:float ->
-  ?seed:int ->
-  ?trace:bool ->
-  ?trace_ring:int ->
-  unit ->
-  metrics * Cgc_runtime.Vm.t
-
-val analyse_trace :
-  ?mmu_windows_ms:float list -> Cgc_runtime.Vm.t -> Cgc_prof.Analysis.t
+val analyse_trace : Cgc_runtime.Vm.t -> Cgc_prof.Analysis.t
 (** Run the offline profiler over a finished traced VM's event stream. *)
 
 val hdr : string -> unit

@@ -31,8 +31,9 @@ let run () =
         let ms = if Common.quick () then 2500.0 else 6000.0 in
         let warmup_ms = if Common.quick () then 1000.0 else 2000.0 in
         let run gc =
-          Common.pbob ~label:(Config.mode_name gc.Config.mode) ~gc
-            ~warehouses:wh ~warmup_ms ~ms ()
+          fst
+            (Common.pbob ~label:(Config.mode_name gc.Config.mode) ~gc
+               ~warehouses:wh ~warmup_ms ~ms ())
         in
         let stw = run Config.stw in
         let cgc = run Config.default in
@@ -73,4 +74,4 @@ let run () =
         wh_hi stw_hi.Common.avg_pause cgc_hi.Common.avg_pause
         (100.0 *. cgc_hi.Common.avg_sweep /. Float.max 0.001 cgc_hi.Common.avg_pause)
   | _ -> ());
-  results
+  List.concat_map (fun (_, stw, cgc) -> [ stw; cgc ]) results

@@ -37,4 +37,4 @@ let run () =
     (100.0 *. (1.0 -. (cgc.Common.avg_pause /. Float.max 0.001 stw.Common.avg_pause)))
     (100.0 *. (1.0 -. (cgc.Common.max_pause /. Float.max 0.001 stw.Common.max_pause)))
     (100.0 *. cgc.Common.throughput /. Float.max 0.001 stw.Common.throughput);
-  (stw, cgc)
+  [ stw; cgc ]

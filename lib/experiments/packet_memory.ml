@@ -11,7 +11,7 @@ module Config = Cgc_core.Config
 let run () =
   Common.hdr "Section 6.3 — Work-packet memory requirements (SPECjbb, 8 warehouses)";
   let ms = if Common.quick () then 2000.0 else 5000.0 in
-  let m = Common.specjbb ~label:"CGC" ~gc:Config.default ~ms () in
+  let m, _ = Common.specjbb ~label:"CGC" ~gc:Config.default ~ms () in
   let heap_bytes = m.Common.heap_slots * 8 in
   let entry_bytes = 8 in
   let lower = m.Common.pkt_entries_hw * entry_bytes in
@@ -35,4 +35,4 @@ let run () =
       Printf.sprintf "%.3f%%" (100.0 *. float_of_int upper /. float_of_int heap_bytes) ];
   Table.print t;
   Printf.printf "Paper: bounded between 0.11%% and 0.25%% of the heap.\n";
-  m
+  [ m ]

@@ -36,7 +36,7 @@ let run () =
            load-balance statistics from the event stream; the rings are
            kept small because a thousand mutators each get one. *)
         let m, vm =
-          Common.pbob_vm
+          Common.pbob
             ~label:(Printf.sprintf "%d threads" (wh * 25))
             ~gc ~warehouses:wh ~heap_mb:48.0 ~think_mean:0
             ~residency_at:(40, 0.85) ~warmup_ms:1000.0 ~ms ~trace:true
@@ -45,22 +45,19 @@ let run () =
         let a = Common.analyse_trace vm in
         (wh, m, a))
   in
-  let results =
-    List.map
-      (fun (wh, m, a) ->
-        Table.add_row t
-          [ string_of_int wh;
-            string_of_int (wh * 25);
-            Table.f3 m.Common.tracing_factor;
-            Table.f3 m.Common.fairness;
-            Printf.sprintf "%.0f" m.Common.cas_avg;
-            Printf.sprintf "%.0f" m.Common.cas_max;
-            Table.f3 a.Cgc_prof.Analysis.balance.Cgc_prof.Analysis.factor_mean;
-            Table.f3 a.Cgc_prof.Analysis.balance.Cgc_prof.Analysis.fairness;
-            Table.f3 a.Cgc_prof.Analysis.balance.Cgc_prof.Analysis.busy_cv ];
-        (wh, m))
-      rows
-  in
+  List.iter
+    (fun (wh, m, a) ->
+      Table.add_row t
+        [ string_of_int wh;
+          string_of_int (wh * 25);
+          Table.f3 m.Common.tracing_factor;
+          Table.f3 m.Common.fairness;
+          Printf.sprintf "%.0f" m.Common.cas_avg;
+          Printf.sprintf "%.0f" m.Common.cas_max;
+          Table.f3 a.Cgc_prof.Analysis.balance.Cgc_prof.Analysis.factor_mean;
+          Table.f3 a.Cgc_prof.Analysis.balance.Cgc_prof.Analysis.fairness;
+          Table.f3 a.Cgc_prof.Analysis.balance.Cgc_prof.Analysis.busy_cv ])
+    rows;
   Table.print t;
   Printf.printf
     "The paper finds the tracing factor stable (~0.95), fairness degrading sharply\n\
@@ -69,4 +66,4 @@ let run () =
      The trace-derived columns recompute factor and fairness offline from the\n\
      event stream (Cgc_prof.Analysis); busy CV is the stddev/mean of per-mutator\n\
      tracing time — low values mean the packet pool spread work evenly.\n";
-  results
+  List.map (fun (_, m, _) -> m) rows

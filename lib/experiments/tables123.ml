@@ -26,15 +26,14 @@ let tracing_rates () = if Common.quick () then [ 1.0; 8.0 ] else [ 1.0; 4.0; 8.0
 
 let run_sweep () =
   let ms = if Common.quick () then 2000.0 else 5000.0 in
-  (* The STW baseline runs first (keeping the metrics registry in the
-     serial order), then the tracing-rate runs fan out across host
-     domains — each is an independent simulation. *)
-  let stw = Common.specjbb ~label:"STW" ~gc:Config.stw ~ms () in
+  (* The STW baseline runs first, then the tracing-rate runs fan out
+     across host domains — each is an independent simulation. *)
+  let stw, _ = Common.specjbb ~label:"STW" ~gc:Config.stw ~ms () in
   let trs =
     Common.par_map (tracing_rates ()) (fun k0 ->
         let gc = { Config.default with Config.k0 } in
         let m, vm =
-          Common.specjbb_vm ~label:(Printf.sprintf "TR %.0f" k0) ~gc ~ms
+          Common.specjbb ~label:(Printf.sprintf "TR %.0f" k0) ~gc ~ms
             ~trace:true ~trace_ring:(1 lsl 18) ()
         in
         let a = Common.analyse_trace vm in
@@ -142,4 +141,4 @@ let run () =
   table1 s;
   table2 s;
   table3 s;
-  s
+  s.stw :: List.map (fun r -> r.m) s.trs

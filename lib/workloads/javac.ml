@@ -50,8 +50,3 @@ let setup ~gc ?(heap_mb = 25.0) ?(ncpus = 1) ?(seed = 1) ?(trace = false)
   let unit_slots = int_of_float (float_of_int nslots *. 0.7 /. 2.0) in
   Vm.spawn_mutator vm ~name:"javac" (body ~unit_slots);
   vm
-
-let run ~gc ?heap_mb ?ncpus ?seed ?trace ?trace_ring ?(ms = 4000.0) () =
-  let vm = setup ~gc ?heap_mb ?ncpus ?seed ?trace ?trace_ring () in
-  Vm.run vm ~ms;
-  vm

@@ -15,16 +15,5 @@ val setup :
   ?trace_ring:int ->
   unit ->
   Cgc_runtime.Vm.t
-
-val run :
-  gc:Cgc_core.Config.t ->
-  ?heap_mb:float ->
-  ?ncpus:int ->
-  ?seed:int ->
-  ?trace:bool ->
-  ?trace_ring:int ->
-  ?ms:float ->
-  unit ->
-  Cgc_runtime.Vm.t
-(** Defaults: 25 MB heap, 1 CPU, 4000 ms, and the VM's default
-    event-ring capacity. *)
+(** Build the VM and spawn the compiler thread (not yet run).  Defaults:
+    25 MB heap, 1 CPU, and the VM's default event-ring capacity. *)

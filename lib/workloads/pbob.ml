@@ -42,12 +42,3 @@ let setup ~warehouses ~gc ?(terminals = 25) ?(heap_mb = 256.0) ?(ncpus = 4)
     done
   done;
   vm
-
-let run ~warehouses ~gc ?terminals ?heap_mb ?ncpus ?seed ?trace ?trace_ring
-    ?think_mean ?(ms = 4000.0) () =
-  let vm =
-    setup ~warehouses ~gc ?terminals ?heap_mb ?ncpus ?seed ?trace ?trace_ring
-      ?think_mean ()
-  in
-  Vm.run vm ~ms;
-  vm

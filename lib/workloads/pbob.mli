@@ -22,17 +22,3 @@ val setup :
     256 MB heap, 4 CPUs, think time 30 ms, and residency scaled so that
     80 warehouses reach 82% base occupancy — around 90% once floating
     garbage is added, matching the paper's figure. *)
-
-val run :
-  warehouses:int ->
-  gc:Cgc_core.Config.t ->
-  ?terminals:int ->
-  ?heap_mb:float ->
-  ?ncpus:int ->
-  ?seed:int ->
-  ?trace:bool ->
-  ?trace_ring:int ->
-  ?think_mean:int ->
-  ?ms:float ->
-  unit ->
-  Cgc_runtime.Vm.t

@@ -17,24 +17,20 @@ let base_profile : Txmix.profile =
     junk_roots = true;
   }
 
-let setup ~warehouses ~gc ?(heap_mb = 64.0) ?(ncpus = 4) ?(seed = 1)
-    ?(trace = false) ?trace_ring ?(residency_at = (8, 0.6)) () =
-  let vm =
-    Vm.create (Vm.config ~heap_mb ~ncpus ~seed ~gc ~trace ?trace_ring ())
-  in
+let spawn_warehouses vm ~warehouses ~residency_at:(ref_wh, frac) =
   let nslots = Cgc_heap.Heap.nslots (Vm.heap vm) in
-  let ref_wh, frac = residency_at in
   let target = int_of_float (float_of_int nslots *. frac) / ref_wh in
   let profile = Txmix.scale_residency base_profile ~target_slots:target in
   for w = 1 to warehouses do
     Vm.spawn_mutator vm
       ~name:(Printf.sprintf "warehouse-%d" w)
       (Txmix.body profile)
-  done;
-  vm
+  done
 
-let run ~warehouses ~gc ?heap_mb ?ncpus ?seed ?trace ?trace_ring ?(ms = 4000.0)
-    () =
-  let vm = setup ~warehouses ~gc ?heap_mb ?ncpus ?seed ?trace ?trace_ring () in
-  Vm.run vm ~ms;
+let setup ~warehouses ~gc ?(heap_mb = 64.0) ?(ncpus = 4) ?(seed = 1)
+    ?(trace = false) ?trace_ring ?(residency_at = (8, 0.6)) () =
+  let vm =
+    Vm.create (Vm.config ~heap_mb ~ncpus ~seed ~gc ~trace ?trace_ring ())
+  in
+  spawn_warehouses vm ~warehouses ~residency_at;
   vm

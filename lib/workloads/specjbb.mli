@@ -6,6 +6,12 @@
 
 val base_profile : Txmix.profile
 
+val spawn_warehouses :
+  Cgc_runtime.Vm.t -> warehouses:int -> residency_at:int * float -> unit
+(** Spawn the warehouse threads on a built VM — the step {!setup}
+    performs — for callers that need a VM configuration {!setup} does not
+    expose.  [residency_at] is as for {!setup}. *)
+
 val setup :
   warehouses:int ->
   gc:Cgc_core.Config.t ->
@@ -22,16 +28,3 @@ val setup :
     the per-warehouse resident set is sized so that running with
     [warehouse_count] warehouses fills [fraction] of the heap.
     [trace] arms the event-tracing sink (see {!Cgc_runtime.Vm.trace_json}). *)
-
-val run :
-  warehouses:int ->
-  gc:Cgc_core.Config.t ->
-  ?heap_mb:float ->
-  ?ncpus:int ->
-  ?seed:int ->
-  ?trace:bool ->
-  ?trace_ring:int ->
-  ?ms:float ->
-  unit ->
-  Cgc_runtime.Vm.t
-(** [setup] followed by [Vm.run] (default 4000 simulated ms). *)

@@ -1,6 +1,6 @@
 (* Tests for the cluster layer (cgc_cluster): the domain batches
    (exactly-once, order-identical results at every size, exception
-   propagation at every size, the par_map registry splicing), the three routing
+   propagation at every size, par_map's item order), the three routing
    policies and the hash ring's failover monotonicity, shard/fleet
    determinism across pool sizes (byte-identical traces and report,
    chaos scenarios included), the fleet degradation ladder's exact
@@ -33,11 +33,14 @@ let with_size domains f =
   Dpool.set_size domains;
   Fun.protect ~finally:(fun () -> Dpool.set_size 1) f
 
+(* A batch of jobs [f 0 .. f (n-1)] whose results are discarded. *)
+let run ~n f = ignore (Dpool.map f (Array.init n Fun.id))
+
 let test_pool_exactly_once () =
   with_size 4 (fun () ->
       let n = 1000 in
       let hits = Array.init n (fun _ -> Atomic.make 0) in
-      Dpool.run ~n (fun i -> Atomic.incr hits.(i));
+      run ~n (fun i -> Atomic.incr hits.(i));
       Array.iteri
         (fun i c ->
           if Atomic.get c <> 1 then
@@ -48,7 +51,7 @@ let test_pool_exception () =
   with_size 3 (fun () ->
       let ran = Array.init 20 (fun _ -> Atomic.make 0) in
       (match
-         Dpool.run ~n:20 (fun i ->
+         run ~n:20 (fun i ->
              Atomic.incr ran.(i);
              if i = 7 then failwith "job 7")
        with
@@ -89,7 +92,7 @@ let qcheck_pool_contract =
       with_size domains (fun () ->
           let raised =
             match
-              Dpool.run ~n (fun i ->
+              run ~n (fun i ->
                   Atomic.incr ran.(i);
                   ignore (spin i);
                   if snd jobs.(i) then raise (Job_failed i))
@@ -132,7 +135,7 @@ let test_pool_serial_exception_first_in_index_order () =
   with_size 1 (fun () ->
       let ran = Array.make 10 false in
       (match
-         Dpool.run ~n:10 (fun i ->
+         run ~n:10 (fun i ->
              ran.(i) <- true;
              if i = 3 then failwith "job 3";
              if i = 7 then failwith "job 7")
@@ -149,7 +152,7 @@ let test_pool_usable_after_exception () =
   List.iter
     (fun domains ->
       with_size domains (fun () ->
-          (match Dpool.run ~n:4 (fun i -> if i = 2 then failwith "boom") with
+          (match run ~n:4 (fun i -> if i = 2 then failwith "boom") with
           | () -> Alcotest.fail "expected an exception"
           | exception Failure _ -> ());
           let got = Dpool.map (fun x -> x * 2) [| 1; 2; 3 |] in
@@ -160,7 +163,7 @@ let test_pool_usable_after_exception () =
 
 let test_pool_nested_inline_after_exception () =
   with_size 4 (fun () ->
-      (match Dpool.run ~n:8 (fun i -> if i = 0 then failwith "boom") with
+      (match run ~n:8 (fun i -> if i = 0 then failwith "boom") with
       | () -> Alcotest.fail "expected an exception"
       | exception Failure _ -> ());
       let outer =

@@ -185,9 +185,10 @@ let test_csv_quoting () =
 let traced_run () =
   let gc = { Config.default with Config.n_background = 2 } in
   let vm =
-    Cgc_workloads.Specjbb.run ~warehouses:4 ~gc ~heap_mb:24.0 ~ncpus:2 ~seed:5
-      ~trace:true ~ms:600.0 ()
+    Cgc_workloads.Specjbb.setup ~warehouses:4 ~gc ~heap_mb:24.0 ~ncpus:2
+      ~seed:5 ~trace:true ()
   in
+  Vm.run vm ~ms:600.0;
   Vm.trace_json vm
 
 let test_trace_deterministic () =
@@ -253,9 +254,10 @@ let test_write_trace_streams_json () =
 
 let test_untraced_run_emits_nothing () =
   let vm =
-    Cgc_workloads.Specjbb.run ~warehouses:2 ~gc:Config.default ~heap_mb:16.0
-      ~ncpus:2 ~seed:5 ~ms:300.0 ()
+    Cgc_workloads.Specjbb.setup ~warehouses:2 ~gc:Config.default
+      ~heap_mb:16.0 ~ncpus:2 ~seed:5 ()
   in
+  Vm.run vm ~ms:300.0;
   check ci "no events" 0 (Obs.emitted (Vm.obs vm))
 
 (* ---------------- Chunked rings and the merged event view ---------------- *)

@@ -259,8 +259,12 @@ let test_chrome_roundtrip_synthetic () =
 
 let traced_vm () =
   let gc = { Config.default with Config.n_background = 2 } in
-  Cgc_workloads.Specjbb.run ~warehouses:4 ~gc ~heap_mb:24.0 ~ncpus:2 ~seed:5
-    ~trace:true ~ms:600.0 ()
+  let vm =
+    Cgc_workloads.Specjbb.setup ~warehouses:4 ~gc ~heap_mb:24.0 ~ncpus:2
+      ~seed:5 ~trace:true ()
+  in
+  Vm.run vm ~ms:600.0;
+  vm
 
 let test_chrome_roundtrip_real_trace () =
   let vm = traced_vm () in

@@ -101,9 +101,14 @@ let test_transactions_preserve_lists () =
 
 (* --------------------------- Presets --------------------------- *)
 
+(* A workload's VM after [ms] simulated milliseconds. *)
+let ran ~ms vm =
+  Vm.run vm ~ms;
+  vm
+
 let test_specjbb_runs_and_occupies () =
   let vm =
-    Specjbb.run ~warehouses:8 ~gc:Config.stw ~heap_mb:16.0 ~ms:600.0 ()
+    ran ~ms:600.0 (Specjbb.setup ~warehouses:8 ~gc:Config.stw ~heap_mb:16.0 ())
   in
   let st = Vm.gc_stats vm in
   check cb "transactions" true (Vm.total_transactions vm > 100);
@@ -118,10 +123,10 @@ let test_specjbb_runs_and_occupies () =
 
 let test_specjbb_warehouse_scaling () =
   let vm1 =
-    Specjbb.run ~warehouses:1 ~gc:Config.stw ~heap_mb:16.0 ~ms:400.0 ()
+    ran ~ms:400.0 (Specjbb.setup ~warehouses:1 ~gc:Config.stw ~heap_mb:16.0 ())
   in
   let vm4 =
-    Specjbb.run ~warehouses:4 ~gc:Config.stw ~heap_mb:16.0 ~ms:400.0 ()
+    ran ~ms:400.0 (Specjbb.setup ~warehouses:4 ~gc:Config.stw ~heap_mb:16.0 ())
   in
   check cb "4 warehouses do more work on 4 cpus" true
     (Vm.total_transactions vm4 > 2 * Vm.total_transactions vm1)
@@ -129,8 +134,9 @@ let test_specjbb_warehouse_scaling () =
 let test_pbob_idle_time () =
   (* pBOB thinks; the processors should be largely idle. *)
   let vm =
-    Pbob.run ~warehouses:2 ~gc:Config.default ~terminals:5 ~heap_mb:16.0
-      ~ms:600.0 ()
+    ran ~ms:600.0
+      (Pbob.setup ~warehouses:2 ~gc:Config.default ~terminals:5 ~heap_mb:16.0
+         ())
   in
   let s = Vm.sched vm in
   let idle = Cgc_sim.Sched.idle_cycles s in
@@ -142,8 +148,9 @@ let test_pbob_idle_time () =
 
 let test_pbob_shared_warehouse () =
   let vm =
-    Pbob.run ~warehouses:1 ~gc:Config.default ~terminals:4 ~heap_mb:16.0
-      ~think_mean:100_000 ~ms:500.0 ()
+    ran ~ms:500.0
+      (Pbob.setup ~warehouses:1 ~gc:Config.default ~terminals:4 ~heap_mb:16.0
+         ~think_mean:100_000 ())
   in
   (* the warehouse database is published in the globals *)
   let dir = Collector.global_get (Vm.collector vm) 0 in
@@ -159,7 +166,7 @@ let test_pbob_too_many_warehouses_rejected () =
         (Pbob.setup ~warehouses:(Collector.n_globals + 1) ~gc:Config.default ()))
 
 let test_javac_runs () =
-  let vm = Javac.run ~gc:Config.default ~ms:800.0 () in
+  let vm = ran ~ms:800.0 (Javac.setup ~gc:Config.default ()) in
   let st = Vm.gc_stats vm in
   check cb "compiled some classes" true (Vm.total_transactions vm > 50);
   check cb "GC happened" true (st.Gstats.cycles >= 1);
@@ -178,7 +185,9 @@ let test_javac_uniprocessor_config () =
    asked and overflows, while the default ring holds the same run. *)
 let test_javac_trace_ring () =
   let dropped ?trace_ring () =
-    let vm = Javac.run ~gc:Config.default ~trace:true ?trace_ring ~ms:50.0 () in
+    let vm =
+      ran ~ms:50.0 (Javac.setup ~gc:Config.default ~trace:true ?trace_ring ())
+    in
     ((Vm.the_config vm).Vm.trace_ring, Cgc_obs.Obs.dropped (Vm.obs vm))
   in
   let ring, lost = dropped ~trace_ring:64 () in
