@@ -156,7 +156,9 @@ bench-determinism: build
 
 # Short open-loop server run under both collectors, with determinism
 # checks: two same-seed serve runs must produce byte-identical reports
-# and traces, and an overloaded run with an SLO must exit 6.
+# and traces, their tail-forensics and LBO analyses (text and JSON,
+# through the server report's span reader) must agree byte for byte,
+# and an overloaded run with an SLO must exit 6.
 serve-smoke: build
 	mkdir -p $(ART)
 	dune exec bin/cgcsim.exe -- serve -c cgc --rate 6000 --ms 600 \
@@ -167,6 +169,20 @@ serve-smoke: build
 	  --trace-out $(ART)/serve-b.trace.json
 	cmp $(ART)/serve-a.json $(ART)/serve-b.json
 	cmp $(ART)/serve-a.trace.json $(ART)/serve-b.trace.json
+	for r in a b; do \
+	  dune exec bin/cgcsim.exe -- analyze --report $(ART)/serve-$$r.json \
+	    --tails 8 > $(ART)/serve-$$r.tails.txt && \
+	  dune exec bin/cgcsim.exe -- analyze --report $(ART)/serve-$$r.json \
+	    --tails 8 --json $(ART)/serve-$$r.tails.json > /dev/null && \
+	  dune exec bin/cgcsim.exe -- analyze --report $(ART)/serve-$$r.json \
+	    --lbo > $(ART)/serve-$$r.lbo.txt && \
+	  dune exec bin/cgcsim.exe -- analyze --report $(ART)/serve-$$r.json \
+	    --lbo --json $(ART)/serve-$$r.lbo.json > /dev/null || exit 1; \
+	done
+	cmp $(ART)/serve-a.tails.txt $(ART)/serve-b.tails.txt
+	cmp $(ART)/serve-a.tails.json $(ART)/serve-b.tails.json
+	cmp $(ART)/serve-a.lbo.txt $(ART)/serve-b.lbo.txt
+	cmp $(ART)/serve-a.lbo.json $(ART)/serve-b.lbo.json
 	dune exec bin/cgcsim.exe -- serve -c stw --rate 6000 --ms 600 \
 	  --heap-mb 16 --seed 1 --verify > /dev/null
 	dune exec bin/cgcsim.exe -- analyze \
@@ -177,7 +193,7 @@ serve-smoke: build
 	    echo "expected SLO breach (exit 6) under overloaded STW, got $$st"; \
 	    exit 1; \
 	  fi
-	@echo "serve smoke OK: deterministic reports, traces clean, SLO gate fires"
+	@echo "serve smoke OK: deterministic reports and tail analyses, traces clean, SLO gate fires"
 
 # Sharded-cluster smoke: a 4-shard run twice at different --jobs must
 # produce byte-identical fleet reports and per-shard traces, with and

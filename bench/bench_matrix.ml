@@ -33,7 +33,7 @@ module Cluster_report = Cgc_cluster.Report
 module Shard = Cgc_cluster.Shard
 module Cluster_fault = Cgc_fault.Cluster_fault
 
-let bench_schema = Cgc_prof.Tails.bench_schema
+let bench_schema = Cgc_cluster.Tails.bench_schema
 
 type cell = {
   workload : string;

@@ -32,7 +32,6 @@ module Exit_codes = Cgc_cli.Exit_codes
 module Analysis = Cgc_prof.Analysis
 module Prof_report = Cgc_prof.Report
 module Json = Cgc_prof.Json
-module Tails = Cgc_prof.Tails
 module Export = Cgc_obs.Export
 module Obs = Cgc_obs.Obs
 module Server = Cgc_server.Server
@@ -43,6 +42,7 @@ module Cluster = Cgc_cluster.Cluster
 module Cluster_report = Cgc_cluster.Report
 module Shard = Cgc_cluster.Shard
 module Dpool = Cgc_cluster.Dpool
+module Tails = Cgc_cluster.Tails
 
 (* ------------------------------------------------------------------ *)
 (* Converters                                                          *)
@@ -478,18 +478,11 @@ let analyze_cmd =
                   analyze_trace_file shard_trace)
                 traces)
     | None, Some file, None, None, None ->
-        let contents = read_input file in
-        let t = parsed file (Tails.of_report contents) in
-        (* Full round-trip validation, including the blame conservation
-           identity. *)
-        ignore
-          (parsed file
-             ((if t.Tails.source = Server_report.schema then
-                 Server_report.validate
-               else Cluster_report.validate)
-                contents));
+        (* One parse; the report's own reader re-checks the blame
+           conservation identity on every span and block. *)
+        let t = parsed file (Tails.of_report (read_input file)) in
         if lbo then begin
-          let row = parsed file (Tails.lbo_of_report contents) in
+          let row = Tails.lbo_of_report t in
           print_string (Tails.lbo_text [ row ]);
           output_json "LBO distillation"
             (fun () -> Tails.lbo_json [ row ])

@@ -1,8 +1,6 @@
 module Json = Cgc_prof.Json
 module Server = Cgc_server.Server
 module Server_report = Cgc_server.Report
-module Latency = Cgc_server.Latency
-
 module Cluster_fault = Cgc_fault.Cluster_fault
 
 let schema = "cgcsim-cluster-v3"
@@ -182,7 +180,6 @@ let chaos_json (r : Cluster.result) =
 let to_json (r : Cluster.result) =
   let cfg = r.Cluster.cfg in
   let tot = Cluster.fleet_totals r in
-  let lat = tot.Server.lat in
   let ph = phenomena r in
   let per_shard f = Array.map f r.Cluster.shards in
   Json.Obj
@@ -197,37 +194,9 @@ let to_json (r : Cluster.result) =
       ("binMs", Json.Float cfg.Cluster.bin_ms);
       ( "fleet",
         Json.Obj
-          ([
-            ( "counts",
-              Json.Obj
-                [
-                  ("arrived", Json.Int tot.Server.arrived);
-                  ("admitted", Json.Int tot.Server.admitted);
-                  ("shedFull", Json.Int tot.Server.shed_full);
-                  ("shedThrottled", Json.Int tot.Server.shed_throttled);
-                  ("timedOut", Json.Int tot.Server.timed_out);
-                  ("completed", Json.Int tot.Server.completed);
-                  ("sloViolations", Json.Int tot.Server.slo_violations);
-                  ("maxQueueDepth", Json.Int tot.Server.max_depth);
-                ] );
-            ( "completedPerS",
-              Json.Float
-                (if cfg.Cluster.ms <= 0.0 then 0.0
-                 else
-                   float_of_int tot.Server.completed
-                   /. (cfg.Cluster.ms /. 1000.0)) );
-            ("sloAttainment", Json.Float (Server.slo_attainment tot));
-            ("availability", Json.Float (Cluster.availability r));
-            ( "latencyMs",
-              Json.Obj
-                [
-                  ("e2e", Server_report.hist_json (Latency.e2e lat));
-                  ("queueing", Server_report.hist_json (Latency.queueing lat));
-                  ("service", Server_report.hist_json (Latency.service lat));
-                  ("gcInflation", Server_report.hist_json (Latency.gc lat));
-                ] );
-          ]
-          @ Server_report.spans_json tot.Server.spans) );
+          (Server_report.counts_json ~ran_ms:cfg.Cluster.ms tot
+          @ ("availability", Json.Float (Cluster.availability r))
+            :: Server_report.latency_json tot) );
       ( "balance",
         Json.Obj
           [
@@ -300,8 +269,7 @@ let text (r : Cluster.result) =
     "  fleet: arrived %d  completed %d (%.0f/s)  shed %d+%d  timed-out %d  \
      max-depth %d\n"
     tot.Server.arrived tot.Server.completed
-    (if cfg.Cluster.ms <= 0.0 then 0.0
-     else float_of_int tot.Server.completed /. (cfg.Cluster.ms /. 1000.0))
+    (Server_report.completed_per_s ~ran_ms:cfg.Cluster.ms tot)
     tot.Server.shed_full tot.Server.shed_throttled tot.Server.timed_out
     tot.Server.max_depth;
   if cfg.Cluster.server.Server.slo_ms > 0.0 then
@@ -317,21 +285,7 @@ let text (r : Cluster.result) =
     (100.0 *. ph.co_frac)
     ph.shed_total ph.shed_peak_bin ph.shed_max_shards
     (100.0 *. ph.shed_frac);
-  let lat = tot.Server.lat in
-  let module Histogram = Cgc_util.Histogram in
-  pf "  %-12s %8s %8s %8s %8s %8s %8s\n" "latency (ms)" "mean" "p50" "p95"
-    "p99" "p99.9" "max";
-  let row name h =
-    let v p = Histogram.percentile h p in
-    pf "  %-12s %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f\n" name (Histogram.mean h)
-      (v 50.0) (v 95.0) (v 99.0) (v 99.9)
-      (if Histogram.count h = 0 then 0.0 else Histogram.max h)
-  in
-  row "end-to-end" (Latency.e2e lat);
-  row "queueing" (Latency.queueing lat);
-  row "service" (Latency.service lat);
-  row "gc-inflation" (Latency.gc lat);
-  Server_report.blame_text b tot.Server.spans;
+  Server_report.latency_text b tot;
   (* Ring-drop warnings: a per-incarnation trace that lost events can
      under-report, so name every lossy (shard, incarnation, tid). *)
   Array.iter
@@ -375,41 +329,37 @@ let text (r : Cluster.result) =
         | None -> "never"));
   Buffer.contents b
 
+(* The reader for what [to_json] writes: the fleet block's and every
+   embedded server report's spans, each through the server report's
+   reader, and the ring drops summed over shards. *)
+let read j =
+  let ( let* ) = Result.bind in
+  let spans path o =
+    Result.map_error
+      (fun e -> path ^ "." ^ e)
+      (Server_report.read_spans (Option.value o ~default:Json.Null))
+  in
+  let* fleet = spans "fleet" (Json.member "fleet" j) in
+  match Json.member "perShard" j with
+  | Some (Json.Arr shards) ->
+      let rec go i dropped = function
+        | [] -> Ok (fleet, dropped)
+        | s :: rest -> (
+            let path = Printf.sprintf "perShard[%d]" i in
+            let* _ = spans (path ^ ".server") (Json.member "server" s) in
+            match Json.member "droppedEvents" s with
+            | Some (Json.Int d) -> go (i + 1) (dropped + d) rest
+            | _ -> Error (path ^ ".droppedEvents: missing or not an integer"))
+      in
+      go 0 0 shards
+  | _ -> Error "perShard: missing or not an array"
+
 let validate s =
   match Json.parse s with
   | Error e -> Error e
   | Ok j -> (
       match Json.member "schema" j with
-      | Some (Json.Str v) when v = schema -> (
-          (* Conservation identity: the fleet blame block, every tail
-             and exemplar span, and each embedded per-shard report must
-             have blame components summing to their e2eCycles. *)
-          let fleet_check =
-            match Json.member "fleet" j with
-            | Some f -> Server_report.check_conservation f
-            | None -> Error "missing fleet block"
-          in
-          let shard_check () =
-            match Json.member "perShard" j with
-            | Some (Json.Arr shards) ->
-                let rec go i = function
-                  | [] -> Ok ()
-                  | s :: rest -> (
-                      match Json.member "server" s with
-                      | Some srv -> (
-                          match Server_report.check_conservation srv with
-                          | Error e ->
-                              Error (Printf.sprintf "perShard[%d]: %s" i e)
-                          | Ok () -> go (i + 1) rest)
-                      | None -> go (i + 1) rest)
-                in
-                go 0 shards
-            | _ -> Ok ()
-          in
-          match fleet_check with
-          | Error e -> Error e
-          | Ok () -> (
-              match shard_check () with Error e -> Error e | Ok () -> Ok j))
+      | Some (Json.Str v) when v = schema -> Result.map (fun _ -> j) (read j)
       | Some (Json.Str v) ->
           Error (Printf.sprintf "schema mismatch: expected %s, got %s" schema v)
       | _ -> Error "missing schema tag")

@@ -58,8 +58,15 @@ val text : Cluster.result -> string
 
 val to_json : Cluster.result -> Cgc_prof.Json.t
 
+val read : Cgc_prof.Json.t -> (Cgc_server.Span.summary * int, string) result
+(** Read a parsed report's spans back: the fleet block and every
+    embedded [perShard[].server] report go through
+    {!Cgc_server.Report.read_spans}, so a missing key or a broken
+    conservation identity anywhere fails with its JSON path (e.g.
+    ["perShard[2].server.tails[0].blame: ..."]).  Returns the fleet
+    summary and the ring-dropped events summed over shards. *)
+
 val validate : string -> (Cgc_prof.Json.t, string) result
-(** Parse a serialised report, check its [schema] tag, and re-check the
-    blame conservation identity ({!Cgc_server.Report.check_conservation})
-    on the fleet block and every embedded per-shard report — the cluster
-    artefact's round-trip guard (exit code 4 territory in the CLI). *)
+(** Parse a serialised report, check its [schema] tag and {!read} it —
+    the cluster artefact's round-trip guard (exit code 4 territory in
+    the CLI). *)

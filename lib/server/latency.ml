@@ -1,24 +1,5 @@
 module Histogram = Cgc_util.Histogram
 
-type sample = {
-  queueing_ms : float;
-  service_ms : float;
-  e2e_ms : float;
-  gc_ms : float;
-}
-
-let decompose ~cycles_per_ms ~arrival ~start ~finish ~s_arr ~s_start ~s_fin =
-  let ms c = float_of_int c /. cycles_per_ms in
-  let queueing_ms = ms (start - arrival) in
-  let service_ms = ms (finish - start) in
-  let e2e_ms = queueing_ms +. service_ms in
-  (* Clamp each stopped-world overlap to the interval it can inflate,
-     mirroring the integer-exact split in {!Span.blame_of}. *)
-  let gc_q = Int.min (start - arrival) (Int.max 0 (s_start - s_arr)) in
-  let gc_s = Int.min (finish - start) (Int.max 0 (s_fin - s_start)) in
-  let gc_ms = ms (gc_q + gc_s) in
-  { queueing_ms; service_ms; e2e_ms; gc_ms }
-
 type t = {
   e2e : Histogram.t;
   queueing : Histogram.t;
@@ -38,14 +19,19 @@ let create () =
     slo_violations = 0;
   }
 
-let observe t ~slo_ms s =
-  Histogram.add t.e2e s.e2e_ms;
-  Histogram.add t.queueing s.queueing_ms;
-  Histogram.add t.service s.service_ms;
-  Histogram.add t.gc s.gc_ms;
+let observe t ~slo_ms ~cycles_per_ms (b : Span.blame) =
+  let ms c = float_of_int c /. cycles_per_ms in
+  let queueing_ms = ms (b.Span.backoff + b.Span.queue + b.Span.gc_queue) in
+  let service_ms = ms (b.Span.service + b.Span.gc_service) in
+  let e2e_ms = queueing_ms +. service_ms in
+  Histogram.add t.e2e e2e_ms;
+  Histogram.add t.queueing queueing_ms;
+  Histogram.add t.service service_ms;
+  Histogram.add t.gc (ms (b.Span.gc_queue + b.Span.gc_service));
   t.handled <- t.handled + 1;
-  if slo_ms > 0.0 && s.e2e_ms > slo_ms then
-    t.slo_violations <- t.slo_violations + 1
+  if slo_ms > 0.0 && e2e_ms > slo_ms then
+    t.slo_violations <- t.slo_violations + 1;
+  e2e_ms
 
 let handled t = t.handled
 let slo_violations t = t.slo_violations

@@ -2,42 +2,20 @@
 
     Each server worker owns one accumulator; {!Server.totals} combines
     them with {!Cgc_util.Histogram.merge}, so percentiles are computed
-    over the union of all workers' samples while recording stays
-    allocation-free on the request path.  All values are simulated
-    milliseconds. *)
-
-type sample = {
-  queueing_ms : float;  (** enqueue → dispatch *)
-  service_ms : float;  (** dispatch → response *)
-  e2e_ms : float;  (** exactly [queueing_ms +. service_ms] *)
-  gc_ms : float;
-      (** end-to-end inflation attributable to stop-the-world time
-          overlapping the request's lifetime: the queue-phase overlap
-          clamped to [queueing_ms] plus the service-phase overlap
-          clamped to [service_ms] *)
-}
-
-val decompose :
-  cycles_per_ms:float ->
-  arrival:int ->
-  start:int ->
-  finish:int ->
-  s_arr:int ->
-  s_start:int ->
-  s_fin:int ->
-  sample
-(** Pure accounting from cycle timestamps: [arrival] (enqueue), [start]
-    (worker pick-up) and [finish] (response), plus the cumulative
-    stopped-world cycle integral sampled at arrival ([s_arr]), at
-    dispatch ([s_start]) and at completion ([s_fin]). *)
+    over the union of all workers' samples while the histograms record
+    without allocating.  All values are simulated milliseconds, read off
+    each request's {!Span.blame} split. *)
 
 type t
 
 val create : unit -> t
 
-val observe : t -> slo_ms:float -> sample -> unit
-(** Record one completed request; counts an SLO violation when
-    [slo_ms > 0] and [e2e_ms > slo_ms]. *)
+val observe : t -> slo_ms:float -> cycles_per_ms:float -> Span.blame -> float
+(** Record one completed request from its blame split and return its
+    end-to-end ms.  Queueing is backoff + queue + gc-queue, service is
+    service + gc-service, end-to-end is their sum and the GC inflation
+    is gc-queue + gc-service, each converted to ms.  Counts an SLO
+    violation when [slo_ms > 0] and end-to-end exceeds it. *)
 
 val handled : t -> int
 val slo_violations : t -> int

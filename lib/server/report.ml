@@ -41,128 +41,190 @@ let blame_fields (b : Span.blame) =
     ("gcServiceCycles", Json.Int b.Span.gc_service);
   ]
 
-let span_json ~cycles_per_ms (s : Span.t) =
-  let ms c =
-    if cycles_per_ms <= 0.0 then 0.0 else float_of_int c /. cycles_per_ms
-  in
-  let r = s.Span.route in
-  Json.Obj
-    [
-      ("rid", Json.Int r.Span.rid);
-      ("shard", Json.Int r.Span.shard);
-      ("firstChoice", Json.Int r.Span.first);
-      ("epoch", Json.Int r.Span.epoch);
-      ("attempts", Json.Int r.Span.attempts);
-      ("hedged", Json.Bool r.Span.hedged);
-      ("hedgeWin", Json.Bool r.Span.hedge_win);
-      ("enqueueCycles", Json.Int s.Span.enqueue);
-      ("startCycles", Json.Int s.Span.start);
-      ("finishCycles", Json.Int s.Span.finish);
-      ("e2eCycles", Json.Int (Span.e2e_cycles s));
-      ("e2eMs", Json.Float (ms (Span.e2e_cycles s)));
-      ("blame", Json.Obj (blame_fields s.Span.blame));
-    ]
+let ms_of ~cycles_per_ms c =
+  if cycles_per_ms <= 0.0 then 0.0 else float_of_int c /. cycles_per_ms
 
-let spans_json (sum : Span.summary) =
-  let cpm = sum.Span.cycles_per_ms in
-  let ms c = if cpm <= 0.0 then 0.0 else float_of_int c /. cpm in
+let span_fields ~cycles_per_ms (s : Span.t) =
+  let r = s.Span.route in
+  [
+    ("rid", Json.Int r.Span.rid);
+    ("shard", Json.Int r.Span.shard);
+    ("firstChoice", Json.Int r.Span.first);
+    ("epoch", Json.Int r.Span.epoch);
+    ("attempts", Json.Int r.Span.attempts);
+    ("hedged", Json.Bool r.Span.hedged);
+    ("hedgeWin", Json.Bool r.Span.hedge_win);
+    ("enqueueCycles", Json.Int s.Span.enqueue);
+    ("startCycles", Json.Int s.Span.start);
+    ("finishCycles", Json.Int s.Span.finish);
+    ("e2eCycles", Json.Int (Span.e2e_cycles s));
+    ("e2eMs", Json.Float (ms_of ~cycles_per_ms (Span.e2e_cycles s)));
+    ("blame", Json.Obj (blame_fields s.Span.blame));
+  ]
+
+let span_json ~cycles_per_ms s = Json.Obj (span_fields ~cycles_per_ms s)
+
+let exemplar_json ~cycles_per_ms (d, s) =
+  Json.Obj (("decade", Json.Int d) :: span_fields ~cycles_per_ms s)
+
+let mean_ms (sum : Span.summary) =
   let mean c =
-    if sum.Span.count = 0 then 0.0 else ms c /. float_of_int sum.Span.count
+    if sum.Span.count = 0 then 0.0
+    else
+      ms_of ~cycles_per_ms:sum.Span.cycles_per_ms c
+      /. float_of_int sum.Span.count
   in
   let b = sum.Span.sum in
+  [
+    ("e2e", mean sum.Span.sum_e2e);
+    ("fleetQueue", mean b.Span.fleet_queue);
+    ("backoff", mean b.Span.backoff);
+    ("queue", mean b.Span.queue);
+    ("gcQueue", mean b.Span.gc_queue);
+    ("service", mean b.Span.service);
+    ("gcService", mean b.Span.gc_service);
+  ]
+
+let spans_json (sum : Span.summary) =
+  let cycles_per_ms = sum.Span.cycles_per_ms in
   [
     ( "blame",
       Json.Obj
         ([ ("count", Json.Int sum.Span.count) ]
-        @ blame_fields b
+        @ blame_fields sum.Span.sum
         @ [
             ("e2eCycles", Json.Int sum.Span.sum_e2e);
-            ("cyclesPerMs", Json.Float cpm);
+            ("cyclesPerMs", Json.Float cycles_per_ms);
             ( "meanMs",
               Json.Obj
-                [
-                  ("e2e", Json.Float (mean sum.Span.sum_e2e));
-                  ("fleetQueue", Json.Float (mean b.Span.fleet_queue));
-                  ("backoff", Json.Float (mean b.Span.backoff));
-                  ("queue", Json.Float (mean b.Span.queue));
-                  ("gcQueue", Json.Float (mean b.Span.gc_queue));
-                  ("service", Json.Float (mean b.Span.service));
-                  ("gcService", Json.Float (mean b.Span.gc_service));
-                ] );
+                (List.map (fun (k, v) -> (k, Json.Float v)) (mean_ms sum)) );
           ]) );
-    ( "tails",
-      Json.Arr (List.map (span_json ~cycles_per_ms:cpm) sum.Span.worst) );
+    ("tails", Json.Arr (List.map (span_json ~cycles_per_ms) sum.Span.worst));
     ( "exemplars",
-      Json.Arr
-        (List.map
-           (fun (d, s) ->
-             match span_json ~cycles_per_ms:cpm s with
-             | Json.Obj fields -> Json.Obj (("decade", Json.Int d) :: fields)
-             | j -> j)
-           sum.Span.exemplars) );
+      Json.Arr (List.map (exemplar_json ~cycles_per_ms) sum.Span.exemplars) );
   ]
 
-(* Conservation check on the serialised artefact: every [blame] object
-   must have components summing to its sibling [e2eCycles].  Used by
-   {!validate} and re-used by the cluster validator on each embedded
-   per-shard report. *)
-let check_conservation j =
-  let blame_sum = function
-    | Json.Obj _ as b ->
-        let get k =
-          match Json.member k b with Some (Json.Int n) -> n | _ -> 0
-        in
-        Some
-          (get "fleetQueueCycles" + get "backoffCycles" + get "queueCycles"
-          + get "gcQueueCycles" + get "serviceCycles" + get "gcServiceCycles")
-    | _ -> None
+(* The inverse of [spans_json].  Every reader below takes the JSON path
+   of the object it reads, so an error names the key or the span it
+   stopped at.  [meanMs] and [e2eMs] are derived values and are not
+   read back. *)
+
+let ( let* ) = Result.bind
+let at path k = if path = "" then k else path ^ "." ^ k
+
+let read what conv path k j =
+  match Option.bind (Json.member k j) conv with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "%s: missing or not %s" (at path k) what)
+
+let int_at = read "an integer" (function Json.Int n -> Some n | _ -> None)
+let bool_at = read "a boolean" (function Json.Bool b -> Some b | _ -> None)
+let float_at = read "a number" (function Json.Float f -> Some f | _ -> None)
+let obj_at = read "an object" (function Json.Obj _ as o -> Some o | _ -> None)
+let arr_at = read "an array" (function Json.Arr l -> Some l | _ -> None)
+
+let list_at f path k j =
+  let* l = arr_at path k j in
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest ->
+        let* v = f (Printf.sprintf "%s[%d]" (at path k) i) x in
+        go (i + 1) (v :: acc) rest
   in
-  let check_span where s =
-    match (Json.member "blame" s, Json.member "e2eCycles" s) with
-    | Some b, Some (Json.Int e2e) -> (
-        match blame_sum b with
-        | Some sum when sum <> e2e ->
-            Error
-              (Printf.sprintf
-                 "%s: blame components sum to %d cycles but e2eCycles is %d"
-                 where sum e2e)
-        | _ -> Ok ())
-    | _ -> Ok ()
+  go 0 [] l
+
+let blame_at path j =
+  let* fleet_queue = int_at path "fleetQueueCycles" j in
+  let* backoff = int_at path "backoffCycles" j in
+  let* queue = int_at path "queueCycles" j in
+  let* gc_queue = int_at path "gcQueueCycles" j in
+  let* service = int_at path "serviceCycles" j in
+  let* gc_service = int_at path "gcServiceCycles" j in
+  Ok { Span.fleet_queue; backoff; queue; gc_queue; service; gc_service }
+
+(* The conservation identity, re-checked on the artefact: the blame
+   object at [path] must sum to its owner's [e2eCycles]. *)
+let conserved path b e2e =
+  let sum = Span.blame_total b in
+  if sum = e2e then Ok ()
+  else
+    Error
+      (Printf.sprintf "%s: components sum to %d cycles but e2eCycles is %d"
+         path sum e2e)
+
+let span_at path j =
+  let* rid = int_at path "rid" j in
+  let* shard = int_at path "shard" j in
+  let* first = int_at path "firstChoice" j in
+  let* epoch = int_at path "epoch" j in
+  let* attempts = int_at path "attempts" j in
+  let* hedged = bool_at path "hedged" j in
+  let* hedge_win = bool_at path "hedgeWin" j in
+  let* enqueue = int_at path "enqueueCycles" j in
+  let* start = int_at path "startCycles" j in
+  let* finish = int_at path "finishCycles" j in
+  let* e2e = int_at path "e2eCycles" j in
+  let* bj = obj_at path "blame" j in
+  let* blame = blame_at (at path "blame") bj in
+  let* () = conserved (at path "blame") blame e2e in
+  let route = { Span.rid; first; shard; epoch; attempts; hedged; hedge_win } in
+  Ok { Span.route; enqueue; start; finish; blame }
+
+let read_spans j =
+  let* bj = obj_at "" "blame" j in
+  let* count = int_at "blame" "count" bj in
+  let* sum = blame_at "blame" bj in
+  let* sum_e2e = int_at "blame" "e2eCycles" bj in
+  let* () = conserved "blame" sum sum_e2e in
+  let* cycles_per_ms = float_at "blame" "cyclesPerMs" bj in
+  let* worst = list_at span_at "" "tails" j in
+  let* exemplars =
+    list_at
+      (fun path s ->
+        let* d = int_at path "decade" s in
+        let* span = span_at path s in
+        Ok (d, span))
+      "" "exemplars" j
   in
-  let check_list key =
-    match Json.member key j with
-    | Some (Json.Arr spans) ->
-        let rec go i = function
-          | [] -> Ok ()
-          | s :: rest -> (
-              match check_span (Printf.sprintf "%s[%d]" key i) s with
-              | Error _ as e -> e
-              | Ok () -> go (i + 1) rest)
-        in
-        go 0 spans
-    | _ -> Ok ()
-  in
-  let top =
-    match Json.member "blame" j with
-    | Some (Json.Obj _ as b) -> (
-        match (blame_sum b, Json.member "e2eCycles" b) with
-        | Some sum, Some (Json.Int e2e) when sum <> e2e ->
-            Error
-              (Printf.sprintf
-                 "blame: components sum to %d cycles but e2eCycles is %d" sum
-                 e2e)
-        | _ -> Ok ())
-    | _ -> Ok ()
-  in
-  match top with
-  | Error _ as e -> e
-  | Ok () -> (
-      match check_list "tails" with
-      | Error _ as e -> e
-      | Ok () -> check_list "exemplars")
+  Ok { Span.count; sum; sum_e2e; worst; exemplars; cycles_per_ms }
+
+(* ---------------------- counts and latency ------------------------ *)
+
+let completed_per_s ~ran_ms (tot : Server.totals) =
+  if ran_ms <= 0.0 then 0.0
+  else float_of_int tot.Server.completed /. (ran_ms /. 1000.0)
+
+let counts_json ~ran_ms (tot : Server.totals) =
+  [
+    ( "counts",
+      Json.Obj
+        [
+          ("arrived", Json.Int tot.Server.arrived);
+          ("admitted", Json.Int tot.Server.admitted);
+          ("shedFull", Json.Int tot.Server.shed_full);
+          ("shedThrottled", Json.Int tot.Server.shed_throttled);
+          ("timedOut", Json.Int tot.Server.timed_out);
+          ("completed", Json.Int tot.Server.completed);
+          ("sloViolations", Json.Int tot.Server.slo_violations);
+          ("maxQueueDepth", Json.Int tot.Server.max_depth);
+        ] );
+    ("completedPerS", Json.Float (completed_per_s ~ran_ms tot));
+    ("sloAttainment", Json.Float (Server.slo_attainment tot));
+  ]
+
+let latency_json (tot : Server.totals) =
+  let lat = tot.Server.lat in
+  ( "latencyMs",
+    Json.Obj
+      [
+        ("e2e", hist_json (Latency.e2e lat));
+        ("queueing", hist_json (Latency.queueing lat));
+        ("service", hist_json (Latency.service lat));
+        ("gcInflation", hist_json (Latency.gc lat));
+      ] )
+  :: spans_json tot.Server.spans
 
 let to_json (cfg : Server.cfg) ~ran_ms (tot : Server.totals) =
-  let lat = tot.Server.lat in
   Json.Obj
     ([
       ("schema", Json.Str schema);
@@ -176,41 +238,15 @@ let to_json (cfg : Server.cfg) ~ran_ms (tot : Server.totals) =
       ("throttleHi", Json.Int cfg.Server.throttle_hi);
       ("throttleLo", Json.Int cfg.Server.throttle_lo);
       ("ranMs", Json.Float ran_ms);
-      ( "counts",
-        Json.Obj
-          [
-            ("arrived", Json.Int tot.Server.arrived);
-            ("admitted", Json.Int tot.Server.admitted);
-            ("shedFull", Json.Int tot.Server.shed_full);
-            ("shedThrottled", Json.Int tot.Server.shed_throttled);
-            ("timedOut", Json.Int tot.Server.timed_out);
-            ("completed", Json.Int tot.Server.completed);
-            ("sloViolations", Json.Int tot.Server.slo_violations);
-            ("maxQueueDepth", Json.Int tot.Server.max_depth);
-          ] );
-      ( "completedPerS",
-        Json.Float
-          (if ran_ms <= 0.0 then 0.0
-           else float_of_int tot.Server.completed /. (ran_ms /. 1000.0)) );
-      ("sloAttainment", Json.Float (Server.slo_attainment tot));
-      ( "latencyMs",
-        Json.Obj
-          [
-            ("e2e", hist_json (Latency.e2e lat));
-            ("queueing", hist_json (Latency.queueing lat));
-            ("service", hist_json (Latency.service lat));
-            ("gcInflation", hist_json (Latency.gc lat));
-          ] );
     ]
-    @ spans_json tot.Server.spans)
+    @ counts_json ~ran_ms tot
+    @ latency_json tot)
 
-(* Shared by the server and cluster text reports: a one-line mean blame
-   decomposition plus the worst spans' causal chains. *)
+(* The mean blame decomposition plus the worst span's causal chain. *)
 let blame_text buf (sum : Span.summary) =
   if sum.Span.count > 0 then begin
     let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    let cpm = sum.Span.cycles_per_ms in
-    let ms c = if cpm <= 0.0 then 0.0 else float_of_int c /. cpm in
+    let ms = ms_of ~cycles_per_ms:sum.Span.cycles_per_ms in
     let mean c = ms c /. float_of_int sum.Span.count in
     let b = sum.Span.sum in
     pf
@@ -241,26 +277,9 @@ let blame_text buf (sum : Span.summary) =
           (ms worst.Span.blame.Span.gc_service)
   end
 
-let text (cfg : Server.cfg) ~ran_ms (tot : Server.totals) =
-  let b = Buffer.create 1024 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+let latency_text buf (tot : Server.totals) =
+  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let lat = tot.Server.lat in
-  pf "server: %s arrivals at %.0f req/s, %d workers, queue %d, %.1f ms run\n"
-    (Arrival.kind_name cfg.Server.arrival)
-    cfg.Server.rate_per_s cfg.Server.workers cfg.Server.queue_cap ran_ms;
-  pf
-    "  arrived %d  admitted %d  completed %d (%.0f/s)  shed %d+%d  \
-     timed-out %d  max-depth %d\n"
-    tot.Server.arrived tot.Server.admitted tot.Server.completed
-    (if ran_ms <= 0.0 then 0.0
-     else float_of_int tot.Server.completed /. (ran_ms /. 1000.0))
-    tot.Server.shed_full tot.Server.shed_throttled tot.Server.timed_out
-    tot.Server.max_depth;
-  if cfg.Server.slo_ms > 0.0 then
-    pf "  SLO %.1f ms: attainment %.4f (target %.4f), %d violations\n"
-      cfg.Server.slo_ms
-      (Server.slo_attainment tot)
-      cfg.Server.slo_target tot.Server.slo_violations;
   pf "  %-12s %8s %8s %8s %8s %8s %8s\n" "latency (ms)" "mean" "p50" "p95"
     "p99" "p99.9" "max";
   let row name h =
@@ -273,18 +292,35 @@ let text (cfg : Server.cfg) ~ran_ms (tot : Server.totals) =
   row "queueing" (Latency.queueing lat);
   row "service" (Latency.service lat);
   row "gc-inflation" (Latency.gc lat);
-  blame_text b tot.Server.spans;
+  blame_text buf tot.Server.spans
+
+let text (cfg : Server.cfg) ~ran_ms (tot : Server.totals) =
+  let b = Buffer.create 1024 in
+  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  pf "server: %s arrivals at %.0f req/s, %d workers, queue %d, %.1f ms run\n"
+    (Arrival.kind_name cfg.Server.arrival)
+    cfg.Server.rate_per_s cfg.Server.workers cfg.Server.queue_cap ran_ms;
+  pf
+    "  arrived %d  admitted %d  completed %d (%.0f/s)  shed %d+%d  \
+     timed-out %d  max-depth %d\n"
+    tot.Server.arrived tot.Server.admitted tot.Server.completed
+    (completed_per_s ~ran_ms tot)
+    tot.Server.shed_full tot.Server.shed_throttled tot.Server.timed_out
+    tot.Server.max_depth;
+  if cfg.Server.slo_ms > 0.0 then
+    pf "  SLO %.1f ms: attainment %.4f (target %.4f), %d violations\n"
+      cfg.Server.slo_ms
+      (Server.slo_attainment tot)
+      cfg.Server.slo_target tot.Server.slo_violations;
+  latency_text b tot;
   Buffer.contents b
 
 let validate s =
-  match Json.parse s with
-  | Error e -> Error e
-  | Ok j -> (
-      match Json.member "schema" j with
-      | Some (Json.Str v) when v = schema -> (
-          match check_conservation j with
-          | Ok () -> Ok j
-          | Error e -> Error e)
-      | Some (Json.Str v) ->
-          Error (Printf.sprintf "schema mismatch: expected %s, got %s" schema v)
-      | _ -> Error "missing schema tag")
+  let* j = Json.parse s in
+  match Json.member "schema" j with
+  | Some (Json.Str v) when v = schema ->
+      let* _ = read_spans j in
+      Ok j
+  | Some (Json.Str v) ->
+      Error (Printf.sprintf "schema mismatch: expected %s, got %s" schema v)
+  | _ -> Error "missing schema tag"

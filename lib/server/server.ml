@@ -204,15 +204,11 @@ let handle t m ~wid ~dir req ~start =
   let finish = Mutator.now_cycles m in
   t.in_flight <- t.in_flight - 1;
   let s_fin = t.stopped_cycles in
-  let s =
-    Latency.decompose ~cycles_per_ms:t.cycles_per_ms ~arrival:req.arrival
-      ~start ~finish ~s_arr:req.s_arr ~s_start ~s_fin
-  in
-  Latency.observe t.lats.(wid) ~slo_ms:t.cfg.slo_ms s;
   (* The causal span.  [req.arrival] is backdated by the backoff, so the
      true enqueue stamp is [arrival + pre]; the blame components then
-     sum to [finish - req.arrival] — the same e2e the histogram saw —
-     exactly, which we assert for every completed request. *)
+     sum to [finish - req.arrival] exactly, which we assert for every
+     completed request.  The latency histograms are read off the same
+     split. *)
   let enqueue = req.arrival + req.pre in
   let blame =
     Span.blame_of ~pre:req.pre ~enqueue ~start ~finish ~s_enq:req.s_arr
@@ -220,8 +216,12 @@ let handle t m ~wid ~dir req ~start =
   in
   assert (Span.blame_total blame = finish - req.arrival);
   Span.record t.spans { Span.route = req.route; enqueue; start; finish; blame };
+  let e2e_ms =
+    Latency.observe t.lats.(wid) ~slo_ms:t.cfg.slo_ms
+      ~cycles_per_ms:t.cycles_per_ms blame
+  in
   Obs.span_at t.obs
-    ~arg:(int_of_float (s.Latency.e2e_ms *. 1000.0))
+    ~arg:(int_of_float (e2e_ms *. 1000.0))
     ~ts:start ~dur:(finish - start) Event.Req_done
 
 let rec dispatch t m ~wid ~dir =

@@ -17,9 +17,10 @@
     {- worker mutators (plain {!Cgc_runtime.Mutator} threads running a
        {!Cgc_workloads.Txmix} transaction per request) dispatch FIFO,
        abandoning requests whose deadline passed while queued;}
-    {- every response is decomposed into queueing / service / GC-pause
-       inflation ({!Latency}) and recorded into per-worker bounded
-       histograms, merged for reporting.}}
+    {- every response is decomposed once, into an exact integer-cycle
+       blame split ({!Span.blame_of}); its queueing / service / GC-pause
+       inflation milliseconds are read off that split into per-worker
+       bounded histograms ({!Latency}), merged for reporting.}}
 
     All state changes are driven by the simulated clock and split PRNG
     streams: same seed ⇒ byte-identical event trace and report. *)

@@ -153,6 +153,35 @@ let golden =
        under the same relative name the serve run wrote. *)
     ( "analyze --trace serve.trace.json --json analysis.json",
       [ ("analysis.json", "452da7d417d783051f5a1f9bb71cbc30") ] );
+    (* Tail forensics and LBO read back the two reports above.  The text
+       prints e2e and mean values as the reports state them ([%.6f]), so
+       a reader that rounded twice would change a digit here. *)
+    ( "analyze --report serve.json --tails 8",
+      [ ("stdout", "e54783b8f561e59af97636a071e5d817") ] );
+    ( "analyze --report serve.json --tails 8 --json serve.tails.json",
+      [ ("serve.tails.json", "b5f979a09691b324fd1fd985ac526950") ] );
+    ( "analyze --report serve.json --lbo --json serve.lbo.json",
+      [
+        ("stdout", "6cf27ac4a05624ce659e0715ac5b0f4c");
+        ("serve.lbo.json", "5c899b2e7038f2b603eb8f26a5e333ad");
+      ] );
+    ( "analyze --report cluster.json --tails 8",
+      [ ("stdout", "6a867bfb4e8e3801587e63fd348672e2") ] );
+    ( "analyze --report cluster.json --tails 8 --json cluster.tails.json",
+      [ ("cluster.tails.json", "8095866415b1fe09def6ef1bf72e6133") ] );
+    ( "analyze --report cluster.json --lbo --json cluster.lbo.json",
+      [
+        ("stdout", "5322ad30224684da8d4a28aebe006f40");
+        ("cluster.lbo.json", "52d11f81a11384f4f9b3951be377920f");
+      ] );
+    (* This report's mean queue blame is 0.049850 ms as stated, which
+       prints 0.0498; rounded from unrounded cycles it would print
+       0.0499. *)
+    ( "serve -c gen --rate 4000 --ms 300 --heap-mb 16 --seed 8 --json \
+       rounding.json",
+      [ ("rounding.json", "de94366156a21fa28d85da80ebe1a61c") ] );
+    ( "analyze --report rounding.json --tails 8",
+      [ ("stdout", "171050e56c380f66b3879be9d66bad19") ] );
   ]
 
 let test_golden_digests () =

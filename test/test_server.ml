@@ -97,7 +97,12 @@ let test_arrival_bursty_modulates () =
 (* ------------------- scripted latency accounting ------------------- *)
 
 (* Hand-computed latencies for a scripted arrival sequence, fed through
-   the exact accounting code the server's workers use. *)
+   the exact accounting code the server's workers use: the blame split,
+   then the histograms read off it. *)
+let scripted_blame ~arrival ~start ~finish ~s_arr ~s_start ~s_fin =
+  Span.blame_of ~pre:0 ~enqueue:arrival ~start ~finish ~s_enq:s_arr ~s_start
+    ~s_fin
+
 let test_scripted_latencies () =
   let l = Latency.create () in
   let cpm_f = float_of_int cpm in
@@ -113,14 +118,14 @@ let test_scripted_latencies () =
       (5 * cpm, 15 * cpm, 16 * cpm, cpm, 11 * cpm, 11 * cpm);
     ]
   in
-  List.iter
-    (fun (arrival, start, finish, s_arr, s_start, s_fin) ->
-      let s =
-        Latency.decompose ~cycles_per_ms:cpm_f ~arrival ~start ~finish ~s_arr
-          ~s_start ~s_fin
-      in
-      Latency.observe l ~slo_ms:5.0 s)
-    script;
+  let e2es =
+    List.map
+      (fun (arrival, start, finish, s_arr, s_start, s_fin) ->
+        Latency.observe l ~slo_ms:5.0 ~cycles_per_ms:cpm_f
+          (scripted_blame ~arrival ~start ~finish ~s_arr ~s_start ~s_fin))
+      script
+  in
+  check (Alcotest.list cf) "observe returns e2e ms" [ 2.0; 4.0; 11.0 ] e2es;
   check ci "handled" 3 (Latency.handled l);
   (* e2e: 2, 4, 11 ms; queueing: 0, 1, 10; service: 2, 3, 1; gc: 0, 1, 10 *)
   check cf "e2e mean" ((2.0 +. 4.0 +. 11.0) /. 3.0)
@@ -138,24 +143,27 @@ let test_scripted_latencies () =
   (* 11 ms > 5 ms SLO; the others are within. *)
   check ci "slo violations" 1 (Latency.slo_violations l);
   (* gc is clamped into [0, e2e] *)
-  let s =
-    Latency.decompose ~cycles_per_ms:cpm_f ~arrival:0 ~start:0 ~finish:cpm
-      ~s_arr:0 ~s_start:0 ~s_fin:(100 * cpm)
+  let gc_ms b =
+    let l = Latency.create () in
+    ignore (Latency.observe l ~slo_ms:0.0 ~cycles_per_ms:cpm_f b);
+    Histogram.max (Latency.gc l)
   in
-  check cf "gc clamped to e2e" 1.0 s.Latency.gc_ms;
-  let s =
-    Latency.decompose ~cycles_per_ms:cpm_f ~arrival:0 ~start:cpm
-      ~finish:(2 * cpm) ~s_arr:cpm ~s_start:0 ~s_fin:0
-  in
-  check cf "gc clamped to zero" 0.0 s.Latency.gc_ms
+  check cf "gc clamped to e2e" 1.0
+    (gc_ms
+       (scripted_blame ~arrival:0 ~start:0 ~finish:cpm ~s_arr:0 ~s_start:0
+          ~s_fin:(100 * cpm)));
+  check cf "gc clamped to zero" 0.0
+    (gc_ms
+       (scripted_blame ~arrival:0 ~start:cpm ~finish:(2 * cpm) ~s_arr:cpm
+          ~s_start:0 ~s_fin:0))
 
 let test_latency_merge_counters () =
   let a = Latency.create () and b = Latency.create () in
   let cpm_f = float_of_int cpm in
   let obs l ~slo arrival start finish =
-    Latency.observe l ~slo_ms:slo
-      (Latency.decompose ~cycles_per_ms:cpm_f ~arrival ~start ~finish ~s_arr:0
-         ~s_start:0 ~s_fin:0)
+    ignore
+      (Latency.observe l ~slo_ms:slo ~cycles_per_ms:cpm_f
+         (scripted_blame ~arrival ~start ~finish ~s_arr:0 ~s_start:0 ~s_fin:0))
   in
   obs a ~slo:1.0 0 0 cpm;
   obs a ~slo:1.0 0 0 (3 * cpm);
