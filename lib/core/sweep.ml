@@ -15,9 +15,13 @@ type region = {
   mutable live : int;
 }
 
+(* Slots per charged [sweep_word]: a cost-model constant, not the
+   mark bits' layout, so the simulated charge stays the same. *)
+let slots_per_sweep_word = 62
+
 let charge_scan heap ~lo ~hi =
   let mach = Heap.machine heap in
-  let words = ((hi - lo) / 62) + 1 in
+  let words = ((hi - lo) / slots_per_sweep_word) + 1 in
   Machine.charge mach (words * mach.Machine.cost.Cost.sweep_word)
 
 (* The first head at or past [cur_end], the end of the object at [head].

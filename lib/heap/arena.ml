@@ -3,35 +3,45 @@ module Weakmem = Cgc_smp.Weakmem
 
 type t = {
   mach : Machine.t;
-  data : int array;
+  data : Bytes.t; (* [n] 64-bit words, slot [i] at byte [8 * i] *)
   n : int;
   wm_base : int;
   sc : bool; (* [Weakmem.mode] never changes, so it is resolved here once *)
 }
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* Every slot holds an OCaml int, so the int64 round trip is exact, and
+   inlined, it boxes nothing. *)
+let[@inline] get data i = Int64.to_int (get64 data (i lsl 3))
+let[@inline] set data i v = set64 data (i lsl 3) (Int64.of_int v)
 
 let slots_per_card = 64
 
 let create mach ~nslots =
   if nslots < slots_per_card then invalid_arg "Arena.create: heap too small";
   let wm_base = Weakmem.register mach.Machine.wm nslots in
-  { mach; data = Array.make nslots 0; n = nslots; wm_base;
+  (* Zero-filled: a stale or unpublished read sees zeros, never whatever
+     the host allocator left there. *)
+  { mach; data = Bytes.make (8 * nslots) '\000'; n = nslots; wm_base;
     sc = Weakmem.mode mach.Machine.wm = Weakmem.Sc }
 
 let card_of_addr addr = addr / slots_per_card
 
 let read_slot t i =
-  if t.sc then t.data.(i)
+  if t.sc then get t.data i
   else
     Weakmem.read t.mach.Machine.wm ~cpu:(Machine.cpu t.mach)
-      ~now:(Machine.now t.mach) ~key:(t.wm_base + i) ~current:t.data.(i)
+      ~now:(Machine.now t.mach) ~key:(t.wm_base + i) ~current:(get t.data i)
 
 let write_slot t i v =
   if not t.sc then
     Weakmem.store t.mach.Machine.wm ~cpu:(Machine.cpu t.mach)
-      ~now:(Machine.now t.mach) ~key:(t.wm_base + i) ~prev:t.data.(i);
-  t.data.(i) <- v
+      ~now:(Machine.now t.mach) ~key:(t.wm_base + i) ~prev:(get t.data i);
+  set t.data i v
 
-let read_slot_sc t i = t.data.(i)
+let read_slot_sc t i = get t.data i
 
 (* Header layout: size in the low 26 bits, nrefs in the next 26.  Bit 61
    is a tag so that a header is distinguishable from a null slot. *)
@@ -49,8 +59,7 @@ let write_header t addr ~size ~nrefs =
   if nrefs < 0 || nrefs > size - 1 then invalid_arg "Arena.write_header: nrefs";
   write_slot t addr (encode ~size ~nrefs)
 
-let clear_fields t addr ~size ~nrefs =
-  ignore size;
+let clear_fields t addr ~nrefs =
   for i = 1 to nrefs do
     write_slot t (addr + i) 0
   done
@@ -76,7 +85,7 @@ let ref_set_raw t addr i v = write_slot t (addr + 1 + i) v
 
 let in_heap t addr = addr > 0 && addr < t.n
 
-external prefetch_slot : int array -> (int[@untagged]) -> unit
+external prefetch_slot : Bytes.t -> (int[@untagged]) -> unit
   = "cgc_arena_prefetch_byte" "cgc_arena_prefetch"
 [@@noalloc]
 

@@ -1,10 +1,12 @@
 (** The simulated heap arena and object model.
 
-    Memory is an array of 8-byte {e slots}; an {e address} is a slot
-    index.  An object occupies [size] contiguous slots: one header slot
-    followed by [nrefs] reference slots (each holding an object address,
-    [0] meaning null — address 0 is never handed out) and then scalar
-    slots.  The header packs [size] and [nrefs].
+    Memory is a run of 8-byte {e slots}, held as 64-bit words in one
+    zero-filled [Bytes] block that the host GC never scans; an
+    {e address} is a slot index.  An object occupies [size] contiguous
+    slots: one header slot followed by [nrefs] reference slots (each
+    holding an object address, [0] meaning null — address 0 is never
+    handed out) and then scalar slots.  The header packs [size] and
+    [nrefs].
 
     All slot accesses go through the {!Cgc_smp.Weakmem} system so the
     weak-ordering races of section 5 are observable in [Relaxed] mode.
@@ -39,7 +41,7 @@ val read_slot_sc : t -> int -> int
 val write_header : t -> int -> size:int -> nrefs:int -> unit
 (** Store the header at [addr]; does {e not} clear the field slots. *)
 
-val clear_fields : t -> int -> size:int -> nrefs:int -> unit
+val clear_fields : t -> int -> nrefs:int -> unit
 (** Null out the [nrefs] reference slots (a freshly allocated object must
     never expose stale references as valid pointers to the program —
     though an unfenced remote observer may still see stale memory). *)

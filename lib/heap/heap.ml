@@ -95,7 +95,7 @@ let cache_alloc_addr t cache ~size ~nrefs ~mark_new =
     let c = t.mach.Machine.cost in
     Machine.charge t.mach (c.Cost.alloc_obj + (size * c.Cost.alloc_slot));
     Arena.write_header t.arena addr ~size ~nrefs;
-    Arena.clear_fields t.arena addr ~size ~nrefs;
+    Arena.clear_fields t.arena addr ~nrefs;
     if mark_new then Bitvec.set t.mark addr;
     (match t.policy with
     | Batched -> add_pending cache addr
@@ -142,7 +142,7 @@ let alloc_large t ~size ~nrefs ~mark_new =
       Machine.charge t.mach (c.Cost.alloc_obj + (size * c.Cost.alloc_slot));
       t.cum_alloc <- t.cum_alloc + size;
       Arena.write_header t.arena addr ~size ~nrefs;
-      Arena.clear_fields t.arena addr ~size ~nrefs;
+      Arena.clear_fields t.arena addr ~nrefs;
       if mark_new then Bitvec.set t.mark addr;
       (match t.policy with
       | Batched -> Machine.fence t.mach Fence.Alloc_batch

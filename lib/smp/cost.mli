@@ -18,7 +18,7 @@ type t = {
   cache_refill : int;   (** allocation-cache refill slow path (free-list work) *)
   trace_obj : int;      (** tracing, per object visited *)
   trace_slot : int;     (** tracing, per slot scanned *)
-  sweep_word : int;     (** bitwise sweep, per 62-bit mark-bit word *)
+  sweep_word : int;     (** bitwise sweep, per 62 slots scanned *)
   sweep_chunk : int;    (** free-list insertion, per free chunk found *)
   card_scan : int;      (** card cleaning, per card scanned (fixed part) *)
   card_probe : int;     (** card-table scan for dirty cards, per card probed *)

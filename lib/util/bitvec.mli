@@ -5,7 +5,13 @@
     the {e allocation bit vector} (valid object starts, also the basis of
     the batched-fence protocol of section 5.2) and, indirectly, the card
     table.  Bitwise sweep walks the mark bit vector looking for runs of
-    clear bits, so this module exposes fast next-set/next-clear scans. *)
+    clear bits, so this module exposes fast next-set/next-clear scans.
+
+    The bits are held in zero-filled [Bytes], which the host GC never
+    scans: bit [i] is bit [i land 7] of byte [i lsr 3], so on a
+    little-endian host it is bit [i land 63] of the 64-bit word
+    [i lsr 6].  Single-bit operations are a byte shift and mask; the
+    scans go a word at a time. *)
 
 type t
 
@@ -53,7 +59,7 @@ val count : t -> int
 (** {2 Word-level kernels}
 
     The hot paths of the simulator (bitwise sweep, card snapshot, the
-    profiler's dirty-card probe) operate on whole 62-bit words rather
+    profiler's dirty-card probe) operate on whole 64-bit words rather
     than individual bits; these entry points expose that granularity. *)
 
 val fold_set_ranges : t -> lo:int -> hi:int -> init:'a -> f:('a -> int -> int -> 'a) -> 'a

@@ -48,10 +48,36 @@ let test_header_valid_rejects_garbage () =
 let test_refs () =
   let a = mk_arena () in
   Arena.write_header a 10 ~size:8 ~nrefs:3;
-  Arena.clear_fields a 10 ~size:8 ~nrefs:3;
+  Arena.clear_fields a 10 ~nrefs:3;
   check ci "null after clear" 0 (Arena.ref_get a 10 1);
   Arena.ref_set_raw a 10 1 777;
   check ci "ref set" 777 (Arena.ref_get a 10 1)
+
+(* Every int round-trips exactly through the arena's 64-bit words, at
+   the first usable slot and the last one, under both memory models, and
+   a write touches no neighbouring slot. *)
+let test_slot_roundtrip () =
+  let nslots = 4096 in
+  let header = (1 lsl 61) lor (5 lsl 26) lor 17 in
+  List.iter
+    (fun (mode, name) ->
+      let a = Arena.create (Machine.testing ~mode ()) ~nslots in
+      Arena.write_header a 1 ~size:17 ~nrefs:5;
+      check ci (name ^ ": header encoding") header (Arena.read_slot a 1);
+      List.iter
+        (fun slot ->
+          let other = if slot = 1 then 2 else slot - 1 in
+          Arena.write_slot a other 42;
+          List.iter
+            (fun v ->
+              let what = Printf.sprintf "%s: slot %d holds %d" name slot v in
+              Arena.write_slot a slot v;
+              check ci (what ^ " (read_slot)") v (Arena.read_slot a slot);
+              check ci (what ^ " (read_slot_sc)") v (Arena.read_slot_sc a slot);
+              check ci (what ^ ", neighbour kept") 42 (Arena.read_slot_sc a other))
+            [ 0; header; max_int; min_int; -1 ])
+        [ 1; nslots - 1 ])
+    [ (Cgc_smp.Weakmem.Sc, "sc"); (Cgc_smp.Weakmem.Relaxed, "relaxed") ]
 
 let test_in_heap () =
   let a = mk_arena ~nslots:100 () in
@@ -338,7 +364,7 @@ let test_publication_order_relaxed () =
       List.iter2
         (fun a (_, size) ->
           Arena.write_header arena a ~size ~nrefs:(nrefs size);
-          Arena.clear_fields arena a ~size ~nrefs:(nrefs size))
+          Arena.clear_fields arena a ~nrefs:(nrefs size))
         addrs objs;
       Machine.fence m Cgc_smp.Fence.Alloc_batch;
       List.iter (Alloc_bits.set (Heap.alloc_bits h)) (order addrs)
@@ -475,6 +501,7 @@ let () =
           Alcotest.test_case "garbage headers rejected" `Quick
             test_header_valid_rejects_garbage;
           Alcotest.test_case "refs" `Quick test_refs;
+          Alcotest.test_case "slot round-trip" `Quick test_slot_roundtrip;
           Alcotest.test_case "in_heap" `Quick test_in_heap;
           Alcotest.test_case "card_of_addr" `Quick test_card_of_addr;
         ] );

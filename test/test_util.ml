@@ -341,17 +341,31 @@ let hist_vs_stats_percentile_test =
 let test_bitvec_set_get () =
   let v = Bitvec.create 200 in
   check cb "initially clear" false (Bitvec.get v 0);
-  Bitvec.set v 0;
-  Bitvec.set v 61;
-  Bitvec.set v 62;
-  Bitvec.set v 199;
+  List.iter (Bitvec.set v) [ 0; 61; 62; 63; 64; 127; 128; 199 ];
   check cb "bit 0" true (Bitvec.get v 0);
-  check cb "bit 61 (word edge)" true (Bitvec.get v 61);
-  check cb "bit 62 (next word)" true (Bitvec.get v 62);
+  check cb "bit 61" true (Bitvec.get v 61);
+  check cb "bit 62" true (Bitvec.get v 62);
+  check cb "bit 63 (top bit of word 0)" true (Bitvec.get v 63);
+  check cb "bit 64 (word 1)" true (Bitvec.get v 64);
+  check cb "bit 127 (top bit of word 1)" true (Bitvec.get v 127);
+  check cb "bit 128 (word 2)" true (Bitvec.get v 128);
   check cb "bit 199" true (Bitvec.get v 199);
   check cb "bit 100 clear" false (Bitvec.get v 100);
+  check cb "bit 65 clear" false (Bitvec.get v 65);
+  (* The scans see the top bit of a word, which an OCaml int cannot
+     hold. *)
+  check ci "next_set reaches bit 63" 63 (Bitvec.next_set v 63);
+  check ci "next_set_below reaches bit 127" 127 (Bitvec.next_set_below v 65 128);
+  check ci "prev_set finds bit 63" 63 (Bitvec.prev_set v 63);
+  check ci "prev_set finds bit 127" 127 (Bitvec.prev_set v 127);
   Bitvec.clear v 61;
-  check cb "cleared" false (Bitvec.get v 61)
+  check cb "cleared" false (Bitvec.get v 61);
+  Bitvec.clear v 63;
+  check cb "cleared bit 63" false (Bitvec.get v 63);
+  check cb "bit 62 kept" true (Bitvec.get v 62);
+  check ci "prev_set skips cleared bit 63" 62 (Bitvec.prev_set v 63);
+  Bitvec.clear v 64;
+  check ci "next_set skips cleared bit 64" 127 (Bitvec.next_set v 64)
 
 let test_bitvec_test_and_set () =
   let v = Bitvec.create 10 in
@@ -421,19 +435,21 @@ let test_bitvec_fold_set_ranges () =
          (p, l) :: acc)
     = [])
 
-(* Property tests: the bit vector against a reference bool array. *)
+(* Property tests: the bit vector against a reference bool array.
+   Lengths up to 700 cross byte (8) and word (64) boundaries; a range op
+   (op 3) fills a whole run, so some vectors hold full words. *)
 
 let bitvec_model_test =
   QCheck.Test.make ~name:"bitvec matches bool-array model" ~count:200
     QCheck.(
-      pair (int_bound 500)
-        (list (pair (int_bound 2) (int_bound 499))))
+      pair (int_bound 700)
+        (list (triple (int_bound 3) (int_bound 699) (int_bound 200))))
     (fun (n, ops) ->
       let n = n + 1 in
       let v = Bitvec.create n in
       let model = Array.make n false in
       List.iter
-        (fun (op, i) ->
+        (fun (op, i, len) ->
           let i = i mod n in
           match op with
           | 0 ->
@@ -442,10 +458,14 @@ let bitvec_model_test =
           | 1 ->
               Bitvec.clear v i;
               model.(i) <- false
-          | _ ->
+          | 2 ->
               let won = Bitvec.test_and_set v i in
               if won <> not model.(i) then failwith "test_and_set mismatch";
-              model.(i) <- true)
+              model.(i) <- true
+          | _ ->
+              let len = Int.min len (n - i) in
+              Bitvec.set_range v i len;
+              Array.fill model i len true)
         ops;
       Array.iteri
         (fun i b -> if Bitvec.get v i <> b then failwith "get mismatch")
@@ -454,9 +474,26 @@ let bitvec_model_test =
       let rec model_next i =
         if i >= n then n else if model.(i) then i else model_next (i + 1)
       in
+      let rec model_next_clear i =
+        if i >= n then n else if not model.(i) then i else model_next_clear (i + 1)
+      in
+      let rec model_prev i = if i < 0 || model.(i) then i else model_prev (i - 1) in
       for i = 0 to n - 1 do
-        if Bitvec.next_set v i <> model_next i then failwith "next_set mismatch"
+        if Bitvec.next_set v i <> model_next i then failwith "next_set mismatch";
+        if Bitvec.next_clear v i <> model_next_clear i then
+          failwith "next_clear mismatch";
+        if Bitvec.prev_set v i <> model_prev i then failwith "prev_set mismatch";
+        (* windows ending inside the word, at a word end and past it *)
+        List.iter
+          (fun hi ->
+            let want = Int.min (model_next i) (Int.max i (Int.min hi n)) in
+            if Bitvec.next_set_below v i hi <> want then
+              failwith "next_set_below mismatch")
+          [ i + 1; i + 7; ((i lsr 6) + 1) lsl 6; i + 130; n + 5 ]
       done;
+      if Bitvec.prev_set v (-1) <> -1 then failwith "prev_set below 0";
+      if Bitvec.prev_set v (n + 3) <> model_prev (n - 1) then
+        failwith "prev_set past the end";
       (* count and fold_set_ranges agree with the model: the fold must
          visit every set bit exactly once, in maximal runs. *)
       let model_count = Array.fold_left (fun a b -> if b then a + 1 else a) 0 model in
@@ -478,7 +515,7 @@ let bitvec_model_test =
       true)
 
 (* next_set_below against a naive bit loop: lengths that cross the
-   62-bit word boundary, windows that start at or past their end, and
+   64-bit word boundary, windows that start at or past their end, and
    window ends past the vector's length. *)
 let bitvec_next_set_below_test =
   QCheck.Test.make ~name:"next_set_below matches a naive bit loop" ~count:500
@@ -504,12 +541,15 @@ let bitvec_next_set_below_test =
 
 let test_bitvec_next_set_below () =
   let v = Bitvec.create 200 in
-  List.iter (Bitvec.set v) [ 5; 61; 62; 130 ];
+  List.iter (Bitvec.set v) [ 5; 61; 63; 64; 130 ];
   check ci "first in window" 5 (Bitvec.next_set_below v 0 10);
   check ci "none below hi" 10 (Bitvec.next_set_below v 6 10);
-  check ci "last bit of word 0" 61 (Bitvec.next_set_below v 6 62);
-  check ci "crosses into word 1" 62 (Bitvec.next_set_below v 62 63);
-  check ci "window ends at the bit" 100 (Bitvec.next_set_below v 63 100);
+  check ci "bit 61" 61 (Bitvec.next_set_below v 6 62);
+  check ci "top bit of word 0" 63 (Bitvec.next_set_below v 62 64);
+  check ci "window ends just below bit 63" 63 (Bitvec.next_set_below v 62 63);
+  check ci "first bit of word 1" 64 (Bitvec.next_set_below v 64 65);
+  check ci "crosses into word 2" 130 (Bitvec.next_set_below v 65 200);
+  check ci "window ends at the bit" 100 (Bitvec.next_set_below v 65 100);
   check ci "i >= hi" 7 (Bitvec.next_set_below v 9 7);
   check ci "hi clamped to length" 200 (Bitvec.next_set_below v 131 1_000)
 
