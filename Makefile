@@ -69,7 +69,14 @@ fmt-check:
 # of Arena, Heap, Alloc_bits or Bitvec references caml_int64_ops: that is
 # a boxed Int64, so a 64-bit slot or bit-vector word load did not stay
 # unboxed.  (Prng is not listed: its out-of-line [next] returns a boxed
-# int64 that no draw uses.)
+# int64 that no draw uses.)  Finally, fail unless Tracer's object code
+# calls the prefetch stub's unboxed entry, cgc_arena_prefetch, and never
+# the boxed cgc_arena_prefetch_byte, and every call is direct (a call
+# instruction whose relocation names the stub: [@@noalloc]; without it
+# the stub's address goes to caml_c_call) with the index untagged by a
+# sar/asr within the six instructions before it ([@untagged]; without
+# it the tagged index is passed as is).  The hint only pays while it is
+# a direct noalloc call.
 inline-check:
 	@for u in lib/core/.cgc_core.objs/native/cgc_core__Tracer \
 	    lib/core/.cgc_core.objs/native/cgc_core__Sweep \
@@ -121,7 +128,24 @@ inline-check:
 	    exit 1; \
 	  fi; \
 	done
-	@echo "inline check OK: hot-path units compile without -opaque, call no polymorphic comparison, and the simulated-memory units box no Int64"
+	@u=lib/core/.cgc_core.objs/native/cgc_core__Tracer; \
+	dis=$$(objdump -dr _build/default/$$u.o) || exit 1; \
+	if printf '%s\n' "$$dis" | grep -q 'cgc_arena_prefetch_byte'; then \
+	  echo "inline-check: $$u.o references cgc_arena_prefetch_byte, the prefetch stub's boxed entry"; \
+	  exit 1; \
+	fi; \
+	if ! printf '%s\n' "$$dis" | awk ' \
+	    /^ *[0-9a-f]+:\t/ { n++; ins[n % 8] = $$0; next } \
+	    /R_[A-Z0-9_]+[ \t]+cgc_arena_prefetch([^_[:alnum:]]|$$)/ { \
+	      untagged = 0; \
+	      for (j = 0; j < 6; j++) if (ins[(n - j + 8) % 8] ~ /\t(sar|asr)[ \t]/) untagged = 1; \
+	      if (ins[n % 8] ~ /\t(call|bl)[ \t]/ && untagged) good++; else bad++ \
+	    } \
+	    END { exit !(good > 0 && bad == 0) }'; then \
+	  echo "inline-check: $$u.o does not call cgc_arena_prefetch directly with an untagged index; keep [@untagged] and [@@noalloc] on Arena's prefetch external"; \
+	  exit 1; \
+	fi
+	@echo "inline check OK: hot-path units compile without -opaque, call no polymorphic comparison, the simulated-memory units box no Int64, and Tracer calls the prefetch stub directly"
 
 verify: inline-check build test doc fmt-check
 

@@ -3,40 +3,25 @@
 
      dune exec bench/main.exe -- profile --workload jbb --ms 2000
 
-   A SIGPROF timer interrupts the process every millisecond of CPU time
-   (the kernel may round the period up to its tick) and the handler
-   records the OCaml call stack ([Printexc.get_callstack]) as it is: a
-   raw array of return addresses.  Only after the window are the stacks
-   resolved to source lines and function names, each distinct address
-   once, so the handler does as little as it can while the window runs:
-   on jbb it takes 8-9 us a sample, where resolving and hashing the
-   stack in the handler took 35-41 us.  The report gives each source
-   line's share of the samples it was on top of the stack for
-   ({e self}) and each function's share of the samples it appeared
-   anywhere in ({e inclusive}).  External profilers are no substitute
-   here: gprofng crashes on the scheduler's effect-handler stacks.
-
-   A sample taken inside a simulated thread sees that thread's stack
-   only, up to its effect handler, so on the server workloads the
-   inclusive shares of the driver's own functions stay well below
-   100%.
-
-   OCaml runs a signal handler only at its next poll point (an
-   allocation, a function prologue or a loop back-edge), so a sample
-   lands on the poll point after the interrupted instruction, not on
-   the instruction itself; a long allocation-free loop's time is
-   charged to its back-edge.
+   Pc_sampler's SIGPROF timer interrupts the process every millisecond
+   of CPU time (the kernel may round the period up to its tick), and its
+   C handler records the interrupted program counter: the instruction
+   itself, not the next OCaml poll point, so a load that misses the
+   cache is charged to the line that issued it.  The handler runs on a
+   signal stack of its own, so a sample that lands inside a simulated
+   thread's fiber (a small heap-allocated stack) neither overflows it
+   nor loses the sample.  After the window each distinct PC is resolved
+   once, by one [addr2line -f] run on this executable, and the report
+   gives each source line's and each function's share of the samples
+   ({e self} shares; there is no call stack, so no inclusive share).
+   PCs outside the executable (libc, the vDSO) are one "outside" row.
 
    The default (release) build inlines small functions across modules
-   and libraries, so an inlined callee has no frame of its own, and
-   its samples land on the caller's line that called it.  For example,
-   on jbb [Collector.do_increment]'s loop line (its [find_work] call)
-   carries much of the tracer's [trace_until] time: [trace_until]'s
-   inclusive share is 29% on the release build against 43% on a
-   [--profile dev] build.  [Pool.pop_raw] and [Machine.fence], 1.2%
-   and 1.7% of the samples on a dev build, never appear by name.  Read
-   a line's self share as that line plus whatever it inlined.  A dev
-   build keeps the callees apart, but it is not the code that runs.
+   and libraries.  An inlined callee's instructions carry the callee's
+   own source lines, but its samples count towards the function it was
+   inlined into: a line such as [arena.ml]'s slot read appears once per
+   function that inlined it, and within one function its header and
+   reference-slot loads share that line.
 
    The numbers are host-only: nothing here is written into a trace, a
    report or any other deterministic output. *)
@@ -46,101 +31,6 @@ module P = Perfbench
 
 let period_s = 0.001
 let top = 25
-
-type acc = {
-  self : (string, int) Hashtbl.t;
-  incl : (string, int) Hashtbl.t;
-  seen : (string, unit) Hashtbl.t; (* functions already counted this sample *)
-  mutable samples : int;
-}
-
-let bump h k =
-  Hashtbl.replace h k (1 + Option.value ~default:0 (Hashtbl.find_opt h k))
-
-let file_of slot =
-  match Printexc.Slot.location slot with
-  | Some l -> l.Printexc.filename
-  | None -> ""
-
-(* The handler's own frames sit on top of every stack; drop them. *)
-let own_file = __FILE__
-
-let count acc slots =
-  let n = Array.length slots in
-  let i = ref 0 in
-  while !i < n && file_of slots.(!i) = own_file do
-    incr i
-  done;
-  if !i < n then begin
-    acc.samples <- acc.samples + 1;
-    let s = slots.(!i) in
-    let name = Option.value ~default:"?" (Printexc.Slot.name s) in
-    (match Printexc.Slot.location s with
-    | Some l ->
-        bump acc.self
-          (Printf.sprintf "%s:%d %s" l.Printexc.filename
-             l.Printexc.line_number name)
-    | None -> bump acc.self name);
-    Hashtbl.reset acc.seen;
-    for j = !i to n - 1 do
-      match Printexc.Slot.name slots.(j) with
-      | Some f when not (Hashtbl.mem acc.seen f) ->
-          Hashtbl.add acc.seen f ();
-          bump acc.incl f
-      | _ -> ()
-    done
-  end
-
-(* Resolve the raw stacks, oldest sample first, each distinct return
-   address once.  An address expands to several slots when calls were
-   inlined into it, and to none when it has no debug information, as in
-   [Printexc.backtrace_slots] of the whole stack. *)
-let resolve stacks =
-  let acc =
-    {
-      self = Hashtbl.create 256;
-      incl = Hashtbl.create 256;
-      seen = Hashtbl.create 64;
-      samples = 0;
-    }
-  in
-  let cache = Hashtbl.create 1024 in
-  let slots_of (e : Printexc.raw_backtrace_entry) =
-    let k = (e :> int) in
-    match Hashtbl.find_opt cache k with
-    | Some slots -> slots
-    | None ->
-        let slots =
-          Option.value ~default:[||] (Printexc.backtrace_slots_of_raw_entry e)
-        in
-        Hashtbl.add cache k slots;
-        slots
-  in
-  List.iter
-    (fun bt ->
-      Printexc.raw_backtrace_entries bt
-      |> Array.map slots_of |> Array.to_list |> Array.concat |> count acc)
-    (List.rev stacks);
-  acc
-
-let set_timer period =
-  ignore
-    (Unix.setitimer Unix.ITIMER_PROF
-       { Unix.it_interval = period; it_value = period })
-
-(* Run [f] with the sampler armed; the raw stacks, newest first. *)
-let sampled f =
-  let stacks = ref [] in
-  Sys.set_signal Sys.sigprof
-    (Sys.Signal_handle
-       (fun _ -> stacks := Printexc.get_callstack 512 :: !stacks));
-  set_timer period_s;
-  Fun.protect
-    ~finally:(fun () ->
-      set_timer 0.0;
-      Sys.set_signal Sys.sigprof Sys.Signal_default)
-    f;
-  !stacks
 
 let print_shares title h samples =
   let rows = Hashtbl.fold (fun k v l -> (k, v) :: l) h [] in
@@ -153,6 +43,9 @@ let print_shares title h samples =
           (100.0 *. float_of_int v /. float_of_int (max 1 samples))
           k)
     rows
+
+let bump h k =
+  Hashtbl.replace h k (1 + Option.value ~default:0 (Hashtbl.find_opt h k))
 
 (* The workloads are perfbench's jbb, serve-gen and fleet, untraced at
    seed 1.  Each builds its VMs and runs perfbench's warm-up unsampled,
@@ -174,19 +67,31 @@ let prepare w ~ms =
       let cfg = P.fleet_cfg ~gc ~seed ~trace ~ms in
       fun () -> ignore (Cgc_cluster.Cluster.run cfg)
 
+let outside = "outside the executable"
+
 let run ~workload:name ~ms =
   Cgc_experiments.Common.hdr
     (Printf.sprintf "Host profile: %s, %.0f simulated ms" name ms);
   let window = prepare (List.assoc name workloads) ~ms in
   let cpu0 = Sys.time () in
-  let stacks = sampled window in
+  let (), pcs, dropped = Pc_sampler.sample ~period_s window in
   let cpu1 = Sys.time () in
-  let acc = resolve stacks in
+  let sites = Pc_sampler.resolve pcs in
+  let lines = Hashtbl.create 1024 and funcs = Hashtbl.create 256 in
+  Array.iter
+    (function
+      | Pc_sampler.Outside ->
+          bump lines outside;
+          bump funcs outside
+      | Pc_sampler.Code { func; file; line } ->
+          bump lines (Printf.sprintf "%s:%d %s" file line func);
+          bump funcs func)
+    sites;
+  let samples = Array.length sites in
   Printf.printf
-    "%d samples over %.2f s of CPU time (resolved in %.2f s after the \
-     window); each lands on the OCaml poll point after the interrupted \
-     instruction.\n"
-    acc.samples (cpu1 -. cpu0)
+    "%d samples (%d dropped) over %.2f s of CPU time (resolved in %.2f s \
+     after the window); each is the interrupted instruction.\n"
+    samples dropped (cpu1 -. cpu0)
     (Sys.time () -. cpu1);
-  print_shares "self (source line, function)" acc.self acc.samples;
-  print_shares "inclusive (function)" acc.incl acc.samples
+  print_shares "self (source line, function)" lines samples;
+  print_shares "self (function)" funcs samples

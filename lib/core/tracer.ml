@@ -353,9 +353,11 @@ let scan_object t s ~retrace addr =
 let is_input s p = match s.input with Some q -> q == p | None -> false
 
 (* How many entries below the one being popped the drain loop prefetches:
-   the header of entry [count - prefetch_distance] is on its way into the
-   host cache while the entries above it are scanned.  On jbb (2-vCPU
-   Xeon VM) 8 beat 4 by 13% and 16 measured alike with 8. *)
+   the two cache lines from the header of entry [count - prefetch_distance]
+   (header and reference slots, [Arena.prefetch]) are on their way into
+   the host cache while the entries above it are scanned.  On jbb (2-vCPU
+   Xeon VM) 8 beat 4 by 13% with the header line alone; re-measured with
+   two lines, 16 is no better than 8. *)
 let prefetch_distance = 8
 
 let trace_until t s ~budget =
@@ -377,10 +379,11 @@ let trace_until t s ~budget =
           let draining = ref true in
           while !draining do
             (* Packets know what is traced next, unlike a mark stack's
-               top: start the header load of a later entry now, so its
-               scan does not stall on a cache miss.  A hint only — the
-               committed entry may be stale or junk under Relaxed, hence
-               the [in_heap] guard; it reads no simulated state. *)
+               top: start the loads of a later entry's header and
+               reference slots now, so its scan does not stall on a
+               cache miss.  A hint only — the committed entry may be
+               stale or junk under Relaxed, hence the [in_heap] guard;
+               it reads no simulated state. *)
             let ahead = Packet.count p - prefetch_distance in
             if ahead >= 0 then begin
               let a = Packet.get_sc p ahead in

@@ -91,8 +91,11 @@ val in_heap : t -> int -> bool
     reserved slot). *)
 
 val prefetch : t -> int -> unit
-(** [prefetch t addr] hints the host CPU to start loading slot [addr]
-    into its cache: one prefetch instruction (a C stub declared
-    [[@@noalloc]], called directly).  It reads no simulated state and
-    draws nothing from the weak-memory PRNG, so it changes no output,
-    only host time.  [addr] must satisfy {!in_heap}. *)
+(** [prefetch t addr] hints the host CPU to start loading the 64-byte
+    cache line that holds slot [addr] and the line after it, which
+    between them hold every slot of an object of up to 9 slots whose
+    header is at [addr]: two prefetch instructions in a C stub declared
+    [[@@noalloc]] and called directly, the second issued only when its
+    line starts inside the arena's block.  It reads no simulated state and draws
+    nothing from the weak-memory PRNG, so it changes no output, only
+    host time.  [addr] must satisfy {!in_heap}. *)

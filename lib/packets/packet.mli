@@ -39,9 +39,9 @@ val get_sc : t -> int -> int
     only known once the top is scanned, a packet holds the tracer's next
     objects in order: [Tracer.trace_until] reads entry
     [count p - prefetch_distance] here to prefetch that object's header
-    while the entries above it are popped.  Under Relaxed memory the
-    committed entry may differ from what {!pop} will observe, which only
-    wastes the hint. *)
+    and reference slots while the entries above it are popped.  Under
+    Relaxed memory the committed entry may differ from what {!pop} will
+    observe, which only wastes the hint. *)
 
 val reverse : t -> unit
 (** Reverse the entries in place: the order that popping every entry and

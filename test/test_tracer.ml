@@ -236,62 +236,101 @@ let test_corruption_detection_disabled_protocol () =
   check cb "corruption observed without the protocol" true
     (Tracer.corruptions env.tracer > 0)
 
-(* The drain loop prefetches the header of the entry a fixed distance
-   below the one it pops, guarded by [Arena.in_heap].  Here the bottom of
-   the input packet holds out-of-heap junk and null, which the guard
-   skips, and the entries above them include objects at the heap's first
-   and last slots, which it lets through.  The budget stops the drain
-   before the junk is popped (the scan itself never sees it), so the
-   bottom entries reach only the prefetch.  A prefetch cannot fault, so
-   this cannot tell a missing guard; it checks that the hint changes
-   nothing: the traced volume and counters equal scanning just the
-   objects, under SC and Relaxed memory alike. *)
+(* The drain loop prefetches the two cache lines from the header of the
+   entry a fixed distance below the one it pops, guarded by
+   [Arena.in_heap]; the stub requests the second line only when it lies
+   inside the arena's bytes.  Here the bottom of the input packet holds
+   out-of-heap junk and null, which the guard skips, and the entries
+   above them include objects at the heap's first, last and last-but-one
+   slots, which it lets through (the last two have no second line), and
+   objects of 6 and 9 slots with 4 and 8 references, whose children the
+   scan pushes.  Their headers sit at every slot offset of an 8-slot
+   line, so whatever the arena's alignment, some have their header at
+   offset 5-7 of a cache line and their references in the next one.  The budget stops the drain before the junk is
+   popped (the scan itself never sees it), so the bottom entries reach
+   only the prefetch.  A prefetch cannot fault, so this cannot tell a
+   missing guard; it checks that the hint changes nothing: the traced
+   volume and counters equal scanning the same objects with
+   [scan_object], which prefetches nothing, under SC and Relaxed memory
+   alike. *)
 let test_prefetch_guard () =
-  let run mode =
-    let nslots = 4096 in
+  let nslots = 4096 in
+  (* (address, size, nrefs), bottom of the packet first.  Three junk
+     entries, then the three boundary objects, the nine with references,
+     and 18 more: for any prefetch distance from 4 to 19 the prefetched
+     entries cover all of the bottom fifteen. *)
+  let objs =
+    [ (1, 3, 0); (nslots - 1, 1, 0); (nslots - 2, 1, 0) ]
+    @ List.init 8 (fun j -> ((8 * (40 + (2 * j))) + j, 6, 4))
+    @ [ ((8 * 58) + 7, 9, 8) ]
+    @ List.init 18 (fun k -> (100 + (10 * k), 1 + (k mod 5), 0))
+  in
+  let junk = [ nslots; -3; 0 ] in
+  let budget = List.fold_left (fun acc (_, size, _) -> acc + size) 0 objs in
+  let nchildren = List.fold_left (fun acc (_, _, n) -> acc + n) 0 objs in
+  let run mode ~hint =
     let mach = Machine.testing ~mode () in
     let heap = Heap.create mach ~nslots in
-    let pool = Pool.create mach ~n_packets:4 ~capacity:32 in
+    let pool = Pool.create mach ~n_packets:4 ~capacity:64 in
     let cfg = { Config.default with Config.defer_protocol = false } in
     let tracer = Tracer.create cfg heap pool in
     let arena = Heap.arena heap in
-    let place addr size =
-      Arena.write_header arena addr ~size ~nrefs:0;
+    let place addr size nrefs =
+      Arena.write_header arena addr ~size ~nrefs;
       Alloc_bits.set (Heap.alloc_bits heap) addr
     in
-    (* Three junk entries, then the two boundary objects, then 18 more:
-       for any prefetch distance from 4 to 19 the prefetched entries
-       cover all of the bottom five. *)
-    let objs =
-      (1, 3) :: (nslots - 1, 1)
-      :: List.init 18 (fun k -> (100 + (10 * k), 1 + (k mod 5)))
-    in
-    List.iter (fun (a, size) -> place a size) objs;
-    let junk = [ nslots; -3; 0 ] in
-    let p = Option.get (Pool.get_output pool) in
-    List.iter (fun a -> ignore (Pool.push pool p a)) (junk @ List.map fst objs);
-    Pool.put pool p;
+    let next_child = ref 1000 in
+    let children = ref [] in
+    List.iter
+      (fun (a, size, nrefs) ->
+        place a size nrefs;
+        for i = 0 to nrefs - 1 do
+          let c = !next_child in
+          next_child := c + 2;
+          place c 2 0;
+          children := c :: !children;
+          Arena.ref_set_raw arena a i c
+        done)
+      objs;
     let s = Tracer.new_session tracer in
-    let budget = List.fold_left (fun acc (_, size) -> acc + size) 0 objs in
-    let traced = Tracer.trace_until tracer s ~budget in
+    let traced =
+      if hint then begin
+        let p = Option.get (Pool.get_output pool) in
+        List.iter
+          (fun a -> ignore (Pool.push pool p a))
+          (junk @ List.map (fun (a, _, _) -> a) objs);
+        Pool.put pool p;
+        Tracer.trace_until tracer s ~budget
+      end
+      else
+        List.fold_left
+          (fun acc (a, _, _) ->
+            acc + Tracer.scan_object tracer s ~retrace:false a)
+          0 (List.rev objs)
+    in
     Tracer.release tracer s;
     ( traced,
       Tracer.marked_slots tracer,
       Tracer.corruptions tracer,
       Tracer.overflow_events tracer,
-      Pool.entries pool,
-      budget,
-      List.length junk )
+      (Pool.entries pool - if hint then List.length junk else 0),
+      List.length (List.filter (Heap.is_marked heap) !children) )
   in
-  let ((traced, marked, corrupt, overflows, left, budget, njunk) as sc) =
-    run Cgc_smp.Weakmem.Sc
+  let ((traced, marked, corrupt, overflows, pushed, marked_children) as sc) =
+    run Cgc_smp.Weakmem.Sc ~hint:true
   in
   check ci "every object traced" budget traced;
   check ci "marked volume" budget marked;
   check ci "no corruption" 0 corrupt;
   check ci "no overflow" 0 overflows;
-  check ci "junk left unpopped" njunk left;
-  check cb "relaxed traces the same" true (sc = run Cgc_smp.Weakmem.Relaxed)
+  check ci "children pushed, junk left unpopped" nchildren pushed;
+  check ci "children marked" nchildren marked_children;
+  check cb "scan without the hint, SC" true
+    (sc = run Cgc_smp.Weakmem.Sc ~hint:false);
+  let relaxed = run Cgc_smp.Weakmem.Relaxed ~hint:true in
+  check cb "relaxed traces the same" true (sc = relaxed);
+  check cb "scan without the hint, Relaxed" true
+    (relaxed = run Cgc_smp.Weakmem.Relaxed ~hint:false)
 
 (* Property: the in-place allocation-bit filter (SC memory, batched
    fences) leaves exactly what the per-entry pop and re-push filter
