@@ -113,9 +113,14 @@ inline-check:
 	    exit 1; \
 	  fi; \
 	  dune build ./$$u.o || exit 1; \
-	  calls=$$(objdump -dr _build/default/$$u.o | grep -oE 'camlStdlib\.(min|max)_[0-9]+|caml_(compare|greaterequal|lessequal|lessthan|greaterthan)\b' | sort -u | tr '\n' ' '); \
+	  dis=$$(objdump -dr _build/default/$$u.o) || exit 1; \
+	  calls=$$(printf '%s\n' "$$dis" | grep -oE 'camlStdlib\.(min|max)_[0-9]+|caml_(compare|greaterequal|lessequal|lessthan|greaterthan)\b' | sort -u | tr '\n' ' '); \
 	  if [ -n "$$calls" ]; then \
 	    echo "inline-check: $$u.o calls polymorphic comparison ($$calls); use Int.min/Int.max or a typed comparison"; \
+	    exit 1; \
+	  fi; \
+	  if printf '%s\n' "$$dis" | grep -q 'camlStdlib__Char\.chr'; then \
+	    echo "inline-check: $$u.o references camlStdlib__Char.chr, an out-of-line call; store a char literal"; \
 	    exit 1; \
 	  fi; \
 	done
@@ -145,7 +150,7 @@ inline-check:
 	  echo "inline-check: $$u.o does not call cgc_arena_prefetch directly with an untagged index; keep [@untagged] and [@@noalloc] on Arena's prefetch external"; \
 	  exit 1; \
 	fi
-	@echo "inline check OK: hot-path units compile without -opaque, call no polymorphic comparison, the simulated-memory units box no Int64, and Tracer calls the prefetch stub directly"
+	@echo "inline check OK: hot-path units compile without -opaque, call no polymorphic comparison or Char.chr, the simulated-memory units box no Int64, and Tracer calls the prefetch stub directly"
 
 verify: inline-check build test doc fmt-check
 

@@ -39,7 +39,7 @@ let read t i =
       Weakmem.read wm ~cpu:(Machine.cpu t.mach) ~now:(Machine.now t.mach)
         ~key:(t.wm_base + i) ~current:(get_committed t i)
 
-let write t i v =
+let write t i now_dirty =
   let wm = t.mach.Machine.wm in
   (match Weakmem.mode wm with
   | Sc -> ()
@@ -47,8 +47,7 @@ let write t i v =
       Weakmem.store wm ~cpu:(Machine.cpu t.mach) ~now:(Machine.now t.mach)
         ~key:(t.wm_base + i) ~prev:(get_committed t i));
   let was_dirty = Bytes.get t.bytes i <> '\000' in
-  Bytes.set t.bytes i (Char.chr v);
-  let now_dirty = v <> 0 in
+  Bytes.set t.bytes i (if now_dirty then '\001' else '\000');
   if was_dirty <> now_dirty then
     if now_dirty then begin
       Bitvec.set t.dirty_bits i;
@@ -59,9 +58,9 @@ let write t i v =
       t.ndirty <- t.ndirty - 1
     end
 
-let dirty t i = write t i 1
+let dirty t i = write t i true
 let is_dirty t i = read t i <> 0
-let clear t i = write t i 0
+let clear t i = write t i false
 
 let clear_all t =
   Bytes.fill t.bytes 0 t.n '\000';

@@ -7,27 +7,23 @@ type t = {
   mutable nticks : int;
 }
 
-(* Per-probe window: 8192 samples at the VM's 0.25 ms interval cover
-   the last two simulated seconds. *)
-let capacity = 8192
-
 let create ~interval () =
   { interval = max 1 interval; probes = []; due = 0; nticks = 0 }
 
 let interval t = t.interval
 
 let add_probe t ~name fn =
-  let s = Series.create ~capacity ~name () in
+  let s = Series.create ~name () in
   t.probes <- { fn; s } :: t.probes
 
 let tick t ~now =
   if now >= t.due then begin
-    (* One sample per tick, stamped at the latest interval boundary, so
+    (* One sample per tick, at the latest interval boundary, so
        a clock that jumps several intervals at once (a long pause, an
        idle stretch) does not fabricate a burst of identical samples. *)
     let ts = now / t.interval * t.interval in
     t.nticks <- t.nticks + 1;
-    List.iter (fun p -> Series.add p.s ~ts (p.fn ())) (List.rev t.probes);
+    List.iter (fun p -> Series.add p.s (p.fn ())) (List.rev t.probes);
     t.due <- ts + t.interval
   end
 

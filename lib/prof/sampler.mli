@@ -8,9 +8,9 @@
     instructions and charges no simulated cycles.  It is due at
     {!due}: a tick before then does nothing.
 
-    Timestamps are aligned to multiples of the sampling interval
-    regardless of when the clock actually advances past a deadline, so
-    two equal-seed runs produce identical series even if their event
+    Samples are taken at multiples of the sampling interval regardless
+    of when the clock actually advances past a deadline, so two
+    equal-seed runs sample at the same boundaries even if their event
     timing differs at sub-interval granularity (it does not, but the
     alignment also makes series from different runs directly
     comparable). *)
@@ -19,7 +19,7 @@ type t
 
 val create : interval:int -> unit -> t
 (** [interval] is the sampling period in simulated cycles.  Each probe
-    keeps a {!Series} window of the newest 8192 samples. *)
+    keeps a {!Series} of its samples' lifetime aggregates. *)
 
 val interval : t -> int
 

@@ -1,66 +1,28 @@
 type t = {
   name : string;
-  ts : int array;
-  vs : float array;
-  capacity : int;
-  mutable start : int;  (* index of the oldest retained point *)
-  mutable len : int;
-  mutable total : int;  (* points ever added *)
+  mutable total : int;
   mutable sum : float;
   mutable mn : float;
   mutable mx : float;
 }
 
-let create ?(capacity = 8192) ~name () =
-  let capacity = max 1 capacity in
-  {
-    name;
-    ts = Array.make capacity 0;
-    vs = Array.make capacity 0.0;
-    capacity;
-    start = 0;
-    len = 0;
-    total = 0;
-    sum = 0.0;
-    mn = infinity;
-    mx = neg_infinity;
-  }
+let create ~name () =
+  { name; total = 0; sum = 0.0; mn = infinity; mx = neg_infinity }
 
 let name t = t.name
 
-let add t ~ts v =
-  let i = (t.start + t.len) mod t.capacity in
-  t.ts.(i) <- ts;
-  t.vs.(i) <- v;
-  if t.len = t.capacity then t.start <- (t.start + 1) mod t.capacity
-  else t.len <- t.len + 1;
+let add t v =
   t.total <- t.total + 1;
   t.sum <- t.sum +. v;
   if v < t.mn then t.mn <- v;
   if v > t.mx then t.mx <- v
 
-let length t = t.len
 let count t = t.total
-let dropped t = t.total - t.len
-
-let to_list t =
-  List.init t.len (fun k ->
-      let i = (t.start + k) mod t.capacity in
-      (t.ts.(i), t.vs.(i)))
-
 let min t = if t.total = 0 then 0.0 else t.mn
 let max t = if t.total = 0 then 0.0 else t.mx
 let mean t = if t.total = 0 then 0.0 else t.sum /. float_of_int t.total
 
-let last t =
-  if t.len = 0 then None
-  else
-    let i = (t.start + t.len - 1) mod t.capacity in
-    Some (t.ts.(i), t.vs.(i))
-
 let clear t =
-  t.start <- 0;
-  t.len <- 0;
   t.total <- 0;
   t.sum <- 0.0;
   t.mn <- infinity;

@@ -1,47 +1,29 @@
-(** A bounded time series: [(timestamp, value)] points in a ring.
+(** A probe's samples, kept as lifetime aggregates.
 
-    The online sampler ({!Sampler}) appends one point per probe per
-    sampling tick; like the event rings in {!Cgc_obs.Ring}, the buffer
-    is bounded so an arbitrarily long run cannot exhaust host memory —
-    when full, the oldest point is overwritten and a drop counter is
-    bumped.  Aggregate statistics ([count]/[min]/[max]/[mean]) are
-    maintained over {e every} point ever added, so they stay exact even
-    after the window has slid past the data. *)
+    The online sampler ({!Sampler}) adds one value per probe per
+    sampling tick.  Only [count]/[min]/[max]/[mean] over every value
+    added are kept, so a series is a few words however long the run. *)
 
 type t
 
-val create : ?capacity:int -> name:string -> unit -> t
-(** [capacity] (default 8192) bounds the retained window. *)
+val create : name:string -> unit -> t
 
 val name : t -> string
 
-val add : t -> ts:int -> float -> unit
-(** Append a point at simulated time [ts] (cycles).  Overwrites the
-    oldest retained point when the ring is full. *)
-
-val length : t -> int
-(** Points currently retained. *)
+val add : t -> float -> unit
+(** Fold one sample into the aggregates. *)
 
 val count : t -> int
-(** Points ever added, including overwritten ones. *)
-
-val dropped : t -> int
-(** Points overwritten by ring wrap-around ([count - length]). *)
-
-val to_list : t -> (int * float) list
-(** The retained window, oldest first. *)
+(** Samples added. *)
 
 val min : t -> float
-(** Smallest value ever added; [0.0] when empty. *)
+(** Smallest value added; [0.0] when empty. *)
 
 val max : t -> float
-(** Largest value ever added; [0.0] when empty. *)
+(** Largest value added; [0.0] when empty. *)
 
 val mean : t -> float
-(** Mean over every value ever added; [0.0] when empty. *)
-
-val last : t -> (int * float) option
-(** The newest point, if any. *)
+(** Mean over every value added; [0.0] when empty. *)
 
 val clear : t -> unit
-(** Forget all points and reset the aggregate statistics. *)
+(** Forget every sample. *)

@@ -335,11 +335,7 @@ let print_report t =
         /. float_of_int mach.Machine.cost.Cost.cycles_per_ms);
       List.iter
         (fun s ->
-          Printf.printf "  %-20s n=%-6d mean %10.1f  min %10.1f  max %10.1f%s\n"
+          Printf.printf "  %-20s n=%-6d mean %10.1f  min %10.1f  max %10.1f\n"
             (Series.name s) (Series.count s) (Series.mean s) (Series.min s)
-            (Series.max s)
-            (if Series.dropped s > 0 then
-               Printf.sprintf "  (window slid past %d points)"
-                 (Series.dropped s)
-             else ""))
+            (Series.max s))
         (Sampler.series p)

@@ -11,8 +11,16 @@
     so store-store reordering anomalies — the three races of section 5 —
     actually manifest.
 
-    Per-location coherence is preserved (drain deadlines are monotone per
-    location), matching real weak-ordering hardware.
+    Per-location coherence is preserved, matching real weak-ordering
+    hardware: a store's drain deadline is bumped past every earlier
+    deadline handed out for its location, so deadlines strictly increase
+    per location in issue order.  The state is therefore one list of
+    pending stores per location, and every drain makes a {e prefix} of
+    it (the oldest stores) visible: a natural drain at [now] the stores
+    with deadline [<= now], a fence by processor [c] every store up to
+    and including [c]'s newest one there, whichever processor issued
+    them.  Once a newer store to a location is visible, no read returns
+    a value from before it.
 
     In [Sc] (sequentially consistent) mode every operation is a direct
     memory access; the experiments run in this mode for speed, with fence
@@ -47,7 +55,8 @@ val read : t -> cpu:int -> now:int -> key:int -> current:int -> int
 
 val fence : t -> cpu:int -> now:int -> unit
 (** Drain all pending stores issued by [cpu]: they become globally
-    visible.  (Cost accounting is the caller's job.) *)
+    visible, and with each its location's older pending stores, by any
+    processor.  (Cost accounting is the caller's job.) *)
 
 val fence_all : t -> unit
 (** Drain every pending store on every processor — used when the collector
@@ -58,9 +67,3 @@ val commit_due : t -> now:int -> unit
 
 val pending_count : t -> int
 (** Number of still-masked stores (diagnostics / tests). *)
-
-val debug_heap_clean : t -> bool
-(** Test hook for the retention invariant: [true] iff every vacated
-    slot of the internal drain heap holds the dummy entry — i.e. no
-    committed store entry is retained above the heap's length.
-    O(heap capacity); never used on the hot path. *)

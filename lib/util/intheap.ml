@@ -26,9 +26,9 @@ let swap h i j =
   h.keys.(j) <- k;
   h.vals.(j) <- v
 
-(* The sift loops make exactly Minheap's comparisons (strict [>] going
-   up, strict [<] going down, left child before right), so equal keys
-   pop in the same order. *)
+(* The sift loops compare with strict [>] going up and strict [<] going
+   down, left child before right; that order decides how equal keys pop,
+   and the golden digests pin it. *)
 let push h ~key v =
   if h.n = Array.length h.keys then grow h;
   let i = ref h.n in

@@ -1,11 +1,12 @@
 (** Array-backed binary min-heap of [(key, value)] pairs of ints, held in
     two int arrays.
 
-    The scheduler's sleep queue keys thread ids by wake time.  Unlike
-    {!Minheap}, whose slots hold pointers, no push, pop or sift stores a
-    pointer, so none of them goes through the OCaml 5 write barrier.  The
-    sift loops make {!Minheap}'s comparisons in its order, so on the same
-    keys both heaps pop equal keys in the same order. *)
+    The scheduler's sleep queue keys thread ids by wake time, and the
+    weak-memory store buffers key locations by drain deadline.  No push,
+    pop or sift stores a pointer, so none of them goes through the OCaml
+    5 write barrier.  Equal keys pop in an order fixed by the sift loops
+    (strict [>] going up, strict [<] going down, left child before
+    right); every simulated trace depends on it. *)
 
 type t
 

@@ -71,9 +71,6 @@ let allowlist =
     ("Cgc_packets.Pool.entries", "test seam: entries across all packets");
     ( "Cgc_prof.Analysis.utilization_timeline",
       "test seam: the analysis's utilization timeline over an event list" );
-    ("Cgc_prof.Series.length", "test seam: the retained window");
-    ("Cgc_prof.Series.to_list", "test seam: the retained window");
-    ("Cgc_prof.Series.last", "test seam: the retained window");
     ("Cgc_runtime.Vm.gen", "test seam: a VM's generational front end");
     ( "Cgc_server.Span.zero_blame",
       "test seam: builds spans with one blame component" );
@@ -88,7 +85,6 @@ let allowlist =
     ( "Cgc_smp.Fence.site_name",
       "test seam: fence-site names for the registry drift test" );
     ("Cgc_smp.Fence.all_sites", "test seam: the fence-site registry");
-    ("Cgc_smp.Weakmem.debug_heap_clean", "test seam: retention invariant");
     ( "Cgc_util.Bitvec.set_range",
       "test seam: sets bit runs for the scan tests" );
     ( "Cgc_util.Bitvec.next_clear",
@@ -99,17 +95,11 @@ let allowlist =
     ( "Cgc_util.Histogram.nonzero_buckets",
       "test seam: bucket contents for the merge property" );
     ( "Cgc_util.Intheap.length",
-      "test seam: size, compared with the Minheap model" );
-    ( "Cgc_util.Minheap.Make.length",
-      "test seam: size, compared with a list model" );
-    ( "Cgc_util.Minheap.Make.min_key",
-      "test seam: minimum key, compared with a list model" );
+      "test seam: size, compared with a sorted model" );
     ( "Cgc_util.Prng.float",
       "test input draw; the reference-equivalence property checks it" );
     ( "Cgc_util.Prng.bool",
       "test input draw; the reference-equivalence property checks it" );
-    ("Cgc_util.Ringbuf.length", "test seam: size, compared with a Queue model");
-    ("Cgc_util.Ringbuf.slots_clean", "test seam: retention invariant");
     ("Cgc_workloads.Objgraph.list_length", "test seam: walks a built list");
     ("Cgc_workloads.Objgraph.count_tree", "test seam: walks a built tree");
     ( "Cgc_workloads.Txmix.resident_slots",

