@@ -951,6 +951,23 @@ let rec alloc t (m : Mctx.t) ~nrefs ~size =
 
 let background_body t () =
   let idle_nap = t.mach.Machine.cost.Cost.cycles_per_ms / 4 in
+  (* The idle nap is a poll on whatever would make the loop below do
+     more than nap again.  The predicate reads host state only (the stop
+     flag, the phase, the lazy sweep's cursor, the injector's armed
+     scenarios), so it meets [Sched.poll]'s contract.  [Fault.bg_stall]
+     draws nothing unless bg-stall is armed; when it is, the predicate
+     always holds, so each nap returns at its first wake-up and the
+     stall is drawn once per nap, as with a plain sleep. *)
+  let stall_armed = Fault.armed t.cfg.Config.faults Fault.Bg_stall in
+  let ready () =
+    stall_armed
+    || Sched.stop_requested t.sched
+    || t.ph = Marking
+    ||
+    match t.lazy_state with
+    | Some lz -> not (Sweep.lazy_finished lz)
+    | None -> false
+  in
   while not (Sched.stop_requested t.sched) do
     (* Background-stall injection: the low-priority tracer is descheduled
        for a while, starving the cycle of its free tracing credit. *)
@@ -981,7 +998,7 @@ let background_body t () =
           ignore (Sweep.lazy_step t.hp lz ~max_slots:16384);
           Machine.flush t.mach;
           Sched.yield ()
-      | _ -> Sched.sleep idle_nap
+      | _ -> Sched.poll idle_nap ~ready
     end
   done
 

@@ -91,6 +91,8 @@ let arm t ~clock ~obs =
 
 let enabled = function Disabled -> false | Armed _ -> true
 
+let armed t s = match t with Disabled -> false | Armed a -> a.active.(index s)
+
 let seed = function Disabled -> 0 | Armed a -> a.the_seed
 
 let injections t =

@@ -76,6 +76,11 @@ val arm : t -> clock:Cgc_util.Clock.t -> obs:Cgc_obs.Obs.t -> t
 
 val enabled : t -> bool
 
+val armed : t -> scenario -> bool
+(** Whether the scenario's query site can fire: [false] on {!disabled}
+    and for a scenario the injector was not created with.  When it is
+    [false], the site returns its neutral element and draws nothing. *)
+
 val seed : t -> int
 (** The creation seed ([0] for {!disabled}) — printed by reports so a run
     can be reproduced. *)

@@ -286,10 +286,12 @@ let iter_threads t f =
 
 let debug_cpu_clocks t = Array.copy t.cpu_clock
 
-(* The no-retention invariant: no queue holds a dead thread's id, and no
-   dead thread keeps a continuation or a poll predicate (the memory a
-   finished thread could otherwise pin).  Test hook — O(threads + queue
-   lengths), never called on the hot path. *)
+(* The no-retention invariant: no runqueue holds a dead thread's id,
+   every sleep-queue entry is a Sleeping thread (only [sleep_until]
+   pushes one, and only [wake_due] and [quiet] pop), and no dead thread
+   keeps a continuation or a poll predicate (the memory a finished
+   thread could otherwise pin).  Test hook — O(threads + queue lengths),
+   never called on the hot path. *)
 let debug_queues_clean t =
   let dead id = t.tab.(id).st = Dead in
   let rq_clean rq =
@@ -304,7 +306,7 @@ let debug_queues_clean t =
       if th.st = Dead && (th.k != No_k || th.poll != no_poll) then
         released := false);
   !released
-  && (not (Sleepq.exists t.sleepers dead))
+  && (not (Sleepq.exists t.sleepers (fun id -> t.tab.(id).st <> Sleeping)))
   && rq_clean t.runq_high && rq_clean t.runq_normal && rq_clean t.runq_low
 
 let handler th : (unit, outcome) Effect.Deep.handler =
@@ -436,32 +438,13 @@ let min_cpu t =
   done;
   !c
 
-(* Drop stale top entries (threads that are no longer Sleeping) so the
-   sleep queue can neither re-enqueue a dead thread nor stall the idle
-   advance on a wake time that no longer means anything.  In the current
-   scheduler every queued entry is Sleeping by construction; this is the
-   defensive companion to the [st = Sleeping] check in [wake_due]. *)
-let stale_top t =
-  (not (Sleepq.is_empty t.sleepers))
-  && t.tab.(Sleepq.top t.sleepers).st <> Sleeping
-
-let purge_stale t =
-  if stale_top t then begin
-    while stale_top t do
-      ignore (Sleepq.pop t.sleepers)
-    done;
-    t.next_wake <- Sleepq.min_key t.sleepers
-  end
-
 (* Callers guard with [t.next_wake <= tm] so the no-op case costs one
    field compare and no call. *)
 let wake_due t tm =
   while Sleepq.min_key t.sleepers <= tm do
     let th = t.tab.(Sleepq.pop t.sleepers) in
-    if th.st = Sleeping then begin
-      th.st <- Runnable;
-      enqueue t th
-    end
+    th.st <- Runnable;
+    enqueue t th
   done;
   t.next_wake <- Sleepq.min_key t.sleepers
 
@@ -501,42 +484,80 @@ let[@inline] idle_advance t c tm next =
   t.idle <- t.idle + (next - tm);
   t.cpu_clock.(c) <- next
 
+(* The idle advances of a quiet stretch up to [lim], all at once: each
+   CPU whose clock is below [lim] jumps to where its quantum-capped
+   steps towards [t.next_wake] (at most a quantum each, the last one
+   capped at the wake-up) would have ended, the first at or past [lim].
+   The full loop makes those steps one at a time, always on the CPU
+   furthest behind, so they cover the same cycles and the last one made
+   is the one that starts latest: [unwalked] is set to its start.
+   Returns the CPU furthest behind afterwards, the lowest index on ties,
+   as [min_cpu] would.  [lim] is at most [t.next_wake]. *)
+let idle_pass t lim =
+  let q = Int.max 1 t.clock.quantum in
+  let wake = t.next_wake in
+  let clocks = t.cpu_clock in
+  let c = ref 0 and best = ref max_int in
+  let idle = ref 0 and last = ref min_int in
+  for i = 0 to t.n_cpus - 1 do
+    let x = clocks.(i) in
+    let x =
+      if x >= lim then x
+      else begin
+        let gap = lim - x in
+        let start = if gap <= q then x else x + ((gap - 1) / q * q) in
+        let fin = Int.min (start + q) wake in
+        idle := !idle + (fin - x);
+        if start > !last then last := start;
+        clocks.(i) <- fin;
+        fin
+      end
+    in
+    if x < !best then begin
+      best := x;
+      c := i
+    end
+  done;
+  t.idle <- t.idle + !idle;
+  if !last > min_int then t.unwalked <- !last;
+  !c
+
 (* A quiet stretch: no thread has resumed since the last walk, the world
    runs and every runqueue is empty, so until the hooks are due an
-   iteration can only advance an idle CPU or find one lone Normal
-   poller's predicate false.  Each turn is the full iteration's work for
+   iteration can only advance an idle CPU or find one lone poller's
+   predicate false.  Each turn is one wake-up: [idle_pass] makes every
+   idle advance before it (with [min_ready_at] at [max_int], as every
+   runqueue is empty), then the wake-up is the full iteration's work for
    that case, in the same order: [wake_due]'s pop, a [pick] that finds
-   the poller alone (it leaves [low_skips] alone, as no Low thread is
-   queued), and the idle advance with [min_ready_at] at [max_int] and no
-   stale sleeper, the scheduler making none.  Anything else — a tie in
-   wake time, a Low or High poller, a ready predicate, nothing asleep —
-   leaves for the full iteration. *)
+   the poller alone, and the requeue.  That [pick] changes no scheduler
+   state whatever the poller's priority: for a Low poller it could only
+   reset [low_skips] on the boost path, and [low_skips] is below
+   [low_boost_every] whenever the Low runqueue is empty ([run] in
+   sched.mli gives the argument).  Anything else — a tie in wake time,
+   a ready predicate, a plain sleeper, nothing asleep — leaves for the
+   full iteration. *)
 let quiet t ~until =
   let continue = ref true in
   while !continue do
-    let c = min_cpu t in
-    let tm = t.cpu_clock.(c) in
-    if tm > until || tm >= t.hook_due then continue := false
-    else if t.next_wake > tm then begin
-      if t.next_wake = max_int then continue := false
-      else begin
-        idle_advance t c tm t.next_wake;
-        t.unwalked <- tm
-      end
-    end
-    else if Sleepq.second_key t.sleepers <= tm then continue := false
+    if t.next_wake = max_int then continue := false
     else begin
-      let th = t.tab.(Sleepq.top t.sleepers) in
-      if
-        th.st = Sleeping && th.prio = Normal && th.poll != no_poll
-        && not (th.poll ())
-      then begin
-        ignore (Sleepq.pop t.sleepers);
-        t.next_wake <- Sleepq.min_key t.sleepers;
-        requeue_poller t c tm th;
-        t.unwalked <- tm
+      let lim = Int.min t.next_wake t.hook_due in
+      let c = idle_pass t (if until < lim then until + 1 else lim) in
+      let tm = t.cpu_clock.(c) in
+      (* [tm] is past [until], at or past [hook_due], or at or past
+         [next_wake]. *)
+      if tm > until || tm >= t.hook_due then continue := false
+      else if Sleepq.second_key t.sleepers <= tm then continue := false
+      else begin
+        let th = t.tab.(Sleepq.top t.sleepers) in
+        if th.poll != no_poll && not (th.poll ()) then begin
+          ignore (Sleepq.pop t.sleepers);
+          t.next_wake <- Sleepq.min_key t.sleepers;
+          requeue_poller t c tm th;
+          t.unwalked <- tm
+        end
+        else continue := false
       end
-      else continue := false
     end
   done
 
@@ -597,7 +618,6 @@ let run t ~until =
         else begin
           (* This CPU is idle: advance it towards the earliest queued
              thread's ready time or sleeper wake-up. *)
-          purge_stale t;
           let next = Int.min (min_ready_at t) t.next_wake in
           if
             next = max_int && t.runq_high.len = 0 && t.runq_normal.len = 0

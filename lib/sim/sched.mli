@@ -58,11 +58,22 @@ val run : t -> until:int -> unit
     behind and either resumes a thread on it, resolves an unready
     {!poll} or advances it while idle.  A quiet stretch — no thread
     resumed since the last hook walk (see {!on_advance_due}), the world
-    not stopped, every runqueue empty — is run by a tight loop that makes
-    the same iterations, in the same order and with the same effects,
-    while no hook is due: idle advances, and wake-ups of a lone
-    [Normal]-priority poller whose predicate is false.  Every other
-    iteration goes through the full loop. *)
+    not stopped, every runqueue empty — is run by a tight loop with the
+    same effects, in the same order, while no hook is due: idle advances,
+    and wake-ups of a lone poller, of any priority, whose predicate is
+    false.  Each turn of that loop is one wake-up.  One pass over the
+    processors first makes every idle advance before it: each processor
+    behind the wake-up, the hooks' due time and [until] jumps to where
+    its steps of at most a quantum would have ended, with the same idle
+    cycles.  Every other iteration goes through the full loop.
+
+    A [Low] poller's wake-up in a quiet stretch leaves priority aging as
+    the full loop would.  The aging count grows only at a [Normal]
+    dispatch that passes a queued [Low] thread over, and stops at the
+    boost threshold; the next [Low] thread taken is then taken by the
+    boost, which resets the count.  So the count is below the threshold
+    whenever no [Low] thread is queued, as in a quiet stretch, and the
+    lone [Low] poller is taken without a boost. *)
 
 (** {2 Operations usable only from inside a simulated thread} *)
 
@@ -179,8 +190,9 @@ val debug_cpu_clocks : t -> int array
 
 val debug_queues_clean : t -> bool
 (** Test hook for the scheduler's retention invariant: [true] iff no
-    runqueue or sleep-queue entry holds a dead thread's id, and no dead
-    thread keeps a continuation or a poll predicate — i.e. a finished
-    thread pins none of the memory its stack or its predicate's closure
-    reaches, and can never be re-dispatched.  O(threads + queue
-    lengths); never used on the hot path. *)
+    runqueue entry holds a dead thread's id, every sleep-queue entry is
+    a sleeping thread's, and no dead thread keeps a continuation or a
+    poll predicate — i.e. a finished thread pins none of the memory its
+    stack or its predicate's closure reaches, and can never be
+    re-dispatched.  O(threads + queue lengths); never used on the hot
+    path. *)

@@ -652,6 +652,108 @@ let test_quiet_stretch_skips_walks () =
   check cb "quiet: a handful of walks" true
     (quiet_calls < 20 && iterations > 500)
 
+(* Priority aging across quiet stretches.  A Low thread is passed over
+   by a busy Normal thread until aging boosts it (64 dispatches), is
+   preempted back into the queue and passed over 36 more times, then
+   runs without a boost when the Normal thread sleeps: it starts to poll
+   alone through a quiet stretch with the aging count at 37, not 0.
+   Later stretches start at 0, after a boost.  The Normal thread's last
+   run starts shortly before one of the poller's wake-ups, so how often
+   the poller is passed over, and where its context switches land,
+   depends on the count the quiet stretches leave.  Every logged step,
+   with its time, must equal the forced every-walk run's. *)
+let aging_run ~force =
+  let s = Sched.create ~quantum:1_000 ~ncpus:1 () in
+  let work = ref 0 and calls = ref 0 and log = ref [] in
+  let arrivals = ref [ 1_400_000 ] in
+  Sched.on_advance_due s (fun now ->
+      incr calls;
+      (match !arrivals with
+      | t :: rest when t <= now ->
+          work := 1;
+          arrivals := rest
+      | _ -> ());
+      match !arrivals with t :: _ -> t | [] -> max_int);
+  if force then Sched.on_advance s (fun _ -> ());
+  let step who = log := (who, Sched.now s) :: !log in
+  ignore
+    (Sched.spawn s ~name:"normal" ~prio:Sched.Normal (fun () ->
+         for _ = 1 to 100 do
+           Sched.consume s 1_000;
+           step 0
+         done;
+         Sched.sleep 300_000;
+         for _ = 1 to 150 do
+           Sched.consume s 1_000;
+           step 0
+         done;
+         Sched.sleep 650_000;
+         for _ = 1 to 150 do
+           Sched.consume s 1_000;
+           step 0
+         done));
+  ignore
+    (Sched.spawn s ~name:"low" ~prio:Sched.Low (fun () ->
+         Sched.consume s 1_000;
+         step 1;
+         Sched.poll 200_000 ~ready:(fun () -> !work > 0);
+         step 1;
+         for _ = 1 to 150 do
+           Sched.consume s 1_000;
+           step 1
+         done));
+  Sched.run s ~until:2_000_000;
+  ( ( List.rev !log,
+      Sched.idle_cycles s,
+      Sched.busy_cycles s,
+      Sched.debug_cpu_clocks s ),
+    !calls )
+
+let test_low_poller_aging_across_quiet () =
+  let quiet, quiet_calls = aging_run ~force:false in
+  let forced, forced_calls = aging_run ~force:true in
+  check cb "every step and time equal the forced run" true (quiet = forced);
+  (* The Low poller's lone wake-ups during the sleep, and the idle
+     advances between them, run in the quiet loop. *)
+  check cb "the lone Low poller's wake-ups skip the walk" true
+    (forced_calls - quiet_calls > 200)
+
+(* [run ~until] and a hook's due time falling inside idle gaps of many
+   quanta (quantum 700, a poller every 6 000 cycles, a sampler due every
+   2 450): after every [run] the time of the last hook call (the final
+   walk's), the idle cycles and every CPU clock must equal the forced
+   run's, and so must the sampler's firing times. *)
+let gap_run ~force =
+  let s = Sched.create ~quantum:700 ~ncpus:2 () in
+  let last = ref (-1) and fired = ref [] and due = ref 0 in
+  Sched.on_advance_due s (fun now ->
+      last := now;
+      if now >= !due then begin
+        fired := now :: !fired;
+        due := now + 2_450
+      end;
+      !due);
+  if force then Sched.on_advance s (fun _ -> ());
+  ignore
+    (Sched.spawn s ~name:"poller" ~prio:Sched.Normal (fun () ->
+         Sched.poll 6_000 ~ready:(fun () -> false)));
+  ignore
+    (Sched.spawn s ~name:"burst" ~prio:Sched.Normal (fun () ->
+         for _ = 1 to 6 do
+           Sched.sleep 17_300;
+           Sched.consume s 2_000
+         done));
+  List.map
+    (fun until ->
+      Sched.run s ~until;
+      (until, !last, Sched.idle_cycles s, Sched.debug_cpu_clocks s))
+    [ 10_123; 31_777; 50_000; 83_401; 120_000; 200_000 ],
+  List.rev !fired
+
+let test_until_inside_idle_gap () =
+  check cb "final walks, idle cycles, clocks, samples" true
+    (gap_run ~force:false = gap_run ~force:true)
+
 let () =
   Alcotest.run "sim"
     [
@@ -683,6 +785,10 @@ let () =
             test_no_thread_retention;
           Alcotest.test_case "quiet stretch skips walks" `Quick
             test_quiet_stretch_skips_walks;
+          Alcotest.test_case "low poller aging across a quiet stretch" `Quick
+            test_low_poller_aging_across_quiet;
+          Alcotest.test_case "run ends inside an idle gap" `Quick
+            test_until_inside_idle_gap;
           QCheck_alcotest.to_alcotest due_hooks_equal_every_walk_test;
         ] );
     ]
