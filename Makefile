@@ -4,17 +4,14 @@
 # installed (odoc / ocamlformat are not part of the minimal toolchain);
 # when present they are part of the tier-1 bar.
 
-.PHONY: all build test doc doc-strict fmt-check inline-check verify fuzz bench \
-	bench-smoke bench-determinism serve-smoke cluster-smoke chaos-smoke \
-	perf-smoke tails-smoke gen-smoke experiment-smoke trace-smoke clean
+.PHONY: all build test doc doc-strict fmt-check inline-check verify fuzz \
+	serve-smoke cluster-smoke chaos-smoke perf-smoke tails-smoke gen-smoke \
+	experiment-smoke trace-smoke clean
 
 # Number of random configurations `make fuzz` tries.
 FUZZ_COUNT ?= 100
 
-# Host domains the benchmark matrix fans its cells over.
-JOBS ?= 1
-
-# Every generated artefact (bench JSON, traces, smoke outputs) lands
+# Every generated artefact (reports, traces, smoke outputs) lands
 # here, keeping the repo root clean; the directory is gitignored.
 ART ?= _artifacts
 
@@ -160,41 +157,6 @@ verify: inline-check build test doc fmt-check
 # replayed deterministically.
 fuzz: build
 	FUZZ_COUNT=$(FUZZ_COUNT) dune exec test/test_fuzz.exe
-
-# Full benchmark matrix (workloads x thread counts x tracing rates,
-# plus serve and sharded-cluster cells), every VM cell traced and
-# profiled.  Writes BENCH_PR10.json (schema cgcsim-bench-v1) plus a
-# Chrome trace of cell 0; fails if any cell dropped trace events to
-# ring overflow.  JOBS=N runs the cells on N OCaml domains; the JSON
-# and the trace are byte-identical at every N.
-bench: build
-	mkdir -p $(ART)
-	dune exec bench/main.exe -- matrix --jobs $(JOBS) \
-	  --out $(ART)/BENCH_PR10.json --trace-out $(ART)/bench-cell0.trace.json
-
-# Shrunk matrix for CI (<60 s, matrix --fast): one SPECjbb cell, one
-# pBOB cell, serve cells (cgc and gen) and one cluster cell, then the
-# offline analyzer re-reads the emitted trace and fails on ring drops or
-# a schema mismatch.
-bench-smoke: build
-	mkdir -p $(ART)
-	dune exec bench/main.exe -- matrix --fast --jobs $(JOBS) \
-	  --out $(ART)/BENCH_PR10.json --trace-out $(ART)/bench-cell0.trace.json
-	dune exec bin/cgcsim.exe -- analyze \
-	  --trace $(ART)/bench-cell0.trace.json --fail-on-drops
-
-# Run the smoke matrix twice — serial and on 2 domains — and fail if
-# the simulated results differ anywhere: the JSON documents and the
-# cell-0 traces must be byte-identical.
-bench-determinism: build
-	mkdir -p $(ART)
-	dune exec bench/main.exe -- matrix --fast \
-	  --out $(ART)/bench-serial.json --trace-out $(ART)/bench-serial.trace.json
-	dune exec bench/main.exe -- matrix --fast --jobs 2 \
-	  --out $(ART)/bench-par.json --trace-out $(ART)/bench-par.trace.json
-	cmp $(ART)/bench-serial.json $(ART)/bench-par.json
-	cmp $(ART)/bench-serial.trace.json $(ART)/bench-par.trace.json
-	@echo "bench determinism OK: serial and --jobs 2 agree"
 
 # Short open-loop server run under both collectors, with determinism
 # checks: two same-seed serve runs must produce byte-identical reports
@@ -365,7 +327,7 @@ perf-smoke: build
 # --jobs 4 must produce byte-identical fleet reports, timelines, and
 # tail-forensics artefacts (`analyze --tails` text and JSON); the
 # per-incarnation trace set must expand from its prefix and analyze
-# clean; and both LBO paths (--report and --bench) must distil.
+# clean; and the fleet report must distil its LBO GC cost.
 # Leaves $(ART)/tails.json and $(ART)/lbo.json for CI upload.
 tails-smoke: build
 	mkdir -p $(ART)
@@ -385,24 +347,20 @@ tails-smoke: build
 	  --tails 16 --json $(ART)/tails-b.tails.json > /dev/null
 	cmp $(ART)/tails.json $(ART)/tails-b.tails.json
 	dune exec bin/cgcsim.exe -- analyze --report $(ART)/tails-a.json \
-	  --lbo > /dev/null
+	  --lbo --json $(ART)/lbo.json
 	dune exec bin/cgcsim.exe -- analyze --trace $(ART)/tails-a \
 	  --fail-on-drops > /dev/null
-	dune exec bench/main.exe -- matrix --fast \
-	  --out $(ART)/tails-bench.json \
-	  --trace-out $(ART)/tails-bench.trace.json > /dev/null
-	dune exec bin/cgcsim.exe -- analyze --bench $(ART)/tails-bench.json \
-	  --lbo --json $(ART)/lbo.json
 	@echo "tails smoke OK: forensics byte-identical at --jobs 1 vs 4, LBO distils"
 
-# Experiment smoke: three paper experiments in fast mode, each at --jobs 1
+# Experiment smoke: five paper experiments in fast mode, each at --jobs 1
 # and --jobs 2, must print the same tables and write byte-identical
 # --metrics-out CSVs (the CSV is renamed after each run, so both stdouts
-# name the same path).  serverlat's sweep runs through Common.par_map,
-# so it covers the parallel path.
+# name the same path).  fig1's SPECjbb and fig2's pBOB VMs and
+# serverlat's sweep run through Common.par_map, so they cover the
+# parallel path.
 experiment-smoke: build
 	mkdir -p $(ART)
-	for e in javac ablation-steal serverlat; do \
+	for e in javac ablation-steal serverlat fig1 fig2; do \
 	  for j in 1 2; do \
 	    dune exec bin/cgcsim.exe -- experiment $$e --fast --jobs $$j \
 	      --metrics-out $(ART)/exp-$$e.csv > $(ART)/exp-$$e-j$$j.txt \

@@ -78,7 +78,7 @@ let test_missing_metric_fails () =
   | fs -> Alcotest.failf "expected one failure, got %d" (List.length fs));
   check cb "a workload without output fails" true (failures [] <> [])
 
-(* A malformed --ms, --jobs or --workload, or an unknown sub-command,
+(* A malformed --ms or --workload, or an unknown sub-command,
    is a usage error (1), not 2 (simulated heap exhausted).  Each flag
    names its sub-command, so the converter is what rejects it. *)
 let test_bad_flags_exit_usage () =
@@ -90,8 +90,6 @@ let test_bad_flags_exit_usage () =
       "profile --ms abc";
       "profile --ms 0";
       "profile --workload bogus";
-      "matrix --jobs x";
-      "matrix --jobs 0";
       "no-such-target";
     ]
 

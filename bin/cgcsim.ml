@@ -305,7 +305,6 @@ let run_cmd =
      cgcsim analyze --workload specjbb --ms 1000  # run, then analyze live
      cgcsim analyze --report fleet.json --tails 8 # worst-span forensics
      cgcsim analyze --report fleet.json --lbo     # distilled GC cost
-     cgcsim analyze --bench BENCH.json --lbo      # distill a bench matrix
 
    When --trace names no file, it is treated as a cluster --trace-out
    prefix and every PREFIX.shard<K>.json / PREFIX.shard<K>.r<I>.json
@@ -380,8 +379,8 @@ let analyze_cmd =
     let+ trace_in =
       file_arg "trace"
         "Analyze a Chrome trace-event JSON file written by $(b,run \
-         --trace-out) (or $(b,bench)).  If $(docv) is not a file it is \
-         treated as a $(b,cluster --trace-out) prefix and every \
+         --trace-out) or $(b,serve --trace-out).  If $(docv) is not a file \
+         it is treated as a $(b,cluster --trace-out) prefix and every \
          $(docv).shard<K>.json trace is analyzed."
     and+ report_in =
       file_arg "report"
@@ -389,12 +388,6 @@ let analyze_cmd =
          $(b,cluster --json), any supported schema version): re-check the \
          blame conservation identity, then print the fleet blame \
          decomposition and the worst-request causal chains."
-    and+ bench_in =
-      file_arg "bench"
-        (Printf.sprintf
-           "Distill the LBO GC cost from a $(b,%s) document (requires \
-            $(b,--lbo))."
-           Tails.bench_schema)
     and+ metrics_in =
       file_arg "metrics"
         "Validate a metrics CSV file ($(b,run --metrics-out) or \
@@ -405,8 +398,9 @@ let analyze_cmd =
         "How many worst-request causal chains to show (with --report)."
     and+ lbo =
       flag_arg [ "lbo" ]
-        "Report the LBO-distilled GC cost: each cell's fractional latency (or \
-         throughput) distance above its group's lower-bound baseline."
+        "With $(b,--report), print the LBO-distilled GC cost instead: the \
+         report's fractional latency distance above its service-only \
+         lower-bound baseline."
     and+ workload =
       workload_arg
         Arg.(some (enum workloads))
@@ -453,8 +447,8 @@ let analyze_cmd =
         ~dropped:meta.Export.dropped (Array.of_list events)
         meta.Export.cycles_per_us
     in
-    match (trace_in, report_in, bench_in, metrics_in, workload) with
-    | Some file, None, None, None, None -> (
+    match (trace_in, report_in, metrics_in, workload) with
+    | Some file, None, None, None -> (
         if Sys.file_exists file then analyze_trace_file file
         else
           match expand_trace_prefix file with
@@ -477,7 +471,7 @@ let analyze_cmd =
                   Printf.printf "=== %s ===\n" shard_trace;
                   analyze_trace_file shard_trace)
                 traces)
-    | None, Some file, None, None, None ->
+    | None, Some file, None, None ->
         (* One parse; the report's own reader re-checks the blame
            conservation identity on every span and block. *)
         let t = parsed file (Tails.of_report (read_input file)) in
@@ -495,16 +489,8 @@ let analyze_cmd =
             json_out
         end;
         drops_gate t.Tails.dropped " across the report's shards"
-    | None, None, Some file, None, None ->
-        if not lbo then begin
-          Printf.eprintf "cgcsim: analyze --bench requires --lbo\n";
-          exit Exit_codes.usage
-        end;
-        let rows = parsed file (Tails.lbo_of_bench (read_input file)) in
-        print_string (Tails.lbo_text rows);
-        output_json "LBO distillation" (fun () -> Tails.lbo_json rows) json_out
-    | None, None, None, Some file, None -> validate_csv file (read_input file)
-    | None, None, None, None, Some w ->
+    | None, None, Some file, None -> validate_csv file (read_input file)
+    | None, None, None, Some w ->
         let vm = run_workload w ~warehouses ~trace:true vm in
         let o = Vm.obs vm in
         finish ~label:(workload_name w) ~emitted:(Obs.emitted o)
@@ -512,7 +498,7 @@ let analyze_cmd =
     | _ ->
         Printf.eprintf
           "cgcsim: analyze needs exactly one of --trace FILE, --report FILE, \
-           --bench FILE, --metrics FILE or --workload NAME\n";
+           --metrics FILE or --workload NAME\n";
         exit Exit_codes.usage
   in
   cmd "analyze"
@@ -902,6 +888,13 @@ let experiment_cmd =
     E.Common.set_quick fast;
     Dpool.set_size jobs;
     let metrics = List.assoc which experiments () in
+    if metrics = [] && metrics_out <> None then begin
+      Printf.eprintf
+        "cgcsim: experiment %s measures no per-run metrics records; its \
+         results are on stdout only (drop --metrics-out)\n"
+        which;
+      exit Exit_codes.usage
+    end;
     output
       (Printf.sprintf "metrics of %d runs" (List.length metrics))
       (E.Common.write_metrics_csv metrics)

@@ -22,9 +22,7 @@ let all =
     {
       value = usage;
       name = "usage";
-      meaning =
-        "usage or configuration error (bad flags, unwritable output, bench \
-         drop gate)";
+      meaning = "usage or configuration error (bad flags, unwritable output)";
     };
     {
       value = oom;

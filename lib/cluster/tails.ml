@@ -6,13 +6,11 @@
    integer-cycle span summary: the fleet-wide blame decomposition plus
    the worst-N causal chains.
 
-   [lbo_of_bench] implements the "Distilling the Real Cost of
-   Production Garbage Collectors" methodology on a cgcsim-bench-v1
-   document: group cells by workload shape, take each group's
-   lower-bound-overhead baseline — the best service-only latency
-   (mean e2e minus mean GC blame, a service-only replay computed
-   analytically) or the best throughput — and report every cell's
-   distilled GC cost as its fractional distance above that baseline. *)
+   [lbo_of_report] applies the lower-bound-overhead method of
+   "Distilling the Real Cost of Production Garbage Collectors" to one
+   report: its baseline is its own service-only latency (mean e2e minus
+   mean GC blame, a service-only replay computed analytically), and its
+   distilled GC cost is its fractional distance above that baseline. *)
 
 module Json = Cgc_prof.Json
 module Span = Cgc_server.Span
@@ -20,7 +18,6 @@ module Server_report = Cgc_server.Report
 
 let schema = "cgcsim-tails-v1"
 let lbo_schema = "cgcsim-lbo-v1"
-let bench_schema = "cgcsim-bench-v1"
 
 let rec take n = function
   | [] -> []
@@ -140,113 +137,6 @@ type lbo_row = {
   baseline : float;  (* the group's lower-bound-overhead baseline *)
   distilled : float;  (* fractional GC cost above the baseline *)
 }
-
-(* One bench cell -> (label, group, latency?, value, gc_ms), or None
-   when the cell lacks a key its kind needs. *)
-let lbo_point cell =
-  let ( let* ) = Option.bind in
-  let int k j =
-    match Json.member k j with Some (Json.Int n) -> Some n | _ -> None
-  in
-  let num k j =
-    match Json.member k j with
-    | Some (Json.Float f) -> Some f
-    | Some (Json.Int n) -> Some (float_of_int n)
-    | _ -> None
-  in
-  let latency_of rep =
-    let* lat = Json.member "latencyMs" rep in
-    let mean k = Option.bind (Json.member k lat) (num "mean") in
-    let* e2e = mean "e2e" in
-    (* Prefer exact blame means when the report carries spans. *)
-    let* gc =
-      match Option.bind (Json.member "blame" rep) (Json.member "meanMs") with
-      | Some mm ->
-          let* q = num "gcQueue" mm in
-          let* s = num "gcService" mm in
-          Some (q +. s)
-      | None -> mean "gcInflation"
-    in
-    Some (e2e, gc)
-  in
-  match Json.member "workload" cell with
-  | Some (Json.Str "serve") ->
-      let* rep = Json.member "server" cell in
-      let* e2e, gc = latency_of rep in
-      let* rate = num "ratePerS" rep in
-      Some (Printf.sprintf "serve-%.0frps" rate, "serve", true, e2e, gc)
-  | Some (Json.Str "cluster") ->
-      let* fleet =
-        Option.bind (Json.member "cluster" cell) (Json.member "fleet")
-      in
-      let* e2e, gc = latency_of fleet in
-      let* shards = int "shards" cell in
-      let* rate = num "ratePerS" cell in
-      let chaos =
-        match Json.member "chaos" cell with
-        | Some (Json.Str s) -> "-" ^ s
-        | _ -> ""
-      in
-      let label = Printf.sprintf "cluster-%dsh-%.0frps%s" shards rate chaos in
-      Some (label, Printf.sprintf "cluster-%dsh" shards, true, e2e, gc)
-  | Some (Json.Str w) ->
-      (* Throughput workloads (specjbb, pbob): the cell's tx/s against
-         the best config of the same workload shape. *)
-      let* wh = int "warehouses" cell in
-      let* k0 = num "k0" cell in
-      let* tx = num "throughput" cell in
-      if tx <= 0.0 then None
-      else
-        Some
-          ( Printf.sprintf "%s-%dwh-k0=%.0f" w wh k0,
-            Printf.sprintf "%s-%dwh" w wh,
-            false,
-            tx,
-            0.0 )
-  | _ -> None
-
-let lbo_rows points =
-  (* Group baselines: for latency groups the lower-bound overhead is the
-     best service-only mean (e2e - gc); for throughput groups it is the
-     best observed rate.  Serial fold in cell order — deterministic. *)
-  let baseline group latency =
-    List.fold_left
-      (fun acc (_, g, l, v, gc) ->
-        if g <> group || l <> latency then acc
-        else
-          let cand = if latency then v -. gc else v in
-          match acc with
-          | None -> Some cand
-          | Some best ->
-              Some (if latency then Float.min best cand else Float.max best cand))
-      None points
-  in
-  List.filter_map
-    (fun (label, group, latency, value, gc_ms) ->
-      match baseline group latency with
-      | Some base when base > 0.0 ->
-          let distilled =
-            if latency then (value /. base) -. 1.0 else (base /. value) -. 1.0
-          in
-          Some { label; group; latency; value; gc_ms; baseline = base; distilled }
-      | _ -> None)
-    points
-
-let lbo_of_bench s =
-  match Json.parse s with
-  | Error e -> Error e
-  | Ok j -> (
-      match Json.member "schema" j with
-      | Some (Json.Str v) when v = bench_schema -> (
-          match Json.member "cells" j with
-          | Some (Json.Arr cells) ->
-              Ok (lbo_rows (List.filter_map lbo_point cells))
-          | _ -> Error "bench document has no cells array")
-      | Some (Json.Str v) ->
-          Error
-            (Printf.sprintf "unsupported bench schema %s (want %s)" v
-               bench_schema)
-      | _ -> Error "missing schema tag")
 
 (* Single-report LBO: the report is its own group of one, so the
    baseline is its own service-only mean and the distilled cost is the

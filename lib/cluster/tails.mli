@@ -1,6 +1,6 @@
 (** Tail forensics and LBO-distilled GC cost over serialised reports.
 
-    The [cgcsim analyze --report/--bench] back end.  {!of_report}
+    The [cgcsim analyze --report] back end.  {!of_report}
     parses a latency-bearing artefact the CLI writes —
     [cgcsim-server-v2] or [cgcsim-cluster-v3] — once and hands it to
     the reader of the report module that owns its schema
@@ -10,20 +10,15 @@
     not sum to its end-to-end cycles; the text and JSON renderings are
     drawn from the summary it returns.
 
-    {!lbo_of_bench} implements the lower-bound-overhead methodology of
-    "Distilling the Real Cost of Production Garbage Collectors" on a
-    [cgcsim-bench-v1] document: cells are grouped by workload shape,
-    each group's baseline is its best service-only latency (mean e2e
-    minus mean GC blame) or best throughput, and every cell's distilled
-    GC cost is its fractional distance above that baseline.
+    {!lbo_of_report} applies the lower-bound-overhead method of
+    "Distilling the Real Cost of Production Garbage Collectors" to one
+    report: its baseline is its own service-only latency (mean e2e
+    minus mean GC blame), and its distilled GC cost is its fractional
+    distance above that baseline.
 
     All output is derived serially from already-merged artefacts and
     every float is printed with a fixed format, so both the text and
     JSON renderings are byte-identical at any [--jobs]. *)
-
-val bench_schema : string
-(** ["cgcsim-bench-v1"]: the benchmark matrix document [bench/main.exe]
-    writes and {!lbo_of_bench} reads. *)
 
 type t = {
   source : string;  (** the source artefact's schema tag *)
@@ -50,7 +45,7 @@ val to_json : ?n:int -> t -> Cgc_prof.Json.t
     ["exact"] key is always [true]. *)
 
 type lbo_row = {
-  label : string;  (** bench-cell label, reconstructed from its fields *)
+  label : string;  (** the row's label: the source report's schema tag *)
   group : string;  (** baseline group (same workload shape) *)
   latency : bool;  (** latency cell (ms) vs throughput cell (tx/s) *)
   value : float;  (** mean e2e ms, or tx/s *)
@@ -58,10 +53,6 @@ type lbo_row = {
   baseline : float;  (** the group's lower-bound baseline *)
   distilled : float;  (** fractional GC cost above the baseline *)
 }
-
-val lbo_of_bench : string -> (lbo_row list, string) result
-(** Distill a {!bench_schema} document; cells without a latency or
-    throughput signal are skipped. *)
 
 val lbo_of_report : t -> lbo_row
 (** Single-report distillation: the report is its own group of one, so

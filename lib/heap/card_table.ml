@@ -5,13 +5,12 @@ module Bitvec = Cgc_util.Bitvec
 
 type t = {
   mach : Machine.t;
-  bytes : Bytes.t;
   n : int;
   wm_base : int;
-  (* Word-level mirror of the committed dirty bytes, plus its population
-     count, both maintained incrementally on every committed transition.
-     [dirty_count] is O(1) and [snapshot] scans words instead of bytes;
-     the byte array stays authoritative for the weak-memory protocol. *)
+  sc : bool; (* [Weakmem.mode] never changes, so it is resolved here once *)
+  (* One committed dirty bit per card, plus its population count kept on
+     every committed transition: [dirty_count] is O(1) and [snapshot]
+     scans words. *)
   dirty_bits : Bitvec.t;
   mutable ndirty : int;
 }
@@ -20,34 +19,30 @@ let create mach ~ncards =
   let wm_base = Weakmem.register mach.Machine.wm ncards in
   {
     mach;
-    bytes = Bytes.make ncards '\000';
     n = ncards;
     wm_base;
+    sc = Weakmem.mode mach.Machine.wm = Weakmem.Sc;
     dirty_bits = Bitvec.create ncards;
     ndirty = 0;
   }
 
 let ncards t = t.n
 
-let get_committed t i = Char.code (Bytes.get t.bytes i)
+let bit b = if b then 1 else 0
 
-let read t i =
-  let wm = t.mach.Machine.wm in
-  match Weakmem.mode wm with
-  | Sc -> get_committed t i
-  | Relaxed ->
-      Weakmem.read wm ~cpu:(Machine.cpu t.mach) ~now:(Machine.now t.mach)
-        ~key:(t.wm_base + i) ~current:(get_committed t i)
+let is_dirty t i =
+  if t.sc then Bitvec.get t.dirty_bits i
+  else
+    Weakmem.read t.mach.Machine.wm ~cpu:(Machine.cpu t.mach)
+      ~now:(Machine.now t.mach) ~key:(t.wm_base + i)
+      ~current:(bit (Bitvec.get t.dirty_bits i))
+    <> 0
 
 let write t i now_dirty =
-  let wm = t.mach.Machine.wm in
-  (match Weakmem.mode wm with
-  | Sc -> ()
-  | Relaxed ->
-      Weakmem.store wm ~cpu:(Machine.cpu t.mach) ~now:(Machine.now t.mach)
-        ~key:(t.wm_base + i) ~prev:(get_committed t i));
-  let was_dirty = Bytes.get t.bytes i <> '\000' in
-  Bytes.set t.bytes i (if now_dirty then '\001' else '\000');
+  let was_dirty = Bitvec.get t.dirty_bits i in
+  if not t.sc then
+    Weakmem.store t.mach.Machine.wm ~cpu:(Machine.cpu t.mach)
+      ~now:(Machine.now t.mach) ~key:(t.wm_base + i) ~prev:(bit was_dirty);
   if was_dirty <> now_dirty then
     if now_dirty then begin
       Bitvec.set t.dirty_bits i;
@@ -59,39 +54,29 @@ let write t i now_dirty =
     end
 
 let dirty t i = write t i true
-let is_dirty t i = read t i <> 0
 let clear t i = write t i false
 
 let clear_all t =
-  Bytes.fill t.bytes 0 t.n '\000';
   Bitvec.clear_all t.dirty_bits;
   t.ndirty <- 0
 
 let dirty_count t = t.ndirty
+let recount t = Bitvec.count t.dirty_bits
 
-let recount t =
-  let c = ref 0 in
-  for i = 0 to t.n - 1 do
-    if get_committed t i <> 0 then incr c
-  done;
-  !c
-
-(* The word-scan fast path is valid exactly when every per-card [read]
-   the byte loop would have issued is guaranteed to return the committed
-   value: always under Sc, and under Relaxed once the due stores are
-   drained and no store remains masked.  Cards must still be cleared in
-   descending index order — each Relaxed-mode clear draws from the
-   machine's weak-memory PRNG, so the clear order is part of the
-   deterministic trace contract. *)
+(* The word-scan fast path is valid exactly when every per-card
+   [is_dirty] the card loop would have issued is guaranteed to return
+   the committed value: always under Sc, and under Relaxed once the due
+   stores are drained and no store remains masked.  Cards must still be
+   cleared in descending index order — each Relaxed-mode clear draws
+   from the machine's weak-memory PRNG, so the clear order is part of
+   the deterministic trace contract. *)
 let snapshot t =
   Machine.charge t.mach (t.n * t.mach.Machine.cost.Cost.card_probe);
   let wm = t.mach.Machine.wm in
   let exact =
-    match Weakmem.mode wm with
-    | Sc -> true
-    | Relaxed ->
-        Weakmem.commit_due wm ~now:(Machine.now t.mach);
-        Weakmem.pending_count wm = 0
+    t.sc
+    || (Weakmem.commit_due wm ~now:(Machine.now t.mach);
+        Weakmem.pending_count wm = 0)
   in
   if exact then begin
     let ranges_desc =
@@ -110,11 +95,11 @@ let snapshot t =
   end
   else begin
     (* Masked stores may hide a committed-dirty card (the section 5.3
-       race) or expose a stale dirty value, so replay the exact byte
+       race) or expose a stale dirty value, so replay the exact per-card
        loop. *)
     let acc = ref [] in
     for i = t.n - 1 downto 0 do
-      if read t i <> 0 then begin
+      if is_dirty t i then begin
         clear t i;
         acc := i :: !acc
       end

@@ -1,12 +1,13 @@
 (** The card table.
 
-    One dirty byte per 512-byte card, set by the write barrier without any
-    fence (section 5.3).  Cleaning uses the paper's snapshot protocol:
+    One dirty indicator per 512-byte card, set by the write barrier
+    without any fence (section 5.3); on the host each card's committed
+    state is one bit.  Cleaning uses the paper's snapshot protocol:
     {!snapshot} scans the table, registers the dirty cards elsewhere and
     clears their indicators (step 1); the collector then forces every
     mutator to fence (step 2, the caller's job); the registered cards are
-    then scanned (step 3).  Dirty-byte stores and reads go through the
-    weak-memory system so the section 5.3 race is demonstrable. *)
+    then scanned (step 3).  Dirty-indicator stores and reads go through
+    the weak-memory system so the section 5.3 race is demonstrable. *)
 
 type t
 
@@ -26,13 +27,14 @@ val clear_all : t -> unit
 
 val dirty_count : t -> int
 (** Number of dirty cards, as committed memory.  O(1): the table keeps
-    an incremental counter (and a word-level bit mirror) updated on
-    every committed dirty/clean transition, so the profiler can sample
-    this every tick without rescanning the table. *)
+    an incremental counter of its dirty bits, updated on every committed
+    dirty/clean transition, so the profiler can sample this every tick
+    without rescanning the table. *)
 
 val recount : t -> int
-(** O(ncards) committed-byte rescan — the reference the incremental
-    {!dirty_count} is checked against by [Cgc_core.Verify]. *)
+(** O(ncards) population count of the committed dirty bits — the
+    reference the incremental {!dirty_count} is checked against by
+    [Cgc_core.Verify]. *)
 
 val snapshot : t -> int list
 (** Step 1 of the cleaning protocol: atomically-per-card register and

@@ -30,7 +30,6 @@ let tick t ~now =
 let due t = t.due
 let ticks t = t.nticks
 let series t = List.rev_map (fun p -> p.s) t.probes
-let find t name = List.find_opt (fun s -> Series.name s = name) (series t)
 
 let clear t =
   List.iter (fun p -> Series.clear p.s) t.probes;

@@ -41,8 +41,6 @@ val ticks : t -> int
 val series : t -> Series.t list
 (** All probe series, in probe-registration order. *)
 
-val find : t -> string -> Series.t option
-
 val clear : t -> unit
 (** Reset every series and the tick counter (used by
     [Vm.reset_stats] when a measured run discards its warmup). *)

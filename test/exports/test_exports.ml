@@ -89,7 +89,6 @@ let allowlist =
       "test seam: sets bit runs for the scan tests" );
     ( "Cgc_util.Bitvec.next_clear",
       "test seam: the run-end scan of fold_set_ranges" );
-    ("Cgc_util.Bitvec.count", "test seam: population count");
     ("Cgc_util.Ewma.samples", "test seam: observations folded in");
     ("Cgc_util.Histogram.sum", "test seam: the merge property's sum check");
     ( "Cgc_util.Histogram.nonzero_buckets",

@@ -294,7 +294,6 @@ let option_labels =
       ] );
     ( "analyze",
       [
-        "--bench=FILE";
         "--fail-on-drops";
         "--heap-mb=VAL (absent=64.)";
         "--json=FILE";
@@ -351,7 +350,9 @@ let test_option_labels () =
     option_labels
 
 (* Malformed command lines exit 1 (usage), as the exit-code table says,
-   not cmdliner's own 124. *)
+   not cmdliner's own 124.  So does --metrics-out on an experiment with
+   no per-run records (its results are stdout tables), which writes no
+   file. *)
 let test_bad_flags_exit_usage () =
   in_scratch @@ fun dir ->
   List.iter
@@ -368,8 +369,11 @@ let test_bad_flags_exit_usage () =
       "run --trace-ring -1";
       "run --gc gen --compaction";
       "run --compaction --lazy-sweep";
+      "experiment clusterlat --fast --metrics-out m.csv";
       "";
-    ]
+    ];
+  check cb "no header-only metrics file" false
+    (Sys.file_exists (Filename.concat dir "m.csv"))
 
 let () =
   Alcotest.run "cli"

@@ -371,7 +371,7 @@ let test_schema_roundtrip () =
   (match Json.parse c with
   | Error e -> Alcotest.failf "compact parse failed: %s" e
   | Ok j' -> check Alcotest.string "compact round-trip" c (Json.to_string j'));
-  match Report.validate "{\"schema\":\"cgcsim-bench-v1\"}" with
+  match Report.validate "{\"schema\":\"cgcsim-lbo-v1\"}" with
   | Ok _ -> Alcotest.fail "accepted a foreign schema"
   | Error e -> check cb "names the mismatch" true (e <> "")
 

@@ -3,9 +3,9 @@
    timeline: exact-span parsing of freshly generated cgcsim-server-v2
    and cgcsim-cluster-v3 reports, the reader as the exact inverse of the
    span writer, rejection of incomplete or non-conserving reports and of
-   every other schema, the LBO distillation arithmetic on a synthetic
-   bench document, and byte-identical tails / LBO / timeline artefacts
-   at every pool size. *)
+   every other schema, the single-report LBO distillation, and
+   byte-identical tails / LBO / timeline artefacts at every pool
+   size. *)
 
 module Json = Cgc_prof.Json
 module Tails = Cgc_cluster.Tails
@@ -114,9 +114,9 @@ let test_cluster_v3_end_to_end () =
   | Ok t -> check ci "shard drops summed" (3 * nshards) t.Tails.dropped
 
 let test_rejects_foreign_schema () =
-  (match Tails.of_report "{\"schema\": \"cgcsim-bench-v1\"}" with
+  (match Tails.of_report "{\"schema\": \"cgcsim-lbo-v1\"}" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted a bench document as a report");
+  | Ok _ -> Alcotest.fail "accepted an LBO document as a report");
   (* The retired pre-span schemas are foreign too. *)
   List.iter
     (fun tag ->
@@ -336,48 +336,6 @@ let test_validators_reject_incomplete () =
 
 (* ------------------------------- LBO -------------------------------- *)
 
-let synthetic_bench =
-  {|{"schema": "cgcsim-bench-v1", "cells": [
-     {"workload": "serve",
-      "server": {"ratePerS": 4000.0,
-                 "latencyMs": {"e2e": {"mean": 2.0},
-                               "gcInflation": {"mean": 0.5}}}},
-     {"workload": "serve",
-      "server": {"ratePerS": 8000.0,
-                 "latencyMs": {"e2e": {"mean": 3.0},
-                               "gcInflation": {"mean": 1.5}}}},
-     {"workload": "specjbb", "warehouses": 4, "k0": 8.0,
-      "throughput": 1000.0},
-     {"workload": "specjbb", "warehouses": 4, "k0": 12.0,
-      "throughput": 1250.0}]}|}
-
-let test_lbo_distillation_arithmetic () =
-  match Tails.lbo_of_bench synthetic_bench with
-  | Error e -> Alcotest.failf "synthetic bench rejected: %s" e
-  | Ok rows ->
-      check ci "all four cells distilled" 4 (List.length rows);
-      let row label = List.find (fun r -> r.Tails.label = label) rows in
-      (* serve group: baseline = min(2.0 - 0.5, 3.0 - 1.5) = 1.5 *)
-      let r1 = row "serve-4000rps" in
-      check cf "serve baseline" 1.5 r1.Tails.baseline;
-      check cf "serve-4000 distilled = 2.0/1.5 - 1"
-        ((2.0 /. 1.5) -. 1.0)
-        r1.Tails.distilled;
-      let r2 = row "serve-8000rps" in
-      check cf "serve-8000 distilled = 3.0/1.5 - 1" 1.0 r2.Tails.distilled;
-      (* throughput group: baseline = best rate = 1250 *)
-      let r3 = row "specjbb-4wh-k0=8" in
-      check cf "throughput baseline" 1250.0 r3.Tails.baseline;
-      check cf "slower cell distilled = 1250/1000 - 1" 0.25 r3.Tails.distilled;
-      let r4 = row "specjbb-4wh-k0=12" in
-      check cf "best cell distils to zero" 0.0 r4.Tails.distilled;
-      (* renderings *)
-      check cb "lbo text renders" true
-        (String.length (Tails.lbo_text rows) > 0);
-      match Json.member "schema" (Tails.lbo_json rows) with
-      | Some (Json.Str "cgcsim-lbo-v1") -> ()
-      | _ -> Alcotest.fail "lbo schema tag missing"
-
 let test_lbo_of_single_report () =
   match Tails.of_report (server_report_string ()) with
   | Error e -> Alcotest.failf "report rejected: %s" e
@@ -386,7 +344,12 @@ let test_lbo_of_single_report () =
       check cb "baseline positive" true (r.Tails.baseline > 0.0);
       check cb "distilled non-negative" true (r.Tails.distilled >= 0.0);
       check cf "identity: value = baseline * (1 + distilled)" r.Tails.value
-        (r.Tails.baseline *. (1.0 +. r.Tails.distilled))
+        (r.Tails.baseline *. (1.0 +. r.Tails.distilled));
+      check cb "lbo text renders" true
+        (String.length (Tails.lbo_text [ r ]) > 0);
+      match Json.member "schema" (Tails.lbo_json [ r ]) with
+      | Some (Json.Str "cgcsim-lbo-v1") -> ()
+      | _ -> Alcotest.fail "lbo schema tag missing"
 
 (* ----------------------- determinism at any jobs --------------------- *)
 
@@ -445,8 +408,6 @@ let () =
         ] );
       ( "lbo",
         [
-          Alcotest.test_case "distillation arithmetic" `Quick
-            test_lbo_distillation_arithmetic;
           Alcotest.test_case "single report" `Quick test_lbo_of_single_report;
         ] );
       ( "determinism",
