@@ -352,7 +352,7 @@ tails-smoke: build
 	  --fail-on-drops > /dev/null
 	@echo "tails smoke OK: forensics byte-identical at --jobs 1 vs 4, LBO distils"
 
-# Experiment smoke: five paper experiments in fast mode, each at --jobs 1
+# Experiment smoke: six paper experiments in fast mode, each at --jobs 1
 # and --jobs 2, must print the same tables and write byte-identical
 # --metrics-out CSVs (the CSV is renamed after each run, so both stdouts
 # name the same path).  fig1's SPECjbb and fig2's pBOB VMs and
@@ -360,7 +360,7 @@ tails-smoke: build
 # parallel path.
 experiment-smoke: build
 	mkdir -p $(ART)
-	for e in javac ablation-steal serverlat fig1 fig2; do \
+	for e in javac ablation-steal ablation-lazysweep serverlat fig1 fig2; do \
 	  for j in 1 2; do \
 	    dune exec bin/cgcsim.exe -- experiment $$e --fast --jobs $$j \
 	      --metrics-out $(ART)/exp-$$e.csv > $(ART)/exp-$$e-j$$j.txt \

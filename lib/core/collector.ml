@@ -20,6 +20,26 @@ let phase_name = function
   | Marking -> "marking"
   | Finalizing -> "finalizing"
 
+(* The collector's one state.  [Idle], [Marking] and [Finalizing] shadow
+   the [phase] constructors above, which {!phase} projects onto.
+   [Starting] and [Finalizing] belong to the thread that entered them;
+   every other thread waits for that thread to leave them. *)
+type state =
+  | Idle  (* no cycle; the free list is complete *)
+  | Sweeping of Sweep.lazy_t
+      (* no cycle; an unfinished lazy sweep (section 7) feeds the free
+         list *)
+  | Starting  (* a cycle start is claimed: finishing the lazy sweep *)
+  | Marking  (* the concurrent phase *)
+  | Finalizing  (* the stop-the-world phase *)
+
+let state_name = function
+  | Idle -> "idle"
+  | Sweeping _ -> "sweeping"
+  | Starting -> "starting"
+  | Marking -> "marking"
+  | Finalizing -> "finalizing"
+
 type oom_diag = {
   oom_phase : phase;  (* phase when the failing request was made *)
   oom_request : int;
@@ -65,7 +85,7 @@ type t = {
   meter : Metering.t;
   st : Gstats.t;
   globals : int array;
-  mutable ph : phase;
+  mutable state : state; (* written by [set_state] alone *)
   mutable muts : Mctx.t list;
   mutable globals_scanned : bool;
   mutable cycle_no : int;
@@ -80,11 +100,7 @@ type t = {
   mutable last_recycle : int;
   mutable starve_streak : int;
       (* consecutive work-seeking attempts that found no packet work *)
-  mutable lazy_state : Sweep.lazy_t option;
   mutable bg_started : bool;
-  mutable emergency_compact : bool;
-      (* ladder rung 3: arm the compactor for the next forced cycle even
-         though cfg.compaction is off *)
   cp : Compact.t;
   (* Generational front end (Gen mode), injected by [install_gen] after
      construction — the nursery lives in cgc_gen, above this library, so
@@ -127,7 +143,7 @@ let create cfg ~sched ~heap =
     meter = Metering.create cfg ~heap_slots:(Heap.nslots heap);
     st = Gstats.create ();
     globals = Array.make n_globals 0;
-    ph = Idle;
+    state = Idle;
     muts = [];
     globals_scanned = false;
     cycle_no = 0;
@@ -140,9 +156,7 @@ let create cfg ~sched ~heap =
     alloc_window = 0;
     last_recycle = 0;
     starve_streak = 0;
-    lazy_state = None;
     bg_started = false;
-    emergency_compact = false;
     cp = Compact.create heap;
     old_limit = Heap.nslots heap;
     gen_barrier = None;
@@ -168,7 +182,44 @@ let stats t = t.st
 let tracer t = t.tr
 let pool t = t.pl
 let cleaner t = t.cl
-let phase t = t.ph
+
+let phase t : phase =
+  match t.state with
+  | Idle | Sweeping _ | Starting -> Idle
+  | Marking -> Marking
+  | Finalizing -> Finalizing
+
+(* The one writer of [t.state].  Every legal edge is listed here; any
+   other raises.  The cycle number rises on entry to [Marking] alone. *)
+let set_state t next =
+  (match (t.state, next) with
+  | (Idle | Sweeping _), Starting
+  | Sweeping _, Idle
+  | Starting, Marking
+  | Marking, Finalizing
+  | Finalizing, (Idle | Sweeping _) -> ()
+  | prev, _ ->
+      invalid_arg
+        (Printf.sprintf "Collector: no state edge %s -> %s" (state_name prev)
+           (state_name next)));
+  (match next with Marking -> t.cycle_no <- t.cycle_no + 1 | _ -> ());
+  t.state <- next
+
+let marking t = match t.state with Marking -> true | _ -> false
+
+(* Wait, from inside a simulated thread, until no thread holds [Starting]
+   or [Finalizing].  The poll interval, 1/16 ms, is about one window of
+   the lazy finish that a start runs. *)
+let await_release t =
+  Sched.poll (t.mach.Machine.cost.Cost.cycles_per_ms / 16) ~ready:(fun () ->
+      match t.state with Starting | Finalizing -> false | _ -> true)
+
+(* One window of the lazy sweep.  The sweep leaves [Sweeping] in the step
+   that finishes it, before that step's closing preemption point. *)
+let sweep_step t lz ~max_slots =
+  ignore
+    (Sweep.lazy_step t.hp lz ~max_slots ~on_finish:(fun () ->
+         set_state t Idle))
 
 let register_mutator t thread ~stack_slots =
   let m = Mctx.create ~tid:(Sched.thread_id thread) ~thread ~stack_slots in
@@ -213,8 +264,8 @@ let checkpoint t = Machine.flush t.mach
    force-finish) a new cycle immediately after every mark. *)
 let free_estimate t =
   let actual = Heap.free_slots t.hp in
-  match t.lazy_state with
-  | Some lz when not (Sweep.lazy_finished lz) ->
+  match t.state with
+  | Sweeping lz ->
       let n = float_of_int (Heap.nslots t.hp) in
       let free_frac =
         Float.max 0.0 (1.0 -. (Metering.l_estimate t.meter /. n))
@@ -233,7 +284,7 @@ let all_stacks_scanned t =
   List.for_all (fun (m : Mctx.t) -> m.Mctx.stack_scanned) t.muts
 
 let trace_complete t =
-  t.ph = Marking
+  marking t
   && Pool.terminated t.pl
   && Card_clean.queue_len t.cl = 0
   && Card_clean.passes_started t.cl >= t.cfg.Config.card_passes
@@ -324,27 +375,27 @@ let find_work t session ~budget =
 (* ------------------------------------------------------------------ *)
 (* Cycle start                                                         *)
 
-let start_cycle t =
-  assert (t.ph = Idle);
+(* The heap share a cycle started now evacuates: none unless compaction
+   is configured. *)
+let steady_evac t = if t.cfg.Config.compaction then Some evac_fraction else None
+
+(* Start a cycle that evacuates [evac] of the heap.  The caller has seen
+   [Idle] or [Sweeping] with no preemption point since. *)
+let start_cycle t ~evac =
+  let unswept = match t.state with Sweeping lz -> Some lz | _ -> None in
+  (* Claim the start before the lazy finish's first preemption point:
+     until [Marking], every other thread sees [Starting] and keeps off. *)
+  set_state t Starting;
   (* A still-running lazy sweep reads the mark bits we are about to
      clear: drive it to completion first. *)
-  (match t.lazy_state with
-  | Some lz when not (Sweep.lazy_finished lz) -> Sweep.lazy_finish t.hp lz
-  | _ -> ());
-  t.lazy_state <- None;
-  t.cycle_no <- t.cycle_no + 1;
+  Option.iter (Sweep.lazy_finish t.hp) unswept;
+  set_state t Marking;
   Obs.instant t.mach.Machine.obs ~arg:t.cycle_no Obs_event.Cycle_start;
-  if t.cfg.Config.compaction || t.emergency_compact then begin
-    (* An emergency-compaction cycle (ladder rung 3) evacuates a larger
-       area than the steady-state incremental setting: the heap is nearly
-       exhausted and the goal is defragmentation, not pause bounding. *)
-    let fraction =
-      if t.emergency_compact then 0.125 else evac_fraction
-    in
-    Compact.choose_area t.cp ~cycle:t.cycle_no ~fraction;
-    Tracer.set_compactor t.tr t.cp
-  end;
-  t.ph <- Marking;
+  Option.iter
+    (fun fraction ->
+      Compact.choose_area t.cp ~cycle:t.cycle_no ~fraction;
+      Tracer.set_compactor t.tr t.cp)
+    evac;
   let now = Machine.now t.mach in
   t.st.Gstats.preconc_time <- t.st.Gstats.preconc_time + (now - t.preconc_start);
   t.conc_start <- now;
@@ -444,98 +495,96 @@ let check_reachable t =
   !bad
 
 let finalize t reason =
-  if t.ph <> Marking then ()
-  else begin
-    (* Stop the world before anything that can suspend this thread — the
-       phase change must be atomic with the stop, or another mutator could
-       take an allocation failure while we are in Finalizing. *)
-    Sched.stop_the_world t.sched;
-    t.ph <- Finalizing;
-    Machine.flush t.mach;
-    let free_frac =
-      float_of_int (Heap.free_slots t.hp) /. float_of_int (Heap.nslots t.hp)
-    in
-    (match reason with
-    | Completed ->
-        t.st.Gstats.premature_cycles <- t.st.Gstats.premature_cycles + 1;
-        Stats.add t.st.Gstats.premature_free free_frac
-    | Halted ->
-        t.st.Gstats.halted_cycles <- t.st.Gstats.halted_cycles + 1;
-        Stats.add t.st.Gstats.cards_left
-          (float_of_int (Card_clean.queue_len t.cl))
-    | Degenerate | Forced -> ());
-    let now = Machine.now t.mach in
-    t.st.Gstats.conc_time <- t.st.Gstats.conc_time + (now - t.conc_start);
-    let mark_t0 = now in
-    let marked_before_stw = Tracer.marked_slots t.tr in
-    (match t.cfg.Config.mode with
-    | Config.Cgc | Config.Gen ->
-        Obs.span t.mach.Machine.obs ~arg:marked_before_stw ~start:t.conc_start
-          Obs_event.Conc_mark
-    | Config.Stw -> ());
-    (* Any thread suspended mid-increment holds packets; reclaim them so
-       termination detection stays sound.  The threads notice their
-       poisoned sessions at their next safe point. *)
-    Tracer.confiscate_all t.tr;
-    (* Retire every allocation cache: publishes allocation bits (one
-       fence per cache with pending objects), so everything is traceable. *)
-    List.iter (fun (m : Mctx.t) -> Heap.retire_cache t.hp m.Mctx.cache) t.muts;
-    (* Stopping a thread synchronises it: drain all store buffers. *)
+  (* Enter Finalizing and stop the world before anything that can
+     suspend this thread — the two must be atomic, or another mutator
+     could take an allocation failure while we are in Finalizing. *)
+  set_state t Finalizing;
+  Sched.stop_the_world t.sched;
+  Machine.flush t.mach;
+  let free_frac =
+    float_of_int (Heap.free_slots t.hp) /. float_of_int (Heap.nslots t.hp)
+  in
+  (match reason with
+  | Completed ->
+      t.st.Gstats.premature_cycles <- t.st.Gstats.premature_cycles + 1;
+      Stats.add t.st.Gstats.premature_free free_frac
+  | Halted ->
+      t.st.Gstats.halted_cycles <- t.st.Gstats.halted_cycles + 1;
+      Stats.add t.st.Gstats.cards_left
+        (float_of_int (Card_clean.queue_len t.cl))
+  | Degenerate | Forced -> ());
+  let now = Machine.now t.mach in
+  t.st.Gstats.conc_time <- t.st.Gstats.conc_time + (now - t.conc_start);
+  let mark_t0 = now in
+  let marked_before_stw = Tracer.marked_slots t.tr in
+  (match t.cfg.Config.mode with
+  | Config.Cgc | Config.Gen ->
+      Obs.span t.mach.Machine.obs ~arg:marked_before_stw ~start:t.conc_start
+        Obs_event.Conc_mark
+  | Config.Stw -> ());
+  (* Any thread suspended mid-increment holds packets; reclaim them so
+     termination detection stays sound.  The threads notice their
+     poisoned sessions at their next safe point. *)
+  Tracer.confiscate_all t.tr;
+  (* Retire every allocation cache: publishes allocation bits (one
+     fence per cache with pending objects), so everything is traceable. *)
+  List.iter (fun (m : Mctx.t) -> Heap.retire_cache t.hp m.Mctx.cache) t.muts;
+  (* Stopping a thread synchronises it: drain all store buffers. *)
+  Weakmem.fence_all t.mach.Machine.wm;
+  ignore (Pool.recycle_deferred t.pl);
+  (* Final card cleaning under the snapshot protocol (mutator fences
+     already implied by the stop). *)
+  (match t.cfg.Config.mode with
+  | Config.Cgc | Config.Gen ->
+      Card_clean.start_pass t.cl ~force_fences:(fun () -> ())
+  | Config.Stw -> ());
+  let workers = Int.max 1 (Int.min gc_workers (Sched.ncpus t.sched)) in
+  (match (t.cfg.Config.load_balance, t.cfg.Config.mode) with
+  | Config.Stealing, Config.Stw ->
+      (* Section 4.4 ablation: Endo-style work-stealing mark stacks in
+         place of work packets for the parallel STW mark. *)
+      let stl = Stealing.create t.hp ~nworkers:workers in
+      Parallel.run t.sched ~workers (fun wid ->
+          List.iteri
+            (fun i (m : Mctx.t) ->
+              if i mod workers = wid then begin
+                Array.iter
+                  (fun v -> ignore (Stealing.push_root stl ~worker:wid v))
+                  m.Mctx.roots;
+                m.Mctx.stack_scanned <- true
+              end)
+            t.muts;
+          if wid = 0 then begin
+            Array.iter
+              (fun v -> ignore (Stealing.push_root stl ~worker:wid v))
+              t.globals;
+            t.globals_scanned <- true
+          end;
+          Stealing.mark_worker stl ~worker:wid)
+  | _ -> Parallel.run t.sched ~workers (fun wid -> stw_mark_worker t wid workers));
+  (* A tracer that finds no output packet falls back to marking the
+     object and dirtying its card (section 4.3).  Concurrently that is
+     sound — a later cleaning pass retraces it — but here the final
+     pass has already been snapshotted, so a card dirtied by overflow
+     during the stop-the-world mark (which injected packet starvation
+     makes routine) would never be rescanned and the object's children
+     would be swept while live.  Re-snapshot and re-mark until no dirty
+     card remains. *)
+  while Card_table.dirty_count (Heap.cards t.hp) > 0 do
     Weakmem.fence_all t.mach.Machine.wm;
-    ignore (Pool.recycle_deferred t.pl);
-    (* Final card cleaning under the snapshot protocol (mutator fences
-       already implied by the stop). *)
-    (match t.cfg.Config.mode with
-    | Config.Cgc | Config.Gen ->
-        Card_clean.start_pass t.cl ~force_fences:(fun () -> ())
-    | Config.Stw -> ());
-    let workers = Int.max 1 (Int.min gc_workers (Sched.ncpus t.sched)) in
-    (match (t.cfg.Config.load_balance, t.cfg.Config.mode) with
-    | Config.Stealing, Config.Stw ->
-        (* Section 4.4 ablation: Endo-style work-stealing mark stacks in
-           place of work packets for the parallel STW mark. *)
-        let stl = Stealing.create t.hp ~nworkers:workers in
-        Parallel.run t.sched ~workers (fun wid ->
-            List.iteri
-              (fun i (m : Mctx.t) ->
-                if i mod workers = wid then begin
-                  Array.iter
-                    (fun v -> ignore (Stealing.push_root stl ~worker:wid v))
-                    m.Mctx.roots;
-                  m.Mctx.stack_scanned <- true
-                end)
-              t.muts;
-            if wid = 0 then begin
-              Array.iter
-                (fun v -> ignore (Stealing.push_root stl ~worker:wid v))
-                t.globals;
-              t.globals_scanned <- true
-            end;
-            Stealing.mark_worker stl ~worker:wid)
-    | _ -> Parallel.run t.sched ~workers (fun wid -> stw_mark_worker t wid workers));
-    (* A tracer that finds no output packet falls back to marking the
-       object and dirtying its card (section 4.3).  Concurrently that is
-       sound — a later cleaning pass retraces it — but here the final
-       pass has already been snapshotted, so a card dirtied by overflow
-       during the stop-the-world mark (which injected packet starvation
-       makes routine) would never be rescanned and the object's children
-       would be swept while live.  Re-snapshot and re-mark until no dirty
-       card remains. *)
-    while Card_table.dirty_count (Heap.cards t.hp) > 0 do
-      Weakmem.fence_all t.mach.Machine.wm;
-      Card_clean.start_pass t.cl ~force_fences:(fun () -> ());
-      Parallel.run t.sched ~workers (fun wid -> stw_mark_worker t wid workers)
-    done;
-    Machine.flush t.mach;
-    let mark_t1 = Machine.now t.mach in
-    (* Sweep. *)
-    let live =
-      if t.cfg.Config.lazy_sweep then begin
-        let lz = Sweep.lazy_begin t.hp in
-        t.lazy_state <- Some lz;
-        live_estimate t
-      end
-      else begin
+    Card_clean.start_pass t.cl ~force_fences:(fun () -> ());
+    Parallel.run t.sched ~workers (fun wid -> stw_mark_worker t wid workers)
+  done;
+  Machine.flush t.mach;
+  let mark_t1 = Machine.now t.mach in
+  (* Sweep: in the pause, or begun here and left to [Sweeping]. *)
+  let lazy_sweep =
+    if t.cfg.Config.lazy_sweep then Some (Sweep.lazy_begin t.hp) else None
+  in
+  let live =
+    match lazy_sweep with
+    | Some _ -> live_estimate t
+    | None ->
         (* Gen mode sweeps only the old space: the nursery above
            [old_limit] is bump-allocated and reclaimed wholesale by the
            minors, and must never reach the free list. *)
@@ -550,114 +599,117 @@ let finalize t reason =
             results
         in
         Sweep.merge ~limit:t.old_limit t.hp results
-      end
+  in
+  Machine.flush t.mach;
+  let sweep_t1 = Machine.now t.mach in
+  (* Incremental compaction: evacuate the area the cycle start chose
+     and fix up the remembered in-pointers, still inside the pause
+     (section 2.3). *)
+  let moved =
+    if Compact.active t.cp then begin
+      let moved = Compact.evacuate t.cp ~globals:t.globals in
+      Machine.flush t.mach;
+      moved
+    end
+    else 0
+  in
+  let compact_t1 = Machine.now t.mach in
+  (* Statistics. *)
+  let cost = t.mach.Machine.cost in
+  let st = t.st in
+  Stats.add st.Gstats.stw_cards (float_of_int (Card_clean.stw_cleaned t.cl));
+  Stats.add st.Gstats.conc_cards (float_of_int (Card_clean.conc_cleaned t.cl));
+  Stats.add st.Gstats.cc_ratio
+    (float_of_int (Card_clean.stw_cleaned t.cl)
+    /. float_of_int (Int.max 1 (Card_clean.conc_cleaned t.cl)));
+  Stats.add st.Gstats.occupancy_end
+    (float_of_int live /. float_of_int (Heap.nslots t.hp));
+  Stats.add st.Gstats.traced_conc_slots (float_of_int marked_before_stw);
+  Stats.add st.Gstats.traced_stw_slots
+    (float_of_int (Tracer.marked_slots t.tr - marked_before_stw));
+  if Stats.count t.cycle_factors >= 2 then
+    Stats.add st.Gstats.fairness (Stats.stddev t.cycle_factors);
+  let live_mb = float_of_int (live * 8) /. 1_048_576.0 in
+  if live_mb > 0.0 then
+    Stats.add st.Gstats.cas_per_mb
+      (float_of_int (t.mach.Machine.cas_ops - t.cas_at_start) /. live_mb);
+  st.Gstats.overflow_events <- Tracer.overflow_events t.tr;
+  st.Gstats.max_deferred_packets <-
+    Int.max st.Gstats.max_deferred_packets (Pool.max_deferred t.pl);
+  st.Gstats.cycles <- st.Gstats.cycles + 1;
+  (* Metering feedback. *)
+  Metering.end_cycle t.meter ~l_observed:(live_estimate t)
+    ~m_observed:
+      ((Card_clean.conc_cleaned t.cl + Card_clean.stw_cleaned t.cl)
+      * Arena.slots_per_card);
+  (* Configured invariant verification (host-side, uncharged): marking
+     is complete, caches are retired, sweep has rebuilt the free list
+     and the overflow re-mark loop left no dirty card, so the strongest
+     form of every invariant must hold right here. *)
+  if t.cfg.Config.verify then begin
+    let r =
+      Verify.check ~heap:t.hp
+        ~roots:(List.map (fun (m : Mctx.t) -> m.Mctx.roots) t.muts)
+        ~globals:t.globals ~expect_marked:true ~expect_clean_cards:true
+        ~label:(Printf.sprintf "cycle %d" t.cycle_no)
     in
-    Machine.flush t.mach;
-    let sweep_t1 = Machine.now t.mach in
-    (* Incremental compaction: evacuate the chosen area and fix up the
-       remembered in-pointers, still inside the pause (section 2.3). *)
-    let moved =
-      if
-        (t.cfg.Config.compaction || t.emergency_compact)
-        && Compact.active t.cp
-      then begin
-        let moved = Compact.evacuate t.cp ~globals:t.globals in
-        Machine.flush t.mach;
-        moved
-      end
-      else 0
-    in
-    let compact_t1 = Machine.now t.mach in
-    (* Statistics. *)
-    let cost = t.mach.Machine.cost in
-    let st = t.st in
-    Stats.add st.Gstats.stw_cards (float_of_int (Card_clean.stw_cleaned t.cl));
-    Stats.add st.Gstats.conc_cards (float_of_int (Card_clean.conc_cleaned t.cl));
-    Stats.add st.Gstats.cc_ratio
-      (float_of_int (Card_clean.stw_cleaned t.cl)
-      /. float_of_int (Int.max 1 (Card_clean.conc_cleaned t.cl)));
-    Stats.add st.Gstats.occupancy_end
-      (float_of_int live /. float_of_int (Heap.nslots t.hp));
-    Stats.add st.Gstats.traced_conc_slots (float_of_int marked_before_stw);
-    Stats.add st.Gstats.traced_stw_slots
-      (float_of_int (Tracer.marked_slots t.tr - marked_before_stw));
-    if Stats.count t.cycle_factors >= 2 then
-      Stats.add st.Gstats.fairness (Stats.stddev t.cycle_factors);
-    let live_mb = float_of_int (live * 8) /. 1_048_576.0 in
-    if live_mb > 0.0 then
-      Stats.add st.Gstats.cas_per_mb
-        (float_of_int (t.mach.Machine.cas_ops - t.cas_at_start) /. live_mb);
-    st.Gstats.overflow_events <- Tracer.overflow_events t.tr;
-    st.Gstats.max_deferred_packets <-
-      Int.max st.Gstats.max_deferred_packets (Pool.max_deferred t.pl);
-    st.Gstats.cycles <- st.Gstats.cycles + 1;
-    (* Metering feedback. *)
-    Metering.end_cycle t.meter ~l_observed:(live_estimate t)
-      ~m_observed:
-        ((Card_clean.conc_cleaned t.cl + Card_clean.stw_cleaned t.cl)
-        * Arena.slots_per_card);
-    (* Configured invariant verification (host-side, uncharged): marking
-       is complete, caches are retired, sweep has rebuilt the free list
-       and the overflow re-mark loop left no dirty card, so the strongest
-       form of every invariant must hold right here. *)
-    if t.cfg.Config.verify then begin
-      let r =
-        Verify.check ~heap:t.hp
-          ~roots:(List.map (fun (m : Mctx.t) -> m.Mctx.roots) t.muts)
-          ~globals:t.globals ~expect_marked:true ~expect_clean_cards:true
-          ~label:(Printf.sprintf "cycle %d" t.cycle_no)
-      in
-      Obs.instant t.mach.Machine.obs ~arg:r.Verify.objects
-        Obs_event.Verify_pass
-    end;
-    let pause = Sched.restart_world t.sched in
-    let pause_end = Machine.now t.mach in
-    let obs = t.mach.Machine.obs in
-    Obs.span_at obs ~ts:(pause_end - pause) ~dur:pause Obs_event.Stw_pause;
-    Obs.span_at obs ~ts:mark_t0 ~dur:(mark_t1 - mark_t0) Obs_event.Stw_mark;
-    Obs.span_at obs ~ts:mark_t1 ~dur:(sweep_t1 - mark_t1) Obs_event.Stw_sweep;
-    if moved > 0 then
-      Obs.span_at obs ~ts:sweep_t1 ~dur:(compact_t1 - sweep_t1)
-        Obs_event.Stw_compact;
-    Obs.instant obs ~arg:t.cycle_no Obs_event.Cycle_end;
-    Gstats.note_cycle st
-      {
-        Gstats.cycle = t.cycle_no;
-        end_ms = Cost.ms_of_cycles cost pause_end;
-        pause_ms = Cost.ms_of_cycles cost pause;
-        mark_ms = Cost.ms_of_cycles cost (mark_t1 - mark_t0);
-        sweep_ms = Cost.ms_of_cycles cost (sweep_t1 - mark_t1);
-        compact_ms = Cost.ms_of_cycles cost (compact_t1 - sweep_t1);
-        conc_cards = Card_clean.conc_cleaned t.cl;
-        stw_cards = Card_clean.stw_cleaned t.cl;
-        traced_conc = marked_before_stw;
-        traced_stw = Tracer.marked_slots t.tr - marked_before_stw;
-        evac_slots = moved;
-        occupancy = float_of_int live /. float_of_int (Heap.nslots t.hp);
-        degrade_force_finish = st.Gstats.degrade_force_finish;
-        degrade_full_stw = st.Gstats.degrade_full_stw;
-        degrade_compact = st.Gstats.degrade_compact;
-      };
-    t.ph <- Idle;
-    t.preconc_start <- pause_end
-  end
+    Obs.instant t.mach.Machine.obs ~arg:r.Verify.objects
+      Obs_event.Verify_pass
+  end;
+  let pause = Sched.restart_world t.sched in
+  let pause_end = Machine.now t.mach in
+  let obs = t.mach.Machine.obs in
+  Obs.span_at obs ~ts:(pause_end - pause) ~dur:pause Obs_event.Stw_pause;
+  Obs.span_at obs ~ts:mark_t0 ~dur:(mark_t1 - mark_t0) Obs_event.Stw_mark;
+  Obs.span_at obs ~ts:mark_t1 ~dur:(sweep_t1 - mark_t1) Obs_event.Stw_sweep;
+  if moved > 0 then
+    Obs.span_at obs ~ts:sweep_t1 ~dur:(compact_t1 - sweep_t1)
+      Obs_event.Stw_compact;
+  Obs.instant obs ~arg:t.cycle_no Obs_event.Cycle_end;
+  Gstats.note_cycle st
+    {
+      Gstats.cycle = t.cycle_no;
+      end_ms = Cost.ms_of_cycles cost pause_end;
+      pause_ms = Cost.ms_of_cycles cost pause;
+      mark_ms = Cost.ms_of_cycles cost (mark_t1 - mark_t0);
+      sweep_ms = Cost.ms_of_cycles cost (sweep_t1 - mark_t1);
+      compact_ms = Cost.ms_of_cycles cost (compact_t1 - sweep_t1);
+      conc_cards = Card_clean.conc_cleaned t.cl;
+      stw_cards = Card_clean.stw_cleaned t.cl;
+      traced_conc = marked_before_stw;
+      traced_stw = Tracer.marked_slots t.tr - marked_before_stw;
+      evac_slots = moved;
+      occupancy = float_of_int live /. float_of_int (Heap.nslots t.hp);
+      degrade_force_finish = st.Gstats.degrade_force_finish;
+      degrade_full_stw = st.Gstats.degrade_full_stw;
+      degrade_compact = st.Gstats.degrade_compact;
+    };
+  set_state t
+    (match lazy_sweep with Some lz -> Sweeping lz | None -> Idle);
+  t.preconc_start <- pause_end
 
 (* A full stop-the-world collection in baseline mode (or a degenerate CGC
-   cycle where kickoff never fired before exhaustion). *)
-let full_collect t reason =
-  (match t.ph with
-  | Idle -> start_cycle t
-  | Marking -> ()
-  | Finalizing -> assert false);
-  finalize t reason
+   cycle where kickoff never fired before exhaustion).  A cycle already
+   marking is finished as [in_flight] instead, and a start or a pause
+   that another thread holds is waited out first. *)
+let rec full_collect t ~evac ~in_flight reason =
+  match t.state with
+  | Idle | Sweeping _ ->
+      start_cycle t ~evac;
+      finalize t reason
+  | Marking -> finalize t in_flight
+  | Starting | Finalizing ->
+      await_release t;
+      full_collect t ~evac ~in_flight reason
 
-let force_collect t = full_collect t Forced
+let force_collect t =
+  full_collect t ~evac:(steady_evac t) ~in_flight:Forced Forced
 
 (* ------------------------------------------------------------------ *)
 (* Incremental work on the allocation slow path                        *)
 
 let do_increment t (m : Mctx.t) ~alloc =
-  if t.ph = Marking then begin
+  if marking t then begin
     let incr_t0 = Machine.now t.mach in
     (* Card-storm injection: mass-dirty a random batch of cards, as a
        pathological write-heavy mutator would, inflating the cleaning
@@ -698,7 +750,7 @@ let do_increment t (m : Mctx.t) ~alloc =
     while !continue && !traced < work do
       let n = find_work t !session ~budget:(work - !traced) in
       if n > 0 then traced := !traced + n
-      else if !retries > 0 && t.ph = Marking then begin
+      else if !retries > 0 && marking t then begin
         (* Momentary shortage: the work packets with the remaining tracing
            work are held by other threads mid-scan.  Release our own
            (empty) packets first — a waiting thread must hold nothing, or
@@ -748,49 +800,52 @@ let account t (m : Mctx.t) size =
   m.Mctx.alloc_slots <- m.Mctx.alloc_slots + size;
   t.st.Gstats.total_alloc_slots <- t.st.Gstats.total_alloc_slots + size;
   t.alloc_window <- t.alloc_window + size;
-  match t.ph with
-  | Idle -> t.st.Gstats.preconc_slots <- t.st.Gstats.preconc_slots + size
+  match t.state with
+  | Idle | Sweeping _ | Starting ->
+      t.st.Gstats.preconc_slots <- t.st.Gstats.preconc_slots + size
   | Marking -> t.st.Gstats.conc_slots <- t.st.Gstats.conc_slots + size
   | Finalizing -> ()
 
-let mark_new t = t.ph <> Idle
+let mark_new t =
+  match t.state with
+  | Idle | Sweeping _ | Starting -> false
+  | Marking | Finalizing -> true
 
-let note_black t size = if t.ph <> Idle then t.black_slots <- t.black_slots + size
+let note_black t size = if mark_new t then t.black_slots <- t.black_slots + size
 
-(* Refill helper that understands lazy sweeping: when the free list is
-   short, try advancing the lazy-sweep cursor before declaring failure. *)
+(* Free space that needs no collection: advance the lazy sweep, or wait
+   for a cycle start to finish it.  False when there is none to find. *)
+let find_space t =
+  match t.state with
+  | Sweeping lz ->
+      sweep_step t lz ~max_slots:8192;
+      true
+  | Starting ->
+      await_release t;
+      true
+  | Idle | Marking | Finalizing -> false
+
 let rec try_refill t (m : Mctx.t) ~min =
-  if Heap.refill_cache t.hp m.Mctx.cache ~min ~pref:cache_slots
-  then true
-  else
-    match t.lazy_state with
-    | Some lz when not (Sweep.lazy_finished lz) ->
-        ignore (Sweep.lazy_step t.hp lz ~max_slots:8192);
-        try_refill t m ~min
-    | _ -> false
+  Heap.refill_cache t.hp m.Mctx.cache ~min ~pref:cache_slots
+  || (find_space t && try_refill t m ~min)
 
 let rec try_alloc_large t ~size ~nrefs =
   match Heap.alloc_large t.hp ~size ~nrefs ~mark_new:(mark_new t) with
   | Some a -> Some a
-  | None -> (
-      match t.lazy_state with
-      | Some lz when not (Sweep.lazy_finished lz) ->
-          ignore (Sweep.lazy_step t.hp lz ~max_slots:8192);
-          try_alloc_large t ~size ~nrefs
-      | _ -> None)
+  | None -> if find_space t then try_alloc_large t ~size ~nrefs else None
 
 let pre_alloc_hook t m ~request =
   match t.cfg.Config.mode with
   | Config.Stw -> ()
   | Config.Cgc | Config.Gen -> (
-      match t.ph with
-      | Idle ->
+      match t.state with
+      | Idle | Sweeping _ ->
           if Metering.should_start t.meter ~free:(free_estimate t) then begin
-            start_cycle t;
+            start_cycle t ~evac:(steady_evac t);
             do_increment t m ~alloc:request
           end
       | Marking -> do_increment t m ~alloc:request
-      | Finalizing -> ())
+      | Starting | Finalizing -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Degradation ladder                                                  *)
@@ -818,16 +873,15 @@ let pre_alloc_hook t m ~request =
 let rung_force_finish t =
   t.st.Gstats.degrade_force_finish <- t.st.Gstats.degrade_force_finish + 1;
   Obs.instant t.mach.Machine.obs ~arg:t.cycle_no Obs_event.Degrade_force_finish;
-  match (t.cfg.Config.mode, t.ph) with
-  | _, Marking -> finalize t Halted
-  | (Config.Cgc | Config.Gen), Idle -> full_collect t Degenerate
-  | Config.Stw, Idle -> full_collect t Forced
-  | _, Finalizing -> assert false
+  full_collect t ~evac:(steady_evac t) ~in_flight:Halted
+    (match t.cfg.Config.mode with
+    | Config.Cgc | Config.Gen -> Degenerate
+    | Config.Stw -> Forced)
 
 let rung_full_stw t =
   t.st.Gstats.degrade_full_stw <- t.st.Gstats.degrade_full_stw + 1;
   Obs.instant t.mach.Machine.obs ~arg:t.cycle_no Obs_event.Degrade_full_stw;
-  full_collect t Forced
+  force_collect t
 
 let compaction_possible t =
   (not t.cfg.Config.lazy_sweep)
@@ -840,13 +894,12 @@ let compaction_possible t =
 let rung_emergency_compact t =
   t.st.Gstats.degrade_compact <- t.st.Gstats.degrade_compact + 1;
   Obs.instant t.mach.Machine.obs ~arg:t.cycle_no Obs_event.Degrade_compact;
-  if compaction_possible t then begin
-    t.emergency_compact <- true;
-    Fun.protect
-      ~finally:(fun () -> t.emergency_compact <- false)
-      (fun () -> full_collect t Forced)
-  end
-  else full_collect t Forced
+  (* An emergency cycle evacuates a larger area than the steady-state
+     setting: the heap is nearly exhausted and the goal is
+     defragmentation, not pause bounding. *)
+  if compaction_possible t then
+    full_collect t ~evac:(Some 0.125) ~in_flight:Forced Forced
+  else force_collect t
 
 let raise_oom t ~phase0 ~request =
   t.st.Gstats.oom_raised <- t.st.Gstats.oom_raised + 1;
@@ -866,7 +919,7 @@ let raise_oom t ~phase0 ~request =
 
 let degrade : 'a. t -> request:int -> attempt:(unit -> 'a option) -> 'a =
  fun t ~request ~attempt ->
-  let phase0 = t.ph in
+  let phase0 = phase t in
   Obs.instant t.mach.Machine.obs Obs_event.Alloc_failure;
   rung_force_finish t;
   match attempt () with
@@ -962,44 +1015,40 @@ let background_body t () =
   let ready () =
     stall_armed
     || Sched.stop_requested t.sched
-    || t.ph = Marking
     ||
-    match t.lazy_state with
-    | Some lz -> not (Sweep.lazy_finished lz)
-    | None -> false
+    match t.state with
+    | Marking | Sweeping _ -> true
+    | Idle | Starting | Finalizing -> false
   in
   while not (Sched.stop_requested t.sched) do
     (* Background-stall injection: the low-priority tracer is descheduled
        for a while, starving the cycle of its free tracing credit. *)
     (let stall = Fault.bg_stall t.cfg.Config.faults in
      if stall > 0 then Sched.sleep stall);
-    if t.ph = Marking then begin
-      let session = Tracer.new_session t.tr in
-      let n = find_work t session ~budget:bg_chunk in
-      Tracer.release t.tr session;
-      Machine.flush t.mach;
-      if n > 0 then begin
-        t.bg_window_traced <- t.bg_window_traced + n;
-        Obs.instant t.mach.Machine.obs ~arg:n Obs_event.Bg_chunk;
-        if trace_complete t then finalize t Completed;
-        Sched.yield ()
-      end
-      else begin
-        if trace_complete t then finalize t Completed;
-        Sched.sleep (idle_nap / 4)
-      end
-    end
-    else begin
-      (* Section 7: spread deferred sweeping over the idle background
-         threads too, so the free list refills before mutators must
-         sweep on their own allocation paths. *)
-      match t.lazy_state with
-      | Some lz when not (Sweep.lazy_finished lz) ->
-          ignore (Sweep.lazy_step t.hp lz ~max_slots:16384);
-          Machine.flush t.mach;
+    match t.state with
+    | Marking ->
+        let session = Tracer.new_session t.tr in
+        let n = find_work t session ~budget:bg_chunk in
+        Tracer.release t.tr session;
+        Machine.flush t.mach;
+        if n > 0 then begin
+          t.bg_window_traced <- t.bg_window_traced + n;
+          Obs.instant t.mach.Machine.obs ~arg:n Obs_event.Bg_chunk;
+          if trace_complete t then finalize t Completed;
           Sched.yield ()
-      | _ -> Sched.poll idle_nap ~ready
-    end
+        end
+        else begin
+          if trace_complete t then finalize t Completed;
+          Sched.sleep (idle_nap / 4)
+        end
+    | Sweeping lz ->
+        (* Section 7: spread deferred sweeping over the idle background
+           threads too, so the free list refills before mutators must
+           sweep on their own allocation paths. *)
+        sweep_step t lz ~max_slots:16384;
+        Machine.flush t.mach;
+        Sched.yield ()
+    | Idle | Starting | Finalizing -> Sched.poll idle_nap ~ready
   done
 
 let start_background t =

@@ -28,6 +28,12 @@
 type t
 
 type phase = Idle | Marking | Finalizing
+(** The collector's phase as the layers above see it.  Inside, the
+    collector keeps one state with two more values, both read here as
+    [Idle]: [Sweeping], while a lazy sweep (section 7) still feeds the
+    free list after a cycle, and [Starting], while the thread that
+    claimed a cycle start finishes that sweep before marking begins.
+    docs/ARCHITECTURE.md lists the state edges. *)
 
 type oom_diag = {
   oom_phase : phase;  (** phase when the failing request was made *)

@@ -115,7 +115,7 @@ let lazy_begin heap =
   Freelist.clear (Heap.freelist heap);
   { pos = 1; prev_end = 1; llive = 0; fin = false }
 
-let lazy_step heap lz ~max_slots =
+let lazy_step heap lz ~max_slots ~on_finish =
   if lz.fin then false
   else begin
     let n = Heap.nslots heap in
@@ -152,7 +152,10 @@ let lazy_step heap lz ~max_slots =
         add_free heap ~addr:lz.prev_end ~size:(hi - lz.prev_end);
       lz.prev_end <- Int.max lz.prev_end hi;
       lz.pos <- hi;
-      if hi >= n then lz.fin <- true
+      if hi >= n then begin
+        lz.fin <- true;
+        on_finish ()
+      end
     end;
     Machine.flush (Heap.machine heap);
     Obs.instant
@@ -161,11 +164,10 @@ let lazy_step heap lz ~max_slots =
     true
   end
 
-let lazy_finished lz = lz.fin
 let lazy_pos lz = lz.pos
 let lazy_live lz = lz.llive
 
 let lazy_finish heap lz =
   while not lz.fin do
-    ignore (lazy_step heap lz ~max_slots:65536)
+    ignore (lazy_step heap lz ~max_slots:65536 ~on_finish:ignore)
   done

@@ -46,11 +46,17 @@ val lazy_begin : Cgc_heap.Heap.t -> lazy_t
 (** Clear the free list and start a sweep cursor at the bottom of the
     heap.  Call right after marking completes. *)
 
-val lazy_step : Cgc_heap.Heap.t -> lazy_t -> max_slots:int -> bool
+val lazy_step :
+  Cgc_heap.Heap.t ->
+  lazy_t ->
+  max_slots:int ->
+  on_finish:(unit -> unit) ->
+  bool
 (** Sweep the next [max_slots] of address space, feeding the free list.
-    Returns false if the sweep had already finished. *)
-
-val lazy_finished : lazy_t -> bool
+    Returns false if the sweep had already finished.  The step ends in a
+    [Machine.flush], a preemption point; [on_finish] runs before it, in
+    the step that reaches the heap end, so the caller can record that
+    the sweep is done before any other thread can look. *)
 
 val lazy_pos : lazy_t -> int
 (** Current sweep-cursor position (slots below it have been swept). *)

@@ -28,13 +28,14 @@ let check ~heap ~roots ~globals ~expect_marked ~expect_clean_cards ~label =
   let objects = ref 0 in
   let live_slots = ref 0 in
   let rec walk from addr =
+    (* Bounds first: [live] has one byte per heap slot. *)
+    if addr <> 0 && not (Arena.in_heap arena addr) then
+      fail label "reference %d (from %d) is outside the heap" addr from;
     if addr <> 0 && Bytes.get live addr <> '\002' then begin
       if Bytes.get live addr = '\001' then
         fail label
           "object %d (from %d) starts inside another reachable object" addr
           from;
-      if not (Arena.in_heap arena addr) then
-        fail label "reference %d (from %d) is outside the heap" addr from;
       if not (Arena.header_valid_sc arena addr) then
         fail label "reachable object %d (from %d) has an invalid header" addr
           from;

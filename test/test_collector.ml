@@ -148,6 +148,37 @@ let test_lazy_sweep_mode () =
   check (Alcotest.list (Alcotest.pair ci ci)) "heap intact under lazy sweep" []
     (Collector.check_reachable (Vm.collector vm))
 
+(* The lazy sweep's finish at a cycle start is a run of preemption
+   points.  A second CPU that reaches the start meanwhile must not start
+   the same cycle again: cycle numbers rise by one, and each cycle starts
+   after the previous one ended. *)
+let test_lazy_sweep_cycles_in_order () =
+  let gc = { Config.default with Config.lazy_sweep = true } in
+  let vm =
+    Cgc_workloads.Specjbb.setup ~warehouses:8 ~gc ~heap_mb:16.0 ~ncpus:4
+      ~seed:1 ~trace:true ()
+  in
+  Vm.run vm ~ms:300.0;
+  let last = ref 0 and ended = ref true in
+  List.iter
+    (fun (e : Cgc_obs.Event.t) ->
+      match e.Cgc_obs.Event.code with
+      | Cgc_obs.Event.Cycle_start ->
+          check ci "cycle number rises by one" (!last + 1) e.Cgc_obs.Event.arg;
+          check cb
+            (Printf.sprintf "cycle %d ended before cycle %d started" !last
+               e.Cgc_obs.Event.arg)
+            true !ended;
+          last := e.Cgc_obs.Event.arg;
+          ended := false
+      | Cgc_obs.Event.Cycle_end ->
+          check ci "the cycle that ends is the last one started" !last
+            e.Cgc_obs.Event.arg;
+          ended := true
+      | _ -> ())
+    (Cgc_obs.Obs.events (Vm.obs vm));
+  check cb "cycles happened" true (!last >= 2)
+
 let test_two_card_passes () =
   let gc = { Config.default with Config.card_passes = 2 } in
   let vm = run_vm ~gc ~ms:1000.0 () in
@@ -359,6 +390,8 @@ let () =
           Alcotest.test_case "floating garbage >= 0" `Slow
             test_floating_garbage_nonnegative;
           Alcotest.test_case "lazy sweep mode" `Slow test_lazy_sweep_mode;
+          Alcotest.test_case "lazy sweep: one start per cycle" `Slow
+            test_lazy_sweep_cycles_in_order;
           Alcotest.test_case "two card passes" `Slow test_two_card_passes;
           Alcotest.test_case "naive fence policy" `Slow
             test_naive_fence_policy_end_to_end;

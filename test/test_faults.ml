@@ -206,6 +206,28 @@ let test_starved_defer_recovers () =
   check cb "pool terminated — nothing lost" true (Pool.terminated pool);
   check ci "no corruption" 0 (Tracer.corruptions tracer)
 
+(* A field holding an address past the heap end is reported by the
+   verifier as such, not as an index error from its own bookkeeping. *)
+let test_verify_reference_outside_heap () =
+  let heap = Heap.create (Machine.testing ()) ~nslots:4096 in
+  let a =
+    match Heap.alloc_large heap ~size:4 ~nrefs:1 ~mark_new:false with
+    | Some a -> a
+    | None -> Alcotest.fail "allocation failed"
+  in
+  let past_end = Heap.nslots heap + 5 in
+  Arena.ref_set_raw (Heap.arena heap) a 0 past_end;
+  match
+    Verify.check ~heap ~roots:[] ~globals:[| a |] ~expect_marked:false
+      ~expect_clean_cards:false ~label:"probe"
+  with
+  | _ -> Alcotest.fail "the verifier accepted a reference past the heap end"
+  | exception Verify.Invariant_violation msg ->
+      check Alcotest.string "labelled violation"
+        (Printf.sprintf "probe: reference %d (from %d) is outside the heap"
+           past_end a)
+        msg
+
 (* --------------------------- chaos plans ---------------------------- *)
 
 module Cluster_fault = Cgc_fault.Cluster_fault
@@ -345,6 +367,11 @@ let () =
         [
           Alcotest.test_case "deferred packets survive starvation" `Quick
             test_starved_defer_recovers;
+        ] );
+      ( "verifier",
+        [
+          Alcotest.test_case "reference past the heap end" `Quick
+            test_verify_reference_outside_heap;
         ] );
       ( "chaos-plan",
         [ QCheck_alcotest.to_alcotest qcheck_chaos_plan_well_formed ] );

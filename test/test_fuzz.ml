@@ -118,46 +118,100 @@ let print_cfg
 
 let arb = QCheck.make ~print:print_cfg gen
 
+(* One draw of the soundness property: run the churn, then walk the
+   reachable heap.  [Error] says what broke. *)
+let soundness (heap_mb, ncpus, workers, gc, relaxed, naive, fault_mask, seed) =
+  let scenarios = scenarios_of_mask fault_mask in
+  let gc =
+    if scenarios = [] then gc
+    else
+      {
+        gc with
+        Config.faults = Fault.create ~scenarios ~seed ();
+        verify = true;
+      }
+  in
+  let vm =
+    Vm.create
+      (Vm.config ~heap_mb ~ncpus ~seed ~gc
+         ~wm_mode:(if relaxed then Cgc_smp.Weakmem.Relaxed else Cgc_smp.Weakmem.Sc)
+         ~fence_policy:(if naive then Cgc_heap.Heap.Naive else Cgc_heap.Heap.Batched)
+         ())
+  in
+  (* size the resident churn to roughly a third of the heap *)
+  let resident =
+    int_of_float (heap_mb *. 1024.0 *. 1024.0 /. 8.0 /. 3.0)
+    / (workers * 4 * 10)
+  in
+  for i = 1 to workers do
+    Vm.spawn_mutator vm
+      ~name:(Printf.sprintf "w%d" i)
+      (churn (max 10 resident))
+  done;
+  Vm.run vm ~ms:250.0;
+  (* quiesce so the committed view is coherent for verification *)
+  Cgc_smp.Weakmem.fence_all (Vm.machine vm).Cgc_smp.Machine.wm;
+  let coll = Vm.collector vm in
+  let corruptions = Tracer.corruptions (Collector.tracer coll) in
+  match List.rev (Collector.check_reachable coll) with
+  | [] when corruptions = 0 -> Ok ()
+  | bad ->
+      let first =
+        match bad with
+        | (from, addr) :: _ ->
+            Printf.sprintf ", the first (referrer %d, address %d)" from addr
+        | [] -> ""
+      in
+      Error
+        (Printf.sprintf "%d bad (referrer, address) pairs%s; %d tracer corruptions"
+           (List.length bad) first corruptions)
+
 (* Nine of the 24 mode x lazy sweep x compaction x stealing
    combinations are legal, so allow ample draws. *)
 let fuzz =
   QCheck.Test.make ~name:"random configurations keep the heap sound"
     ~count:fuzz_count ~max_gen:(10 * fuzz_count) arb
-    (fun (heap_mb, ncpus, workers, gc, relaxed, naive, fault_mask, seed) ->
+    (fun ((_, _, _, gc, _, _, _, _) as draw) ->
       QCheck.assume (Config.validate gc = Ok ());
-      let scenarios = scenarios_of_mask fault_mask in
-      let gc =
-        if scenarios = [] then gc
-        else
-          {
-            gc with
-            Config.faults = Fault.create ~scenarios ~seed ();
-            verify = true;
-          }
-      in
-      let vm =
-        Vm.create
-          (Vm.config ~heap_mb ~ncpus ~seed ~gc
-             ~wm_mode:(if relaxed then Cgc_smp.Weakmem.Relaxed else Cgc_smp.Weakmem.Sc)
-             ~fence_policy:(if naive then Cgc_heap.Heap.Naive else Cgc_heap.Heap.Batched)
-             ())
-      in
-      (* size the resident churn to roughly a third of the heap *)
-      let resident =
-        int_of_float (heap_mb *. 1024.0 *. 1024.0 /. 8.0 /. 3.0)
-        / (workers * 4 * 10)
-      in
-      for i = 1 to workers do
-        Vm.spawn_mutator vm
-          ~name:(Printf.sprintf "w%d" i)
-          (churn (max 10 resident))
-      done;
-      Vm.run vm ~ms:250.0;
-      (* quiesce so the committed view is coherent for verification *)
-      Cgc_smp.Weakmem.fence_all (Vm.machine vm).Cgc_smp.Machine.wm;
-      let coll = Vm.collector vm in
-      Collector.check_reachable coll = []
-      && Tracer.corruptions (Collector.tracer coll) = 0)
+      match soundness draw with
+      | Ok () -> true
+      | Error msg -> QCheck.Test.fail_reportf "%s" msg)
+
+(* A recorded draw, fixed so it runs on every build: lazy sweep on three
+   CPUs, where two threads used to start the same cycle. *)
+let test_double_start_draw () =
+  let draw =
+    ( 4.0,
+      3,
+      6,
+      {
+        Config.default with
+        Config.mode = Config.Cgc;
+        k0 = 1.0;
+        n_packets = 64;
+        packet_capacity = 4;
+        n_background = 2;
+        card_passes = 2;
+        lazy_sweep = true;
+        compaction = false;
+        load_balance = Config.Packets;
+      },
+      false,
+      false,
+      List.fold_left
+        (fun mask s -> mask lor (1 lsl Fault.index s))
+        0
+        Fault.
+          [ Packet_starvation; Alloc_burst; Mutator_stall; Card_storm; Bg_stall ],
+      687 )
+  in
+  Alcotest.(check string) "the draw as the fuzzer prints it"
+    "heap=4MB cpus=3 workers=6 mode=cgc k0=1 pkts=64x4 bg=2 passes=2 \
+     lazy=true compact=false steal=false relaxed=false naive=false \
+     faults=[packet-starvation,alloc-burst,mutator-stall,card-storm,bg-stall] \
+     seed=687"
+    (print_cfg draw);
+  match soundness draw with Ok () -> () | Error msg -> Alcotest.fail msg
 
 let create_agrees_with_validate =
   QCheck.Test.make
@@ -181,5 +235,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest ~long:true fuzz;
           QCheck_alcotest.to_alcotest create_agrees_with_validate;
+          Alcotest.test_case "recorded draw: lazy sweep, seed 687" `Slow
+            test_double_start_draw;
         ] );
     ]

@@ -143,7 +143,7 @@ let test_lazy_ends_at_window_boundary () =
   let free_eager = Freelist.free_slots (Heap.freelist h_eager) in
   let h = build 4096 objs marked in
   let lz = Sweep.lazy_begin h in
-  ignore (Sweep.lazy_step h lz ~max_slots:256);
+  ignore (Sweep.lazy_step h lz ~max_slots:256 ~on_finish:ignore);
   check ci "cursor parked exactly at the object end" 257 (Sweep.lazy_pos lz);
   Sweep.lazy_finish h lz;
   check ci "lazy live agrees" live_eager (Sweep.lazy_live lz);
@@ -160,7 +160,7 @@ let test_lazy_empty_leading_windows () =
   let free_eager = Freelist.free_slots (Heap.freelist h_eager) in
   let h = build 4096 objs [ 3000 ] in
   let lz = Sweep.lazy_begin h in
-  ignore (Sweep.lazy_step h lz ~max_slots:256);
+  ignore (Sweep.lazy_step h lz ~max_slots:256 ~on_finish:ignore);
   check ci "one empty window freed" 256
     (Freelist.free_slots (Heap.freelist h));
   Sweep.lazy_finish h lz;
@@ -177,13 +177,15 @@ let test_lazy_single_window () =
   let free_eager = Freelist.free_slots (Heap.freelist h_eager) in
   let h = build 64 objs [ 10; 50 ] in
   let lz = Sweep.lazy_begin h in
-  check cb "first step runs" true (Sweep.lazy_step h lz ~max_slots:8192);
+  check cb "first step runs" true
+    (Sweep.lazy_step h lz ~max_slots:8192 ~on_finish:ignore);
   check ci "cursor reached the heap end" 64 (Sweep.lazy_pos lz);
   (* The object ending exactly at the heap end leaves the cursor parked
      at nslots with the finished flag still unset; the next (empty) step
      closes the sweep. *)
   Sweep.lazy_finish h lz;
-  check cb "finished" true (Sweep.lazy_finished lz);
+  check cb "finished: a further step returns false" false
+    (Sweep.lazy_step h lz ~max_slots:8192 ~on_finish:ignore);
   check ci "lazy live agrees" live_eager (Sweep.lazy_live lz);
   check ci "lazy free agrees" free_eager
     (Freelist.free_slots (Heap.freelist h))
@@ -208,9 +210,11 @@ let test_lazy_matches_eager () =
   let h_lazy = build 4096 objs marked in
   let lz = Sweep.lazy_begin h_lazy in
   check ci "free list starts empty" 0 (Freelist.free_slots (Heap.freelist h_lazy));
-  let steps = ref 0 in
-  while not (Sweep.lazy_finished lz) do
-    ignore (Sweep.lazy_step h_lazy lz ~max_slots:256);
+  let steps = ref 0 and finished = ref 0 in
+  while !finished = 0 do
+    ignore
+      (Sweep.lazy_step h_lazy lz ~max_slots:256 ~on_finish:(fun () ->
+           incr finished));
     incr steps
   done;
   check cb "took multiple steps" true (!steps > 4);
@@ -218,20 +222,23 @@ let test_lazy_matches_eager () =
   check ci "lazy free agrees" free_eager
     (Freelist.free_slots (Heap.freelist h_lazy));
   check cb "step after finish returns false" false
-    (Sweep.lazy_step h_lazy lz ~max_slots:256)
+    (Sweep.lazy_step h_lazy lz ~max_slots:256 ~on_finish:(fun () ->
+         incr finished));
+  check ci "on_finish ran once, in the finishing step" 1 !finished
 
 let test_lazy_finish () =
   let h = build 4096 [ (500, 40) ] [ 500 ] in
   let lz = Sweep.lazy_begin h in
   Sweep.lazy_finish h lz;
-  check cb "finished" true (Sweep.lazy_finished lz);
+  check cb "finished: a further step returns false" false
+    (Sweep.lazy_step h lz ~max_slots:4096 ~on_finish:ignore);
   check ci "live" 40 (Sweep.lazy_live lz)
 
 let test_lazy_incremental_allocation () =
   (* Allocation can proceed from partial lazy-sweep results. *)
   let h = build 8192 [ (8000, 50) ] [ 8000 ] in
   let lz = Sweep.lazy_begin h in
-  ignore (Sweep.lazy_step h lz ~max_slots:1024);
+  ignore (Sweep.lazy_step h lz ~max_slots:1024 ~on_finish:ignore);
   check cb "some free space available early" true
     (Freelist.free_slots (Heap.freelist h) > 0);
   match Freelist.alloc (Heap.freelist h) 100 with
@@ -260,7 +267,7 @@ let test_interior_mark_lazy () =
   let lz = Sweep.lazy_begin h in
   (* The first window ends inside the object at 40, below its interior
      bit at 45; the second starts at that object's end. *)
-  ignore (Sweep.lazy_step h lz ~max_slots:43);
+  ignore (Sweep.lazy_step h lz ~max_slots:43 ~on_finish:ignore);
   check ci "cursor parked at the object end" 46 (Sweep.lazy_pos lz);
   check ci "free so far" (9 + 12 + 6) (Freelist.free_slots (Heap.freelist h));
   Sweep.lazy_finish h lz;
